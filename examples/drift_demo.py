@@ -13,10 +13,7 @@ re-engages prediction and finishes the run missing nothing.
 Run:  python examples/drift_demo.py
 """
 
-from repro.analysis.harness import Lab
-from repro.online.inject import StepDriftJitter
-from repro.platform import Board, LogNormalJitter
-from repro.platform.switching import SwitchLatencyModel
+from repro.analysis.harness import Lab, seeded_board
 from repro.runtime import TaskLoopRunner
 
 APP = "ldecode"
@@ -28,19 +25,15 @@ BUCKET = 20          # jobs per timeline bucket
 
 def run_drifted(lab, app, governor, seed):
     """One run with a time-triggered mid-run slowdown injected."""
-    board = Board(
-        opps=lab.opps,
-        power=lab.power,
-        switcher=SwitchLatencyModel(lab.opps, seed=seed),
-    )
-    board.cpu.jitter = StepDriftJitter(
-        LogNormalJitter(lab.jitter_sigma, seed=seed),
-        SLOWDOWN,
-        shift_at_s=SHIFT * app.task.budget_s,
-        clock=lambda: board.now,
-    )
     runner = TaskLoopRunner(
-        board=board,
+        board=seeded_board(
+            lab.opps,
+            lab.power,
+            lab.jitter_sigma,
+            seed,
+            seed,
+            drift=(SLOWDOWN, SHIFT * app.task.budget_s),
+        ),
         task=app.task,
         governor=governor,
         inputs=app.inputs(N_JOBS, seed=lab.seed + 11),

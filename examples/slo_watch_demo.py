@@ -13,10 +13,7 @@ happen.
 Run:  python examples/slo_watch_demo.py
 """
 
-from repro.analysis.harness import Lab
-from repro.online.inject import StepDriftJitter
-from repro.platform import Board, LogNormalJitter
-from repro.platform.switching import SwitchLatencyModel
+from repro.analysis.harness import Lab, seeded_board
 from repro.runtime import TaskLoopRunner
 from repro.telemetry import Telemetry, Watchdog
 from repro.telemetry.slo import default_slos
@@ -46,16 +43,13 @@ def main():
     )
     watchdog.attach(telemetry)
 
-    board = Board(
-        opps=lab.opps,
-        power=lab.power,
-        switcher=SwitchLatencyModel(lab.opps, seed=1),
-    )
-    board.cpu.jitter = StepDriftJitter(
-        LogNormalJitter(lab.jitter_sigma, seed=1),
-        SLOWDOWN,
-        shift_at_s=SHIFT * app.task.budget_s,
-        clock=lambda: board.now,
+    board = seeded_board(
+        lab.opps,
+        lab.power,
+        lab.jitter_sigma,
+        1,
+        1,
+        drift=(SLOWDOWN, SHIFT * app.task.budget_s),
     )
 
     print(

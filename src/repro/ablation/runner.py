@@ -8,13 +8,13 @@ draws, and switch latencies, making per-job deltas paired comparisons)
 and never from the worker (so results are byte-identical for every
 ``--workers`` value).
 
-Controller training is the expensive shareable step.  Each process
-keeps a module-level cache keyed by ``(workload, pipeline config)``;
-:func:`run_ablation` pre-warms the parent's cache with every controller
-the plan needs before forking, so pool workers inherit the trained
-artifacts for free and only replay the cheap online half.  A shared
-switch-time table (one microbenchmark per plan) rides along the same
-way.
+Boards come from :func:`repro.analysis.harness.seeded_board`, trained
+controllers from the process-wide cache behind
+:class:`~repro.analysis.harness.Lab`.  The cache key holds the root
+seed, so a plan's results never depend on which plans ran before it in
+the process.  :func:`run_ablation` pre-warms the cache with every
+controller the plan needs before forking, so pool workers inherit the
+trained artifacts for free and only replay the cheap online half.
 
 Cells come back as picklable :class:`CellResult` values carrying the
 per-job records scoring needs (paired energy/miss/slack arrays and the
@@ -30,19 +30,13 @@ from typing import Any, Mapping
 
 from repro.ablation.planner import AblationPlan, CellPlan
 from repro.ablation.registry import baseline_pipeline, configs_without
+from repro.analysis.harness import Lab, seeded_board
 from repro.fleet.seeding import derive_seed
-from repro.governors.adaptive import AdaptiveGovernor
-from repro.online.inject import StepDriftJitter
-from repro.pipeline.config import PipelineConfig
-from repro.pipeline.offline import TrainedController, build_controller
-from repro.platform.board import Board
-from repro.platform.jitter import LogNormalJitter, NoJitter
-from repro.platform.switching import SwitchLatencyModel, SwitchTimeTable
-from repro.programs.interpreter import Interpreter
+from repro.governors.adaptive import AdaptiveConfig, AdaptiveGovernor
+from repro.pipeline.offline import TrainedController
 from repro.runtime.executor import TaskLoopRunner
 from repro.telemetry import DecisionRecord, Telemetry
 from repro.telemetry.energy import EnergyLedger
-from repro.workloads.registry import get_app
 
 __all__ = ["AblationResult", "CellResult", "run_ablation", "run_cell"]
 
@@ -175,57 +169,33 @@ class AblationResult:
         )
 
 
-#: Per-process trained-controller cache: (workload, pipeline config) ->
-#: controller.  Forked pool workers inherit the parent's pre-warmed
-#: entries, so training happens exactly once per distinct config.
-_CONTROLLERS: dict[tuple[str, PipelineConfig], TrainedController] = {}
-
-#: Per-process shared switch-time table: (root seed, samples) -> table.
-_SWITCH_TABLES: dict[tuple[int, int], SwitchTimeTable] = {}
-
-#: Per-process shared interpreter (platform timing constants only).
-_INTERPRETER = Interpreter()
-
-
-def _switch_table(seed: int, samples: int) -> SwitchTimeTable:
-    key = (seed, samples)
-    if key not in _SWITCH_TABLES:
-        from repro.platform.opp import default_xu3_a7_table
-
-        _SWITCH_TABLES[key] = SwitchLatencyModel(
-            default_xu3_a7_table(),
-            seed=derive_seed(seed, "ablate", "switchbench"),
-        ).microbenchmark(samples_per_pair=samples)
-    return _SWITCH_TABLES[key]
+def _lab(seed: int, switch_samples: int) -> Lab:
+    """The build context of a plan: its switch-time microbenchmark runs
+    at a seed derived from the plan's root seed."""
+    return Lab(
+        seed=derive_seed(seed, "ablate", "switchbench"),
+        switch_samples=switch_samples,
+    )
 
 
 def _controller(
-    workload: str, pipeline: PipelineConfig, seed: int
-) -> TrainedController:
-    key = (workload, pipeline)
-    if key not in _CONTROLLERS:
-        with warnings.catch_warnings():
-            # The slicing-off variant certifies with certify="warn" (a
-            # whole program need not pass the slice purity rule); the
-            # warning is the expected cost of that ablation, not news.
-            warnings.simplefilter("ignore")
-            _CONTROLLERS[key] = build_controller(
-                get_app(workload),
-                config=pipeline,
-                switch_table=_switch_table(seed, pipeline.switch_samples),
-                interpreter=_INTERPRETER,
-            )
-    return _CONTROLLERS[key]
-
-
-def _cell_pipeline(cell: CellPlan) -> tuple[PipelineConfig, object]:
-    return configs_without(
+    lab: Lab, cell: CellPlan
+) -> tuple[TrainedController, AdaptiveConfig]:
+    """The cell's controller, trained with exactly the plan's profile
+    size, and the adaptive config its variant runs with."""
+    pipeline, adaptive = configs_without(
         cell.variant.disabled,
         pipeline=baseline_pipeline(
             n_profile_jobs=cell.profile_jobs,
             switch_samples=cell.switch_samples,
         ),
     )
+    with warnings.catch_warnings():
+        # The slicing-off variant certifies with certify="warn" (a
+        # whole program need not pass the slice purity rule); the
+        # warning is the expected cost of that ablation, not news.
+        warnings.simplefilter("ignore")
+        return lab.trained_controller(cell.workload, pipeline), adaptive
 
 
 def run_cell(cell: CellPlan) -> CellResult:
@@ -234,9 +204,9 @@ def run_cell(cell: CellPlan) -> CellResult:
     Top-level (hence picklable) so a ``multiprocessing`` pool can map
     over cell plans directly.
     """
-    pipeline, adaptive = _cell_pipeline(cell)
-    controller = _controller(cell.workload, pipeline, cell.seed)
-    app = get_app(cell.workload)
+    lab = _lab(cell.seed, cell.switch_samples)
+    controller, adaptive = _controller(lab, cell)
+    app = lab.app(cell.workload)
     scenario = cell.scenario
     budget = app.task.budget_s * scenario.budget_scale
     root = cell.seed
@@ -247,29 +217,16 @@ def run_cell(cell: CellPlan) -> CellResult:
         # and switch draws, so per-job deltas are paired comparisons.
         return derive_seed(root, "ablate", cell.workload, scenario.name, purpose)
 
-    board = Board(
-        opps=controller.dvfs.opps,
-        switcher=SwitchLatencyModel(
-            controller.dvfs.opps, seed=stream_seed("switch")
-        ),
+    board = seeded_board(
+        lab.opps,
+        lab.power,
+        scenario.jitter_sigma,
+        stream_seed("jitter"),
+        stream_seed("switch"),
+        drift=(scenario.drift_factor, scenario.drift_at_frac * cell.n_jobs * budget),
     )
-    base = (
-        LogNormalJitter(scenario.jitter_sigma, seed=stream_seed("jitter"))
-        if scenario.jitter_sigma > 0
-        else NoJitter()
-    )
-    if scenario.drifts:
-        board.cpu.jitter = StepDriftJitter(
-            base,
-            scenario.drift_factor,
-            shift_at_s=scenario.drift_at_frac * cell.n_jobs * budget,
-            clock=lambda: board.now,
-        )
-    else:
-        board.cpu.jitter = base
-
     governor = AdaptiveGovernor.from_controller(
-        controller, config=adaptive, interpreter=_INTERPRETER
+        controller, config=adaptive, interpreter=lab.interpreter
     )
     ledger = EnergyLedger(board.power, board.opps)
     telemetry = Telemetry(
@@ -280,7 +237,7 @@ def run_cell(cell: CellPlan) -> CellResult:
         task=app.task.with_budget(budget),
         governor=governor,
         inputs=app.inputs(cell.n_jobs, seed=stream_seed("inputs")),
-        interpreter=_INTERPRETER,
+        interpreter=lab.interpreter,
         telemetry=telemetry,
         energy=ledger,
     )
@@ -307,9 +264,9 @@ def run_cell(cell: CellPlan) -> CellResult:
 
 def _prewarm(plan: AblationPlan) -> None:
     """Train every needed controller once, in this process."""
+    lab = _lab(plan.seed, plan.switch_samples)
     for cell in plan.cells:
-        pipeline, _ = _cell_pipeline(cell)
-        _controller(cell.workload, pipeline, cell.seed)
+        _controller(lab, cell)
 
 
 def run_ablation(plan: AblationPlan, workers: int = 1) -> AblationResult:

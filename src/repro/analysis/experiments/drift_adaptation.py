@@ -27,12 +27,9 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 
-from repro.analysis.harness import Lab
+from repro.analysis.harness import Lab, seeded_board
 from repro.analysis.render import format_table
-from repro.online.inject import StepDriftJitter, scale_inputs
-from repro.platform.board import Board
-from repro.platform.jitter import LogNormalJitter, NoJitter
-from repro.platform.switching import SwitchLatencyModel
+from repro.online.inject import scale_inputs
 from repro.runtime.executor import TaskLoopRunner
 from repro.runtime.records import JobRecord
 
@@ -147,24 +144,13 @@ def run(
         run_seed = zlib.crc32(
             f"{lab.seed}|drift|{app_name}|{name}".encode()
         )
-        base = (
-            LogNormalJitter(lab.jitter_sigma, seed=run_seed)
-            if lab.jitter_sigma > 0
-            else NoJitter()
-        )
-        board = Board(
-            opps=lab.opps,
-            power=lab.power,
-            switcher=SwitchLatencyModel(lab.opps, seed=run_seed),
-        )
-        # Time-triggered drift: jobs release periodically, so the shift
-        # lands on the same job for every governor regardless of how many
-        # jitter samples its overhead charging draws.
-        board.cpu.jitter = StepDriftJitter(
-            base,
-            slowdown,
-            shift_at_s=shift_job * app.task.budget_s,
-            clock=lambda: board.now,
+        board = seeded_board(
+            lab.opps,
+            lab.power,
+            lab.jitter_sigma,
+            run_seed,
+            run_seed,
+            drift=(slowdown, shift_job * app.task.budget_s),
         )
         runner = TaskLoopRunner(
             board=board,

@@ -4,13 +4,16 @@ A :class:`Lab` owns the platform models, trains (and caches) one
 predictive controller per application, and runs (app, governor, budget)
 combinations with deterministic seeding.  Every experiment module under
 :mod:`repro.analysis.experiments` drives a Lab, so benchmarks, examples,
-and tests share one code path.
+and tests share one code path.  The fleet and ablation harnesses share
+two pieces with it: :func:`seeded_board`, the one constructor of a
+seeded run's board, and the process-wide cache of trained controllers.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from repro.governors.base import Governor
 from repro.governors.conservative import ConservativeGovernor
@@ -21,13 +24,14 @@ from repro.governors.oracle import OracleGovernor
 from repro.governors.performance import PerformanceGovernor
 from repro.governors.pid import PidGovernor
 from repro.governors.powersave import PowersaveGovernor
+from repro.online.inject import StepDriftJitter
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.offline import TrainedController, build_controller
 from repro.platform.board import Board
 from repro.platform.jitter import LogNormalJitter, NoJitter
 from repro.platform.opp import OppTable, default_xu3_a7_table
 from repro.platform.power import PowerModel
-from repro.platform.switching import SwitchLatencyModel
+from repro.platform.switching import SwitchLatencyModel, SwitchTimeTable
 from repro.programs.interpreter import Interpreter
 from repro.runtime.executor import TaskLoopRunner
 from repro.runtime.placement import PredictorPlacement
@@ -36,7 +40,9 @@ from repro.telemetry import NO_TELEMETRY, Telemetry, TraceSession
 from repro.workloads.base import InteractiveApp
 from repro.workloads.registry import get_app
 
-__all__ = ["Lab", "GOVERNOR_NAMES", "default_n_jobs"]
+__all__ = [
+    "Lab", "GOVERNOR_NAMES", "check_governor", "default_n_jobs", "seeded_board"
+]
 
 #: Governor identifiers accepted by :meth:`Lab.run`.
 GOVERNOR_NAMES = (
@@ -50,6 +56,60 @@ GOVERNOR_NAMES = (
     "adaptive",
     "oracle",
 )
+
+_BATCH_PREFIX = "prediction-batch"
+
+#: Trained controllers of every Lab in the process, keyed by everything a
+#: build reads: app, pipeline config, OPP table, and the seed and sample
+#: count of the switch-time microbenchmark.  Forked workers inherit them.
+_CONTROLLERS: dict[tuple, TrainedController] = {}
+
+
+def check_governor(name: str) -> None:
+    """Raise ValueError unless :meth:`Lab.make_governor` accepts ``name``:
+    one of :data:`GOVERNOR_NAMES` or ``prediction-batch<N>``, N >= 1."""
+    suffix = name[len(_BATCH_PREFIX):] if name.startswith(_BATCH_PREFIX) else ""
+    if name in GOVERNOR_NAMES or (suffix.isdecimal() and int(suffix) >= 1):
+        return
+    raise ValueError(
+        f"unknown governor {name!r}; expected one of {GOVERNOR_NAMES} "
+        f"or '{_BATCH_PREFIX}<N>'"
+    )
+
+
+def seeded_board(
+    opps: OppTable,
+    power: PowerModel | None,
+    jitter_sigma: float,
+    jitter_seed: int,
+    switch_seed: int,
+    drift: tuple[float, float] | None = None,
+) -> Board:
+    """A fresh board whose timing noise and switch latencies replay from seeds.
+
+    ``jitter_sigma`` 0 disables timing noise.  ``drift`` is an optional
+    ``(factor, shift_at_s)`` step: from simulated time ``shift_at_s`` on,
+    every job takes ``factor`` times longer (1.0 is no drift).  The step
+    is time-triggered, so it lands on the same job for every governor
+    however many noise samples each one draws.
+    """
+    jitter = (
+        LogNormalJitter(jitter_sigma, seed=jitter_seed)
+        if jitter_sigma > 0
+        else NoJitter()
+    )
+    board = Board(
+        opps=opps,
+        power=power,
+        switcher=SwitchLatencyModel(opps, seed=switch_seed),
+        jitter=jitter,
+    )
+    if drift is not None and drift[0] != 1.0:
+        factor, shift_at_s = drift
+        board.cpu.jitter = StepDriftJitter(
+            jitter, factor, shift_at_s=shift_at_s, clock=lambda: board.now
+        )
+    return board
 
 
 def default_n_jobs(app_name: str, config: PipelineConfig | None = None) -> int:
@@ -78,7 +138,9 @@ class Lab:
         opps: Operating points of the simulated platform.
         pipeline_config: Offline-training configuration.
         jitter_sigma: Run-to-run timing noise for evaluation runs.
-        seed: Base seed; every run derives its own streams from it.
+        seed: Base seed; every run derives its own streams from it, and
+            the switch-time microbenchmark runs at it.
+        switch_samples: Microbenchmark samples per OPP pair.
         trace_session: Optional telemetry session (``--trace DIR``).
             When set, every run gets its own named
             :class:`~repro.telemetry.Telemetry` wired into the runner,
@@ -102,12 +164,9 @@ class Lab:
         )
         self.jitter_sigma = jitter_sigma
         self.seed = seed
+        self.switch_samples = switch_samples
         self.interpreter = Interpreter()
-        self.switch_table = SwitchLatencyModel(
-            self.opps, seed=seed
-        ).microbenchmark(samples_per_pair=switch_samples)
         self.trace_session = trace_session
-        self._controllers: dict[tuple, TrainedController] = {}
         self._apps: dict[str, InteractiveApp] = {}
         self._run_cache: dict[_RunKey, RunResult] = {}
         self._optimized_programs: dict[str, object] = {}
@@ -130,6 +189,13 @@ class Lab:
             self._apps[name] = get_app(name)
         return self._apps[name]
 
+    @cached_property
+    def switch_table(self) -> SwitchTimeTable:
+        """95th-percentile switch times, microbenchmarked on first use."""
+        return SwitchLatencyModel(self.opps, seed=self.seed).microbenchmark(
+            samples_per_pair=self.switch_samples
+        )
+
     def controller(
         self, app_name: str, config: PipelineConfig | None = None
     ) -> TrainedController:
@@ -138,16 +204,22 @@ class Lab:
         if app_name == "pocketsphinx" and config.n_profile_jobs > 80:
             # Seconds-long jobs: a smaller profile keeps training tractable.
             config = replace(config, n_profile_jobs=60)
-        key = (app_name, config)
-        if key not in self._controllers:
-            self._controllers[key] = build_controller(
+        return self.trained_controller(app_name, config)
+
+    def trained_controller(
+        self, app_name: str, config: PipelineConfig
+    ) -> TrainedController:
+        """The controller trained with exactly ``config``, once per process."""
+        key = (app_name, config, self.opps, self.seed, self.switch_samples)
+        if key not in _CONTROLLERS:
+            _CONTROLLERS[key] = build_controller(
                 self.app(app_name),
                 opps=self.opps,
                 config=config,
                 switch_table=self.switch_table,
                 interpreter=self.interpreter,
             )
-        return self._controllers[key]
+        return _CONTROLLERS[key]
 
     def optimized_task_program(self, app_name: str):
         """The app's task program through the validated IR optimizer.
@@ -170,6 +242,7 @@ class Lab:
         pipeline_config: PipelineConfig | None = None,
     ) -> Governor:
         """Instantiate a governor by name (trained on demand)."""
+        check_governor(name)
         if name == "performance":
             return PerformanceGovernor(self.opps)
         if name == "powersave":
@@ -195,37 +268,23 @@ class Lab:
                 self.controller(app_name, pipeline_config),
                 interpreter=self.interpreter,
             )
-        if name.startswith("prediction-batch"):
-            # §7 future-work controller: "prediction-batch8" -> batch of 8.
-            from repro.governors.batch import BatchPredictiveGovernor
+        # §7 future-work controller: "prediction-batch8" -> batch of 8.
+        from repro.governors.batch import BatchPredictiveGovernor
 
-            batch_size = int(name[len("prediction-batch"):])
-            controller = self.controller(app_name, pipeline_config)
-            return BatchPredictiveGovernor(
-                slice=controller.slice,
-                predictor=controller.predictor,
-                dvfs=controller.dvfs,
-                switch_table=controller.switch_table,
-                interpreter=self.interpreter,
-                batch_size=batch_size,
-            )
-        raise ValueError(
-            f"unknown governor {name!r}; expected one of {GOVERNOR_NAMES} "
-            f"or 'prediction-batch<N>'"
+        controller = self.controller(app_name, pipeline_config)
+        return BatchPredictiveGovernor(
+            slice=controller.slice,
+            predictor=controller.predictor,
+            dvfs=controller.dvfs,
+            switch_table=controller.switch_table,
+            interpreter=self.interpreter,
+            batch_size=int(name[len(_BATCH_PREFIX):]),
         )
 
     def make_board(self, run_seed: int) -> Board:
         """A fresh board with this Lab's noise level and a derived seed."""
-        jitter = (
-            LogNormalJitter(self.jitter_sigma, seed=run_seed)
-            if self.jitter_sigma > 0
-            else NoJitter()
-        )
-        return Board(
-            opps=self.opps,
-            power=self.power,
-            switcher=SwitchLatencyModel(self.opps, seed=run_seed),
-            jitter=jitter,
+        return seeded_board(
+            self.opps, self.power, self.jitter_sigma, run_seed, run_seed
         )
 
     # -- running -------------------------------------------------------------------
@@ -300,7 +359,6 @@ class Lab:
             idle_policy=IdlePolicy(enabled=idle),
             charge_predictor=charge_predictor,
             charge_switch=charge_switch,
-            provide_oracle_work=(governor_name == "oracle"),
             telemetry=telemetry,
         )
         result = runner.run()

@@ -45,11 +45,13 @@ import pathlib
 import sys
 import time
 import warnings
+import zlib
 from typing import Callable
 
-from repro.analysis.harness import Lab
+from repro.analysis.harness import Lab, check_governor, seeded_board
 from repro.analysis import experiments as exp
 from repro.telemetry import TraceSession, summarize_directory
+from repro.workloads.registry import app_names
 
 __all__ = ["main"]
 
@@ -195,6 +197,11 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}\n", file=sys.stderr)
         print(_list_experiments(), file=sys.stderr)
+        return 2
+    try:
+        _check_run_options(args)
+    except ValueError as error:
+        print(error, file=sys.stderr)
         return 2
 
     output_dir = None
@@ -389,34 +396,23 @@ def _report_command(argv: list[str]) -> int:
     return exit_code
 
 
-def _watch_command(argv: list[str]) -> int:
-    """``repro watch APP`` — run one workload under the SLO watchdog.
+def _check_run_options(args) -> None:
+    """Raise ValueError with one line naming the first bad ``--app``,
+    ``--jobs`` or ``--jitter`` (None: the option was not given)."""
+    if args.app is not None and args.app not in app_names():
+        raise ValueError(f"unknown workload: {args.app}")
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.jitter < 0:
+        raise ValueError(f"--jitter must be >= 0, got {args.jitter}")
 
-    The run always records telemetry (the watchdog is an event-stream
-    consumer); a live dashboard repaints as jobs complete.  Exit code 1
-    when any page-severity SLO alert fired, else 0.
-    """
-    import zlib
 
-    from repro.online.inject import StepDriftJitter
-    from repro.platform.board import Board
-    from repro.platform.jitter import LogNormalJitter, NoJitter
-    from repro.platform.switching import SwitchLatencyModel
-    from repro.runtime.executor import TaskLoopRunner
-    from repro.telemetry import Telemetry, Watchdog, WatchdogConfig
-    from repro.telemetry.slo import default_slos, specs_from_json
-    from repro.telemetry.watch import render_dashboard
-    from repro.workloads.registry import app_names
-
-    parser = argparse.ArgumentParser(
-        prog="repro watch",
-        description=(
-            "Run one workload under a governor with the SLO watchdog "
-            "attached: error-budget burn-rate alerts, streaming anomaly "
-            "detectors, and a live terminal dashboard.  Exits non-zero "
-            "when a page-severity SLO alert fires."
-        ),
-    )
+def _single_run_parser(
+    prog: str, description: str, jobs: int
+) -> argparse.ArgumentParser:
+    """The options ``watch``, ``profile`` and ``energy`` share: one seeded
+    run of one workload (validated and set up by :func:`_single_run`)."""
+    parser = argparse.ArgumentParser(prog=prog, description=description)
     parser.add_argument("app", help="workload to run (see repro list)")
     parser.add_argument(
         "--governor",
@@ -424,7 +420,53 @@ def _watch_command(argv: list[str]) -> int:
         help="governor name (default: prediction)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=240, help="jobs in the run"
+        "--jobs", type=int, default=jobs, help="jobs in the run"
+    )
+    parser.add_argument(
+        "--seed", type=int, default=42, help="base evaluation seed"
+    )
+    parser.add_argument(
+        "--jitter", type=float, default=0.02, help="timing-noise sigma"
+    )
+    return parser
+
+
+def _single_run(args, lab: Lab, purpose: str) -> tuple:
+    """The governor, job inputs and run seed of a single run, after
+    validating its options (ValueError: one line naming the bad option).
+
+    The run seed is stable across processes, so a committed gate
+    baseline reproduces in CI.
+    """
+    _check_run_options(args)
+    check_governor(args.governor)
+    governor = lab.make_governor(args.governor, args.app)
+    inputs = lab.app(args.app).inputs(args.jobs, seed=lab.seed + 11)
+    run_seed = zlib.crc32(
+        f"{lab.seed}|{purpose}|{args.app}|{args.governor}".encode()
+    )
+    return governor, inputs, run_seed
+
+
+def _watch_command(argv: list[str]) -> int:
+    """``repro watch APP`` — run one workload under the SLO watchdog.
+
+    The run always records telemetry (the watchdog is an event-stream
+    consumer); a live dashboard repaints as jobs complete.  Exit code 1
+    when any page-severity SLO alert fired, 2 on bad input, else 0.
+    """
+    from repro.runtime.executor import TaskLoopRunner
+    from repro.telemetry import Telemetry, Watchdog, WatchdogConfig
+    from repro.telemetry.slo import default_slos, specs_from_json
+    from repro.telemetry.watch import render_dashboard
+
+    parser = _single_run_parser(
+        "repro watch",
+        "Run one workload under a governor with the SLO watchdog "
+        "attached: error-budget burn-rate alerts, streaming anomaly "
+        "detectors, and a live terminal dashboard.  Exits non-zero "
+        "when a page-severity SLO alert fires.",
+        jobs=240,
     )
     parser.add_argument(
         "--drift",
@@ -440,12 +482,6 @@ def _watch_command(argv: list[str]) -> int:
         default=0.5,
         metavar="FRACTION",
         help="where the drift shift lands, as a fraction of the run",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=42, help="base evaluation seed"
-    )
-    parser.add_argument(
-        "--jitter", type=float, default=0.02, help="timing-noise sigma"
     )
     parser.add_argument(
         "--refresh",
@@ -491,8 +527,8 @@ def _watch_command(argv: list[str]) -> int:
     except SystemExit as error:
         return int(error.code or 0)
 
-    if args.app not in app_names():
-        print(f"unknown workload: {args.app}", file=sys.stderr)
+    if args.drift <= 0:
+        print(f"--drift must be > 0, got {args.drift}", file=sys.stderr)
         return 2
     if not 0.0 < args.drift_at < 1.0:
         print("--drift-at must be strictly inside (0, 1)", file=sys.stderr)
@@ -504,9 +540,12 @@ def _watch_command(argv: list[str]) -> int:
     lab = Lab(
         jitter_sigma=args.jitter, seed=args.seed, trace_session=trace_session
     )
+    try:
+        governor, inputs, run_seed = _single_run(args, lab, "watch")
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
     app = lab.app(args.app)
-    governor = lab.make_governor(args.governor, args.app)
-    inputs = app.inputs(args.jobs, seed=lab.seed + 11)
 
     run_name = f"watch.{args.app}.{args.governor}"
     if trace_session is not None:
@@ -522,31 +561,11 @@ def _watch_command(argv: list[str]) -> int:
             max_energy_per_job_j=args.max_energy_j,
         )
 
-    # Deterministic per-(app, governor) seeding, stable across processes,
-    # so a committed gate baseline reproduces in CI.
-    run_seed = zlib.crc32(
-        f"{lab.seed}|watch|{args.app}|{args.governor}".encode()
+    shift_at_s = int(args.jobs * args.drift_at) * app.task.budget_s
+    board = seeded_board(
+        lab.opps, lab.power, lab.jitter_sigma, run_seed, run_seed,
+        drift=(args.drift, shift_at_s),
     )
-    base = (
-        LogNormalJitter(lab.jitter_sigma, seed=run_seed)
-        if lab.jitter_sigma > 0
-        else NoJitter()
-    )
-    board = Board(
-        opps=lab.opps,
-        power=lab.power,
-        switcher=SwitchLatencyModel(lab.opps, seed=run_seed),
-    )
-    if args.drift != 1.0:
-        shift_job = int(args.jobs * args.drift_at)
-        board.cpu.jitter = StepDriftJitter(
-            base,
-            args.drift,
-            shift_at_s=shift_job * app.task.budget_s,
-            clock=lambda: board.now,
-        )
-    else:
-        board.cpu.jitter = base
 
     live = not args.quiet and sys.stdout.isatty()
     frame_lines = 0
@@ -915,12 +934,7 @@ def _profile_command(argv: list[str]) -> int:
     metrics file feeds ``repro report --gate BENCH_host_baseline.json
     --runs host.``.  Exit codes: 0 ok, 2 bad input.
     """
-    import zlib
-
     from repro.pipeline.config import PipelineConfig
-    from repro.platform.board import Board
-    from repro.platform.jitter import LogNormalJitter, NoJitter
-    from repro.platform.switching import SwitchLatencyModel
     from repro.runtime.executor import TaskLoopRunner
     from repro.telemetry.hostprof import (
         HostProfiler,
@@ -930,34 +944,17 @@ def _profile_command(argv: list[str]) -> int:
         render_profile,
         write_host_profile,
     )
-    from repro.workloads.registry import app_names
 
-    parser = argparse.ArgumentParser(
-        prog="repro profile",
-        description=(
-            "Host-side performance profile of the simulator itself: "
-            "phase-scoped wall-time accounting (interpreter, governor "
-            "decision, switch, bookkeeping), host jobs/sec, a collapsed-"
-            "stack flamegraph, and a top-N hotspot table attributed to "
-            "components and IR ops.  This measures the *host* cost of "
-            "simulating — the instrument behind the ROADMAP hot-path "
-            "speedup work — not the simulated platform."
-        ),
-    )
-    parser.add_argument("app", help="workload to profile (see repro list)")
-    parser.add_argument(
-        "--governor",
-        default="prediction",
-        help="governor name (default: prediction)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=400, help="jobs in the profiled run"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=42, help="base evaluation seed"
-    )
-    parser.add_argument(
-        "--jitter", type=float, default=0.02, help="timing-noise sigma"
+    parser = _single_run_parser(
+        "repro profile",
+        "Host-side performance profile of the simulator itself: "
+        "phase-scoped wall-time accounting (interpreter, governor "
+        "decision, switch, bookkeeping), host jobs/sec, a collapsed-"
+        "stack flamegraph, and a top-N hotspot table attributed to "
+        "components and IR ops.  This measures the *host* cost of "
+        "simulating — the instrument behind the ROADMAP hot-path "
+        "speedup work — not the simulated platform.",
+        jobs=400,
     )
     parser.add_argument(
         "--profile-jobs",
@@ -993,12 +990,8 @@ def _profile_command(argv: list[str]) -> int:
     except SystemExit as error:
         return int(error.code or 0)
 
-    if args.app not in app_names():
-        print(f"unknown workload: {args.app}", file=sys.stderr)
-        return 2
-    if args.jobs < 1 or args.sample_interval < 0:
-        print("--jobs must be >= 1 and --sample-interval >= 0",
-              file=sys.stderr)
+    if args.sample_interval < 0:
+        print("--sample-interval must be >= 0", file=sys.stderr)
         return 2
 
     lab = Lab(
@@ -1006,26 +999,13 @@ def _profile_command(argv: list[str]) -> int:
         seed=args.seed,
         pipeline_config=PipelineConfig(n_profile_jobs=args.profile_jobs),
     )
-    app = lab.app(args.app)
-    governor = lab.make_governor(args.governor, args.app)
-    inputs = app.inputs(args.jobs, seed=lab.seed + 11)
-
-    # Same deterministic seeding scheme as `repro watch`, so the
-    # *simulated* run underneath the profile reproduces exactly; only
-    # the host timings vary run to run.
-    run_seed = zlib.crc32(
-        f"{lab.seed}|profile|{args.app}|{args.governor}".encode()
-    )
-    board = Board(
-        opps=lab.opps,
-        power=lab.power,
-        switcher=SwitchLatencyModel(lab.opps, seed=run_seed),
-    )
-    board.cpu.jitter = (
-        LogNormalJitter(lab.jitter_sigma, seed=run_seed)
-        if lab.jitter_sigma > 0
-        else NoJitter()
-    )
+    try:
+        # The simulated run underneath the profile reproduces exactly;
+        # only the host timings vary run to run.
+        governor, inputs, run_seed = _single_run(args, lab, "profile")
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
 
     sampler = (
         StackSampler(interval=args.sample_interval)
@@ -1034,8 +1014,8 @@ def _profile_command(argv: list[str]) -> int:
     )
     hostprof = HostProfiler(sampler=sampler)
     runner = TaskLoopRunner(
-        board=board,
-        task=app.task,
+        board=lab.make_board(run_seed),
+        task=lab.app(args.app).task,
         governor=governor,
         inputs=inputs,
         interpreter=lab.interpreter,
@@ -1081,12 +1061,7 @@ def _energy_command(argv: list[str]) -> int:
     report --gate BENCH_energy_baseline.json --runs energy.``.  Exit
     codes: 0 ok, 1 conservation violated, 2 bad input.
     """
-    import zlib
-
     from repro.pipeline.config import PipelineConfig
-    from repro.platform.board import Board
-    from repro.platform.jitter import LogNormalJitter, NoJitter
-    from repro.platform.switching import SwitchLatencyModel
     from repro.runtime.executor import TaskLoopRunner
     from repro.telemetry.energy import (
         CONSERVATION_TOL_J,
@@ -1097,34 +1072,17 @@ def _energy_command(argv: list[str]) -> int:
         write_energy_report,
     )
     from repro.telemetry.provenance import result_json
-    from repro.workloads.registry import app_names
 
-    parser = argparse.ArgumentParser(
-        prog="repro energy",
-        description=(
-            "Energy attribution ledger for one simulated run: splits the "
-            "board's exact power-timeline integral into per-job x "
-            "per-phase (predict/switch/execute/idle/feedback) x per-OPP "
-            "cells, checks the conservation invariant against "
-            "board.energy_j(), and reports the normalized saving vs. an "
-            "embedded performance-governor counterfactual — the paper's "
-            "Fig. 15 headline as a continuously observed metric."
-        ),
-    )
-    parser.add_argument("app", help="workload to attribute (see repro list)")
-    parser.add_argument(
-        "--governor",
-        default="prediction",
-        help="governor name (default: prediction)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=400, help="jobs in the attributed run"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=42, help="base evaluation seed"
-    )
-    parser.add_argument(
-        "--jitter", type=float, default=0.02, help="timing-noise sigma"
+    parser = _single_run_parser(
+        "repro energy",
+        "Energy attribution ledger for one simulated run: splits the "
+        "board's exact power-timeline integral into per-job x "
+        "per-phase (predict/switch/execute/idle/feedback) x per-OPP "
+        "cells, checks the conservation invariant against "
+        "board.energy_j(), and reports the normalized saving vs. an "
+        "embedded performance-governor counterfactual — the paper's "
+        "Fig. 15 headline as a continuously observed metric.",
+        jobs=400,
     )
     parser.add_argument(
         "--profile-jobs",
@@ -1152,42 +1110,22 @@ def _energy_command(argv: list[str]) -> int:
     except SystemExit as error:
         return int(error.code or 0)
 
-    if args.app not in app_names():
-        print(f"unknown workload: {args.app}", file=sys.stderr)
-        return 2
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
-
     lab = Lab(
         jitter_sigma=args.jitter,
         seed=args.seed,
         pipeline_config=PipelineConfig(n_profile_jobs=args.profile_jobs),
     )
-    app = lab.app(args.app)
-    governor = lab.make_governor(args.governor, args.app)
-    inputs = app.inputs(args.jobs, seed=lab.seed + 11)
+    try:
+        governor, inputs, run_seed = _single_run(args, lab, "energy")
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
 
-    # Same deterministic seeding scheme as `repro watch`/`repro profile`,
-    # so an attributed run reproduces exactly and can be baselined.
-    run_seed = zlib.crc32(
-        f"{lab.seed}|energy|{args.app}|{args.governor}".encode()
-    )
-    board = Board(
-        opps=lab.opps,
-        power=lab.power,
-        switcher=SwitchLatencyModel(lab.opps, seed=run_seed),
-    )
-    board.cpu.jitter = (
-        LogNormalJitter(lab.jitter_sigma, seed=run_seed)
-        if lab.jitter_sigma > 0
-        else NoJitter()
-    )
-
+    board = lab.make_board(run_seed)
     ledger = EnergyLedger(board.power, board.opps)
     runner = TaskLoopRunner(
         board=board,
-        task=app.task,
+        task=lab.app(args.app).task,
         governor=governor,
         inputs=inputs,
         interpreter=lab.interpreter,
@@ -1282,7 +1220,7 @@ def _check_command(argv: list[str]) -> int:
     """``repro check`` — run the slice certifier over workloads."""
     from repro.pipeline.config import PipelineConfig
     from repro.pipeline.offline import build_controller
-    from repro.workloads.registry import app_names, get_app
+    from repro.workloads.registry import get_app
 
     parser = argparse.ArgumentParser(
         prog="repro check",
@@ -1475,7 +1413,7 @@ def _lint_one_workload(app, n_sample_jobs: int) -> dict:
 
 def _lint_command(argv: list[str]) -> int:
     """``repro lint`` — static analyses + report-only optimizer."""
-    from repro.workloads.registry import app_names, get_app
+    from repro.workloads.registry import get_app
 
     parser = argparse.ArgumentParser(
         prog="repro lint",

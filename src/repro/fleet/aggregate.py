@@ -30,6 +30,7 @@ from repro.fleet.session import SessionResult
 from repro.fleet.tenant import TenantSpec
 from repro.telemetry.energy import EnergyState, merge_energy
 from repro.telemetry.metrics import percentile
+from repro.telemetry.report import _table
 from repro.telemetry.slo import SloTrackerState, merge_states
 
 __all__ = [
@@ -39,22 +40,6 @@ __all__ = [
     "aggregate_fleet",
     "fleet_metrics",
 ]
-
-
-def _table(headers: list[str], rows: list[tuple], title: str = "") -> str:
-    cells = [[str(c) for c in row] for row in rows]
-    widths = [
-        max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-        for i, h in enumerate(headers)
-    ]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
 
 
 @dataclass(frozen=True)

@@ -107,8 +107,8 @@ def _prewarm(spec: FleetSpec) -> None:
     lab = lab_for(spec.build)
     for tenant in spec.tenants:
         # Static governors train nothing; prediction/adaptive cache a
-        # controller inside the Lab for all sessions (and, when the
-        # pool forks, for all workers).
+        # controller process-wide for all sessions (and, when the pool
+        # forks, for all workers).
         lab.make_governor(tenant.governor, tenant.app)
 
 

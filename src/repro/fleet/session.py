@@ -8,11 +8,11 @@ from ``(tenant spec, session index, root seed)`` — every random
 stream is named by :func:`repro.fleet.seeding.session_seed` — so the
 same session computes identically on any shard of any worker.
 
-Controller training is the one expensive, shareable step (profiling
-hundreds of jobs per app), so each process keeps a module-level
-:class:`~repro.analysis.harness.Lab` per build configuration; a
-coordinator can pre-warm it before forking workers and every child
-inherits the trained artifacts for free.
+Boards come from :func:`repro.analysis.harness.seeded_board`, trained
+controllers from the process-wide cache behind
+:class:`~repro.analysis.harness.Lab` (one Lab per build configuration,
+:func:`lab_for`); a coordinator pre-warms that cache before forking
+workers, so every child inherits the trained artifacts for free.
 """
 
 from __future__ import annotations
@@ -21,14 +21,10 @@ import math
 import random
 from dataclasses import dataclass
 
-from repro.analysis.harness import Lab
+from repro.analysis.harness import Lab, seeded_board
 from repro.fleet.seeding import derive_seed, session_seed
 from repro.fleet.tenant import TenantSpec
-from repro.online.inject import StepDriftJitter
 from repro.pipeline.config import PipelineConfig
-from repro.platform.board import Board
-from repro.platform.jitter import LogNormalJitter, NoJitter
-from repro.platform.switching import SwitchLatencyModel
 from repro.runtime.executor import TaskLoopRunner
 from repro.telemetry import NO_TELEMETRY
 from repro.telemetry.energy import EnergyLedger, EnergyState
@@ -63,8 +59,9 @@ class FleetBuild:
     switch_samples: int = 60
 
 
-#: Per-process Lab cache: (root_seed, profile_jobs, switch_samples) ->
-#: Lab.  Forked workers inherit a pre-warmed parent cache.
+#: One Lab per build configuration: (root_seed, profile_jobs,
+#: switch_samples) -> Lab.  Sessions share its apps and interpreter; its
+#: controllers live in the harness's process-wide cache.
 _LABS: dict[tuple[int, int, int], Lab] = {}
 
 
@@ -153,28 +150,18 @@ class Session:
         )
         arrivals = tenant.arrival.arrivals(n_jobs, budget, arrival_rng)
 
-        jitter_seed = session_seed(root, tenant.name, index, "jitter")
-        base = (
-            LogNormalJitter(tenant.jitter_sigma, seed=jitter_seed)
-            if tenant.jitter_sigma > 0
-            else NoJitter()
-        )
-        board = Board(
-            opps=lab.opps,
-            switcher=SwitchLatencyModel(
-                lab.opps,
-                seed=session_seed(root, tenant.name, index, "switch"),
+        board = seeded_board(
+            lab.opps,
+            lab.power,
+            tenant.jitter_sigma,
+            session_seed(root, tenant.name, index, "jitter"),
+            session_seed(root, tenant.name, index, "switch"),
+            drift=(
+                None
+                if tenant.drift_factor is None
+                else (tenant.drift_factor, tenant.drift_at_frac * n_jobs * budget)
             ),
         )
-        if tenant.drift_factor is not None and tenant.drift_factor != 1.0:
-            board.cpu.jitter = StepDriftJitter(
-                base,
-                tenant.drift_factor,
-                shift_at_s=tenant.drift_at_frac * n_jobs * budget,
-                clock=lambda: board.now,
-            )
-        else:
-            board.cpu.jitter = base
 
         self.energy_ledger = (
             EnergyLedger(board.power, board.opps) if energy else None

@@ -13,11 +13,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.analysis.harness import check_governor
 from repro.fleet.arrivals import (
     ArrivalProcess,
     PeriodicArrivals,
     arrival_from_dict,
 )
+from repro.workloads.registry import app_names
 
 __all__ = ["TenantSpec", "tenants_to_json", "tenants_from_json"]
 
@@ -59,6 +61,11 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tenant needs a non-empty name")
+        if self.app not in app_names():
+            raise ValueError(
+                f"tenant {self.name!r}: unknown workload {self.app!r}"
+            )
+        check_governor(self.governor)
         if self.sessions < 1:
             raise ValueError(
                 f"tenant {self.name!r} needs >= 1 session, got {self.sessions}"

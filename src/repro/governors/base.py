@@ -63,8 +63,9 @@ class JobContext:
         board: The platform; governors may charge predictor time on it.
         charge_overheads: When False (the Fig. 18 limit study), the
             predictor must not charge its execution time or energy.
-        oracle_work: The job's true work — ONLY the oracle governor may
-            read this; every other policy must ignore it.
+        oracle_work: The job's true work, handed over only to governors
+            that set :attr:`Governor.reads_oracle_work` (the oracle);
+            None for every other policy.
     """
 
     index: int
@@ -82,6 +83,10 @@ class Governor(ABC):
 
     #: Sampling period for utilization-driven policies; None disables timers.
     timer_period_s: float | None = None
+
+    #: Whether :meth:`decide` reads :attr:`JobContext.oracle_work`; runners
+    #: hand a job's true work only to such governors.
+    reads_oracle_work: bool = False
 
     #: Run telemetry the executor binds before a run.  The no-op default
     #: means a governor may always write to it — when tracing is off the

@@ -28,6 +28,8 @@ class OracleGovernor(Governor):
             run differ from this run's times by exactly that noise).
     """
 
+    reads_oracle_work = True
+
     def __init__(self, opps: OppTable, margin: float = 0.05):
         if margin < 0:
             raise ValueError("margin must be non-negative")
@@ -42,8 +44,7 @@ class OracleGovernor(Governor):
     def decide(self, ctx: JobContext) -> Decision | None:
         if ctx.oracle_work is None:
             raise ValueError(
-                "OracleGovernor requires oracle_work in the job context "
-                "(enable provide_oracle_work on the runner)"
+                "OracleGovernor requires oracle_work in the job context"
             )
         factor = 1.0 + self.margin
         budget = ctx.deadline_s - ctx.board.now

@@ -56,8 +56,6 @@ class TaskLoopRunner:
         idle_policy: Between-job idling configuration (Fig. 21).
         charge_predictor: Charge predictor time/energy (False for Fig. 18).
         charge_switch: Charge DVFS switch time/energy (False for Fig. 18).
-        provide_oracle_work: Give governors the true per-job work
-            (required by the oracle governor only).
         telemetry: Run observability pipeline (spans, metrics, decision
             audit).  Defaults to the zero-cost no-op; telemetry never
             influences the simulation, only records it.
@@ -93,7 +91,6 @@ class TaskLoopRunner:
         idle_policy: IdlePolicy | None = None,
         charge_predictor: bool = True,
         charge_switch: bool = True,
-        provide_oracle_work: bool = False,
         telemetry: Telemetry | None = None,
         arrivals: Sequence[float] | None = None,
         hostprof: HostProfiler | None = None,
@@ -110,7 +107,6 @@ class TaskLoopRunner:
         self.idle_policy = idle_policy if idle_policy is not None else IdlePolicy()
         self.charge_predictor = charge_predictor
         self.charge_switch = charge_switch
-        self.provide_oracle_work = provide_oracle_work
         self.telemetry = telemetry if telemetry is not None else NO_TELEMETRY
         self.hostprof = hostprof if hostprof is not None else NO_HOSTPROF
         self.energy = energy if energy is not None else NO_ENERGY_LEDGER
@@ -321,27 +317,6 @@ class TaskLoopRunner:
         start = board.now
         hp = self.hostprof
 
-        oracle_work = None
-        if self.provide_oracle_work:
-            if hp.enabled:
-                t0 = hp.clock()
-            oracle_work = self.interpreter.execute_isolated(
-                self.task.program, job_inputs, task_globals
-            ).work
-            if hp.enabled:
-                hp.add("interp", hp.clock() - t0)
-
-        ctx = JobContext(
-            index=index,
-            inputs=job_inputs,
-            task_globals=task_globals,
-            budget_s=self.task.budget_s,
-            deadline_s=deadline,
-            board=board,
-            charge_overheads=self.charge_predictor,
-            oracle_work=oracle_work,
-        )
-
         # The job's true semantics: run the program against live globals.
         # The governor decision happens first (its slice must see pre-job
         # state), so compute the work on an isolated fork here and commit
@@ -354,6 +329,17 @@ class TaskLoopRunner:
         if hp.enabled:
             hp.add("interp", hp.clock() - t0)
         jitter = board.cpu.jitter.sample()
+
+        ctx = JobContext(
+            index=index,
+            inputs=job_inputs,
+            task_globals=task_globals,
+            budget_s=self.task.budget_s,
+            deadline_s=deadline,
+            board=board,
+            charge_overheads=self.charge_predictor,
+            oracle_work=work if self.governor.reads_oracle_work else None,
+        )
 
         telemetry = self.telemetry
         decide_from = board.now

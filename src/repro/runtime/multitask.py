@@ -72,7 +72,6 @@ class _StreamState:
     globals_: dict
     next_index: int = 0
     records: list[JobRecord] = field(default_factory=list)
-    energy_mark: float = 0.0
 
     @property
     def exhausted(self) -> bool:
@@ -91,7 +90,6 @@ class MultiTaskRunner:
         board: Board,
         streams: Sequence[TaskStream],
         interpreter: Interpreter | None = None,
-        provide_oracle_work: bool = False,
         energy: EnergyLedger | None = None,
     ):
         if not streams:
@@ -102,7 +100,6 @@ class MultiTaskRunner:
         self.board = board
         self.streams = list(streams)
         self.interpreter = interpreter if interpreter is not None else Interpreter()
-        self.provide_oracle_work = provide_oracle_work
         self.energy = energy if energy is not None else NO_ENERGY_LEDGER
         # Streams share one board; ledger jobs number the interleaved
         # sequence in execution order across all streams.
@@ -162,7 +159,7 @@ class MultiTaskRunner:
         job_inputs = stream.inputs[index]
 
         oracle_work = None
-        if self.provide_oracle_work:
+        if stream.governor.reads_oracle_work:
             oracle_work = self.interpreter.execute_isolated(
                 stream.task.program, job_inputs, state.globals_
             ).work

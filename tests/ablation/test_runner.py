@@ -1,9 +1,14 @@
 """Runner determinism: worker-count independence and paired streams."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.ablation import plan_matrix, run_ablation
 from repro.ablation.planner import Scenario
 from repro.ablation.runner import AblationResult
@@ -15,6 +20,32 @@ TINY = dict(
     profile_jobs=20,
     switch_samples=5,
 )
+SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
+
+
+def _last_of_plans_in_one_process(*seeds: int) -> str:
+    """Run the tiny plan at each seed in turn, in one fresh interpreter;
+    the last plan's results as JSON."""
+    script = f"""
+import json
+from repro.ablation import plan_matrix, run_ablation
+from repro.ablation.planner import Scenario
+
+for seed in {list(seeds)!r}:
+    plan = plan_matrix(
+        ["rijndael"],
+        scenarios=[Scenario("jitter", jitter_sigma=0.10)],
+        **dict({TINY!r}, seed=seed),
+    )
+    result = run_ablation(plan)
+print(json.dumps(result.as_dict(), sort_keys=True))
+"""
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +71,16 @@ class TestWorkerIndependence:
     def test_worker_count_validated(self, tiny_plan):
         with pytest.raises(ValueError):
             run_ablation(tiny_plan, workers=0)
+
+
+class TestProcessIndependence:
+    def test_results_do_not_depend_on_earlier_plans_in_the_process(self):
+        """A plan run after another plan at a different seed equals the
+        same plan in a fresh interpreter: trained controllers are cached
+        per seed, never reused across seeds."""
+        assert _last_of_plans_in_one_process(7, 11) == (
+            _last_of_plans_in_one_process(11)
+        )
 
 
 class TestPairedStreams:

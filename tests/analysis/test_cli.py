@@ -462,3 +462,59 @@ class TestCliReportRunsFilter:
             ]
         ) == 2
         assert "one trace directory" in capsys.readouterr().err
+
+
+class TestSingleRunCommands:
+    """``watch``, ``profile`` and ``energy`` share one seeded-run setup."""
+
+    @pytest.mark.parametrize(
+        "argv, summary",
+        [
+            (["watch", "--quiet"], "run: 20 jobs"),
+            (
+                ["profile", "--profile-jobs", "20", "--sample-interval", "0"],
+                "simulated run underneath: 20 jobs",
+            ),
+            (
+                ["energy", "--profile-jobs", "20"],
+                "simulated run underneath: 20 jobs",
+            ),
+        ],
+        ids=["watch", "profile", "energy"],
+    )
+    def test_oracle_governor_runs(
+        self, argv, summary, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)  # profile writes into ./profile-out
+        command, *options = argv
+        assert main(
+            [command, "sha", "--governor", "oracle", "--jobs", "20", *options]
+        ) == 0
+        assert summary in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["watch", "sha", "--jobs", "0"],
+        ["watch", "sha", "--governor", "nope"],
+        ["profile", "sha", "--governor", "nope"],
+        ["energy", "sha", "--governor", "nope"],
+        ["watch", "sha", "--drift", "0"],
+        ["watch", "sha", "--jobs", "5", "--jitter", "-1"],
+        ["profile", "sha", "--jobs", "5", "--jitter", "-1"],
+        ["energy", "sha", "--jobs", "5", "--jitter", "-1"],
+        ["fig15", "--jobs", "0"],
+        ["fig2", "--app", "nope"],
+        ["fleet", "run", "--apps", "nope"],
+        ["fleet", "run", "--governor", "nope"],
+    ],
+    ids="_".join,
+)
+def test_bad_input_is_one_line_and_exit_code_2(
+    argv, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)  # nothing may land in the working tree
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err

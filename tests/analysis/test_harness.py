@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.analysis.harness import GOVERNOR_NAMES, Lab, default_n_jobs
+from repro.analysis.harness import (
+    GOVERNOR_NAMES,
+    Lab,
+    default_n_jobs,
+    seeded_board,
+)
+from repro.platform.cpu import Work
+from repro.platform.opp import default_xu3_a7_table
+
+OPPS = default_xu3_a7_table()
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +41,39 @@ class TestLabConstruction:
 
     def test_controllers_differ_across_apps(self, lab):
         assert lab.controller("sha") is not lab.controller("2048")
+
+    def test_labs_with_equal_build_inputs_share_controllers(self, lab):
+        assert Lab(switch_samples=30).controller("sha") is lab.controller("sha")
+
+    def test_switch_seed_is_part_of_the_controller_key(self, lab):
+        config = lab.pipeline_config
+        other = Lab(switch_samples=30, seed=43)
+        assert other.trained_controller("sha", config) is not (
+            lab.trained_controller("sha", config)
+        )
+
+
+class TestSeededBoard:
+    WORK = Work(cycles=1e7)
+
+    def test_unit_drift_is_no_drift(self):
+        plain = seeded_board(OPPS, None, 0.05, 3, 4)
+        unit = seeded_board(OPPS, None, 0.05, 3, 4, drift=(1.0, 0.0))
+        assert [plain.execute(self.WORK) for _ in range(5)] == [
+            unit.execute(self.WORK) for _ in range(5)
+        ]
+
+    def test_drift_engages_at_its_simulated_time(self):
+        t = self.WORK.cycles / (OPPS.fmax.freq_mhz * 1e6)
+        board = seeded_board(OPPS, None, 0.0, 3, 4, drift=(2.0, 2.5 * t))
+        times = [board.execute(self.WORK) for _ in range(4)]
+        assert times == pytest.approx([t, t, t, 2 * t])
+
+    def test_jitter_and_switch_streams_have_their_own_seeds(self):
+        a = seeded_board(OPPS, None, 0.05, 3, 4)
+        b = seeded_board(OPPS, None, 0.05, 3, 5)
+        assert a.execute(self.WORK) == b.execute(self.WORK)
+        assert a.set_frequency(OPPS.fmin) != b.set_frequency(OPPS.fmin)
 
 
 class TestLabRuns:

@@ -54,6 +54,25 @@ class TestFleetRun:
         assert payload["tenants"][0]["name"] == "solo"
         assert payload["jobs"] == 8
 
+    def test_spec_file_with_unknown_governor_is_usage_error(
+        self, tmp_path, capsys
+    ):
+        spec = tmp_path / "fleet.json"
+        spec.write_text(
+            json.dumps([{"name": "solo", "app": "sha", "governor": "nope"}])
+        )
+        assert main(["fleet", "run", "--spec", str(spec)]) == 2
+        assert "unknown governor" in capsys.readouterr().err
+
+    def test_oracle_governor_runs(self, capsys):
+        assert main(
+            [
+                "fleet", "run", "--sessions", "4", "--jobs", "5",
+                "--apps", "sha", "--governor", "oracle", "--json",
+            ]
+        ) == 0
+        assert json.loads(capsys.readouterr().out)["jobs"] == 20
+
     def test_output_file_excludes_invocation_metadata(self, tmp_path, capsys):
         out = tmp_path / "report.txt"
         main(

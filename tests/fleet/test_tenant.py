@@ -16,6 +16,8 @@ class TestValidation:
         ("field", "value", "match"),
         [
             ("name", "", "non-empty name"),
+            ("app", "nope", "unknown workload"),
+            ("governor", "nope", "unknown governor"),
             ("sessions", 0, "session"),
             ("jobs_per_session", 0, "job per session"),
             ("budget_scale", 0.0, "budget_scale"),

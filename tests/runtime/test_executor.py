@@ -5,6 +5,7 @@ import pytest
 from repro.governors.base import Decision, Governor, JobContext
 from repro.governors.idle import IdlePolicy
 from repro.governors.interactive import InteractiveGovernor
+from repro.governors.oracle import OracleGovernor
 from repro.governors.performance import PerformanceGovernor
 from repro.governors.powersave import PowersaveGovernor
 from repro.platform.board import Board
@@ -422,3 +423,21 @@ class TestMidJobRetargeting:
         assert len(retargets) == 1
         assert retargets[0].ts_s == pytest.approx(0.004)
         assert retargets[0].args["to_mhz"] == OPPS.fmax.freq_mhz
+
+
+class TestOracleWork:
+    def test_oracle_gets_the_isolated_forks_work(self):
+        """The oracle predicts from the same work the job then executes:
+        with no jitter its prediction is the job's time to the bit."""
+        runner = TaskLoopRunner(
+            board=Board(opps=OPPS),
+            task=Task("loopy", loopy_program(), 0.050),
+            governor=OracleGovernor(OPPS, margin=0.0),
+            inputs=[{"n": n} for n in (1000, 3000, 2000)],
+            charge_predictor=False,
+            charge_switch=False,
+        )
+        result = runner.run()
+        assert [job.predicted_time_s for job in result.jobs] == [
+            job.exec_time_s for job in result.jobs
+        ]

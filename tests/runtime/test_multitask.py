@@ -3,6 +3,7 @@
 import pytest
 
 from repro.governors.interactive import InteractiveGovernor
+from repro.governors.oracle import OracleGovernor
 from repro.governors.performance import PerformanceGovernor
 from repro.governors.powersave import PowersaveGovernor
 from repro.platform.board import Board
@@ -185,3 +186,16 @@ class TestPredictiveStreams:
         # Both controllers really made decisions (predictor time charged).
         assert results["sha"].mean_predictor_time_s > 0
         assert results["xpilot"].mean_predictor_time_s > 0
+
+
+class TestOracleWork:
+    def test_oracle_stream_gets_its_jobs_work(self):
+        """The runner hands a job's work to the one governor that reads
+        it, with no flag to set."""
+        runner = MultiTaskRunner(
+            Board(), [stream("a", governor=OracleGovernor(OPPS))]
+        )
+        result = runner.run()["a"]
+        assert result.n_jobs == 5
+        assert result.miss_rate == 0.0
+        assert result.jobs[0].opp_mhz < OPPS.fmax.freq_mhz
