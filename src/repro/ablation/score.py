@@ -32,6 +32,7 @@ from typing import Sequence
 from repro.ablation.registry import get_component
 from repro.ablation.runner import AblationResult, CellResult
 from repro.fleet.seeding import derive_seed
+from repro.telemetry.metrics import percentile
 from repro.telemetry.provenance import diff_decisions
 
 __all__ = [
@@ -48,20 +49,17 @@ __all__ = [
 BOOTSTRAP_RESAMPLES = 600
 
 
-def _percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile (q in [0, 100]); NaN when empty."""
+def _ci95(values: Sequence[float]) -> tuple[float, float]:
+    """Central 95% interval of bootstrap deltas; NaNs when there are none."""
     if not values:
-        return float("nan")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100.0) * (len(ordered) - 1)
-    lo = int(math.floor(rank))
-    hi = int(math.ceil(rank))
-    if lo == hi:
-        return ordered[lo]
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        return float("nan"), float("nan")
+    return percentile(values, 2.5), percentile(values, 97.5)
+
+
+def _p05_slack_s(cell: CellResult) -> float:
+    """A cell's 5th-percentile job slack; NaN when it ran no jobs."""
+    slack = cell.job_slack_s
+    return percentile(slack, 5.0) if slack else float("nan")
 
 
 def _nan_to_zero(value: float) -> float:
@@ -255,15 +253,7 @@ def _paired_bootstrap(
         miss_deltas.append((var_miss - base_miss) / n)
         if base_energy > 0:
             energy_deltas.append(var_energy / base_energy - 1.0)
-    miss_ci = (
-        _percentile(miss_deltas, 2.5),
-        _percentile(miss_deltas, 97.5),
-    )
-    energy_ci = (
-        _percentile(energy_deltas, 2.5),
-        _percentile(energy_deltas, 97.5),
-    )
-    return miss_ci, energy_ci
+    return _ci95(miss_deltas), _ci95(energy_deltas)
 
 
 def _top_kind(kinds: dict[str, int]) -> str:
@@ -305,10 +295,7 @@ def _cell_delta(
         miss_rate_ci=miss_ci,
         energy_delta_frac=energy_delta_frac,
         energy_ci_frac=energy_ci,
-        p05_slack_delta_s=(
-            _percentile(variant.job_slack_s, 5.0)
-            - _percentile(base.job_slack_s, 5.0)
-        ),
+        p05_slack_delta_s=_p05_slack_s(variant) - _p05_slack_s(base),
         savings_frac_delta=(
             variant.savings_frac - base.savings_frac
             if not math.isnan(variant.savings_frac)
@@ -355,9 +342,7 @@ def score_ablation(
                 for cell in base_cells
             ]
         ),
-        p05_slack_s=_mean(
-            [_percentile(cell.job_slack_s, 5.0) for cell in base_cells]
-        ),
+        p05_slack_s=_mean([_p05_slack_s(cell) for cell in base_cells]),
         jobs=sum(cell.n_jobs for cell in base_cells),
     )
 

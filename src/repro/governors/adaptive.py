@@ -3,8 +3,9 @@
 The paper trains its execution-time model once, offline (Fig. 13); this
 governor closes the loop at run time.  Per job it:
 
-1. runs the prediction slice exactly like the frozen governor (the slice
-   cost is charged identically, so comparisons are fair);
+1. runs the prediction slice through the frozen governor's own
+   prediction step (the slice cost is charged identically, so
+   comparisons are fair);
 2. while **predicting**, picks the frequency from online-recalibrated
    anchor models under an adaptive safety margin;
 3. after the job, compares observed to predicted time, feeds the signed
@@ -42,7 +43,6 @@ from repro.online.recalibrate import AdaptiveMargin
 from repro.online.residuals import ResidualMonitor, ResidualSnapshot
 from repro.platform.board import Board
 from repro.platform.cpu import Work
-from repro.telemetry.provenance import build_provenance
 
 if TYPE_CHECKING:  # avoid a circular import with the runtime package
     from repro.runtime.records import JobRecord
@@ -135,11 +135,14 @@ class AdaptiveGovernor(Governor):
     """Predictive governor + drift detection + recalibration + fallback.
 
     Composes (rather than subclasses) the frozen
-    :class:`~repro.governors.predictive.PredictiveGovernor`: the inner
-    governor supplies slice execution, switch estimation, and the
-    frequency choice, while this wrapper owns the mode machine and the
-    feedback loop.  Placement is always sequential — the feedback needs
-    the slice features of the *current* job.
+    :class:`~repro.governors.predictive.PredictiveGovernor` and drives
+    its per-job prediction step (pre-flight, slice, effective budget,
+    OPP choice, audit record), recording decisions under this
+    governor's name and the ``predict`` mode.  This wrapper adds only
+    the ``bound_skip`` gate, the shadow flag on fallback-mode slices, the
+    pending features for the feedback, the fallback branch, the mode
+    machine and the feedback loop.  Placement is always sequential — the
+    feedback needs the slice features of the *current* job.
 
     Attributes:
         inner: Predictive governor wired to the online predictor.
@@ -252,120 +255,44 @@ class AdaptiveGovernor(Governor):
         self.inner.bind_hostprof(hostprof)
         self.fallback.bind_hostprof(hostprof)
 
+    def switch_estimate_s(self, ctx: JobContext) -> float:
+        return self.inner.switch_estimate_s(ctx)
+
+    def margin_value(self) -> float:
+        return self.inner.margin_value()
+
     def decide(self, ctx: JobContext) -> Decision | None:
         """Run the slice (always — shadow predictions feed recalibration),
         then decide via prediction or the fallback policy."""
-        board = ctx.board
-        telemetry = self.telemetry
+        inner = self.inner
         bound_work = None
-        if self.config.bound_skip and self.mode is AdaptiveMode.PREDICT:
-            bound_work = self.inner.slice_bound_work()
-        if bound_work is not None and ctx.charge_overheads:
-            # Pre-flight against the certified worst case, exactly like
-            # the frozen governor: when even the bound plus a switch
-            # cannot fit, the slice is pure overhead on a doomed job.
-            bound_time = board.cpu.execution_time(
-                bound_work, board.current_opp
-            )
-            headroom = (
-                ctx.deadline_s
-                - board.now
-                - bound_time
-                - self.inner.switch_estimate_s(ctx)
-            )
-            if headroom <= 0:
-                if telemetry.enabled:
-                    telemetry.metrics.counter("predict.bound_skips").inc()
-                # No slice ran, so there is nothing to learn from this
-                # job; the feedback path sees no pending features.
-                self._pending = None
-                decision = Decision(self.inner.dvfs.opps.fmax)
-                self.audit_decision(
-                    ctx,
-                    decision,
-                    effective_budget_s=headroom,
-                    margin=self.predictor.margin.value,
-                    mode="bound-skip",
-                )
-                return decision
-        outcome = self.inner.analyze(ctx)
-        slice_time = 0.0
-        if ctx.charge_overheads:
-            slice_from = board.now
-            slice_time = board.cpu.execution_time(
-                outcome.slice_work, board.current_opp
-            )
-            board.busy_run(slice_time, tag="predictor")
-            if telemetry.enabled:
-                telemetry.span(
-                    "predict.slice",
-                    slice_from,
-                    board.now,
-                    category="predictor",
-                    args={"job": ctx.index, "shadow": not self.predicting},
-                )
+        if self.config.bound_skip and self.predicting and ctx.charge_overheads:
+            bound_work = inner.slice_bound_work()
+        decision = inner.preflight(ctx, bound_work, self)
+        if decision is not None:
+            # No slice ran, so there is nothing to learn from this job;
+            # the feedback path sees no pending features.
+            self._pending = None
+            return decision
+        outcome, slice_time = inner.run_slice(ctx, shadow=not self.predicting)
         # analyze() routed through the online predictor, which stashed the
         # encoded features and raw anchors for the post-job feedback.
         self._pending = (self.predictor.last_x, self.predictor.last_raw)
-        if self.mode is AdaptiveMode.FALLBACK:
-            decision = self.fallback.decide(ctx)
-            if telemetry.enabled and not telemetry.has_decision_for(ctx.index):
-                self.audit_decision(
-                    ctx,
-                    decision,
-                    margin=self.predictor.margin.value,
-                    mode=AdaptiveMode.FALLBACK.value,
-                    features=outcome.features,
-                )
-            return decision
-        if ctx.charge_overheads:
-            switch_estimate = self.inner.switch_estimate_s(ctx)
-            budget = ctx.deadline_s - board.now - switch_estimate
-            if bound_work is not None:
-                # Keep the unspent remainder of the certified bound
-                # reserved (a lucky fast slice run must not unlock
-                # headroom the static analysis does not guarantee).
-                bound_time = board.cpu.execution_time(
-                    bound_work, board.current_opp
-                )
-                budget -= max(0.0, bound_time - slice_time)
-                if slice_time > bound_time and telemetry.enabled:
-                    telemetry.metrics.counter(
-                        "certifier.bound_exceeded"
-                    ).inc()
-        else:
-            budget = ctx.deadline_s - board.now
-            switch_estimate = (
-                self.inner.switch_estimate_s(ctx)
-                if telemetry.enabled
-                else float("nan")
+        if self.predicting:
+            mode = AdaptiveMode.PREDICT.value
+            return inner.conclude(
+                ctx, outcome, self, mode, slice_time, bound_work
             )
-        decision = self.inner.choose(outcome, budget)
-        attribution, ladder, generation = None, (), -1
-        if telemetry.enabled:
-            attribution, ladder, generation = build_provenance(
-                predictor=self.predictor,
-                dvfs=self.inner.dvfs,
-                raw_features=outcome.raw,
-                prediction=outcome.prediction,
-                margin=self.predictor.margin.value,
-                effective_budget_s=budget,
-                switch_estimate_s=switch_estimate,
-                opp=decision.opp,
-                budget_s=ctx.budget_s,
-                deadline_s=ctx.deadline_s,
+        decision = self.fallback.decide(ctx)
+        telemetry = self.telemetry
+        if telemetry.enabled and not telemetry.has_decision_for(ctx.index):
+            self.audit_decision(
+                ctx,
+                decision,
+                margin=self.margin_value(),
+                mode=AdaptiveMode.FALLBACK.value,
+                features=outcome.features,
             )
-        self.audit_decision(
-            ctx,
-            decision,
-            effective_budget_s=budget,
-            margin=self.predictor.margin.value,
-            mode=AdaptiveMode.PREDICT.value,
-            features=outcome.features,
-            attribution=attribution,
-            ladder=ladder,
-            beta_generation=generation,
-        )
         return decision
 
     def on_timer(self, now_s: float, utilization: float):

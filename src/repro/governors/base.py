@@ -125,6 +125,16 @@ class Governor(ABC):
         """
         self.hostprof = hostprof
 
+    def switch_estimate_s(self, ctx: JobContext) -> float:
+        """Switch time a budgeting policy sets aside for this job (NaN:
+        the policy does not budget for switches).  A number puts the
+        effective-budget breakdown on the job's ``predict`` trace span."""
+        return float("nan")
+
+    def margin_value(self) -> float:
+        """The safety margin the policy predicts with (NaN: none)."""
+        return float("nan")
+
     def audit_decision(
         self,
         ctx: JobContext,

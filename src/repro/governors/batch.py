@@ -17,8 +17,10 @@ by ``batch_size``.
 
 from __future__ import annotations
 
-from repro.governors.base import Decision, JobContext
-from repro.governors.predictive import PredictiveGovernor
+from dataclasses import replace
+
+from repro.governors.base import JobContext
+from repro.governors.predictive import PredictiveGovernor, SliceOutcome
 from repro.models.timing import TimePrediction
 
 __all__ = ["BatchPredictiveGovernor"]
@@ -26,6 +28,12 @@ __all__ = ["BatchPredictiveGovernor"]
 
 class BatchPredictiveGovernor(PredictiveGovernor):
     """Predict once per batch, hold the level for the rest.
+
+    Everything else is the per-job prediction step of
+    :class:`~repro.governors.predictive.PredictiveGovernor` (slice,
+    effective budget, OPP choice) under every placement: this class only
+    overrides :meth:`runs_slice` (batch heads only), :meth:`analyze`
+    (the head's prediction, inflated) and :meth:`audit_decision`.
 
     Attributes:
         batch_size: Jobs per decision (1 degenerates to the paper's
@@ -53,31 +61,27 @@ class BatchPredictiveGovernor(PredictiveGovernor):
     def name(self) -> str:
         return f"prediction-batch{self.batch_size}"
 
-    def decide(self, ctx: JobContext) -> Decision | None:
-        if ctx.index % self.batch_size != 0:
-            # Mid-batch: hold the level, pay nothing.
-            return None
-        board = ctx.board
-        outcome = self.analyze(ctx)
-        if ctx.charge_overheads:
-            slice_time = board.cpu.execution_time(
-                outcome.slice_work, board.current_opp
-            )
-            board.busy_run(slice_time, tag="predictor")
-            effective_budget = (
-                ctx.deadline_s - board.now - self.switch_estimate_s(ctx)
-            )
-        else:
-            effective_budget = ctx.deadline_s - board.now
+    def runs_slice(self, ctx: JobContext) -> bool:
+        # Mid-batch jobs hold the level and pay nothing.
+        return ctx.index % self.batch_size == 0
+
+    def audit_decision(self, ctx: JobContext, decision, **fields) -> None:
+        """Record nothing; the executor's bare record covers every job.
+
+        A head decision holds for its whole batch through the batch
+        margin, which the provenance of one job's prediction cannot
+        replay.
+        """
+
+    def analyze(self, ctx: JobContext) -> SliceOutcome:
+        """The head job's outcome, its predicted times inflated by
+        :attr:`batch_margin` to cover the rest of the batch."""
+        outcome = super().analyze(ctx)
         inflate = 1.0 + self.batch_margin
-        prediction = TimePrediction(
-            t_fmax_s=outcome.prediction.t_fmax_s * inflate,
-            t_fmin_s=outcome.prediction.t_fmin_s * inflate,
+        return replace(
+            outcome,
+            prediction=TimePrediction(
+                t_fmax_s=outcome.prediction.t_fmax_s * inflate,
+                t_fmin_s=outcome.prediction.t_fmin_s * inflate,
+            ),
         )
-        opp = self.dvfs.choose_opp(
-            prediction.t_fmin_s, prediction.t_fmax_s, effective_budget
-        )
-        components = self.dvfs.components(
-            prediction.t_fmin_s, prediction.t_fmax_s
-        )
-        return Decision(opp, predicted_time_s=components.time_at(opp.freq_hz))

@@ -111,9 +111,9 @@ class PredictiveGovernor(Governor):
         """Run the prediction slice (pure: charges nothing on the board).
 
         The slice executes with isolated globals so its writes cannot
-        corrupt task state (paper §3.2).  The executor decides where the
-        slice's cost lands — sequential, pipelined, or parallel placement
-        (paper §4.3, Fig. 14).
+        corrupt task state (paper §3.2).  :meth:`run_slice` charges its
+        cost under sequential placement; the executor lands it for the
+        pipelined and parallel placements (paper §4.3, Fig. 14).
         """
         hp = self.hostprof
         if hp.enabled:
@@ -190,57 +190,118 @@ class PredictiveGovernor(Governor):
             cert.cost_bound_instructions
         )
 
+    # -- the per-job prediction step (§3.4, Fig. 10) ---------------------------
+    # The only copy: the adaptive governor drives it under its own name and
+    # modes, the batch governor overrides runs_slice, analyze and
+    # audit_decision, and the executor's pipelined/parallel placements land
+    # the slice cost themselves.
     def decide(self, ctx: JobContext) -> Decision | None:
         """Sequential placement: slice, charge its time, then choose."""
+        if not self.runs_slice(ctx):
+            return None
+        bound_work = self.slice_bound_work() if ctx.charge_overheads else None
+        decision = self.preflight(ctx, bound_work, self)
+        if decision is not None:
+            return decision
+        outcome, slice_time = self.run_slice(ctx)
+        mode = "certified" if bound_work is not None else ""
+        return self.conclude(ctx, outcome, self, mode, slice_time, bound_work)
+
+    def runs_slice(self, ctx: JobContext) -> bool:
+        """Whether this job is predicted at all (if not: no decision)."""
+        return True
+
+    def preflight(
+        self, ctx: JobContext, bound_work: Work | None, auditor: Governor
+    ) -> Decision | None:
+        """fmax without slicing when even the certified bound cannot fit.
+
+        If paying the slice's certified worst case (``bound_work``; None
+        skips the check) plus a switch cannot fit the remaining budget,
+        the slice is pure overhead on an already-doomed job, so pin fmax
+        without running it; the certificate makes this call possible
+        *before* spending the slice time.  ``auditor`` records the
+        decision under mode ``bound-skip``.  None means: run the slice.
+        """
+        if bound_work is None:
+            return None
         board = ctx.board
-        bound_work = self.slice_bound_work()
-        if ctx.charge_overheads and bound_work is not None:
-            # Pre-flight against the certified worst case: if paying the
-            # slice's bound plus a switch cannot fit the remaining budget,
-            # the slice is pure overhead on an already-doomed job — pin
-            # fmax without running it (the certificate makes this call
-            # possible *before* spending the slice time).
-            bound_time = board.cpu.execution_time(
-                bound_work, board.current_opp
-            )
-            headroom = (
-                ctx.deadline_s
-                - board.now
-                - bound_time
-                - self.switch_estimate_s(ctx)
-            )
-            if headroom <= 0:
-                if self.telemetry.enabled:
-                    self.telemetry.metrics.counter(
-                        "predict.bound_skips"
-                    ).inc()
-                decision = Decision(self.dvfs.opps.fmax)
-                self.audit_decision(
-                    ctx,
-                    decision,
-                    effective_budget_s=headroom,
-                    margin=self.margin_value(),
-                    mode="bound-skip",
-                )
-                return decision
+        bound_time = board.cpu.execution_time(bound_work, board.current_opp)
+        headroom = (
+            ctx.deadline_s
+            - board.now
+            - bound_time
+            - self.switch_estimate_s(ctx)
+        )
+        if headroom > 0:
+            return None
+        if self.telemetry.enabled:
+            self.telemetry.metrics.counter("predict.bound_skips").inc()
+        decision = Decision(self.dvfs.opps.fmax)
+        auditor.audit_decision(
+            ctx,
+            decision,
+            effective_budget_s=headroom,
+            margin=self.margin_value(),
+            mode="bound-skip",
+        )
+        return decision
+
+    def run_slice(
+        self, ctx: JobContext, shadow: bool | None = None
+    ) -> tuple[SliceOutcome, float]:
+        """Run the slice and charge its time to the job's budget.
+
+        Returns the outcome and the slice time charged (0.0 when overheads
+        are free).  ``shadow`` tags the trace span of a slice whose
+        prediction only feeds recalibration (None: no tag).
+        """
         outcome = self.analyze(ctx)
-        mode = ""
-        if ctx.charge_overheads:
-            slice_from = board.now
-            slice_time = board.cpu.execution_time(
-                outcome.slice_work, board.current_opp
+        if not ctx.charge_overheads:
+            return outcome, 0.0
+        board = ctx.board
+        slice_from = board.now
+        slice_time = board.cpu.execution_time(
+            outcome.slice_work, board.current_opp
+        )
+        board.busy_run(slice_time, tag="predictor")
+        if self.telemetry.enabled:
+            args: dict = {"job": ctx.index}
+            if shadow is not None:
+                args["shadow"] = shadow
+            self.telemetry.span(
+                "predict.slice",
+                slice_from,
+                board.now,
+                category="predictor",
+                args=args,
             )
-            board.busy_run(slice_time, tag="predictor")
-            if self.telemetry.enabled:
-                self.telemetry.span(
-                    "predict.slice",
-                    slice_from,
-                    board.now,
-                    category="predictor",
-                    args={"job": ctx.index},
-                )
-            switch_estimate = self.switch_estimate_s(ctx)
-            effective_budget = ctx.deadline_s - board.now - switch_estimate
+        return outcome, slice_time
+
+    def conclude(
+        self,
+        ctx: JobContext,
+        outcome: SliceOutcome,
+        auditor: Governor,
+        mode: str,
+        slice_time: float = 0.0,
+        bound_work: Work | None = None,
+    ) -> Decision:
+        """Effective budget -> lowest fitting OPP -> audit record.
+
+        The effective budget is deadline - now - the p95 switch estimate
+        - the unspent remainder of the certified bound (``bound_work``
+        minus the ``slice_time`` already charged; None reserves nothing).
+        With free overheads (the Fig. 18 limit study) it is deadline -
+        now.  ``auditor`` records the decision, with its provenance,
+        under ``mode``.
+        """
+        board = ctx.board
+        telemetry = self.telemetry
+        switch_estimate = self.switch_estimate_s(ctx)
+        effective_budget = ctx.deadline_s - board.now
+        if ctx.charge_overheads:
+            effective_budget -= switch_estimate
             if bound_work is not None:
                 # Keep the unspent remainder of the certified bound
                 # reserved: a lucky fast slice run must not unlock
@@ -249,45 +310,34 @@ class PredictiveGovernor(Governor):
                     bound_work, board.current_opp
                 )
                 effective_budget -= max(0.0, bound_time - slice_time)
-                mode = "certified"
-                if (
-                    slice_time > bound_time
-                    and self.telemetry.enabled
-                ):
-                    self.telemetry.metrics.counter(
+                if slice_time > bound_time and telemetry.enabled:
+                    telemetry.metrics.counter(
                         "certifier.bound_exceeded"
                     ).inc()
-        else:
-            effective_budget = ctx.deadline_s - board.now
-            switch_estimate = (
-                self.switch_estimate_s(ctx)
-                if self.telemetry.enabled
-                else float("nan")
-            )
         decision = self.choose(outcome, effective_budget)
-        attribution, ladder, generation = None, (), -1
-        if self.telemetry.enabled:
+        if telemetry.enabled:
+            margin = self.margin_value()
             attribution, ladder, generation = build_provenance(
                 predictor=self.predictor,
                 dvfs=self.dvfs,
                 raw_features=outcome.raw,
                 prediction=outcome.prediction,
-                margin=self.margin_value(),
+                margin=margin,
                 effective_budget_s=effective_budget,
                 switch_estimate_s=switch_estimate,
                 opp=decision.opp,
                 budget_s=ctx.budget_s,
                 deadline_s=ctx.deadline_s,
             )
-        self.audit_decision(
-            ctx,
-            decision,
-            effective_budget_s=effective_budget,
-            margin=self.margin_value(),
-            mode=mode,
-            features=outcome.features,
-            attribution=attribution,
-            ladder=ladder,
-            beta_generation=generation,
-        )
+            auditor.audit_decision(
+                ctx,
+                decision,
+                effective_budget_s=effective_budget,
+                margin=margin,
+                mode=mode,
+                features=outcome.features,
+                attribution=attribution,
+                ladder=ladder,
+                beta_generation=generation,
+            )
         return decision

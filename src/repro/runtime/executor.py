@@ -164,8 +164,9 @@ class TaskLoopRunner:
     ) -> None:
         """Return the runner to its pre-run state so it can run again.
 
-        Sessions in the fleet simulator reuse one runner object across
-        tenants; without this, switch counts, overlap energy, timer
+        For callers that replay one configured runner round after round
+        (the repository benchmark does; fleet sessions build a fresh
+        runner each); without this, switch counts, overlap energy, timer
         phase, and job records would bleed from one run into the next.
         The board and telemetry are stateful accumulators (time, energy,
         metric counters), so a reset that should be indistinguishable
@@ -356,28 +357,25 @@ class TaskLoopRunner:
                 span_args["opp_index"] = decision.opp.index
                 span_args["opp_mhz"] = decision.opp.freq_mhz
             # Effective-budget breakdown (budget - slice time - p95 switch
-            # estimate), so attribution needs no side-channel: duck-typed
-            # off the governor (or its inner predictive delegate).
-            estimator = self.governor
-            if not hasattr(estimator, "switch_estimate_s"):
-                estimator = getattr(self.governor, "inner", None)
-            if estimator is not None and hasattr(
-                estimator, "switch_estimate_s"
-            ):
-                switch_estimate = estimator.switch_estimate_s(ctx)
+            # estimate - certified reservation), so attribution needs no
+            # side-channel.  The effective budget is the one the governor
+            # audited for this job, when its record carries one.
+            switch_estimate = self.governor.switch_estimate_s(ctx)
+            if not math.isnan(switch_estimate):
+                effective_budget = deadline - board.now - switch_estimate
+                if telemetry.has_decision_for(index):
+                    audited = telemetry.decisions[-1].effective_budget_s
+                    if not math.isnan(audited):
+                        effective_budget = audited
                 span_args.update(
                     budget_s=self.task.budget_s,
                     slice_time_s=predictor_time,
                     switch_estimate_s=switch_estimate,
-                    effective_budget_s=(
-                        deadline - board.now - switch_estimate
-                    ),
+                    effective_budget_s=effective_budget,
                 )
-                margin_value = getattr(estimator, "margin_value", None)
-                if callable(margin_value):
-                    margin = margin_value()
-                    if not math.isnan(margin):
-                        span_args["margin"] = margin
+                margin = self.governor.margin_value()
+                if not math.isnan(margin):
+                    span_args["margin"] = margin
             telemetry.span(
                 "predict",
                 decide_from,
@@ -557,45 +555,31 @@ class TaskLoopRunner:
             self._fire_due_timers()
             return board.now - before, decision, 0.0, 1.0
 
+        # Pipelined or parallel: the governor's own prediction step, with
+        # the slice's cost landed here, off the job's timeline.
         governor: PredictiveGovernor = self.governor
+        if not governor.runs_slice(ctx):
+            return 0.0, None, 0.0, 1.0
         outcome = governor.analyze(ctx)
         slice_time = board.cpu.execution_time(
             outcome.slice_work, board.current_opp
         )
-
-        if self.placement is PredictorPlacement.PIPELINED:
-            # The slice ran during the previous job: no budget impact, but
-            # its energy was still spent (on overlapped cycles).
-            if self.charge_predictor:
-                overlap = (
-                    board.power.power(board.current_opp, 1.0) * slice_time
-                )
-                self._overlap_energy_j += overlap
-                if self.energy.enabled:
-                    self.energy.add_overlap(overlap)
-                budget = (
-                    ctx.deadline_s
-                    - board.now
-                    - governor.switch_estimate_s(ctx)
-                )
-            else:
-                budget = ctx.deadline_s - board.now
-            return 0.0, governor.choose(outcome, budget), 0.0, 1.0
-
-        # PARALLEL: the job starts at the old level while the slice runs.
+        predictor_time, partial, remaining = 0.0, 0.0, 1.0
         if self.charge_predictor:
-            partial, _, remaining = self._execute_work(
-                work, jitter, max_duration=slice_time
-            )
+            if self.placement is PredictorPlacement.PARALLEL:
+                # The job starts at the old level while the slice runs.
+                partial, _, remaining = self._execute_work(
+                    work, jitter, max_duration=slice_time
+                )
+                predictor_time = slice_time
+            # Pipelined, the slice ran during the previous job (no budget
+            # impact); either way its energy was spent on overlapped cycles.
             overlap = board.power.power(board.current_opp, 1.0) * slice_time
             self._overlap_energy_j += overlap
             if self.energy.enabled:
                 self.energy.add_overlap(overlap)
-            budget = (
-                ctx.deadline_s - board.now - governor.switch_estimate_s(ctx)
-            )
-            return slice_time, governor.choose(outcome, budget), partial, remaining
-        return 0.0, governor.choose(outcome, ctx.deadline_s - board.now), 0.0, 1.0
+        decision = governor.conclude(ctx, outcome, governor, "")
+        return predictor_time, decision, partial, remaining
 
     # -- mechanism helpers -------------------------------------------------------
     def _switch(self, target: OperatingPoint) -> float:

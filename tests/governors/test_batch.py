@@ -1,11 +1,18 @@
 """Tests for the batched prediction governor (paper §7)."""
 
+import math
+
 import pytest
 
 from repro.governors.batch import BatchPredictiveGovernor
 from repro.governors.base import JobContext
 from repro.platform.board import Board
 from repro.platform.opp import default_xu3_a7_table
+from repro.programs.interpreter import Interpreter
+from repro.runtime.executor import TaskLoopRunner
+from repro.runtime.placement import PredictorPlacement
+from repro.runtime.task import Task
+from tests.governors.conftest import toy_inputs
 
 OPPS = default_xu3_a7_table()
 
@@ -74,3 +81,64 @@ class TestBatching:
         d_cautious = cautious.decide(ctx_for(Board(), 0))
         d_eager = eager.decide(ctx_for(Board(), 0))
         assert d_cautious.opp.freq_hz >= d_eager.opp.freq_hz
+
+
+class CountingInterpreter(Interpreter):
+    """Counts the isolated executions (the governor runs only slices)."""
+
+    def __init__(self):
+        super().__init__()
+        self.isolated_runs = 0
+
+    def execute_isolated(self, *args, **kwargs):
+        self.isolated_runs += 1
+        return super().execute_isolated(*args, **kwargs)
+
+
+class TestPlacements:
+    @pytest.mark.parametrize("charge", (True, False))
+    @pytest.mark.parametrize("placement", PredictorPlacement)
+    def test_slice_runs_once_per_batch(self, trained_stack, placement, charge):
+        program, slice_, predictor, dvfs, table = trained_stack
+        interpreter = CountingInterpreter()
+        gov = BatchPredictiveGovernor(
+            slice_, predictor, dvfs, table, interpreter, batch_size=4
+        )
+        n_jobs = 10
+        result = TaskLoopRunner(
+            Board(),
+            Task("toy", program, 0.050),
+            gov,
+            toy_inputs(n_jobs, seed=3),
+            placement=placement,
+            charge_predictor=charge,
+        ).run()
+        assert interpreter.isolated_runs == math.ceil(n_jobs / 4)
+        predicted = [
+            not math.isnan(job.predicted_time_s) for job in result.jobs
+        ]
+        assert predicted == [index % 4 == 0 for index in range(n_jobs)]
+
+    @pytest.mark.parametrize("placement", PredictorPlacement)
+    def test_batch_margin_applies(self, trained_stack, placement):
+        program, slice_, predictor, dvfs, table = trained_stack
+
+        def head_prediction(batch_margin):
+            gov = BatchPredictiveGovernor(
+                slice_, predictor, dvfs, table, batch_margin=batch_margin
+            )
+            result = TaskLoopRunner(
+                Board(),
+                Task("toy", program, 10.0),
+                gov,
+                toy_inputs(1, seed=3),
+                placement=placement,
+                charge_predictor=False,
+                charge_switch=False,
+            ).run()
+            return result.jobs[0].predicted_time_s
+
+        # A loose budget keeps both at fmin, so only the margin differs.
+        assert head_prediction(0.5) == pytest.approx(
+            1.5 * head_prediction(0.0), rel=1e-12
+        )

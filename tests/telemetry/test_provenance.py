@@ -135,7 +135,9 @@ class TestAttributionCapture:
             # so it can never exceed the full budget.
             assert record.effective_budget_s <= budget
 
-    def test_predict_span_carries_budget_breakdown(self, traced_lab):
+    def test_predict_span_carries_budget_breakdown(
+        self, traced_lab, rijndael_records
+    ):
         directory, _ = traced_lab
         trace = json.loads(
             (directory / "rijndael.prediction.trace.json").read_text()
@@ -158,6 +160,19 @@ class TestAttributionCapture:
         ):
             assert key in args, key
         assert args["effective_budget_s"] <= args["budget_s"]
+        # The span reports the effective budget the governor decided
+        # with, certified reservation included, on every job.
+        span_budget = {
+            span["args"]["job"]: span["args"]["effective_budget_s"]
+            for span in spans
+        }
+        audited = [
+            r for r in rijndael_records if not math.isnan(r.effective_budget_s)
+        ]
+        assert any(r.mode == "certified" for r in audited)
+        assert len(audited) == len(spans)
+        for record in audited:
+            assert span_budget[record.job_index] == record.effective_budget_s
 
     def test_render_explanation_readable(self, rijndael_records):
         text = render_explanation(rijndael_records[0])
