@@ -30,7 +30,7 @@ def derive_seed(root: int, *path: object) -> int:
     ``derive_seed(7, "video3")`` — component boundaries are part of
     the name.
     """
-    rendered = "|".join(str(part) for part in (root, *path))
+    rendered = "|".join(map(str, (root, *path)))
     return zlib.crc32(rendered.encode())
 
 

@@ -2,9 +2,10 @@
 
 A session is the fleet's unit of work: one
 :class:`~repro.runtime.executor.TaskLoopRunner` over one job stream,
-with a :class:`~repro.telemetry.slo.SloTracker` per spec fed directly
-from the job records as they complete.  Sessions are built entirely
-from ``(tenant spec, session index, root seed)`` — every random
+plus the :class:`~repro.telemetry.slo.JobObservation` of every job it
+completes, which :meth:`Session.result` folds through one
+:class:`~repro.telemetry.slo.SloTracker` per spec.  Sessions are built
+entirely from ``(tenant spec, session index, root seed)`` — every random
 stream is named by :func:`repro.fleet.seeding.session_seed` — so the
 same session computes identically on any shard of any worker.
 
@@ -31,6 +32,7 @@ from repro.telemetry.energy import EnergyLedger, EnergyState
 from repro.telemetry.hostprof import HostProfiler
 from repro.telemetry.slo import (
     JobObservation,
+    SloSpec,
     SloTracker,
     SloTrackerState,
     default_slos,
@@ -111,7 +113,7 @@ class SessionResult:
 
 
 class Session:
-    """A live session: steps its runner, classifies each job.
+    """A live session: steps its runner, observes each job for its SLOs.
 
     Args:
         tenant: Owning tenant's spec.
@@ -179,12 +181,10 @@ class Session:
             hostprof=hostprof,
             energy=self.energy_ledger,
         )
-        self.trackers = tuple(
-            SloTracker(spec)
-            for spec in default_slos(
-                budget_s=budget, miss_objective=tenant.miss_objective
-            )
+        self._slos = default_slos(
+            budget_s=budget, miss_objective=tenant.miss_objective
         )
+        self._observations: list[JobObservation] = []
         self._energy_mark = 0.0
         self._finished_at = 0.0
 
@@ -199,21 +199,21 @@ class Session:
             return False
         energy = self.runner.board.energy_j()
         predicted = record.predicted_time_s
-        residual = float("nan")
+        residual = math.nan
         if not math.isnan(predicted) and predicted > 0:
             residual = (record.exec_time_s - predicted) / predicted
-        observation = JobObservation(
-            index=record.index,
-            t_s=record.end_s,
-            missed=record.missed,
-            slack_s=record.slack_s,
-            energy_j=energy - self._energy_mark,
-            residual_rel=residual,
+        self._observations.append(
+            JobObservation(
+                index=record.index,
+                t_s=record.end_s,
+                missed=record.missed,
+                slack_s=record.slack_s,
+                energy_j=energy - self._energy_mark,
+                residual_rel=residual,
+            )
         )
         self._energy_mark = energy
         self._finished_at = record.end_s
-        for tracker in self.trackers:
-            tracker.observe(observation)
         return True
 
     def result(self) -> SessionResult:
@@ -233,9 +233,19 @@ class Session:
             switches=run.switch_count,
             makespan_s=self._finished_at,
             slacks_s=tuple(job.slack_s for job in run.jobs),
-            slo_states=tuple(tracker.state() for tracker in self.trackers),
+            slo_states=tuple(map(self._slo_state, self._slos)),
             energy_state=energy_state,
         )
+
+    def _slo_state(self, spec: SloSpec) -> SloTrackerState:
+        # Trackers live only here: a shard keeps every session alive
+        # until the end, and nothing reads SLO state before the result,
+        # so per-session trackers held for the whole run would only be
+        # more long-lived objects for the garbage collector to scan.
+        tracker = SloTracker(spec)
+        for observation in self._observations:
+            tracker.observe(observation)
+        return tracker.state()
 
 
 def run_session(

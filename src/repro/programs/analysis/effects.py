@@ -3,8 +3,9 @@
 The paper's §3.2 safety argument is that a slice only needs to *read*
 program state to compute features; writes it performs are confined to
 slice-local temporaries.  The runtime enforces this dynamically by
-running slices under :meth:`Environment.fork_isolated`, but isolation is
-a containment measure, not a proof — a slice that writes a task global
+running slices on a copy of the globals
+(:meth:`~repro.programs.interpreter.Interpreter.execute_isolated`), but
+isolation is a containment measure, not a proof — a slice that writes a task global
 is still evidence that slicing kept a statement it should not have, and
 on a real deployment (paper: compiler-extracted C slices) the same write
 would corrupt application state.
@@ -33,9 +34,10 @@ class EffectReport:
         reads: Every variable any expression in the tree may read.
         may_write_locals: Assignment/loop-var targets that are not task
             globals (harmless: they die with the slice environment).
-        may_write_globals: Targets that name a task global.  The
-            interpreter's :meth:`Environment.write` updates the global
-            in place for these, so they are observable side effects.
+        may_write_globals: Targets that name a task global.  A write to
+            one updates the global (the interpreter follows
+            :meth:`Environment.write`), so they are observable side
+            effects.
     """
 
     reads: frozenset[str]

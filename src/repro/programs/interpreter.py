@@ -8,18 +8,70 @@ Execution has two observable outputs:
 - :class:`RawFeatures` — the control-flow feature counters, populated only
   for nodes marked ``counted`` by the instrumenter (counting costs extra
   instructions, exactly like real counter increments).
+
+Programs run as Python code.  The first execution of a
+:class:`~repro.programs.ir.Program` object compiles its statement tree
+into one Python function (stdlib :func:`compile`) and keeps it on that
+object, so the function lives exactly as long as the program does.  The
+generated code keeps the run's inputs, globals and locals in one flat
+dict and does its arithmetic inline.  It makes the same float additions
+to the instruction and memory tallies, and the same feature-counter and
+call-address updates, in the same order as the statement semantics
+below, so Work, features and final globals are those of a node-by-node
+evaluation, bit for bit.
+
+Statement semantics (costs in instructions, from :mod:`repro.programs.ir`):
+
+- ``Block``: add ``instructions``, then add ``mem_refs`` to the memory
+  tally.
+- ``Assign``: add ``cost``, evaluate, write the target.
+- ``If``: add ``BRANCH_COST``; when taken and counted, add
+  ``COUNTER_COST`` and bump the site by 1.0; run the taken arm.
+- ``Loop``: trips = ``int(count)`` clamped to ``[0, max_trips]``; when
+  counted, add ``COUNTER_COST`` and bump the site by trips; unless the
+  body is elided, each trip adds ``LOOP_ITER_COST``, binds the loop
+  variable (if any) and runs the body.
+- ``While``: each check adds ``BRANCH_COST``; each trip adds
+  ``LOOP_ITER_COST`` and runs the body; when counted, afterwards add
+  ``COUNTER_COST`` and bump the site by the trips taken.
+- ``Hint``: add ``cost``; when counted, add ``COUNTER_COST`` and set the
+  site to ``float(expr)``.
+- ``IndirectCall``: add ``CALL_DISPATCH_COST``; address = ``int(target)``;
+  when counted, add ``COUNTER_COST`` and record the address; run the
+  table entry for the address, else the default, else nothing.
+
+Variables follow :class:`~repro.programs.env.Environment`: locals over
+globals over inputs, and a write updates a global when the name is one,
+else a local.  Globals never gain keys, so one dict holding the inputs
+overwritten by the globals gives the same lookups, and its global entries
+after the run are the final globals.  Expressions evaluate left to right
+like :meth:`~repro.programs.expr.Expr.evaluate`, with the zero-guarded
+``//``, ``/`` and ``%``; reading an unbound name raises ``KeyError``
+naming it.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Mapping
 
 from repro.platform.cpu import Work
 from repro.programs.env import Environment
-from repro.programs.expr import Value
+from repro.programs.expr import (
+    BinOp,
+    BoolOp,
+    Compare,
+    Const,
+    Expr,
+    IfExpr,
+    UnaryOp,
+    Value,
+    Var,
+)
 from repro.programs.ir import (
-    ASSIGN_COST,
     BRANCH_COST,
     CALL_DISPATCH_COST,
     COUNTER_COST,
@@ -37,6 +89,13 @@ from repro.programs.ir import (
 )
 
 __all__ = ["RawFeatures", "ExecutionResult", "Interpreter"]
+
+#: ``co_filename`` of compiled programs: it names this module, so host
+#: profiles attribute compiled IR to the interpreter.
+COMPILED_FILENAME = f"<{__name__}>"
+
+#: Program attribute holding its compiled form (not a dataclass field).
+_COMPILED_ATTR = "_compiled"
 
 
 @dataclass
@@ -72,7 +131,11 @@ class RawFeatures:
 
 @dataclass(frozen=True)
 class ExecutionResult:
-    """Everything one execution of a program produced."""
+    """Everything one execution of a program produced.
+
+    ``env`` holds the job's inputs and the final globals; the run's
+    locals are scratch and are not kept.
+    """
 
     work: Work
     features: RawFeatures
@@ -80,7 +143,7 @@ class ExecutionResult:
 
 
 class Interpreter:
-    """Executes statement trees.
+    """Executes programs.
 
     Attributes:
         cycles_per_instruction: CPI of the modelled core (A7 in-order: ~1).
@@ -99,21 +162,6 @@ class Interpreter:
             raise ValueError("mem_seconds_per_ref must be non-negative")
         self.cycles_per_instruction = cycles_per_instruction
         self.mem_seconds_per_ref = mem_seconds_per_ref
-        # Node dispatch by exact class.  An isinstance chain pays an
-        # ABCMeta.__instancecheck__ per candidate type per node executed
-        # (the top hotspot in host profiles); one dict lookup replaces
-        # the whole chain.  Subclasses of IR nodes resolve through
-        # ``_resolve`` (MRO walk) once and are memoized here.
-        self._dispatch = {
-            Block: self._run_block,
-            Assign: self._run_assign,
-            Seq: self._run_seq,
-            If: self._run_if,
-            Loop: self._run_loop,
-            While: self._run_while,
-            Hint: self._run_hint,
-            IndirectCall: self._run_call,
-        }
 
     def execute(
         self,
@@ -131,19 +179,12 @@ class Interpreter:
                 default each call gets fresh globals.
 
         Returns:
-            The work performed, features counted, and the final environment.
+            The work performed, features counted, and the inputs and
+            final globals.
         """
         if globals_ is None:
             globals_ = program.fresh_globals()
-        env = Environment(inputs, globals_)
-        features = RawFeatures()
-        state = _Accumulator()
-        self._run(program.body, env, features, state)
-        work = Work(
-            cycles=state.instructions * self.cycles_per_instruction,
-            mem_time_s=state.mem_refs * self.mem_seconds_per_ref,
-        )
-        return ExecutionResult(work=work, features=features, env=env)
+        return self._execute(program, inputs, globals_, globals_)
 
     def execute_isolated(
         self,
@@ -154,130 +195,274 @@ class Interpreter:
         """Run with copy-on-fork globals: writes do not escape.
 
         This is how prediction slices execute (paper §3.2): the slice reads
-        live program state but cannot corrupt it.
+        live program state but cannot corrupt it.  The result's
+        ``env.globals`` holds the globals the run left behind.
         """
-        env = Environment(inputs, globals_).fork_isolated()
-        features = RawFeatures()
-        state = _Accumulator()
-        self._run(program.body, env, features, state)
-        work = Work(
-            cycles=state.instructions * self.cycles_per_instruction,
-            mem_time_s=state.mem_refs * self.mem_seconds_per_ref,
-        )
-        return ExecutionResult(work=work, features=features, env=env)
+        return self._execute(program, inputs, globals_, {})
 
-    # -- dispatch -----------------------------------------------------------
-    def _resolve(self, cls: type):
-        """Handler for a statement subclass, memoized into the table."""
-        for base in cls.__mro__[1:]:
-            handler = self._dispatch.get(base)
-            if handler is not None:
-                self._dispatch[cls] = handler
-                return handler
-        raise TypeError(f"unknown statement type {cls.__name__}")
-
-    def _run(
+    def _execute(
         self,
-        stmt: Stmt,
-        env: Environment,
-        features: RawFeatures,
-        state: "_Accumulator",
-    ) -> None:
-        handler = self._dispatch.get(stmt.__class__) or self._resolve(
-            stmt.__class__
-        )
-        handler(stmt, env, features, state)
-
-    def _run_block(self, stmt, env, features, state) -> None:
-        state.instructions += stmt.instructions
-        state.mem_refs += stmt.mem_refs
-
-    def _run_assign(self, stmt, env, features, state) -> None:
-        state.instructions += stmt.cost
-        env.write(stmt.target, stmt.expr.evaluate(env))
-
-    def _run_seq(self, stmt, env, features, state) -> None:
-        dispatch = self._dispatch
-        for child in stmt.stmts:
-            handler = dispatch.get(child.__class__) or self._resolve(
-                child.__class__
+        program: Program,
+        inputs: Mapping[str, Value],
+        globals_: dict[str, Value],
+        final: dict[str, Value],
+    ) -> ExecutionResult:
+        """Run ``program``; its final globals land in ``final``."""
+        compiled = program.__dict__.get(_COMPILED_ATTR)
+        if compiled is None:
+            compiled = _compile(program)
+            # Not a dataclass field: equality, repr and serialization
+            # never see it, and Program.__getstate__ leaves it unpickled.
+            object.__setattr__(program, _COMPILED_ATTR, compiled)
+        namespace = dict(inputs)
+        namespace.update(globals_)
+        features = RawFeatures()
+        try:
+            instructions, mem_refs = compiled(
+                namespace, features.counters, features.call_addresses
             )
-            handler(child, env, features, state)
-
-    def _run_if(self, stmt, env, features, state) -> None:
-        state.instructions += BRANCH_COST
-        taken = bool(stmt.cond.evaluate(env))
-        if taken:
-            if stmt.counted:
-                state.instructions += COUNTER_COST
-                features.bump(stmt.site)
-            self._run(stmt.then, env, features, state)
-        elif stmt.orelse is not None:
-            self._run(stmt.orelse, env, features, state)
-
-    def _run_loop(self, stmt, env, features, state) -> None:
-        trips = int(stmt.count.evaluate(env))
-        trips = max(0, min(trips, stmt.max_trips))
-        if stmt.counted:
-            state.instructions += COUNTER_COST
-            features.bump(stmt.site, trips)
-        if stmt.elide_body:
-            return
-        body = stmt.body
-        handler = self._dispatch.get(body.__class__) or self._resolve(
-            body.__class__
+        except KeyError as exc:
+            raise KeyError(f"undefined variable {exc.args[0]!r}") from None
+        finally:
+            # On an error too: the globals written before it stay written.
+            for name in globals_:
+                final[name] = namespace[name]
+        work = Work(
+            cycles=instructions * self.cycles_per_instruction,
+            mem_time_s=mem_refs * self.mem_seconds_per_ref,
         )
-        loop_var = stmt.loop_var
-        if loop_var is None:
-            for _ in range(trips):
-                state.instructions += LOOP_ITER_COST
-                handler(body, env, features, state)
-        else:
-            for i in range(trips):
-                state.instructions += LOOP_ITER_COST
-                env.write(loop_var, i)
-                handler(body, env, features, state)
-
-    def _run_while(self, stmt, env, features, state) -> None:
-        body = stmt.body
-        handler = self._dispatch.get(body.__class__) or self._resolve(
-            body.__class__
+        return ExecutionResult(
+            work=work,
+            features=features,
+            env=Environment(inputs, final),
         )
-        cond = stmt.cond
-        trips = 0
-        while trips < stmt.max_trips:
-            state.instructions += BRANCH_COST  # the condition check
-            if not cond.evaluate(env):
-                break
-            state.instructions += LOOP_ITER_COST
-            handler(body, env, features, state)
-            trips += 1
-        if stmt.counted:
-            state.instructions += COUNTER_COST
-            features.bump(stmt.site, trips)
-
-    def _run_hint(self, stmt, env, features, state) -> None:
-        state.instructions += stmt.cost
-        if stmt.counted:
-            state.instructions += COUNTER_COST
-            features.set_value(stmt.site, float(stmt.expr.evaluate(env)))
-
-    def _run_call(self, stmt, env, features, state) -> None:
-        state.instructions += CALL_DISPATCH_COST
-        address = int(stmt.target.evaluate(env))
-        if stmt.counted:
-            state.instructions += COUNTER_COST
-            features.record_call(stmt.site, address)
-        callee = stmt.table.get(address, stmt.default)
-        if callee is not None:
-            self._run(callee, env, features, state)
 
 
-class _Accumulator:
-    """Mutable instruction/memory tally for one execution."""
+# -- the compiler ----------------------------------------------------------------
+# CPython rejects more than 20 statically nested loops and 100 indentation
+# levels, and deep parenthesis nesting; subtrees past these depths move
+# into helper functions that thread the tallies through.
+_MAX_LOOPS = 12
+_MAX_INDENT = 24
+_MAX_EXPR_DEPTH = 40
 
-    __slots__ = ("instructions", "mem_refs")
+
+def _compile(program: Program):
+    """The Python function that runs ``program``."""
+    gen = _CodeGen()
+    entry = "run_" + re.sub(r"\W", "_", program.name, flags=re.ASCII)
+    gen.function(
+        entry,
+        "ns, cnt, calls",
+        ("cget = cnt.get", "ins = 0.0", "mem = 0.0"),
+        program.body,
+    )
+    namespace = {"repeat": repeat, **gen.consts}
+    exec(compile("\n\n".join(gen.defs), COMPILED_FILENAME, "exec"), namespace)
+    return namespace[entry]
+
+
+class _CodeGen:
+    """Python source for one program's statement tree.
+
+    Generated functions take the flat variable dict ``ns``, the feature
+    dicts ``cnt``/``calls`` and the instruction/memory tallies
+    ``ins``/``mem``; every other Python local is a compiler temporary.
+    """
 
     def __init__(self):
-        self.instructions = 0.0
-        self.mem_refs = 0.0
+        self.defs: list[str] = []
+        self.consts: dict[str, object] = {}
+        self._serial = 0
+
+    def _fresh(self, prefix: str) -> str:
+        self._serial += 1
+        return f"{prefix}{self._serial}"
+
+    def literal(self, value) -> str:
+        """Source for a constant: a literal when exact, else a global."""
+        if type(value) in (int, bool) or (
+            type(value) is float and math.isfinite(value)
+        ):
+            text = repr(value)
+            return f"({text})" if text.startswith("-") else text
+        name = self._fresh("k")
+        self.consts[name] = value
+        return name
+
+    # -- statements -----------------------------------------------------------
+    def function(self, name, params, prelude, node) -> None:
+        lines = [f"def {name}({params}):"]
+        lines.extend(f"    {line}" for line in prelude)
+        self.suite(lines, node, 1, 0)
+        lines.append("    return ins, mem")
+        self.defs.append("\n".join(lines))
+
+    def suite(self, lines, node, indent, loops) -> None:
+        """Statements for ``node`` at ``indent``; ``pass`` when empty."""
+        before = len(lines)
+        self.stmt(lines, node, indent, loops)
+        if len(lines) == before:
+            lines.append("    " * indent + "pass")
+
+    def stmt(self, lines, node: Stmt, indent: int, loops: int) -> None:
+        pad = "    " * indent
+        emit = lines.append
+        lit = self.literal
+        if isinstance(node, Seq):
+            for child in node.stmts:
+                self.stmt(lines, child, indent, loops)
+        elif isinstance(node, Block):
+            emit(f"{pad}ins += {lit(node.instructions)}")
+            emit(f"{pad}mem += {lit(node.mem_refs)}")
+        elif isinstance(node, Assign):
+            emit(f"{pad}ins += {lit(node.cost)}")
+            emit(f"{pad}ns[{node.target!r}] = {self.expr(node.expr, 0)}")
+        elif isinstance(node, Hint):
+            emit(f"{pad}ins += {lit(node.cost)}")
+            if node.counted:
+                emit(f"{pad}ins += {COUNTER_COST}")
+                emit(f"{pad}cnt[{node.site!r}] = float({self.expr(node.expr, 0)})")
+        elif not isinstance(node, (If, Loop, While, IndirectCall)):
+            raise TypeError(f"unknown statement type {type(node).__name__}")
+        elif indent >= _MAX_INDENT or loops >= _MAX_LOOPS:
+            helper = self._fresh("part")
+            self.function(helper, "ns, cnt, cget, calls, ins, mem", (), node)
+            emit(f"{pad}ins, mem = {helper}(ns, cnt, cget, calls, ins, mem)")
+        elif isinstance(node, If):
+            self._if(lines, node, indent, loops)
+        elif isinstance(node, Loop):
+            self._loop(lines, node, indent, loops)
+        elif isinstance(node, While):
+            self._while(lines, node, indent, loops)
+        else:
+            self._call(lines, node, indent, loops)
+
+    def _bump(self, lines, pad, site, amount) -> None:
+        lines.append(f"{pad}ins += {COUNTER_COST}")
+        lines.append(f"{pad}cnt[{site!r}] = cget({site!r}, 0.0) + {amount}")
+
+    def _if(self, lines, node: If, indent, loops) -> None:
+        pad = "    " * indent
+        lines.append(f"{pad}ins += {BRANCH_COST}")
+        lines.append(f"{pad}if {self.expr(node.cond, 0)}:")
+        if node.counted:
+            self._bump(lines, pad + "    ", node.site, "1.0")
+        self.suite(lines, node.then, indent + 1, loops)
+        if node.orelse is not None:
+            lines.append(f"{pad}else:")
+            self.suite(lines, node.orelse, indent + 1, loops)
+
+    def _loop(self, lines, node: Loop, indent, loops) -> None:
+        pad = "    " * indent
+        trips = self._fresh("n")
+        limit = self.literal(node.max_trips)
+        lines.append(f"{pad}{trips} = int({self.expr(node.count, 0)})")
+        # max(0, min(trips, max_trips)), as min/max compare.
+        lines.append(f"{pad}if {trips} > {limit}: {trips} = {limit}")
+        lines.append(f"{pad}if {trips} <= 0: {trips} = 0")
+        if node.counted:
+            self._bump(lines, pad, node.site, trips)
+        if node.elide_body:
+            return
+        inner = pad + "    "
+        if node.loop_var is None:
+            lines.append(f"{pad}for _ in repeat(None, {trips}):")
+            lines.append(f"{inner}ins += {LOOP_ITER_COST}")
+        else:
+            index = self._fresh("i")
+            lines.append(f"{pad}for {index} in range({trips}):")
+            lines.append(f"{inner}ins += {LOOP_ITER_COST}")
+            lines.append(f"{inner}ns[{node.loop_var!r}] = {index}")
+        self.stmt(lines, node.body, indent + 1, loops + 1)
+
+    def _while(self, lines, node: While, indent, loops) -> None:
+        pad, inner = "    " * indent, "    " * (indent + 1)
+        trips = self._fresh("w")
+        lines.append(f"{pad}{trips} = 0")
+        lines.append(f"{pad}while {trips} < {self.literal(node.max_trips)}:")
+        lines.append(f"{inner}ins += {BRANCH_COST}")
+        lines.append(f"{inner}if not {self.expr(node.cond, 0)}: break")
+        lines.append(f"{inner}ins += {LOOP_ITER_COST}")
+        self.stmt(lines, node.body, indent + 1, loops + 1)
+        lines.append(f"{inner}{trips} += 1")
+        if node.counted:
+            self._bump(lines, pad, node.site, trips)
+
+    def _call(self, lines, node: IndirectCall, indent, loops) -> None:
+        pad = "    " * indent
+        address = self._fresh("a")
+        lines.append(f"{pad}ins += {CALL_DISPATCH_COST}")
+        lines.append(f"{pad}{address} = int({self.expr(node.target, 0)})")
+        if node.counted:
+            lines.append(f"{pad}ins += {COUNTER_COST}")
+            lines.append(
+                f"{pad}calls.setdefault({node.site!r}, []).append({address})"
+            )
+        keyword = "if"
+        for key, callee in node.table.items():
+            lines.append(f"{pad}{keyword} {address} == {self.literal(key)}:")
+            self.suite(lines, callee, indent + 1, loops)
+            keyword = "elif"
+        if node.default is None:
+            return
+        if keyword == "if":
+            self.stmt(lines, node.default, indent, loops)
+        else:
+            lines.append(f"{pad}else:")
+            self.suite(lines, node.default, indent + 1, loops)
+
+    # -- expressions ----------------------------------------------------------
+    def expr(self, node: Expr, depth: int) -> str:
+        """Source evaluating ``node`` left to right, exactly like evaluate."""
+        if depth >= _MAX_EXPR_DEPTH:
+            helper = self._fresh("part")
+            self.defs.append(
+                f"def {helper}(ns):\n    return {self.expr(node, 0)}"
+            )
+            return f"{helper}(ns)"
+        depth += 1
+        if isinstance(node, Const):
+            return self.literal(node.value)
+        if isinstance(node, Var):
+            return f"ns[{node.name!r}]"
+        if isinstance(node, (BinOp, Compare)):
+            return self._binary(node, depth)
+        if isinstance(node, UnaryOp):
+            operand = self.expr(node.operand, depth)
+            if node.op in ("abs", "int"):
+                return f"{node.op}({operand})"
+            return f"({node.op} {operand})"
+        if isinstance(node, BoolOp):
+            operands = f" {node.op} ".join(
+                self.expr(operand, depth) for operand in node.operands
+            )
+            return f"(True if {operands} else False)"
+        if isinstance(node, IfExpr):
+            cond = self.expr(node.cond, depth)
+            then = self.expr(node.then, depth)
+            orelse = self.expr(node.orelse, depth)
+            return f"({then} if {cond} else {orelse})"
+        raise TypeError(f"unknown expression type {type(node).__name__}")
+
+    def _binary(self, node: BinOp | Compare, depth: int) -> str:
+        op = node.op
+        left = self.expr(node.left, depth)
+        right = self.expr(node.right, depth)
+        guarded = op in ("//", "/", "%")
+        if not guarded and op not in ("min", "max"):
+            return f"({left} {op} {right})"
+        if guarded and isinstance(node.right, Const) and node.right.value != 0:
+            return f"({left} {op} {right})"
+        a, b = self._fresh("t"), self._fresh("t")
+        if not guarded:
+            # min(a, b) is b if b < a else a; max(a, b) is b if b > a else a.
+            test = ">" if op == "min" else "<"
+            return f"({b} if ({a} := {left}) {test} ({b} := {right}) else {a})"
+        zero = "0.0" if op == "/" else "0"
+        # ``is not None`` always holds; it only sequences the left operand
+        # before the divisor.
+        return (
+            f"({a} {op} {b} if ({a} := {left}) is not None"
+            f" and ({b} := {right}) != 0 else {zero})"
+        )

@@ -291,6 +291,16 @@ class Program:
         """A new mutable globals dict seeded from ``globals_init``."""
         return dict(self.globals_init)
 
+    def __getstate__(self) -> dict:
+        # Private attributes are derived caches (the interpreter keeps the
+        # compiled program here); a copy or an unpickled program rebuilds
+        # them, so the pickled state is the fields alone.
+        return {
+            key: value
+            for key, value in self.__dict__.items()
+            if not key.startswith("_")
+        }
+
 
 def walk(stmt: Stmt) -> Iterator[Stmt]:
     """Depth-first pre-order traversal of a statement tree."""

@@ -4,12 +4,16 @@ This is the mechanism half of DVFS control.  Per job it:
 
 1. idles until the periodic release (optionally dropping to fmin for the
    gap — the paper's §5.5 idling);
-2. consults the governor (running any prediction slice, with the chosen
+2. interprets the task program once, on an isolated fork of the live
+   globals: the run yields the job's Work, and the fork keeps pre-job
+   state visible to the governor's slice;
+3. consults the governor (running any prediction slice, with the chosen
    placement mode);
-3. performs the DVFS switch, charged or free (the Fig. 18 limit study);
-4. executes the job's work, splitting it at utilization-timer boundaries
+4. performs the DVFS switch, charged or free (the Fig. 18 limit study);
+5. executes the job's work, splitting it at utilization-timer boundaries
    so sampled governors (interactive/ondemand) can retarget mid-job;
-5. records the job and reports it back to the governor.
+6. commits the run's final globals to the live ones, records the job and
+   reports it back to the governor.
 
 Timing noise: one multiplicative jitter factor is drawn per job from the
 board's jitter model, so a job's remaining work stays consistent when a
@@ -150,6 +154,10 @@ class TaskLoopRunner:
         self._next_index = 0
         self._task_globals: dict | None = None
         self._records: list[JobRecord] = []
+        # Telemetry metrics touched every job or chunk, resolved on first
+        # use so the registry's creation order stays that of the run.
+        self._job_metrics: tuple | None = None
+        self._residency: dict[float, object] = {}
 
     # -- public API -----------------------------------------------------------
     def reset(
@@ -318,15 +326,15 @@ class TaskLoopRunner:
         start = board.now
         hp = self.hostprof
 
-        # The job's true semantics: run the program against live globals.
-        # The governor decision happens first (its slice must see pre-job
-        # state), so compute the work on an isolated fork here and commit
-        # the state change after the decision.
+        # The job's true semantics, interpreted once.  The governor decides
+        # first and its slice must see pre-job state, so the run happens on
+        # an isolated fork; its final globals are committed after the job.
         if hp.enabled:
             t0 = hp.clock()
-        work = self.interpreter.execute_isolated(
+        run = self.interpreter.execute_isolated(
             self.task.program, job_inputs, task_globals
-        ).work
+        )
+        work = run.work
         if hp.enabled:
             hp.add("interp", hp.clock() - t0)
         jitter = board.cpu.jitter.sample()
@@ -352,6 +360,8 @@ class TaskLoopRunner:
         if hp.enabled:
             hp.add("governor", hp.clock() - t0)
         if telemetry.enabled:
+            now = board.now
+            self_audited = telemetry.has_decision_for(index)
             span_args: dict = {"job": index}
             if decision is not None:
                 span_args["opp_index"] = decision.opp.index
@@ -362,8 +372,8 @@ class TaskLoopRunner:
             # audited for this job, when its record carries one.
             switch_estimate = self.governor.switch_estimate_s(ctx)
             if not math.isnan(switch_estimate):
-                effective_budget = deadline - board.now - switch_estimate
-                if telemetry.has_decision_for(index):
+                effective_budget = deadline - now - switch_estimate
+                if self_audited:
                     audited = telemetry.decisions[-1].effective_budget_s
                     if not math.isnan(audited):
                         effective_budget = audited
@@ -379,17 +389,17 @@ class TaskLoopRunner:
             telemetry.span(
                 "predict",
                 decide_from,
-                board.now,
+                now,
                 category="predictor",
                 args=span_args,
             )
             # Governors that don't self-report still land in the audit
             # log, with the fields every decision has.
-            if not telemetry.has_decision_for(index):
+            if not self_audited:
                 telemetry.record_decision(
                     DecisionRecord(
                         job_index=index,
-                        t_s=board.now,
+                        t_s=now,
                         governor=self.governor.name,
                         opp_mhz=(
                             decision.opp.freq_mhz
@@ -399,7 +409,7 @@ class TaskLoopRunner:
                         predicted_time_s=(
                             decision.predicted_time_s
                             if decision is not None
-                            else float("nan")
+                            else math.nan
                         ),
                         energy_j=board.energy_j(),
                     )
@@ -435,12 +445,10 @@ class TaskLoopRunner:
                 args={"job": index, "start_mhz": opp_mhz},
             )
 
-        # Commit the job's state change to the live globals.
+        # Commit the job's state change: globals are scalars and a run
+        # never adds keys, so this equals re-running against live state.
+        task_globals.update(run.env.globals)
         if hp.enabled:
-            t0 = hp.clock()
-        self.interpreter.execute(self.task.program, job_inputs, task_globals)
-        if hp.enabled:
-            hp.add("interp", hp.clock() - t0)
             t0 = hp.clock()
 
         record = JobRecord(
@@ -454,7 +462,7 @@ class TaskLoopRunner:
             predictor_time_s=predictor_time,
             switch_time_s=switch_time + mid_switch,
             predicted_time_s=(
-                decision.predicted_time_s if decision is not None else float("nan")
+                decision.predicted_time_s if decision is not None else math.nan
             ),
         )
         report_from = board.now
@@ -477,48 +485,58 @@ class TaskLoopRunner:
                 record, adaptation_time_s=adaptation_time
             )
         if telemetry.enabled:
-            if board.now > report_from:
+            now = board.now
+            if now > report_from:
                 telemetry.span(
                     "report",
                     report_from,
-                    board.now,
+                    now,
                     category="predictor",
                     args={"job": index},
                 )
             # The job span closes the per-job story: the SLO watchdog
             # (repro.telemetry.watch) classifies the job off these args.
-            telemetry.counter("energy_j", board.now, board.energy_j())
+            energy_j = board.energy_j()
+            missed = record.missed
+            slack_s = record.slack_s
+            telemetry.counter("energy_j", now, energy_j)
             telemetry.span(
                 "job",
                 start,
-                board.now,
+                now,
                 category="job",
-                args={
-                    "job": index,
-                    "missed": record.missed,
-                    "slack_s": record.slack_s,
-                },
+                args={"job": index, "missed": missed, "slack_s": slack_s},
             )
-            if record.missed:
+            if missed:
                 telemetry.instant(
                     "deadline.miss",
                     record.end_s,
                     category="deadline",
-                    args={"job": index, "late_s": -record.slack_s},
+                    args={"job": index, "late_s": -slack_s},
                 )
-            self._observe_job(record)
+            self._observe_job(record, missed, slack_s, energy_j)
         if hp.enabled:
             hp.add("record", hp.clock() - t0)
         return record
 
-    def _observe_job(self, record: JobRecord) -> None:
+    def _observe_job(
+        self, record: JobRecord, missed: bool, slack_s: float, energy_j: float
+    ) -> None:
         """Feed the per-job metrics (telemetry enabled only)."""
         metrics = self.telemetry.metrics
-        metrics.counter("executor.jobs").inc()
-        if record.missed:
-            metrics.counter("executor.misses").inc()
-        metrics.histogram("executor.slack_s").observe(record.slack_s)
-        metrics.histogram("executor.exec_time_s").observe(record.exec_time_s)
+        if self._job_metrics is None:
+            self._job_metrics = (
+                metrics.counter("executor.jobs"),
+                metrics.counter("executor.misses"),
+                metrics.histogram("executor.slack_s"),
+                metrics.histogram("executor.exec_time_s"),
+            )
+        jobs, misses, slack, exec_time = self._job_metrics
+        jobs.inc()
+        if missed:
+            misses.inc()
+        slack.observe(slack_s)
+        exec_time.observe(record.exec_time_s)
         if record.predictor_time_s > 0:
             metrics.histogram("executor.predictor_time_s").observe(
                 record.predictor_time_s
@@ -533,7 +551,7 @@ class TaskLoopRunner:
             )
         # Cumulative energy as a gauge: the last write is the run total,
         # which the metrics regression gate compares across commits.
-        metrics.gauge("executor.energy_j").set(self.board.energy_j())
+        metrics.gauge("executor.energy_j").set(energy_j)
         if self._overlap_energy_j > 0:
             metrics.gauge("executor.predictor_overlap_j").set(
                 self._overlap_energy_j
@@ -657,9 +675,15 @@ class TaskLoopRunner:
             if self._next_timer is not None:
                 chunk = min(chunk, max(self._next_timer - board.now, _EPS))
             if self.telemetry.enabled:
-                self.telemetry.metrics.counter(
-                    f"executor.residency_s[{board.current_opp.freq_mhz:g}]"
-                ).inc(chunk)
+                freq_mhz = board.current_opp.freq_mhz
+                residency = self._residency.get(freq_mhz)
+                if residency is None:
+                    residency = self._residency[freq_mhz] = (
+                        self.telemetry.metrics.counter(
+                            f"executor.residency_s[{freq_mhz:g}]"
+                        )
+                    )
+                residency.inc(chunk)
             board.busy_run(chunk, tag="job")
             self._window_busy_s += chunk
             spent += chunk

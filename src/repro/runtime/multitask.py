@@ -158,12 +158,11 @@ class MultiTaskRunner:
         deadline = arrival + stream.task.budget_s
         job_inputs = stream.inputs[index]
 
-        oracle_work = None
-        if stream.governor.reads_oracle_work:
-            oracle_work = self.interpreter.execute_isolated(
-                stream.task.program, job_inputs, state.globals_
-            ).work
-
+        # One interpretation per job, on an isolated fork: the governor
+        # decides against pre-job state, then the run's globals commit.
+        run = self.interpreter.execute_isolated(
+            stream.task.program, job_inputs, state.globals_
+        )
         ctx = JobContext(
             index=index,
             inputs=job_inputs,
@@ -171,7 +170,7 @@ class MultiTaskRunner:
             budget_s=stream.task.budget_s,
             deadline_s=deadline,
             board=board,
-            oracle_work=oracle_work,
+            oracle_work=run.work if stream.governor.reads_oracle_work else None,
         )
         before = board.now
         decision = stream.governor.decide(ctx)
@@ -184,10 +183,8 @@ class MultiTaskRunner:
             switch_time = board.set_frequency(decision.opp)
 
         opp_mhz = board.current_opp.freq_mhz
-        work = self.interpreter.execute(
-            stream.task.program, job_inputs, state.globals_
-        ).work
-        exec_time = board.execute(work)
+        exec_time = board.execute(run.work)
+        state.globals_.update(run.env.globals)
 
         record = JobRecord(
             index=index,

@@ -220,6 +220,10 @@ _COMPONENT_PREFIXES = (
 def _module_of(filename: str) -> str:
     """Dotted module path for a code object's file (best effort)."""
     norm = filename.replace("\\", "/")
+    if norm.startswith("<repro.") and norm.endswith(">"):
+        # Generated code is compiled under the name of the module that
+        # generated it (the interpreter's compiled programs).
+        return norm[1:-1]
     marker = "/repro/"
     at = norm.rfind(marker)
     if at >= 0:
@@ -236,13 +240,18 @@ def _module_of(filename: str) -> str:
 class StackSampler:
     """Statistical stack sampler on ``sys.setprofile``.
 
-    Every ``interval``-th Python call event captures the live call
-    stack, collapses it to ``root;frame;...;leaf`` form, and counts it.
+    Every ``interval``-th call event captures the live call stack,
+    collapses it to ``root;frame;...;leaf`` form, and counts it.  Calls
+    of Python functions and of builtins both count; a builtin has no
+    frame, so its sample lands on the Python frame that called it.
     Call-event sampling (rather than a wall-clock timer thread) keeps
     the sampler signal-free and usable inside ``multiprocessing``
-    workers; the bias it introduces — call-heavy code oversampled
-    relative to tight loops — is acceptable for an interpreter whose
-    hot path *is* call dispatch.
+    workers; its bias is that call-heavy code is oversampled relative
+    to tight loops.  Counting builtin calls is what keeps compiled IR
+    programs visible: they call no Python function, only builtins such
+    as the ``dict.get`` of each feature-counter bump.  (Calls of types
+    such as ``int`` or ``range`` raise no profile event at all, so a
+    program without counters is sampled only when it is called.)
 
     Args:
         interval: Call events per sample (larger = cheaper, coarser).
@@ -269,7 +278,7 @@ class StackSampler:
         return label
 
     def _hook(self, frame, event, arg) -> None:
-        if event != "call":
+        if event != "call" and event != "c_call":
             return
         self._countdown -= 1
         if self._countdown > 0:

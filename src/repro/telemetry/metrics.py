@@ -69,6 +69,11 @@ def geometric_buckets(
     return [lo * ratio**i for i in range(n + 1)]
 
 
+#: The default histogram ladder, computed once (runs create several
+#: histograms each).
+_DEFAULT_BOUNDS = tuple(geometric_buckets())
+
+
 class Counter:
     """A monotonically increasing value (events, seconds of residency)."""
 
@@ -113,11 +118,16 @@ class Histogram:
     __slots__ = ("bounds", "counts", "count", "total", "min", "max")
 
     def __init__(self, bounds: list[float] | None = None):
-        self.bounds = list(bounds) if bounds is not None else geometric_buckets()
-        if any(
-            nxt <= prev for prev, nxt in zip(self.bounds, self.bounds[1:])
-        ):
-            raise ValueError("histogram bounds must be strictly increasing")
+        if bounds is None:
+            self.bounds = list(_DEFAULT_BOUNDS)
+        else:
+            self.bounds = list(bounds)
+            if any(
+                nxt <= prev for prev, nxt in zip(self.bounds, self.bounds[1:])
+            ):
+                raise ValueError(
+                    "histogram bounds must be strictly increasing"
+                )
         self.counts = [0] * (len(self.bounds) + 1)  # +1 overflow bucket
         self.count = 0
         self.total = 0.0

@@ -315,7 +315,7 @@ class Watchdog:
     def _complete_job(self, event: TraceEvent) -> None:
         index = int(event.args["job"])
         end_s = event.ts_s + event.dur_s
-        residual = float("nan")
+        residual = math.nan
         if self._residual is not None:
             # The adaptive loop published its own residual this job.
             residual = self._residual
@@ -328,7 +328,7 @@ class Watchdog:
         ):
             predicted = self._predicted[1]
             residual = (self._exec[1] - predicted) / predicted
-        energy = float("nan")
+        energy = math.nan
         if self._energy_j is not None:
             energy = self._energy_j - self._last_energy_j
             self._last_energy_j = self._energy_j
@@ -337,7 +337,7 @@ class Watchdog:
                 index=index,
                 t_s=end_s,
                 missed=bool(event.args.get("missed", False)),
-                slack_s=float(event.args.get("slack_s", float("nan"))),
+                slack_s=float(event.args.get("slack_s", math.nan)),
                 energy_j=energy,
                 residual_rel=residual,
                 switch_time_s=self._switch_s,
@@ -487,10 +487,12 @@ class WatchSink(TelemetrySink):
     def __init__(self, inner: TelemetrySink, watchdog: Watchdog):
         self.inner = inner
         self.watchdog = watchdog
+        self._inner_emit = inner.emit
+        self._consume = watchdog.consume_event
 
     def emit(self, event: TraceEvent) -> None:
-        self.inner.emit(event)
-        self.watchdog.consume_event(event)
+        self._inner_emit(event)
+        self._consume(event)
 
 
 # -- terminal dashboard --------------------------------------------------------

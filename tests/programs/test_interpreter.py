@@ -238,3 +238,61 @@ class TestDeterminism:
         smaller, _ = run(body, inputs={"n": n})
         larger, _ = run(body, inputs={"n": n + 1})
         assert larger.work.cycles > smaller.work.cycles
+
+
+class TestCompiledForm:
+    """Programs compile once per object, and the compiled form is a
+    private cache: invisible to equality, repr, serialization, pickling."""
+
+    @staticmethod
+    def program():
+        return Program(
+            "t",
+            Loop("l", Var("n"), Assign("g", Var("g") + Const(1))),
+            globals_init={"g": 0},
+        )
+
+    def test_compiled_once_per_program_object(self, monkeypatch):
+        import repro.programs.interpreter as interpreter_module
+
+        compiled = []
+        raw = interpreter_module._compile
+
+        def counting(program):
+            compiled.append(program)
+            return raw(program)
+
+        monkeypatch.setattr(interpreter_module, "_compile", counting)
+        prog = self.program()
+        for interp in (Interpreter(), Interpreter(cycles_per_instruction=2.0)):
+            interp.execute(prog, {"n": 3})
+            interp.execute_isolated(prog, {"n": 3}, prog.fresh_globals())
+        assert compiled == [prog]
+        twin = self.program()
+        Interpreter().execute(twin, {"n": 3})
+        assert len(compiled) == 2 and compiled[1] is twin
+
+    def test_invisible_to_equality_repr_serialization_and_pickle(self):
+        import pickle
+
+        from repro.programs.serialize import program_to_json
+
+        prog = self.program()
+        before = (repr(prog), pickle.dumps(prog), program_to_json(prog))
+        result = Interpreter().execute(prog, {"n": 4})
+        assert (repr(prog), pickle.dumps(prog), program_to_json(prog)) == before
+        assert prog == self.program()
+        restored = pickle.loads(pickle.dumps(prog))
+        assert restored == prog
+        assert Interpreter().execute(restored, {"n": 4}).work == result.work
+
+    def test_dropped_with_the_program(self):
+        import gc
+        import weakref
+
+        prog = self.program()
+        Interpreter().execute(prog, {"n": 2})
+        ref = weakref.ref(prog)
+        del prog
+        gc.collect()
+        assert ref() is None

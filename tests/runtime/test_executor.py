@@ -1,5 +1,7 @@
 """Tests for the task-loop runner."""
 
+import collections
+
 import pytest
 
 from repro.governors.base import Decision, Governor, JobContext
@@ -15,7 +17,9 @@ from repro.programs.expr import Const, Var
 from repro.programs.interpreter import Interpreter
 from repro.programs.ir import Assign, Block, Loop, Program, Seq
 from repro.runtime.executor import TaskLoopRunner
+from repro.runtime.placement import PredictorPlacement
 from repro.runtime.task import Task
+from tests.programs.reference_interpreter import TreeWalkingInterpreter
 
 OPPS = default_xu3_a7_table()
 
@@ -28,14 +32,6 @@ def fixed_program(cycles=14e6):
 def loopy_program():
     """Work proportional to input ``n`` (4000 instr per unit of n)."""
     return Program("loopy", Loop("l", Var("n"), Block(3998)))
-
-
-def stateful_program():
-    return Program(
-        "stateful",
-        Seq([Block(1000), Assign("turn", Var("turn") + Const(1))]),
-        globals_init={"turn": 0},
-    )
 
 
 class FixedGovernor(Governor):
@@ -172,21 +168,144 @@ class TestFrequencyEffects:
         assert result.switch_count == 1  # still counted as a transition
 
 
+class CountingInterpreter(Interpreter):
+    """Counts executions of each program object, through either entry."""
+
+    def __init__(self):
+        super().__init__()
+        self.runs = collections.Counter()
+
+    def execute(self, program, inputs, globals_=None):
+        self.runs[id(program)] += 1
+        return super().execute(program, inputs, globals_)
+
+    def execute_isolated(self, program, inputs, globals_):
+        self.runs[id(program)] += 1
+        return super().execute_isolated(program, inputs, globals_)
+
+
+class GlobalsSpy(Governor):
+    """Records the task globals each decision sees and each job leaves."""
+
+    timer_period_s = None
+
+    def __init__(self):
+        self.before = []
+        self.after = []
+        self.live = None
+
+    @property
+    def name(self) -> str:
+        return "spy"
+
+    def decide(self, ctx):
+        self.before.append(dict(ctx.task_globals))
+        return None
+
+    def on_job_end(self, record, ctx):
+        self.after.append(dict(ctx.task_globals))
+        self.live = ctx.task_globals
+        return None
+
+
+def accumulating_program():
+    """Globals that depend on every job's inputs and on their history."""
+    return Program(
+        "accumulating",
+        Seq(
+            [
+                Loop("l", Var("n"), Block(900, mem_refs=3)),
+                Assign("turn", Var("turn") + Const(1)),
+                Assign(
+                    "total", Var("total") * Const(3) % Const(1009) + Var("n")
+                ),
+                Assign("scratch", Var("n") * Const(2)),  # a local
+            ]
+        ),
+        globals_init={"turn": 0, "total": 1},
+    )
+
+
+ACCUMULATING_INPUTS = [{"n": n} for n in (5, 0, 17, 3, 11, 8)]
+
+
+def reference_states(program, job_inputs):
+    """Globals before each job, then after the last: back-to-back runs of
+    the reference tree-walker on one globals dict."""
+    reference = TreeWalkingInterpreter()
+    globals_ = program.fresh_globals()
+    states = [dict(globals_)]
+    for inputs in job_inputs:
+        reference.execute(program, inputs, globals_)
+        states.append(dict(globals_))
+    return states
+
+
+@pytest.fixture(scope="module")
+def uzbl_controller():
+    from repro.pipeline import PipelineConfig, build_controller
+    from repro.platform.switching import SwitchLatencyModel
+    from repro.workloads.registry import get_app
+
+    app = get_app("uzbl")
+    controller = build_controller(
+        app,
+        opps=OPPS,
+        config=PipelineConfig(n_profile_jobs=40),
+        switch_table=SwitchLatencyModel(OPPS).microbenchmark(10),
+    )
+    return app, controller
+
+
 class TestStateEvolution:
-    def test_globals_advance_once_per_job(self):
-        program = stateful_program()
-        board = Board()
-        runner = TaskLoopRunner(
-            board,
-            Task("stateful", program, 0.05),
+    def test_task_interpreted_once_per_job(self):
+        program = accumulating_program()
+        interpreter = CountingInterpreter()
+        run_task(
+            program,
             PerformanceGovernor(OPPS),
-            [{}] * 6,
+            ACCUMULATING_INPUTS,
+            interpreter=interpreter,
         )
-        runner.run()
-        # The runner commits exactly one state update per job; peek via a
-        # fresh isolated execution.
-        final = Interpreter().execute_isolated(program, {}, {"turn": 0})
-        assert final.env["turn"] == 1  # sanity of the probe itself
+        assert interpreter.runs[id(program)] == len(ACCUMULATING_INPUTS)
+
+    def test_globals_advance_once_per_job(self):
+        program = accumulating_program()
+        spy = GlobalsSpy()
+        run_task(program, spy, ACCUMULATING_INPUTS)
+        expected = reference_states(program, ACCUMULATING_INPUTS)
+        assert spy.after == expected[1:]
+        assert spy.live == expected[-1]
+
+    @pytest.mark.parametrize("placement", list(PredictorPlacement))
+    def test_decide_sees_pre_job_globals(self, placement):
+        program = accumulating_program()
+        spy = GlobalsSpy()
+        run_task(program, spy, ACCUMULATING_INPUTS, placement=placement)
+        assert spy.before == reference_states(program, ACCUMULATING_INPUTS)[:-1]
+
+    @pytest.mark.parametrize("placement", list(PredictorPlacement))
+    def test_slice_sees_pre_job_globals(self, uzbl_controller, placement):
+        """The prediction slice runs against pre-job state in every
+        placement, on an app whose globals drive its work."""
+        app, controller = uzbl_controller
+        governor = controller.governor()
+        analyze = governor.analyze
+        seen = {}
+
+        def spying_analyze(ctx):
+            seen[ctx.index] = dict(ctx.task_globals)
+            return analyze(ctx)
+
+        governor.analyze = spying_analyze
+        inputs = app.inputs(12, seed=5)
+        run_task(
+            app.task.program, governor, inputs, budget_s=app.task.budget_s,
+            placement=placement,
+        )
+        expected = reference_states(app.task.program, inputs)
+        assert seen
+        assert seen == {index: expected[index] for index in seen}
 
     def test_input_dependent_work(self):
         result, _ = run_task(

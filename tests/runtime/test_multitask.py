@@ -12,6 +12,13 @@ from repro.programs.expr import Var
 from repro.programs.ir import Block, Loop, Program
 from repro.runtime.multitask import MultiTaskRunner, TaskStream
 from repro.runtime.task import Task
+from tests.runtime.test_executor import (
+    ACCUMULATING_INPUTS,
+    CountingInterpreter,
+    GlobalsSpy,
+    accumulating_program,
+    reference_states,
+)
 
 OPPS = default_xu3_a7_table()
 
@@ -199,3 +206,40 @@ class TestOracleWork:
         assert result.n_jobs == 5
         assert result.miss_rate == 0.0
         assert result.jobs[0].opp_mhz < OPPS.fmax.freq_mhz
+
+
+class SpyOracle(OracleGovernor):
+    """The oracle, recording the task globals around each job."""
+
+    def __init__(self):
+        super().__init__(OPPS)
+        self.before = []
+        self.after = []
+
+    def decide(self, ctx):
+        self.before.append(dict(ctx.task_globals))
+        return super().decide(ctx)
+
+    def on_job_end(self, record, ctx):
+        self.after.append(dict(ctx.task_globals))
+        return None
+
+
+@pytest.mark.parametrize(
+    "make_governor", [GlobalsSpy, SpyOracle], ids=["per-job", "oracle"]
+)
+def test_one_interpretation_per_job_against_pre_job_state(make_governor):
+    """Oracle or not, each job interprets its task once; the governor
+    decides against pre-job globals and the run's globals commit after."""
+    program = accumulating_program()
+    governor = make_governor()
+    interpreter = CountingInterpreter()
+    MultiTaskRunner(
+        Board(),
+        [TaskStream(Task("acc", program, 0.05), governor, ACCUMULATING_INPUTS)],
+        interpreter=interpreter,
+    ).run()
+    expected = reference_states(program, ACCUMULATING_INPUTS)
+    assert interpreter.runs[id(program)] == len(ACCUMULATING_INPUTS)
+    assert governor.before == expected[:-1]
+    assert governor.after == expected[1:]

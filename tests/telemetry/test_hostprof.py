@@ -6,6 +6,9 @@ import pickle
 
 import pytest
 
+from repro.programs.expr import Const
+from repro.programs.interpreter import COMPILED_FILENAME, Interpreter
+from repro.programs.ir import Block, Loop, Program
 from repro.telemetry.hostprof import (
     NO_HOSTPROF,
     PHASES,
@@ -15,6 +18,7 @@ from repro.telemetry.hostprof import (
     NullHostProfiler,
     ProfileState,
     StackSampler,
+    _module_of,
     best_of,
     component_of,
     flamegraph_text,
@@ -226,6 +230,19 @@ class TestComponentAttribution:
     def test_module_mapping(self, module, expected):
         assert component_of(module) == expected
 
+    @pytest.mark.parametrize(
+        "filename, expected",
+        [
+            ("/site/src/repro/programs/interpreter.py", "interp"),
+            ("/site/src/repro/runtime/executor.py", "executor"),
+            (COMPILED_FILENAME, "interp"),
+            ("<string>", "host"),
+            ("/usr/lib/python3/json/decoder.py", "host"),
+        ],
+    )
+    def test_file_mapping(self, filename, expected):
+        assert component_of(_module_of(filename)) == expected
+
 
 class TestStackSampler:
     def test_samples_every_nth_call(self):
@@ -250,6 +267,33 @@ class TestStackSampler:
         line = next(s for s in sampler.stacks if s.endswith(":" + "leaf")
                     or s.endswith("leaf"))
         assert line.index("root") < line.index("leaf")
+
+    def test_compiled_programs_sample_as_interp(self):
+        """Compiled IR calls no Python function, only builtins (each
+        feature-counter bump is a ``dict.get``); those calls are sampled
+        and land on the program."""
+        program = Program(
+            "t",
+            Loop(
+                "outer",
+                Const(20),
+                Loop("inner", Const(3), Block(1), counted=True),
+            ),
+        )
+        sampler = StackSampler(interval=1)
+        sampler.start()
+        try:
+            Interpreter().execute(program, {})
+        finally:
+            sampler.stop()
+        label = f"{_module_of(COMPILED_FILENAME)}:run_t"
+        on_program = sum(
+            count
+            for stack, count in sampler.stacks.items()
+            if stack.rsplit(";", 1)[-1] == label
+        )
+        assert on_program > 20  # one call event, 20 counter bumps
+        assert component_of(*label.split(":", 1)) == "interp"
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
