@@ -54,6 +54,9 @@ class FeatureEncoder:
             raise ValueError("duplicate site labels in schema")
         self._sites = tuple(sites)
         self._columns: tuple[FeatureColumn, ...] | None = None
+        # Per column: (site, call address, whether it is a call column),
+        # what encode() reads for each column of every job.
+        self._plan: tuple[tuple[str, int | None, bool], ...] | None = None
 
     @property
     def is_fitted(self) -> bool:
@@ -87,7 +90,7 @@ class FeatureEncoder:
                 raise ValueError(
                     f"column {column.name!r} references unknown site"
                 )
-        encoder._columns = tuple(columns)
+        encoder._set_columns(columns)
         return encoder
 
     def fit(self, samples: Iterable[RawFeatures]) -> "FeatureEncoder":
@@ -121,20 +124,32 @@ class FeatureEncoder:
                 columns.append(
                     FeatureColumn(name=site.site, site=site.site, kind=site.kind)
                 )
-        self._columns = tuple(columns)
+        self._set_columns(columns)
         return self
+
+    def _set_columns(self, columns: Sequence[FeatureColumn]) -> None:
+        self._columns = tuple(columns)
+        self._plan = tuple(
+            (column.site, column.address, column.kind == "call")
+            for column in self._columns
+        )
 
     def encode(self, raw: RawFeatures) -> np.ndarray:
         """Encode one feature record as a float vector."""
-        self._require_fitted()
-        out = np.zeros(self.n_columns)
-        for j, column in enumerate(self.columns):
-            if column.kind == "call":
-                called = raw.call_addresses.get(column.site, ())
-                out[j] = 1.0 if column.address in called else 0.0
-            else:
-                out[j] = raw.counter(column.site)
-        return out
+        plan = self._plan
+        if plan is None:
+            self._require_fitted()
+        counters = raw.counters
+        calls = raw.call_addresses
+        return np.array(
+            [
+                (1.0 if address in calls.get(site, ()) else 0.0)
+                if is_call
+                else counters.get(site, 0.0)
+                for site, address, is_call in plan
+            ],
+            dtype=float,
+        )
 
     def encode_matrix(self, samples: Sequence[RawFeatures]) -> np.ndarray:
         """Encode many records as an (n_samples, n_columns) matrix."""

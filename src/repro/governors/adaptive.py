@@ -291,7 +291,7 @@ class AdaptiveGovernor(Governor):
                 decision,
                 margin=self.margin_value(),
                 mode=AdaptiveMode.FALLBACK.value,
-                features=outcome.features,
+                features=outcome.raw.counters,
             )
         return decision
 

@@ -22,6 +22,7 @@ headroom the certificate does not guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.governors.base import Decision, Governor, JobContext
 from repro.models.dvfs import DvfsModel
@@ -43,16 +44,14 @@ class SliceOutcome:
     Attributes:
         slice_work: What the slice itself cost to run.
         prediction: Margin-inflated anchor-time predictions.
-        features: The slice's feature counters (site label -> value);
-            kept for the decision audit log.
-        raw: The full slice feature object (counters + call addresses);
-            decision provenance re-encodes it into model space.
+        raw: The slice's features (counters + call addresses); the
+            decision audit log records its counters, and decision
+            provenance re-encodes it into model space.
     """
 
     slice_work: Work
     prediction: TimePrediction
-    features: dict[str, float] | None = None
-    raw: RawFeatures | None = None
+    raw: RawFeatures
 
 
 class PredictiveGovernor(Governor):
@@ -85,6 +84,8 @@ class PredictiveGovernor(Governor):
         self.switch_table = switch_table
         self.interpreter = interpreter if interpreter is not None else Interpreter()
         self.certificate = certificate
+        # Current level index -> switch estimate (see switch_estimate_s).
+        self._switch_estimates: dict[int, float] = {}
 
     @property
     def name(self) -> str:
@@ -96,7 +97,12 @@ class PredictiveGovernor(Governor):
         None when there is no certificate or its bound is not tight
         (a max_trips-clamped bound is sound but orders of magnitude
         above reality — scheduling against it would pin fmax forever).
+        The certificate is immutable, so the Work is built once.
         """
+        return self._slice_bound_work
+
+    @cached_property
+    def _slice_bound_work(self) -> Work | None:
         cert = self.certificate
         if cert is None or not cert.cost_bound_tight:
             return None
@@ -130,7 +136,6 @@ class PredictiveGovernor(Governor):
         return SliceOutcome(
             slice_work=slice_result.work,
             prediction=prediction,
-            features=dict(slice_result.features.counters),
             raw=slice_result.features,
         )
 
@@ -139,11 +144,15 @@ class PredictiveGovernor(Governor):
 
         The target level is unknown until after the decision, so take the
         95th-percentile time of the worst switch out of the current level.
+        That depends on the level alone: each level's scan runs once.
         """
-        return max(
-            self.switch_table.time_s(ctx.board.current_opp, end)
-            for end in self.dvfs.opps
-        )
+        start = ctx.board.current_opp
+        estimate = self._switch_estimates.get(start.index)
+        if estimate is None:
+            estimate = self._switch_estimates[start.index] = max(
+                self.switch_table.time_s(start, end) for end in self.dvfs.opps
+            )
+        return estimate
 
     def choose(
         self, outcome: SliceOutcome, effective_budget_s: float
@@ -153,12 +162,10 @@ class PredictiveGovernor(Governor):
         if hp.enabled:
             t0 = hp.clock()
         prediction = outcome.prediction
-        opp = self.dvfs.choose_opp(
-            prediction.t_fmin_s, prediction.t_fmax_s, effective_budget_s
-        )
         components = self.dvfs.components(
             prediction.t_fmin_s, prediction.t_fmax_s
         )
+        opp = self.dvfs.opp_for_budget(components, effective_budget_s)
         decision = Decision(opp, predicted_time_s=components.time_at(opp.freq_hz))
         if hp.enabled:
             hp.add("ladder", hp.clock() - t0)
@@ -335,7 +342,7 @@ class PredictiveGovernor(Governor):
                 effective_budget_s=effective_budget,
                 margin=margin,
                 mode=mode,
-                features=outcome.features,
+                features=outcome.raw.counters,
                 attribution=attribution,
                 ladder=ladder,
                 beta_generation=generation,

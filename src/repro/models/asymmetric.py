@@ -12,7 +12,21 @@ import numpy as np
 
 from repro.models.solver import SolverResult, solve_asymmetric_lasso
 
-__all__ = ["AsymmetricLassoModel"]
+__all__ = ["AsymmetricLassoModel", "lasso_time"]
+
+
+def lasso_time(x: np.ndarray, coef: np.ndarray, intercept: float) -> float:
+    """``x @ coef + intercept`` for one float feature vector ``x``.
+
+    The product is evaluated as a ``(1, n) @ (n,)`` matrix product, which
+    need not equal a 1-D dot product in the last bit; the intercept is
+    then one float64 addition, the same whether numpy or Python does it.
+    This is the only copy of the expression:
+    :meth:`AsymmetricLassoModel.predict_one` and decision replay
+    (:func:`repro.telemetry.provenance.predict_anchor`) both call it, so
+    a replayed prediction matches the live one bit for bit.
+    """
+    return float((x.reshape(1, -1) @ coef)[0]) + intercept
 
 
 class AsymmetricLassoModel:
@@ -127,7 +141,9 @@ class AsymmetricLassoModel:
 
     def predict_one(self, x: np.ndarray) -> float:
         """Predicted time for a single feature vector."""
-        return float(self.predict(np.asarray(x, dtype=float).reshape(1, -1))[0])
+        if self.coef_ is None:
+            raise RuntimeError("AsymmetricLassoModel used before fit()")
+        return lasso_time(np.asarray(x, dtype=float), self.coef_, self.intercept_)
 
     def selected_mask(self, threshold: float = 1e-12) -> np.ndarray:
         """Boolean mask of features with non-zero coefficients.

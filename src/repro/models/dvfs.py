@@ -53,6 +53,9 @@ class DvfsModel:
         if len(opps) < 2:
             raise ValueError("DVFS control needs at least two operating points")
         self.opps = opps
+        # The anchor frequencies, read on every decision.
+        self._fmin_hz = opps.fmin.freq_hz
+        self._fmax_hz = opps.fmax.freq_hz
 
     def components(self, t_fmin_s: float, t_fmax_s: float) -> DvfsComponents:
         """Fit T_mem and N_dep from times at the two anchor frequencies.
@@ -62,8 +65,8 @@ class DvfsModel:
         offending component clamps to zero and the other absorbs the
         time, keeping downstream math finite and conservative.
         """
-        fmin = self.opps.fmin.freq_hz
-        fmax = self.opps.fmax.freq_hz
+        fmin = self._fmin_hz
+        fmax = self._fmax_hz
         span = fmax - fmin
         ndep = fmin * fmax * (t_fmin_s - t_fmax_s) / span
         tmem = (fmax * t_fmax_s - fmin * t_fmin_s) / span
@@ -92,19 +95,21 @@ class DvfsModel:
         if slack <= 0:
             return math.inf
         if components.ndep_cycles == 0:
-            return self.opps.fmin.freq_hz
+            return self._fmin_hz
         return components.ndep_cycles / slack
 
-    def choose_opp(
-        self, t_fmin_s: float, t_fmax_s: float, budget_s: float
+    def opp_for_budget(
+        self, components: DvfsComponents, budget_s: float
     ) -> OperatingPoint:
-        """End-to-end decision: anchor times + budget -> operating point.
-
-        The chosen point is the *smallest allowed frequency greater than
-        or equal to* the ideal frequency (paper §3.4), saturating at fmax.
-        """
-        components = self.components(t_fmin_s, t_fmax_s)
+        """The *smallest allowed frequency greater than or equal to* the
+        ideal frequency for ``budget_s`` (paper §3.4), saturating at fmax."""
         ideal = self.freq_for_budget(components, budget_s)
         if math.isinf(ideal):
             return self.opps.fmax
         return self.opps.lowest_at_or_above(ideal)
+
+    def choose_opp(
+        self, t_fmin_s: float, t_fmax_s: float, budget_s: float
+    ) -> OperatingPoint:
+        """End-to-end decision: anchor times + budget -> operating point."""
+        return self.opp_for_budget(self.components(t_fmin_s, t_fmax_s), budget_s)

@@ -31,7 +31,34 @@ import numpy as np
 
 from repro.online.residuals import Ewma
 
-__all__ = ["RecursiveLeastSquares", "OnlineAnchorModel", "AdaptiveMargin"]
+__all__ = [
+    "RecursiveLeastSquares",
+    "OnlineAnchorModel",
+    "AdaptiveMargin",
+    "warm_start_time",
+    "recalibrated_time",
+]
+
+
+# The two expressions OnlineAnchorModel.predict_one evaluates.  Decision
+# replay (repro.telemetry.provenance.predict_anchor) calls the same
+# functions, so a replayed prediction matches the live one bit for bit.
+def warm_start_time(x: np.ndarray, coef: np.ndarray, intercept: float) -> float:
+    """Anchor time before the first RLS update: the offline
+    coefficients as a 1-D dot product."""
+    return float(x @ coef + intercept)
+
+
+def recalibrated_time(
+    x: np.ndarray, scales: np.ndarray, theta: np.ndarray
+) -> float:
+    """Anchor time once RLS is live: ``theta`` over the design row."""
+    return float(_design_row(x, scales) @ theta)
+
+
+def _design_row(x: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Scaled features with the intercept column appended."""
+    return np.append(x / scales, 1.0)
 
 
 class RecursiveLeastSquares:
@@ -149,7 +176,7 @@ class OnlineAnchorModel:
 
     def _design(self, x: np.ndarray) -> np.ndarray:
         assert self._scales is not None
-        return np.append(np.asarray(x, dtype=float) / self._scales, 1.0)
+        return _design_row(np.asarray(x, dtype=float), self._scales)
 
     def _ensure_initialized(self, x: np.ndarray) -> None:
         if self._rls is not None:
@@ -186,12 +213,13 @@ class OnlineAnchorModel:
 
     def predict_one(self, x: np.ndarray) -> float:
         """Predicted time for one feature vector (seconds, unmargined)."""
+        x = np.asarray(x, dtype=float)
         if self._rls is None:
-            return float(
-                np.asarray(x, dtype=float) @ self.offline_coef
-                + self.offline_intercept
+            return warm_start_time(
+                x, self.offline_coef, self.offline_intercept
             )
-        return self._rls.predict(self._design(x))
+        assert self._scales is not None
+        return recalibrated_time(x, self._scales, self._rls.theta)
 
     def update(self, x: np.ndarray, observed_s: float) -> float:
         """Fold one observed (features, time) pair in.

@@ -11,17 +11,18 @@ __all__ = ["VirtualClock"]
 
 
 class VirtualClock:
-    """A monotonically advancing simulated clock, in seconds."""
+    """A monotonically advancing simulated clock, in seconds.
+
+    Attributes:
+        now: Current simulated time in seconds.  A plain attribute, since
+            the platform reads it several times per job; only
+            :meth:`advance` and :meth:`advance_to` move it.
+    """
 
     def __init__(self, start_s: float = 0.0):
         if start_s < 0:
             raise ValueError(f"start time must be non-negative, got {start_s}")
-        self._now = start_s
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
+        self.now = start_s
 
     def advance(self, duration_s: float) -> float:
         """Move time forward by ``duration_s`` seconds; returns the new time.
@@ -32,14 +33,14 @@ class VirtualClock:
         """
         if duration_s < 0:
             raise ValueError(f"cannot advance by negative time {duration_s}")
-        self._now += duration_s
-        return self._now
+        self.now += duration_s
+        return self.now
 
     def advance_to(self, time_s: float) -> float:
         """Jump forward to an absolute time (no-op if already past it)."""
-        if time_s > self._now:
-            self._now = time_s
-        return self._now
+        if time_s > self.now:
+            self.now = time_s
+        return self.now
 
     def __repr__(self) -> str:
-        return f"VirtualClock(now={self._now:.6f}s)"
+        return f"VirtualClock(now={self.now:.6f}s)"

@@ -67,17 +67,22 @@ class Timeline:
         self._time_by_tag: dict[str, float] = {}
         self._total_energy_j = 0.0
         self._total_time_s = 0.0
+        self._end_s = 0.0
 
     def append(self, segment: PowerSegment) -> None:
         """Add a segment; must start exactly where the previous one ended."""
-        if self._segments and segment.start_s < self._segments[-1].end_s:
+        start = segment.start_s
+        end = segment.end_s
+        if self._segments and start < self._end_s:
             raise ValueError(
-                f"segment starting at {segment.start_s} overlaps previous "
-                f"segment ending at {self._segments[-1].end_s}"
+                f"segment starting at {start} overlaps previous "
+                f"segment ending at {self._end_s}"
             )
         self._segments.append(segment)
-        energy = segment.energy_j
-        duration = segment.duration_s
+        self._end_s = end
+        # PowerSegment.duration_s and .energy_j, inlined (same operations).
+        duration = end - start
+        energy = segment.power_w * duration
         tag = segment.tag
         self._energy_by_tag[tag] = self._energy_by_tag.get(tag, 0.0) + energy
         self._time_by_tag[tag] = self._time_by_tag.get(tag, 0.0) + duration
@@ -91,7 +96,7 @@ class Timeline:
     @property
     def end_s(self) -> float:
         """Time at which the last segment ends (0 when empty)."""
-        return self._segments[-1].end_s if self._segments else 0.0
+        return self._end_s
 
     def tags(self) -> tuple[str, ...]:
         """Every distinct tag recorded so far, in first-seen order."""

@@ -19,6 +19,7 @@ The model here produces latencies with the same structure as Fig. 11:
 from __future__ import annotations
 
 import math
+import numbers
 import random
 
 from repro.platform.opp import OperatingPoint, OppTable
@@ -41,8 +42,20 @@ class SwitchTimeTable:
             missing = expected - set(times_s)
             raise ValueError(f"switch table incomplete; missing pairs: {missing}")
         for pair, t in times_s.items():
-            if t < 0:
-                raise ValueError(f"negative switch time {t} for pair {pair}")
+            # Only finite, non-negative seconds: a NaN would vanish from
+            # every max() taken over the table (or win it, depending on
+            # scan order), and a string or null from a hand-edited
+            # controller file would only fail later, as a TypeError.
+            if (
+                isinstance(t, bool)
+                or not isinstance(t, numbers.Real)
+                or not math.isfinite(t)
+                or t < 0
+            ):
+                raise ValueError(
+                    f"switch time for pair {pair} must be a finite, "
+                    f"non-negative number of seconds, got {t!r}"
+                )
         self._opps = opps
         self._times = dict(times_s)
 

@@ -22,15 +22,17 @@ by re-deriving the decision offline.  Three pillars:
   divergence report.
 
 Bit-exactness is the design constraint everything else bends around:
-:func:`predict_anchor` reproduces the *same floating-point expression*
-each live prediction path evaluates (the offline Lasso's ``(1, n)``
-matmul, the online model's warm-start 1-D dot, and the RLS design-space
-dot), because the three are algebraically equal but not always
-last-bit equal under BLAS.
+:func:`predict_anchor` evaluates each anchor through the *same function*
+its live prediction path calls (the offline Lasso's ``(1, n)`` matmul,
+the online model's warm-start 1-D dot, and the RLS design-space dot),
+because the three are algebraically equal but not always last-bit equal
+under BLAS.
 
-This module deliberately imports only the audit schema (plus numpy and
-the stdlib): governors hand their predictor and DVFS model in as
-arguments, keeping ``repro.telemetry`` import-cycle-free.
+Besides the audit schema (plus numpy and the stdlib), this module
+imports only those prediction functions, from ``repro.models`` and
+``repro.online``, neither of which imports ``repro.telemetry``;
+governors hand their predictor and DVFS model in as arguments, keeping
+``repro.telemetry`` import-cycle-free.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.models.asymmetric import lasso_time
+from repro.online.recalibrate import recalibrated_time, warm_start_time
 from repro.telemetry.audit import (
     AnchorSnapshot,
     DecisionAttribution,
@@ -112,32 +116,17 @@ def anchor_snapshot(model: Any) -> AnchorSnapshot:
 def predict_anchor(snapshot: AnchorSnapshot, x: Sequence[float]) -> float:
     """Raw anchor prediction, bit-identical to the live code path.
 
-    Each ``kind`` mirrors one production expression exactly (same numpy
-    calls, same shapes); do not "simplify" these into a common dot
-    product — the result can differ in the last bit and break replay.
+    Each ``kind`` calls the function its live model predicts with, so
+    the floating-point expression is the same one, not a copy.
     """
     x = np.asarray(x, dtype=float)
-    if snapshot.kind == "online":
-        # RecursiveLeastSquares.predict on OnlineAnchorModel._design(x).
-        design = np.append(
-            np.asarray(x, dtype=float)
-            / np.asarray(snapshot.scales, dtype=float),
-            1.0,
-        )
-        return float(
-            np.asarray(design, dtype=float)
-            @ np.asarray(snapshot.coef, dtype=float)
-        )
     coef = np.asarray(snapshot.coef, dtype=float)
+    if snapshot.kind == "online":
+        scales = np.asarray(snapshot.scales, dtype=float)
+        return recalibrated_time(x, scales, coef)
     if snapshot.kind == "online-pre":
-        # OnlineAnchorModel.predict_one before the first update.
-        return float(np.asarray(x, dtype=float) @ coef + snapshot.intercept)
-    # AsymmetricLassoModel.predict_one: a (1, n) matmul, then [0].
-    return float(
-        (np.asarray(x, dtype=float).reshape(1, -1) @ coef + snapshot.intercept)[
-            0
-        ]
-    )
+        return warm_start_time(x, coef, snapshot.intercept)
+    return lasso_time(x, coef, snapshot.intercept)
 
 
 def _anchor_terms(
@@ -242,9 +231,10 @@ def build_provenance(
     factor = 1.0 + margin
     terms_max, intercept_max = _anchor_terms(snap_fmax, x)
     terms_min, intercept_min = _anchor_terms(snap_fmin, x)
+    # Python floats: the same float64 operations as on numpy scalars.
     contributions = [
-        float(w_max * factor * tmax + w_min * factor * tmin)
-        for tmax, tmin in zip(terms_max, terms_min)
+        w_max * factor * tmax + w_min * factor * tmin
+        for tmax, tmin in zip(terms_max.tolist(), terms_min.tolist())
     ]
     intercept_s = float(
         w_max * factor * intercept_max + w_min * factor * intercept_min
@@ -257,20 +247,22 @@ def build_provenance(
     ladder = []
     for point in dvfs.opps:
         time_s = components.time_at(point.freq_hz)
+        # Positional: (freq_mhz, predicted_time_s, margin_s, fits, chosen);
+        # keywords cost ~30% more per rung, 13 rungs per decision.
         ladder.append(
             LadderRung(
-                freq_mhz=point.freq_mhz,
-                predicted_time_s=time_s,
-                margin_s=effective_budget_s - time_s,
-                fits=meetable and point.freq_hz >= ideal,
-                chosen=point.index == opp.index,
+                point.freq_mhz,
+                time_s,
+                effective_budget_s - time_s,
+                meetable and point.freq_hz >= ideal,
+                point.index == opp.index,
             )
         )
     ladder = tuple(ladder)
 
     attribution = DecisionAttribution(
         columns=model_space_columns(predictor),
-        x=tuple(float(v) for v in x),
+        x=tuple(x.tolist()),
         contributions_s=tuple(contributions),
         intercept_s=intercept_s,
         adjustment_s=adjustment_s,

@@ -423,6 +423,12 @@ class SloTracker:
         self.min_jobs = min_jobs if min_jobs is not None else min(lengths)
         self._rings = [deque(maxlen=n) for n in lengths]
         self._bad_in_ring = [0] * len(spec.windows)
+        # (ring index, ring, length cap, burn-rate trigger) per window:
+        # fixed by the spec, read on every observed job.
+        self._windows = tuple(
+            (i, ring, ring.maxlen, window.max_burn_rate)
+            for i, (ring, window) in enumerate(zip(self._rings, spec.windows))
+        )
         self.jobs = 0
         self.bad = 0
         self.alerts: list[SloAlert] = []
@@ -469,13 +475,14 @@ class SloTracker:
         # (and enough jobs were classified to trust the short windows).
         over = self.jobs >= self.min_jobs
         counts = self._bad_in_ring
-        for i, (ring, window) in enumerate(zip(self._rings, spec.windows)):
-            if len(ring) == ring.maxlen:
+        objective = spec.objective
+        for i, ring, maxlen, max_burn_rate in self._windows:
+            if len(ring) == maxlen:
                 counts[i] -= int(ring[0])
             ring.append(bad)
             counts[i] += flag
             if over and not (
-                (counts[i] / len(ring)) / spec.objective > window.max_burn_rate
+                (counts[i] / len(ring)) / objective > max_burn_rate
             ):
                 over = False
         if not over:

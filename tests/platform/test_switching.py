@@ -125,6 +125,22 @@ class TestMicrobenchmark:
         with pytest.raises(ValueError, match="negative"):
             SwitchTimeTable(OPPS, times)
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), "0.001", None, True],
+        ids=["nan", "inf", "string", "none", "bool"],
+    )
+    def test_non_finite_or_non_numeric_time_rejected(self, bad):
+        """Only finite, non-negative seconds: a NaN would silently drop
+        out of worst_case_s(), and a string or null from a hand-edited
+        controller file must be a ValueError naming the pair, not a
+        TypeError."""
+        times = {
+            (a, b): 1e-3 for a in range(len(OPPS)) for b in range(len(OPPS))
+        }
+        times[(3, 5)] = bad
+        with pytest.raises(ValueError, match=r"\(3, 5\)"):
+            SwitchTimeTable(OPPS, times)
+
 
 class TestNormalQuantile:
     @pytest.mark.parametrize(

@@ -9,6 +9,12 @@ mode: plain, certified, bound-skip, predict and fallback.  A change to
 the per-job prediction step that moves one bit of a decision, a jitter
 draw or an energy segment shows up as a digest mismatch.
 
+A second digest pins the prediction values behind the decisions: every
+job's predicted time and every audit record's effective budget, margin,
+mode and slice features, for the ``prediction`` governor on all eight apps (sequential
+placement, overheads charged).  A change that moves the last bit of a
+predicted time or an effective budget without flipping an OPP fails it.
+
 To re-record a row after an intended behaviour change, print
 ``_digest(...)`` for it and replace its entry in ``DIGESTS``.  The batch
 governor's pipelined and parallel rows were re-recorded when those
@@ -27,6 +33,7 @@ from repro.governors.adaptive import AdaptiveConfig, AdaptiveGovernor
 from repro.runtime.executor import TaskLoopRunner
 from repro.runtime.placement import PredictorPlacement
 from repro.telemetry import Telemetry
+from repro.workloads.registry import app_names
 
 N_JOBS = 24
 APPS = ("rijndael", "sha")
@@ -93,6 +100,18 @@ DIGESTS = {
     "sha prediction-batch4 parallel free": "074ab3bcb76c2d9a",
 }
 
+# app -> first 16 hex digits of _prediction_digest.
+PREDICTION_DIGESTS = {
+    "2048": "97762ca3cbde63d3",
+    "curseofwar": "6156d9ea66b33503",
+    "ldecode": "35ef652d2d1316cc",
+    "pocketsphinx": "272104034d59d61d",
+    "rijndael": "f51082d5c0fa060e",
+    "sha": "0f35d9bde3aa2924",
+    "uzbl": "1d1d4c535ec8d988",
+    "xpilot": "a3075b69b641fbe6",
+}
+
 
 @pytest.fixture(scope="module")
 def lab():
@@ -109,11 +128,12 @@ def _governor(lab, name, app):
     return lab.make_governor(name, app)
 
 
-def _digest(lab, app, governor_name, placement, charge):
-    """sha256 over (opp_mhz, end_s, cumulative energy) of every job."""
+def _runner(lab, app, governor_name, placement, charge):
+    """A telemetry-on runner over the app's ``N_JOBS``-job stream, with
+    the app's ``DRIFT`` step (no drift for apps without an entry)."""
     seed = zlib.crc32(f"digest|{app}|{governor_name}".encode())
     budget = lab.app(app).task.budget_s
-    factor, start = DRIFT[app]
+    factor, start = DRIFT.get(app, (1.0, 0.0))
     board = seeded_board(
         lab.opps,
         lab.power,
@@ -122,7 +142,7 @@ def _digest(lab, app, governor_name, placement, charge):
         seed,
         drift=(factor, start * N_JOBS * budget),
     )
-    runner = TaskLoopRunner(
+    return TaskLoopRunner(
         board=board,
         task=lab.app(app).task,
         governor=_governor(lab, governor_name, app),
@@ -133,12 +153,38 @@ def _digest(lab, app, governor_name, placement, charge):
         charge_switch=charge,
         telemetry=Telemetry(),
     )
+
+
+def _digest(lab, app, governor_name, placement, charge):
+    """sha256 over (opp_mhz, end_s, cumulative energy) of every job."""
+    runner = _runner(lab, app, governor_name, placement, charge)
     rows = []
     while (record := runner.step()) is not None:
         rows.append(
             (record.opp_mhz, record.end_s, runner.result().energy_j)
         )
     return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def _prediction_digest(lab, app):
+    """sha256 over every job's predicted time and every audit record's
+    (job, effective budget, margin, mode, slice features), ``prediction``
+    governor, sequential placement, overheads charged."""
+    runner = _runner(
+        lab, app, "prediction", PredictorPlacement.SEQUENTIAL, True
+    )
+    predicted = [record.predicted_time_s for record in runner.run().jobs]
+    audited = [
+        (
+            d.job_index,
+            d.effective_budget_s,
+            d.margin,
+            d.mode,
+            tuple(d.features.items()),
+        )
+        for d in runner.telemetry.decisions
+    ]
+    return hashlib.sha256(repr((predicted, audited)).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("charge", (True, False), ids=("charged", "free"))
@@ -153,3 +199,8 @@ def test_decisions_match_recorded_digest(
     )
     digest = _digest(lab, app, governor_name, placement, charge)
     assert digest[:16] == DIGESTS[key]
+
+
+@pytest.mark.parametrize("app", app_names())
+def test_prediction_values_match_recorded_digest(lab, app):
+    assert _prediction_digest(lab, app)[:16] == PREDICTION_DIGESTS[app]

@@ -595,3 +595,22 @@ class TestCli:
         assert main(["explain", str(tmp_path / "nope")]) == 2
         assert main(["replay", str(tmp_path), str(tmp_path / "c.json")]) == 2
         capsys.readouterr()
+
+    def test_replay_rejects_nan_switch_time_exit_2(
+        self, traced_lab, tmp_path, capsys
+    ):
+        """A controller file whose switch table was hand-edited to NaN
+        is refused with one line naming the pair, not replayed."""
+        from repro.cli import main
+
+        directory, lab = traced_lab
+        path = tmp_path / "ctrl.json"
+        save_controller(lab.controller("rijndael"), path)
+        payload = json.loads(path.read_text())
+        payload["switch_table"]["3,5"] = float("nan")
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["replay", str(directory), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "(3, 5)" in err and "nan" in err
