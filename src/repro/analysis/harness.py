@@ -169,7 +169,6 @@ class Lab:
         self.trace_session = trace_session
         self._apps: dict[str, InteractiveApp] = {}
         self._run_cache: dict[_RunKey, RunResult] = {}
-        self._optimized_programs: dict[str, object] = {}
 
     def telemetry_for(self, run_name: str) -> Telemetry:
         """A telemetry pipeline for one run (no-op without a session).
@@ -220,20 +219,6 @@ class Lab:
                 interpreter=self.interpreter,
             )
         return _CONTROLLERS[key]
-
-    def optimized_task_program(self, app_name: str):
-        """The app's task program through the validated IR optimizer.
-
-        Cached per app: the optimized program is deterministic and the
-        translation validator has already vetted every kept rewrite, so
-        all runs (any governor/budget) can share it.
-        """
-        if app_name not in self._optimized_programs:
-            from repro.programs.opt import optimize_program
-
-            result = optimize_program(self.app(app_name).task.program)
-            self._optimized_programs[app_name] = result.program
-        return self._optimized_programs[app_name]
 
     def make_governor(
         self,
@@ -340,15 +325,6 @@ class Lab:
         )
         board = self.make_board(run_seed)
         task = app.task.with_budget(budget)
-        effective_config = (
-            pipeline_config
-            if pipeline_config is not None
-            else self.pipeline_config
-        )
-        if effective_config.optimize == "all":
-            task = replace(
-                task, program=self.optimized_task_program(app_name)
-            )
         runner = TaskLoopRunner(
             board=board,
             task=task,

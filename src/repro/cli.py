@@ -21,8 +21,8 @@ Usage::
     python -m repro check --all-workloads --strict
                                          # certify every workload's slice
     python -m repro lint --all-workloads --strict
-                                         # static analyses + report-only
-                                         # IR optimizer over workloads
+                                         # static analyses over every
+                                         # workload's task program
     python -m repro explain DIR --job 17 # why the governor chose that
                                          # frequency for job 17
     python -m repro replay DIR ctrl.json # re-derive every decision from
@@ -90,8 +90,8 @@ def _list_experiments() -> str:
                  "live dashboard (repro watch --help)")
     lines.append("  check    run the slice certifier over workloads "
                  "(repro check --help)")
-    lines.append("  lint     static analyses plus the report-only IR "
-                 "optimizer over workload programs (repro lint --help)")
+    lines.append("  lint     static analyses over workload task programs "
+                 "(repro lint --help)")
     lines.append("  explain  attribute one recorded frequency decision to "
                  "its features (repro explain --help)")
     lines.append("  replay   re-derive a trace's decisions offline, verify "
@@ -994,12 +994,12 @@ def _profile_command(argv: list[str]) -> int:
         print("--sample-interval must be >= 0", file=sys.stderr)
         return 2
 
-    lab = Lab(
-        jitter_sigma=args.jitter,
-        seed=args.seed,
-        pipeline_config=PipelineConfig(n_profile_jobs=args.profile_jobs),
-    )
     try:
+        lab = Lab(
+            jitter_sigma=args.jitter,
+            seed=args.seed,
+            pipeline_config=PipelineConfig(n_profile_jobs=args.profile_jobs),
+        )
         # The simulated run underneath the profile reproduces exactly;
         # only the host timings vary run to run.
         governor, inputs, run_seed = _single_run(args, lab, "profile")
@@ -1110,12 +1110,12 @@ def _energy_command(argv: list[str]) -> int:
     except SystemExit as error:
         return int(error.code or 0)
 
-    lab = Lab(
-        jitter_sigma=args.jitter,
-        seed=args.seed,
-        pipeline_config=PipelineConfig(n_profile_jobs=args.profile_jobs),
-    )
     try:
+        lab = Lab(
+            jitter_sigma=args.jitter,
+            seed=args.seed,
+            pipeline_config=PipelineConfig(n_profile_jobs=args.profile_jobs),
+        )
         governor, inputs, run_seed = _single_run(args, lab, "energy")
     except ValueError as error:
         print(error, file=sys.stderr)
@@ -1265,6 +1265,12 @@ def _check_command(argv: list[str]) -> int:
     if unknown:
         print(f"unknown workload(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
+    if args.profile_jobs < 2:
+        print(
+            f"--profile-jobs must be >= 2, got {args.profile_jobs}",
+            file=sys.stderr,
+        )
+        return 2
 
     # certify="warn": the check itself is the reporting mechanism, so
     # build_controller must not raise before we can print the findings.
@@ -1311,9 +1317,8 @@ def _check_command(argv: list[str]) -> int:
 def _lint_one_workload(app, n_sample_jobs: int) -> dict:
     """All lint findings for one workload (see ``_lint_command``).
 
-    Returns a dict with the waived diagnostic list, the optimizer's
-    rewrite certificates, and summary counts.  Pure so tests can call
-    it without going through argv parsing.
+    Returns a dict with the waived diagnostic list and summary counts.
+    Pure so tests can call it without going through argv parsing.
     """
     from repro.pipeline.offline import profiled_input_ranges
     from repro.programs.analysis import (
@@ -1323,8 +1328,6 @@ def _lint_one_workload(app, n_sample_jobs: int) -> dict:
         dead_store_diagnostics,
         hazard_diagnostics,
     )
-    from repro.programs.instrument import Instrumenter
-    from repro.programs.opt import optimize_program
     from repro.programs.validate import validate_program
 
     program = app.task.program
@@ -1358,41 +1361,6 @@ def _lint_one_workload(app, n_sample_jobs: int) -> dict:
     )
     diagnostics.extend(bound_diags)
 
-    # Report-only optimizer run over both the raw task program and its
-    # instrumented form (what the offline pipeline profiles): every kept
-    # rewrite carries a validated certificate; a certificate the
-    # validator rejected surfaces as an error diagnostic here even
-    # though the rewrite itself was already discarded.
-    certificates = []
-    rewrites = 0
-    rejected = 0
-    for variant, prog in (
-        ("task", program),
-        ("instrumented", Instrumenter().instrument(program).program),
-    ):
-        result = optimize_program(prog, input_ranges=input_ranges)
-        diagnostics.extend(result.diagnostics)
-        for cert in result.certificates:
-            certificates.append({"variant": variant, **cert.as_dict()})
-            rewrites += len(cert.rewrites)
-            if not cert.ok:
-                rejected += 1
-        if result.changed:
-            diagnostics.append(
-                Diagnostic(
-                    pass_name="opt",
-                    severity="info",
-                    site=variant,
-                    message=(
-                        f"optimizer would rewrite the {variant} program: "
-                        f"{result.nodes_before} -> {result.nodes_after} "
-                        "nodes (all rewrites translation-validated; "
-                        "report-only, nothing was changed)"
-                    ),
-                    program=app.name,
-                )
-            )
-
     diagnostics = apply_suppressions(diagnostics, app.certifier_waivers)
     by_severity = {"error": 0, "warning": 0, "info": 0}
     suppressed = 0
@@ -1403,16 +1371,13 @@ def _lint_one_workload(app, n_sample_jobs: int) -> dict:
             by_severity[diagnostic.severity] += 1
     return {
         "diagnostics": diagnostics,
-        "certificates": certificates,
         "counts": by_severity,
         "suppressed": suppressed,
-        "rewrites": rewrites,
-        "rejected_certificates": rejected,
     }
 
 
 def _lint_command(argv: list[str]) -> int:
-    """``repro lint`` — static analyses + report-only optimizer."""
+    """``repro lint`` — static analyses over workload task programs."""
     from repro.workloads.registry import get_app
 
     parser = argparse.ArgumentParser(
@@ -1420,10 +1385,8 @@ def _lint_command(argv: list[str]) -> int:
         description=(
             "Run the static-analysis suite over workload task programs "
             "without training anything: structural validation, "
-            "unreachable-read hazards, dead stores, static cost-bound "
-            "looseness, plus a report-only pass of the IR optimizer "
-            "whose translation validator re-checks every rewrite it "
-            "proposes.  Nothing is modified; findings are printed as "
+            "unreachable-read hazards, dead stores and static cost-bound "
+            "looseness.  Nothing is modified; findings are printed as "
             "diagnostics and (optionally) exported for the CI gate."
         ),
     )
@@ -1444,7 +1407,7 @@ def _lint_command(argv: list[str]) -> int:
         "--output",
         default=None,
         metavar="FILE",
-        help="write all findings and rewrite certificates as JSON to FILE",
+        help="write all findings as JSON to FILE",
     )
     parser.add_argument(
         "--trace",
@@ -1471,11 +1434,15 @@ def _lint_command(argv: list[str]) -> int:
     if unknown:
         print(f"unknown workload(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
+    if args.sample_jobs < 1:
+        print(
+            f"--sample-jobs must be >= 1, got {args.sample_jobs}",
+            file=sys.stderr,
+        )
+        return 2
 
     totals = {"error": 0, "warning": 0, "info": 0}
     suppressed = 0
-    rewrites = 0
-    rejected = 0
     failed: list[str] = []
     report: dict[str, dict] = {}
     for name in names:
@@ -1483,8 +1450,6 @@ def _lint_command(argv: list[str]) -> int:
         for severity in totals:
             totals[severity] += outcome["counts"][severity]
         suppressed += outcome["suppressed"]
-        rewrites += outcome["rewrites"]
-        rejected += outcome["rejected_certificates"]
         if outcome["counts"]["error"]:
             failed.append(name)
         print(f"== {name}")
@@ -1498,7 +1463,6 @@ def _lint_command(argv: list[str]) -> int:
             "diagnostics": [
                 d.as_dict() for d in outcome["diagnostics"]
             ],
-            "certificates": outcome["certificates"],
             "counts": outcome["counts"],
             "suppressed": outcome["suppressed"],
         }
@@ -1506,9 +1470,7 @@ def _lint_command(argv: list[str]) -> int:
     print(
         f"{len(names) - len(failed)}/{len(names)} workload(s) clean; "
         f"{totals['error']} error(s), {totals['warning']} warning(s), "
-        f"{totals['info']} info, {suppressed} waived; "
-        f"{rewrites} validated rewrite(s) proposed, "
-        f"{rejected} certificate(s) rejected"
+        f"{totals['info']} info, {suppressed} waived"
         + (f"; errors in: {', '.join(failed)}" if failed else "")
     )
     if args.output is not None:
@@ -1526,8 +1488,6 @@ def _lint_command(argv: list[str]) -> int:
                 "lint.diagnostics.warning": float(totals["warning"]),
                 "lint.diagnostics.info": float(totals["info"]),
                 "lint.diagnostics.suppressed": float(suppressed),
-                "lint.opt.rewrites": float(rewrites),
-                "lint.opt.rejected_certificates": float(rejected),
             },
             "gauges": {},
             "histograms": {},

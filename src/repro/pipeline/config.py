@@ -59,15 +59,6 @@ class PipelineConfig:
             is what the governor pays when slicing is disabled, so the
             slicing component's value can be measured rather than
             asserted.
-        optimize: Which programs the IR optimizer
-            (:mod:`repro.programs.opt`) rewrites before deployment:
-            "off" (default) leaves everything untouched, "slice"
-            optimizes the prediction slice before it is certified,
-            "all" additionally optimizes the task program the
-            :class:`~repro.analysis.harness.Lab` runs.  Every kept
-            rewrite is translation-validated; rewrites that fail
-            validation are discarded, so this knob can change host
-            speed but never simulated behaviour.
     """
 
     alpha: float = 100.0
@@ -86,7 +77,6 @@ class PipelineConfig:
     eval_n_jobs: int = 250
     eval_n_jobs_overrides: tuple[tuple[str, int], ...] = (("pocketsphinx", 40),)
     slice_mode: str = "selected"
-    optimize: str = "off"
 
     def __post_init__(self) -> None:
         if self.alpha <= 0:
@@ -110,11 +100,6 @@ class PipelineConfig:
             raise ValueError(
                 f"slice_mode must be 'selected' or 'full', "
                 f"got {self.slice_mode!r}"
-            )
-        if self.optimize not in ("off", "slice", "all"):
-            raise ValueError(
-                f"optimize must be 'off', 'slice', or 'all', "
-                f"got {self.optimize!r}"
             )
         # JSON round-trips (pipeline.persist) deliver lists; normalize so
         # the config stays hashable and comparable.

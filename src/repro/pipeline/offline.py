@@ -153,24 +153,6 @@ def build_controller(
     else:
         slice_ = slicer.slice(instrumented, set(predictor.needed_sites))
 
-    # 4b. Optionally optimize the slice (opt-in).  This happens BEFORE
-    # certification so the certificate covers the program the governor
-    # will actually run; the optimizer's own translation validator has
-    # already discarded any rewrite it could not prove equivalent.
-    if config.optimize != "off":
-        from dataclasses import replace as _replace
-
-        from repro.programs.opt import optimize_program
-
-        opt_result = optimize_program(
-            slice_.program,
-            input_ranges=profiled_input_ranges(
-                sample_inputs, widen=config.certify_input_widen
-            ),
-        )
-        if opt_result.changed:
-            slice_ = _replace(slice_, program=opt_result.program)
-
     # 5. Certify the slice before it can reach a governor.
     certificate = None
     if config.certify != "off":

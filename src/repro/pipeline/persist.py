@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any
 
@@ -128,27 +129,7 @@ def save_controller(
         "format_version": _FORMAT_VERSION,
         "fingerprint": controller_fingerprint(controller),
         "app_name": controller.app_name,
-        "config": {
-            "alpha": controller.config.alpha,
-            "gamma_rel": controller.config.gamma_rel,
-            "margin": controller.config.margin,
-            "model_degree": controller.config.model_degree,
-            "n_profile_jobs": controller.config.n_profile_jobs,
-            "profile_seed": controller.config.profile_seed,
-            "profile_jitter_sigma": controller.config.profile_jitter_sigma,
-            "switch_samples": controller.config.switch_samples,
-            "max_iter": controller.config.max_iter,
-            "slice_marshal_base_instr": controller.config.slice_marshal_base_instr,
-            "slice_marshal_per_var_instr": (
-                controller.config.slice_marshal_per_var_instr
-            ),
-            "certify": controller.config.certify,
-            "certify_input_widen": controller.config.certify_input_widen,
-            "eval_n_jobs": controller.config.eval_n_jobs,
-            "eval_n_jobs_overrides": [
-                list(pair) for pair in controller.config.eval_n_jobs_overrides
-            ],
-        },
+        "config": asdict(controller.config),
         "instrumented": {
             "program": program_to_dict(controller.instrumented.program),
             "sites": [
@@ -249,6 +230,13 @@ def load_controller(path: str | Path) -> TrainedController:
         raise ValueError(
             f"unsupported controller format version {version!r} "
             f"(this library reads version {_FORMAT_VERSION})"
+        )
+    unknown = sorted(
+        set(payload["config"]) - {f.name for f in fields(PipelineConfig)}
+    )
+    if unknown:
+        raise ValueError(
+            f"unknown pipeline config key(s): {', '.join(unknown)}"
         )
     config = PipelineConfig(**payload["config"])
 

@@ -31,10 +31,8 @@ __all__ = [
     "ReachingDefinitions",
     "ReachingState",
     "LiveVariables",
-    "MustDefined",
     "reaching_definitions",
     "live_variables",
-    "must_defined",
     "read_variables",
 ]
 
@@ -129,49 +127,6 @@ def reaching_definitions(
 ) -> DataflowEngine[ReachingState]:
     """Run reaching definitions; returns the engine for per-node queries."""
     pass_ = ReachingDefinitions(program.body)
-    engine = DataflowEngine(pass_)
-    engine.run(program.body, pass_.boundary(program, input_names))
-    return engine
-
-
-class MustDefined(DataflowPass[frozenset]):
-    """Forward must-analysis: names bound on *every* path to a node.
-
-    Reaching definitions is a may-analysis — presence means "defined on
-    some path" — which cannot license removing an expression evaluation:
-    if a read *may* fault with ``KeyError``, an optimizer that deletes
-    the read changes observable behaviour.  This pass's verdict is the
-    safe one: a name in the state is bound however control arrived, so
-    evaluating (or not evaluating) an expression over such names is
-    side-effect-free either way.
-    """
-
-    name = "must-defined"
-    direction = "forward"
-
-    def boundary(
-        self, program: Program, input_names: frozenset[str] | None = None
-    ) -> frozenset[str]:
-        """Entry state: globals and declared inputs are bound."""
-        return frozenset(program.globals_init) | frozenset(input_names or ())
-
-    def join(self, a: frozenset, b: frozenset) -> frozenset:
-        return a & b
-
-    def transfer_assign(self, stmt: Assign, state: frozenset) -> frozenset:
-        return state | {stmt.target}
-
-    def bind_loop_var(self, stmt: Loop, state: frozenset) -> frozenset:
-        if stmt.loop_var is None:
-            return state
-        return state | {stmt.loop_var}
-
-
-def must_defined(
-    program: Program, input_names: frozenset[str] | None = None
-) -> DataflowEngine[frozenset]:
-    """Run the must-defined analysis; returns the engine for queries."""
-    pass_ = MustDefined()
     engine = DataflowEngine(pass_)
     engine.run(program.body, pass_.boundary(program, input_names))
     return engine

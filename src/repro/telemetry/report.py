@@ -276,7 +276,6 @@ _LOWER_IS_BETTER = (
     "energy",
     "time_s",
     "latency",
-    "rejected_certificates",
     "retarget",
     "bound_exceeded",
     "external_arms",
@@ -497,7 +496,6 @@ GATE_DEFAULT_METRICS = (
     "lint.workloads",
     "lint.diagnostics.error",
     "lint.diagnostics.warning",
-    "lint.opt.rejected_certificates",
     # Energy-attribution roll-up (``repro energy --trace``); the ledger
     # is deterministic, so BENCH_energy_baseline.json pins total joules,
     # per-job joules, the conservation error (effectively zero) and the

@@ -44,6 +44,12 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert "unknown workload" in err
 
+    def test_one_profile_job_exit_2_with_one_line(self, capsys):
+        assert main(["check", "sha", "--profile-jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--profile-jobs" in err
+
     def test_check_listed_in_catalog(self, capsys):
         assert main(["list"]) == 0
         assert "check" in capsys.readouterr().out

@@ -504,6 +504,8 @@ class TestSingleRunCommands:
         ["watch", "sha", "--jobs", "5", "--jitter", "-1"],
         ["profile", "sha", "--jobs", "5", "--jitter", "-1"],
         ["energy", "sha", "--jobs", "5", "--jitter", "-1"],
+        ["profile", "sha", "--profile-jobs", "1"],
+        ["energy", "sha", "--profile-jobs", "1"],
         ["fig15", "--jobs", "0"],
         ["fig2", "--app", "nope"],
         ["fleet", "run", "--apps", "nope"],

@@ -29,6 +29,12 @@ class TestLintCommand:
         assert main(["lint", "no_such_app"]) == 2
         assert "unknown workload" in capsys.readouterr().err
 
+    def test_zero_sample_jobs_exit_2_with_one_line(self, capsys):
+        assert main(["lint", "sha", "--sample-jobs", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--sample-jobs" in err
+
     def test_lint_listed_in_catalog(self, capsys):
         assert main(["list"]) == 0
         assert "lint" in capsys.readouterr().out
@@ -55,7 +61,6 @@ class TestLintCommand:
         for entry in payload.values():
             assert entry["counts"]["error"] == 0
             assert "diagnostics" in entry
-            assert "certificates" in entry
 
     def test_trace_metrics_and_committed_baseline_gate(
         self, tmp_path, capsys
@@ -79,7 +84,6 @@ class TestLintCommand:
         counters = metrics["counters"]
         assert counters["lint.workloads"] == 8.0
         assert counters["lint.diagnostics.error"] == 0.0
-        assert counters["lint.opt.rejected_certificates"] == 0.0
         # The committed CI baseline must accept a fresh lint run.
         assert (
             main(
@@ -108,7 +112,6 @@ class TestLintGateWiring:
     def test_lint_metrics_directions(self):
         assert metric_direction("lint.diagnostics.error") == "lower"
         assert metric_direction("lint.diagnostics.warning") == "lower"
-        assert metric_direction("lint.opt.rejected_certificates") == "lower"
         # Workload count is neutral: ANY drift means the lint runs are
         # not comparable, in either direction.
         assert metric_direction("lint.workloads") is None
@@ -117,7 +120,6 @@ class TestLintGateWiring:
         assert "lint.workloads" in GATE_DEFAULT_METRICS
         assert "lint.diagnostics.error" in GATE_DEFAULT_METRICS
         assert "lint.diagnostics.warning" in GATE_DEFAULT_METRICS
-        assert "lint.opt.rejected_certificates" in GATE_DEFAULT_METRICS
 
     def test_new_error_fails_the_gate(self, tmp_path):
         _write_metrics(
@@ -187,7 +189,6 @@ class TestLintGateWiring:
                 "lint.workloads": 8.0,
                 "lint.diagnostics.error": 0.0,
                 "lint.diagnostics.warning": 0.0,
-                "lint.opt.rejected_certificates": 0.0,
                 "lint.diagnostics.info": 3.0,  # advisory: not pinned
             },
         )

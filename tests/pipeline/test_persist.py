@@ -28,14 +28,28 @@ def controller():
     )
 
 
+@pytest.fixture(scope="module")
+def full_slice_controller():
+    """The slicing-off ablation's controller: a non-default slice_mode."""
+    return build_controller(
+        get_app("sha"),
+        opps=OPPS,
+        config=PipelineConfig(n_profile_jobs=60, slice_mode="full"),
+        switch_table=SwitchLatencyModel(OPPS).microbenchmark(20),
+    )
+
+
 class TestRoundtrip:
-    def test_save_load_metadata(self, controller, tmp_path):
-        path = tmp_path / "sha_controller.json"
-        save_controller(controller, path)
-        restored = load_controller(path)
-        assert restored.app_name == "sha"
-        assert restored.config == controller.config
-        assert restored.predictor.margin == controller.predictor.margin
+    def test_save_load_metadata(
+        self, controller, full_slice_controller, tmp_path
+    ):
+        for original in (controller, full_slice_controller):
+            path = tmp_path / f"sha_{original.config.slice_mode}.json"
+            save_controller(original, path)
+            restored = load_controller(path)
+            assert restored.app_name == "sha"
+            assert restored.config == original.config
+            assert restored.predictor.margin == original.predictor.margin
 
     def test_predictions_identical(self, controller, tmp_path):
         path = tmp_path / "c.json"

@@ -72,6 +72,11 @@ class TestCorruptFiles:
         with pytest.raises(ValueError, match="negative"):
             load_controller(bad)
 
+    def test_unknown_config_key(self, saved, tmp_path):
+        bad = corrupt(saved, tmp_path, lambda p: p["config"].update(bogus=1))
+        with pytest.raises(ValueError, match="bogus"):
+            load_controller(bad)
+
     def test_valid_file_still_loads(self, saved):
         controller = load_controller(saved)
         assert controller.app_name == "xpilot"

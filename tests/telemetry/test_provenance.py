@@ -614,3 +614,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "(3, 5)" in err and "nan" in err
+
+    def test_replay_rejects_unknown_config_key_exit_2(
+        self, traced_lab, tmp_path, capsys
+    ):
+        """A controller file with a config key this library does not
+        know is refused with one line naming the key, not replayed."""
+        from repro.cli import main
+
+        directory, lab = traced_lab
+        path = tmp_path / "ctrl.json"
+        save_controller(lab.controller("rijndael"), path)
+        payload = json.loads(path.read_text())
+        payload["config"]["optimize"] = "slice"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["replay", str(directory), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "optimize" in err
