@@ -91,10 +91,11 @@ class PageHinkleyDetector(DriftDetector):
         self._n += 1
         self._mean += (x - self._mean) / self._n
         self._cumulative += x - self._mean - self.delta
-        self._minimum = min(self._minimum, self._cumulative)
+        if self._cumulative < self._minimum:
+            self._minimum = self._cumulative
         if self._n < self.min_samples:
             return False
-        return self.statistic > self.threshold
+        return self._cumulative - self._minimum > self.threshold
 
     @property
     def statistic(self) -> float:

@@ -102,7 +102,11 @@ class SwitchLatencyModel:
         self.kernel_overhead_s = kernel_overhead_s
         self.settle_s_per_volt = settle_s_per_volt
         self.noise_sigma = noise_sigma
-        self._rng = random.Random(seed)
+        self._seed = seed
+        # Seeded on the first draw: the draws are the same, and a board
+        # that never switches (most short fleet sessions) skips the
+        # generator's set-up.
+        self._rng: random.Random | None = None
 
     def nominal_s(self, start: OperatingPoint, end: OperatingPoint) -> float:
         """Median (noise-free) switch latency."""
@@ -116,6 +120,8 @@ class SwitchLatencyModel:
         nominal = self.nominal_s(start, end)
         if nominal == 0.0:
             return 0.0
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
         return nominal * math.exp(self._rng.gauss(0.0, self.noise_sigma))
 
     def percentile_s(

@@ -14,11 +14,31 @@ Programs run as Python code.  The first execution of a
 into one Python function (stdlib :func:`compile`) and keeps it on that
 object, so the function lives exactly as long as the program does.  The
 generated code keeps the run's inputs, globals and locals in one flat
-dict and does its arithmetic inline.  It makes the same float additions
-to the instruction and memory tallies, and the same feature-counter and
-call-address updates, in the same order as the statement semantics
-below, so Work, features and final globals are those of a node-by-node
-evaluation, bit for bit.
+dict and does its arithmetic inline.  Work, features and final globals
+are those of a node-by-node evaluation of the statement semantics below,
+bit for bit:
+
+- The memory tally, feature counters, call addresses and variable writes
+  happen in exactly the order of the semantics, with the same float
+  additions.
+- The instruction tally is *folded* when every ``Block.instructions``,
+  ``Assign.cost`` and ``Hint.cost`` in the tree is an integral ``int``
+  or ``float`` (those of never-taken branches too).  It is then a Python
+  int.  The constant costs of a straight-line suite are added once, at
+  its head.  The per-trip constant of a loop body, ``LOOP_ITER_COST``
+  included, is added once as ``K * trips``: before a ``Loop`` runs,
+  after a ``While`` (whose condition checks still add in place).  This
+  is exact: every partial sum, in either order, is an integer no larger
+  than the job's total, and every integer up to ``2**53`` is a float.
+  So when the total is at most ``2**53``, each float addition of the
+  node-by-node order is exact too, and both give the same float.
+- A folded run checks its total once, at the end.  Past ``2**53`` the
+  job runs again, from its untouched inputs and globals, with the same
+  program compiled with folding off (built on first need).  That form,
+  also the one for any program with a fractional instruction cost, adds
+  each cost as a float, in place.
+
+The compiled function's ``folded`` attribute says which form it is.
 
 Statement semantics (costs in instructions, from :mod:`repro.programs.ir`):
 
@@ -86,6 +106,7 @@ from repro.programs.ir import (
     Seq,
     Stmt,
     While,
+    walk,
 )
 
 __all__ = ["RawFeatures", "ExecutionResult", "Interpreter"]
@@ -221,6 +242,18 @@ class Interpreter:
             instructions, mem_refs = compiled(
                 namespace, features.counters, features.call_addresses
             )
+            if instructions is None:
+                # The folded tally passed 2**53: run the job again, from
+                # its untouched inputs and globals, adding in order.
+                sequential = compiled.sequential
+                if sequential is None:
+                    sequential = compiled.sequential = _build(program, False)
+                namespace = dict(inputs)
+                namespace.update(globals_)
+                features = RawFeatures()
+                instructions, mem_refs = sequential(
+                    namespace, features.counters, features.call_addresses
+                )
         except KeyError as exc:
             raise KeyError(f"undefined variable {exc.args[0]!r}") from None
         finally:
@@ -246,20 +279,61 @@ _MAX_LOOPS = 12
 _MAX_INDENT = 24
 _MAX_EXPR_DEPTH = 40
 
+#: Every integer up to this bound is a float, so an integral tally that
+#: stays within it is summed exactly in any order.
+_EXACT_LIMIT = 2**53
+
 
 def _compile(program: Program):
-    """The Python function that runs ``program``."""
-    gen = _CodeGen()
+    """The Python function that runs ``program``.
+
+    Its ``folded`` attribute says whether it folds the instruction tally:
+    it does when every instruction cost in the tree is an integral
+    ``int`` or ``float``.
+    """
+    return _build(program, fold=_integral_costs(program.body))
+
+
+def _integral_costs(body: Stmt) -> bool:
+    """Whether every instruction cost in ``body`` is an integral int/float.
+
+    Every node counts, taken or not: a tally folds for the whole program
+    or not at all.
+    """
+    for node in walk(body):
+        if isinstance(node, Block):
+            cost = node.instructions
+        elif isinstance(node, (Assign, Hint)):
+            cost = node.cost
+        else:
+            continue
+        if not (
+            type(cost) is int or (type(cost) is float and cost.is_integer())
+        ):
+            return False
+    return True
+
+
+def _build(program: Program, fold: bool):
+    """Compile ``program``, folding its instruction tally when ``fold``."""
+    gen = _CodeGen(fold)
     entry = "run_" + re.sub(r"\W", "_", program.name, flags=re.ASCII)
     gen.function(
         entry,
         "ns, cnt, calls",
-        ("cget = cnt.get", "ins = 0.0", "mem = 0.0"),
+        ("cget = cnt.get", f"ins = {0 if fold else 0.0}", "mem = 0.0"),
         program.body,
+        # The exactness check: past 2**53 the run's float sum may depend
+        # on the order of its additions.
+        f"(float(ins) if ins <= {_EXACT_LIMIT} else None)" if fold else "ins",
     )
     namespace = {"repeat": repeat, **gen.consts}
     exec(compile("\n\n".join(gen.defs), COMPILED_FILENAME, "exec"), namespace)
-    return namespace[entry]
+    compiled = namespace[entry]
+    compiled.folded = fold
+    # The sequential twin of a folded program, built on first need.
+    compiled.sequential = None
+    return compiled
 
 
 class _CodeGen:
@@ -268,9 +342,17 @@ class _CodeGen:
     Generated functions take the flat variable dict ``ns``, the feature
     dicts ``cnt``/``calls`` and the instruction/memory tallies
     ``ins``/``mem``; every other Python local is a compiler temporary.
+
+    With ``fold`` off, every instruction cost is its own ``ins += cost``
+    at its place in the run.  With ``fold`` on, the statement emitters
+    return the constant instruction cost of the code they emitted instead
+    (an int), and ``ins`` is an int: a straight-line suite adds its
+    constants once, at its head, and a loop adds
+    ``(LOOP_ITER_COST + body constants) * trips`` once.
     """
 
-    def __init__(self):
+    def __init__(self, fold: bool):
+        self.fold = fold
         self.defs: list[str] = []
         self.consts: dict[str, object] = {}
         self._serial = 0
@@ -290,112 +372,148 @@ class _CodeGen:
         self.consts[name] = value
         return name
 
+    def cost(self, lines, pad, value) -> int:
+        """Charge ``value`` instructions here; the part left to hoist.
+
+        Folding, the whole integral cost is left to the enclosing suite
+        or loop; otherwise it is added in place.
+        """
+        if self.fold:
+            return int(value)
+        lines.append(f"{pad}ins += {self.literal(value)}")
+        return 0
+
     # -- statements -----------------------------------------------------------
-    def function(self, name, params, prelude, node) -> None:
+    def function(self, name, params, prelude, node, result="ins") -> None:
         lines = [f"def {name}({params}):"]
         lines.extend(f"    {line}" for line in prelude)
         self.suite(lines, node, 1, 0)
-        lines.append("    return ins, mem")
+        lines.append(f"    return {result}, mem")
         self.defs.append("\n".join(lines))
 
-    def suite(self, lines, node, indent, loops) -> None:
-        """Statements for ``node`` at ``indent``; ``pass`` when empty."""
-        before = len(lines)
-        self.stmt(lines, node, indent, loops)
-        if len(lines) == before:
-            lines.append("    " * indent + "pass")
+    def suite(self, lines, node, indent, loops, head=None) -> None:
+        """Statements for ``node`` at ``indent``, their constant cost
+        first; ``pass`` when empty.  ``head`` is a site bumped by 1.0
+        before them (a taken, counted branch)."""
+        pad = "    " * indent
+        body: list[str] = []
+        constant = 0
+        if head is not None:
+            constant += self._bump(body, pad, head, "1.0")
+        constant += self.stmt(body, node, indent, loops)
+        if constant:
+            lines.append(f"{pad}ins += {constant}")
+        lines.extend(body)
+        if not (constant or body):
+            lines.append(f"{pad}pass")
 
-    def stmt(self, lines, node: Stmt, indent: int, loops: int) -> None:
+    def stmt(self, lines, node: Stmt, indent: int, loops: int) -> int:
+        """Emit ``node``; return its constant cost left to hoist."""
         pad = "    " * indent
         emit = lines.append
-        lit = self.literal
         if isinstance(node, Seq):
-            for child in node.stmts:
-                self.stmt(lines, child, indent, loops)
-        elif isinstance(node, Block):
-            emit(f"{pad}ins += {lit(node.instructions)}")
-            emit(f"{pad}mem += {lit(node.mem_refs)}")
-        elif isinstance(node, Assign):
-            emit(f"{pad}ins += {lit(node.cost)}")
+            return sum(
+                self.stmt(lines, child, indent, loops) for child in node.stmts
+            )
+        if isinstance(node, Block):
+            constant = self.cost(lines, pad, node.instructions)
+            emit(f"{pad}mem += {self.literal(node.mem_refs)}")
+            return constant
+        if isinstance(node, Assign):
+            constant = self.cost(lines, pad, node.cost)
             emit(f"{pad}ns[{node.target!r}] = {self.expr(node.expr, 0)}")
-        elif isinstance(node, Hint):
-            emit(f"{pad}ins += {lit(node.cost)}")
+            return constant
+        if isinstance(node, Hint):
+            constant = self.cost(lines, pad, node.cost)
             if node.counted:
-                emit(f"{pad}ins += {COUNTER_COST}")
+                constant += self.cost(lines, pad, COUNTER_COST)
                 emit(f"{pad}cnt[{node.site!r}] = float({self.expr(node.expr, 0)})")
-        elif not isinstance(node, (If, Loop, While, IndirectCall)):
+            return constant
+        if not isinstance(node, (If, Loop, While, IndirectCall)):
             raise TypeError(f"unknown statement type {type(node).__name__}")
-        elif indent >= _MAX_INDENT or loops >= _MAX_LOOPS:
+        if indent >= _MAX_INDENT or loops >= _MAX_LOOPS:
             helper = self._fresh("part")
             self.function(helper, "ns, cnt, cget, calls, ins, mem", (), node)
             emit(f"{pad}ins, mem = {helper}(ns, cnt, cget, calls, ins, mem)")
-        elif isinstance(node, If):
-            self._if(lines, node, indent, loops)
-        elif isinstance(node, Loop):
-            self._loop(lines, node, indent, loops)
-        elif isinstance(node, While):
-            self._while(lines, node, indent, loops)
-        else:
-            self._call(lines, node, indent, loops)
+            return 0
+        if isinstance(node, If):
+            return self._if(lines, node, indent, loops)
+        if isinstance(node, Loop):
+            return self._loop(lines, node, indent, loops)
+        if isinstance(node, While):
+            return self._while(lines, node, indent, loops)
+        return self._call(lines, node, indent, loops)
 
-    def _bump(self, lines, pad, site, amount) -> None:
-        lines.append(f"{pad}ins += {COUNTER_COST}")
+    def _bump(self, lines, pad, site, amount) -> int:
+        constant = self.cost(lines, pad, COUNTER_COST)
         lines.append(f"{pad}cnt[{site!r}] = cget({site!r}, 0.0) + {amount}")
+        return constant
 
-    def _if(self, lines, node: If, indent, loops) -> None:
+    def _if(self, lines, node: If, indent, loops) -> int:
         pad = "    " * indent
-        lines.append(f"{pad}ins += {BRANCH_COST}")
+        constant = self.cost(lines, pad, BRANCH_COST)
         lines.append(f"{pad}if {self.expr(node.cond, 0)}:")
-        if node.counted:
-            self._bump(lines, pad + "    ", node.site, "1.0")
-        self.suite(lines, node.then, indent + 1, loops)
+        head = node.site if node.counted else None
+        self.suite(lines, node.then, indent + 1, loops, head)
         if node.orelse is not None:
             lines.append(f"{pad}else:")
             self.suite(lines, node.orelse, indent + 1, loops)
+        return constant
 
-    def _loop(self, lines, node: Loop, indent, loops) -> None:
-        pad = "    " * indent
+    def _loop(self, lines, node: Loop, indent, loops) -> int:
+        pad, inner = "    " * indent, "    " * (indent + 1)
         trips = self._fresh("n")
         limit = self.literal(node.max_trips)
         lines.append(f"{pad}{trips} = int({self.expr(node.count, 0)})")
         # max(0, min(trips, max_trips)), as min/max compare.
         lines.append(f"{pad}if {trips} > {limit}: {trips} = {limit}")
         lines.append(f"{pad}if {trips} <= 0: {trips} = 0")
+        constant = 0
         if node.counted:
-            self._bump(lines, pad, node.site, trips)
+            constant += self._bump(lines, pad, node.site, trips)
         if node.elide_body:
-            return
-        inner = pad + "    "
+            return constant
+        body: list[str] = []
+        per_trip = self.cost(body, inner, LOOP_ITER_COST)
         if node.loop_var is None:
-            lines.append(f"{pad}for _ in repeat(None, {trips}):")
-            lines.append(f"{inner}ins += {LOOP_ITER_COST}")
+            header = f"{pad}for _ in repeat(None, {trips}):"
         else:
             index = self._fresh("i")
-            lines.append(f"{pad}for {index} in range({trips}):")
-            lines.append(f"{inner}ins += {LOOP_ITER_COST}")
-            lines.append(f"{inner}ns[{node.loop_var!r}] = {index}")
-        self.stmt(lines, node.body, indent + 1, loops + 1)
+            header = f"{pad}for {index} in range({trips}):"
+            body.append(f"{inner}ns[{node.loop_var!r}] = {index}")
+        per_trip += self.stmt(body, node.body, indent + 1, loops + 1)
+        if per_trip:
+            lines.append(f"{pad}ins += {per_trip} * {trips}")
+        if body:
+            lines.append(header)
+            lines.extend(body)
+        return constant
 
-    def _while(self, lines, node: While, indent, loops) -> None:
+    def _while(self, lines, node: While, indent, loops) -> int:
         pad, inner = "    " * indent, "    " * (indent + 1)
         trips = self._fresh("w")
         lines.append(f"{pad}{trips} = 0")
         lines.append(f"{pad}while {trips} < {self.literal(node.max_trips)}:")
+        # The check runs once more than the body unless max_trips stops
+        # the loop, so its cost stays in place.
         lines.append(f"{inner}ins += {BRANCH_COST}")
         lines.append(f"{inner}if not {self.expr(node.cond, 0)}: break")
-        lines.append(f"{inner}ins += {LOOP_ITER_COST}")
-        self.stmt(lines, node.body, indent + 1, loops + 1)
+        per_trip = self.cost(lines, inner, LOOP_ITER_COST)
+        per_trip += self.stmt(lines, node.body, indent + 1, loops + 1)
         lines.append(f"{inner}{trips} += 1")
+        if per_trip:
+            lines.append(f"{pad}ins += {per_trip} * {trips}")
         if node.counted:
-            self._bump(lines, pad, node.site, trips)
+            return self._bump(lines, pad, node.site, trips)
+        return 0
 
-    def _call(self, lines, node: IndirectCall, indent, loops) -> None:
+    def _call(self, lines, node: IndirectCall, indent, loops) -> int:
         pad = "    " * indent
         address = self._fresh("a")
-        lines.append(f"{pad}ins += {CALL_DISPATCH_COST}")
+        constant = self.cost(lines, pad, CALL_DISPATCH_COST)
         lines.append(f"{pad}{address} = int({self.expr(node.target, 0)})")
         if node.counted:
-            lines.append(f"{pad}ins += {COUNTER_COST}")
+            constant += self.cost(lines, pad, COUNTER_COST)
             lines.append(
                 f"{pad}calls.setdefault({node.site!r}, []).append({address})"
             )
@@ -405,12 +523,12 @@ class _CodeGen:
             self.suite(lines, callee, indent + 1, loops)
             keyword = "elif"
         if node.default is None:
-            return
+            return constant
         if keyword == "if":
-            self.stmt(lines, node.default, indent, loops)
-        else:
-            lines.append(f"{pad}else:")
-            self.suite(lines, node.default, indent + 1, loops)
+            return constant + self.stmt(lines, node.default, indent, loops)
+        lines.append(f"{pad}else:")
+        self.suite(lines, node.default, indent + 1, loops)
+        return constant
 
     # -- expressions ----------------------------------------------------------
     def expr(self, node: Expr, depth: int) -> str:

@@ -18,6 +18,8 @@ address (one-hot encoded later).
 
 from __future__ import annotations
 
+import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -48,6 +50,30 @@ CALL_DISPATCH_COST = 4
 COUNTER_COST = 1  # one feature-counter increment (instrumentation overhead)
 
 
+def _check_cost(value: object, what: str, owner: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is a finite real ``>= 0``.
+
+    A bool is not a count, and NaN and infinity fail the range test.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not 0 <= value < math.inf
+    ):
+        raise ValueError(
+            f"{owner}: {what} must be a finite non-negative number, "
+            f"got {value!r}"
+        )
+
+
+def _check_max_trips(value: object, owner: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int ``>= 0``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(
+            f"{owner}: max_trips must be a non-negative int, got {value!r}"
+        )
+
+
 class Stmt(ABC):
     """Base class for all statements."""
 
@@ -71,10 +97,8 @@ class Block(Stmt):
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.instructions < 0:
-            raise ValueError(f"negative instruction count in block {self.name!r}")
-        if self.mem_refs < 0:
-            raise ValueError(f"negative mem_refs in block {self.name!r}")
+        _check_cost(self.instructions, "instructions", f"block {self.name!r}")
+        _check_cost(self.mem_refs, "mem_refs", f"block {self.name!r}")
 
     def children(self) -> tuple[Stmt, ...]:
         return ()
@@ -98,8 +122,7 @@ class Assign(Stmt):
     def __post_init__(self) -> None:
         if not self.target:
             raise ValueError("Assign requires a non-empty target name")
-        if self.cost < 0:
-            raise ValueError("Assign cost must be non-negative")
+        _check_cost(self.cost, "cost", f"assignment to {self.target!r}")
 
     def children(self) -> tuple[Stmt, ...]:
         return ()
@@ -167,8 +190,7 @@ class Loop(Stmt):
     def __post_init__(self) -> None:
         if not self.site:
             raise ValueError("Loop requires a non-empty site label")
-        if self.max_trips < 0:
-            raise ValueError("max_trips must be non-negative")
+        _check_max_trips(self.max_trips, f"loop {self.site!r}")
 
     def children(self) -> tuple[Stmt, ...]:
         return (self.body,)
@@ -202,8 +224,7 @@ class While(Stmt):
     def __post_init__(self) -> None:
         if not self.site:
             raise ValueError("While requires a non-empty site label")
-        if self.max_trips < 0:
-            raise ValueError("max_trips must be non-negative")
+        _check_max_trips(self.max_trips, f"while loop {self.site!r}")
 
     def children(self) -> tuple[Stmt, ...]:
         return (self.body,)
@@ -265,8 +286,7 @@ class Hint(Stmt):
     def __post_init__(self) -> None:
         if not self.site:
             raise ValueError("Hint requires a non-empty site label")
-        if self.cost < 0:
-            raise ValueError("Hint cost must be non-negative")
+        _check_cost(self.cost, "cost", f"hint {self.site!r}")
 
     def children(self) -> tuple[Stmt, ...]:
         return ()

@@ -397,7 +397,7 @@ class TaskLoopRunner:
             # log, with the fields every decision has.
             if not self_audited:
                 telemetry.record_decision(
-                    DecisionRecord(
+                    DecisionRecord.bare(
                         job_index=index,
                         t_s=now,
                         governor=self.governor.name,
@@ -530,8 +530,9 @@ class TaskLoopRunner:
                 metrics.counter("executor.misses"),
                 metrics.histogram("executor.slack_s"),
                 metrics.histogram("executor.exec_time_s"),
+                metrics.gauge("executor.energy_j"),
             )
-        jobs, misses, slack, exec_time = self._job_metrics
+        jobs, misses, slack, exec_time, energy = self._job_metrics
         jobs.inc()
         if missed:
             misses.inc()
@@ -551,7 +552,7 @@ class TaskLoopRunner:
             )
         # Cumulative energy as a gauge: the last write is the run total,
         # which the metrics regression gate compares across commits.
-        metrics.gauge("executor.energy_j").set(energy_j)
+        energy.set(energy_j)
         if self._overlap_energy_j > 0:
             metrics.gauge("executor.predictor_overlap_j").set(
                 self._overlap_energy_j

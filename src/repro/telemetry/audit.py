@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -318,6 +318,38 @@ class DecisionRecord:
         return payload
 
     @classmethod
+    def bare(
+        cls,
+        job_index: int,
+        t_s: float,
+        governor: str,
+        opp_mhz: float | None,
+        predicted_time_s: float,
+        energy_j: float,
+    ) -> "DecisionRecord":
+        """The record ``cls(...)`` builds from these fields, the rest at
+        their defaults.
+
+        The executor builds one per job for every governor that does not
+        audit itself, so this fills the instance dict in one pass instead
+        of the frozen ``__init__``'s one ``object.__setattr__`` per field.
+        """
+        record = object.__new__(cls)
+        state = record.__dict__
+        # Every key first, in field order, then the given values.
+        state.update(_RECORD_DEFAULTS)
+        state.update(
+            job_index=job_index,
+            t_s=t_s,
+            governor=governor,
+            opp_mhz=opp_mhz,
+            predicted_time_s=predicted_time_s,
+            features={},
+            energy_j=energy_j,
+        )
+        return record
+
+    @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "DecisionRecord":
         """Parse a record dict from any known schema version.
 
@@ -352,6 +384,11 @@ class DecisionRecord:
                 for rung in payload.get("ladder", ())
             ),
         )
+
+
+#: DecisionRecord's fields in order, each at its default object (the
+#: ones :meth:`DecisionRecord.bare` always sets have none).
+_RECORD_DEFAULTS = {f.name: f.default for f in fields(DecisionRecord)}
 
 
 def read_decisions_jsonl(

@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.telemetry.events import TelemetrySink, TraceEvent
+from repro.telemetry.events import ListSink, TelemetrySink, TraceEvent
 from repro.telemetry.slo import (
     JobObservation,
     SloAlert,
@@ -56,6 +56,18 @@ __all__ = [
 
 _EPS = 1e-12
 _SPARK = "▁▂▃▄▅▆▇█"
+
+#: Builds a JobObservation from all seven fields without the named
+#: tuple's Python-level ``__new__`` (one is built per job).
+_new_observation = tuple.__new__
+
+#: The events :meth:`Watchdog.consume_event` reads, by name (its one
+#: instant kind is the decision record's); :class:`WatchSink` passes it
+#: no others.
+_CONSUMED_NAMES = frozenset(
+    {"job", "execute", "switch", "freq_mhz", "residual_rel", "energy_j",
+     "decision"}
+)
 
 
 class RollingMad:
@@ -332,15 +344,19 @@ class Watchdog:
         if self._energy_j is not None:
             energy = self._energy_j - self._last_energy_j
             self._last_energy_j = self._energy_j
+        args = event.args
         self.observe_job(
-            JobObservation(
-                index=index,
-                t_s=end_s,
-                missed=bool(event.args.get("missed", False)),
-                slack_s=float(event.args.get("slack_s", math.nan)),
-                energy_j=energy,
-                residual_rel=residual,
-                switch_time_s=self._switch_s,
+            _new_observation(
+                JobObservation,
+                (
+                    index,
+                    end_s,
+                    bool(args.get("missed", False)),
+                    float(args.get("slack_s", math.nan)),
+                    energy,
+                    residual,
+                    self._switch_s,
+                ),
             )
         )
         self._predicted = None
@@ -487,12 +503,16 @@ class WatchSink(TelemetrySink):
     def __init__(self, inner: TelemetrySink, watchdog: Watchdog):
         self.inner = inner
         self.watchdog = watchdog
-        self._inner_emit = inner.emit
+        # A plain ListSink's emit is its list's append: call that directly.
+        self._inner_emit = (
+            inner.events.append if type(inner) is ListSink else inner.emit
+        )
         self._consume = watchdog.consume_event
 
     def emit(self, event: TraceEvent) -> None:
         self._inner_emit(event)
-        self._consume(event)
+        if event.name in _CONSUMED_NAMES:
+            self._consume(event)
 
 
 # -- terminal dashboard --------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests for environments and the statement IR."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from repro.programs.env import Environment
@@ -7,11 +10,13 @@ from repro.programs.expr import Compare, Const, Var
 from repro.programs.ir import (
     Assign,
     Block,
+    Hint,
     If,
     IndirectCall,
     Loop,
     Program,
     Seq,
+    While,
     control_sites,
     walk,
 )
@@ -123,6 +128,73 @@ class TestIrValidation:
     def test_indirect_call_requires_int_addresses(self):
         with pytest.raises(TypeError):
             IndirectCall("c", Const(1), table={"a": Block(1)})
+
+
+# Costs must be finite reals >= 0; max_trips an int >= 0.  Each builder
+# puts the hostile value in one field and names the node it expects in
+# the message.
+_BAD_COSTS = [
+    math.nan,
+    math.inf,
+    -math.inf,
+    -1,
+    -0.5,
+    "ten",
+    "10",
+    None,
+    True,
+    complex(1, 0),
+    [1],
+]
+_COST_FIELDS = {
+    "Block.instructions": (lambda v: Block(v, name="mac"), "'mac'"),
+    "Block.mem_refs": (lambda v: Block(1, v, name="mac"), "'mac'"),
+    "Assign.cost": (lambda v: Assign("x", Const(1), cost=v), "'x'"),
+    "Hint.cost": (lambda v: Hint("meta", Const(1), cost=v), "'meta'"),
+}
+_BAD_TRIPS = [2.5, 3.0, math.nan, math.inf, -1, "5", None, True]
+_TRIP_FIELDS = {
+    "Loop.max_trips": (
+        lambda v: Loop("l", Const(1), Block(1), max_trips=v),
+        "'l'",
+    ),
+    "While.max_trips": (
+        lambda v: While("w", Const(0), Block(1), max_trips=v),
+        "'w'",
+    ),
+}
+
+
+class TestHostileIrValues:
+    @pytest.mark.parametrize("value", _BAD_COSTS, ids=repr)
+    @pytest.mark.parametrize("field", sorted(_COST_FIELDS))
+    def test_bad_cost_raises_value_error_naming_the_node(self, field, value):
+        build, name = _COST_FIELDS[field]
+        with pytest.raises(ValueError, match=name) as excinfo:
+            build(value)
+        assert field.split(".")[1] in str(excinfo.value)
+
+    @pytest.mark.parametrize("value", _BAD_TRIPS, ids=repr)
+    @pytest.mark.parametrize("field", sorted(_TRIP_FIELDS))
+    def test_bad_max_trips_raises_value_error_naming_the_site(
+        self, field, value
+    ):
+        build, name = _TRIP_FIELDS[field]
+        with pytest.raises(ValueError, match=name) as excinfo:
+            build(value)
+        assert "max_trips" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "value", [0, 0.0, -0.0, 7, 2.5, 10**30, Fraction(1, 3)], ids=repr
+    )
+    @pytest.mark.parametrize("field", sorted(_COST_FIELDS))
+    def test_finite_non_negative_costs_build(self, field, value):
+        _COST_FIELDS[field][0](value)
+
+    @pytest.mark.parametrize("field", sorted(_TRIP_FIELDS))
+    def test_int_max_trips_build(self, field):
+        for value in (0, 1, 10**12):
+            _TRIP_FIELDS[field][0](value)
 
 
 class TestTreeStructure:

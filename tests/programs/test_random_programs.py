@@ -81,22 +81,39 @@ class _SiteNamer:
         return f"{kind}{self.n}"
 
 
-def stmts(namer, depth):
-    """Statement strategy with bounded nesting."""
+#: Costs with thirds mixed in: k/3 is no float, so tallies round.
+FRACTIONAL_COSTS = st.one_of(
+    st.integers(0, 5000), st.integers(0, 15000).map(lambda k: k / 3)
+)
+
+
+def stmts(namer, depth, costs=None):
+    """Statement strategy with bounded nesting.
+
+    With ``costs``, Block, Assign and Hint costs all draw from it; by
+    default Blocks draw integers and the others keep their default cost.
+    """
+    if costs is None:
+        block = st.builds(Block, st.integers(0, 5000), st.integers(0, 20))
+        cost = ()
+    else:
+        block = st.builds(Block, costs, costs)
+        cost = (costs,)
     simple = st.one_of(
-        st.builds(Block, st.integers(0, 5000), st.integers(0, 20)),
+        block,
         st.builds(
             Assign,
             st.sampled_from(GLOBAL_VARS + ("local_t",)),
             exprs(1),
+            *cost,
         ),
         st.builds(
-            lambda e: Hint(namer.next("hint"), e), exprs(1)
+            lambda e, *c: Hint(namer.next("hint"), e, *c), exprs(1), *cost
         ),
     )
     if depth == 0:
         return simple
-    inner = stmts(namer, depth - 1)
+    inner = stmts(namer, depth - 1, costs)
     compound = st.one_of(
         st.lists(inner, min_size=1, max_size=3).map(Seq),
         st.builds(
@@ -150,10 +167,10 @@ def _countdown_while(namer, bound, body):
 
 
 @st.composite
-def programs(draw):
+def programs(draw, costs=None):
     namer = _SiteNamer()
     body = draw(
-        st.lists(stmts(namer, depth=2), min_size=1, max_size=4).map(Seq)
+        st.lists(stmts(namer, 2, costs), min_size=1, max_size=4).map(Seq)
     )
     return Program(
         "random", body, globals_init={"g_x": 0, "g_y": 1}
@@ -161,8 +178,8 @@ def programs(draw):
 
 
 @st.composite
-def program_and_inputs(draw, n_inputs=3):
-    program = draw(programs())
+def program_and_inputs(draw, n_inputs=3, costs=None):
+    program = draw(programs(costs))
     inputs = [
         {name: draw(st.integers(-5, 20)) for name in INPUT_VARS}
         for _ in range(n_inputs)

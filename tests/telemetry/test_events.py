@@ -83,6 +83,27 @@ class TestDecisionAudit:
         assert data["margin"] is None
         assert data["opp_mhz"] is None
 
+    @pytest.mark.parametrize("opp_mhz", [800.0, None])
+    def test_bare_record_is_the_constructed_one(self, opp_mhz):
+        """Same fields, default objects, field order and fresh features."""
+        fields = dict(
+            job_index=3,
+            t_s=0.25,
+            governor="g",
+            opp_mhz=opp_mhz,
+            predicted_time_s=0.02,
+            energy_j=1.5,
+        )
+        full = DecisionRecord(**fields)
+        bare = DecisionRecord.bare(**fields)
+        assert bare == full and repr(bare) == repr(full)
+        assert list(vars(bare)) == list(vars(full))
+        assert vars(bare)["margin"] is vars(full)["margin"]  # one NaN
+        assert bare.features == {}
+        assert bare.features is not DecisionRecord.bare(**fields).features
+        with pytest.raises(AttributeError):
+            bare.margin = 0.0
+
 
 class TestNullTelemetry:
     def test_disabled_flag(self):

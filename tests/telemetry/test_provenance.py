@@ -633,3 +633,42 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "optimize" in err
+
+    @pytest.mark.parametrize("bad", ["ten", math.nan], ids=repr)
+    def test_replay_rejects_bad_slice_cost_exit_2(
+        self, traced_lab, tmp_path, capsys, bad
+    ):
+        """A controller file whose slice Block has a string or NaN
+        instruction count is refused with one line naming the block,
+        not replayed."""
+        from repro.cli import main
+
+        directory, lab = traced_lab
+        path = tmp_path / "ctrl.json"
+        save_controller(lab.controller("rijndael"), path)
+        payload = json.loads(path.read_text())
+        block = _first_block(payload["slice"]["program"]["body"])
+        block["instructions"] = bad
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["replay", str(directory), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert repr(block["name"]) in err and "instructions" in err
+
+
+def _first_block(node):
+    """The first serialized ``Block`` in a program dict, depth first."""
+    if isinstance(node, dict):
+        if node.get("t") == "Block":
+            return node
+        children = node.values()
+    elif isinstance(node, list):
+        children = node
+    else:
+        return None
+    for child in children:
+        found = _first_block(child)
+        if found is not None:
+            return found
+    return None
