@@ -32,6 +32,7 @@ from repro.telemetry.energy import EnergyLedger, EnergyState
 from repro.telemetry.hostprof import HostProfiler
 from repro.telemetry.slo import (
     JobObservation,
+    SloSpec,
     SloTracker,
     SloTrackerState,
     default_slos,
@@ -232,16 +233,19 @@ class Session:
             switches=run.switch_count,
             makespan_s=self._finished_at,
             slacks_s=tuple(job.slack_s for job in run.jobs),
-            # SLO state is built only here: a shard keeps every session
-            # alive until the end, and nothing reads it before the
-            # result, so trackers held for the whole run would only be
-            # more long-lived objects for the garbage collector to scan.
-            slo_states=tuple(
-                SloTracker.replay(spec, self._observations)
-                for spec in self._slos
-            ),
+            slo_states=tuple(map(self._slo_state, self._slos)),
             energy_state=energy_state,
         )
+
+    def _slo_state(self, spec: SloSpec) -> SloTrackerState:
+        # Trackers live only here: a shard keeps every session alive
+        # until the end, and nothing reads SLO state before the result,
+        # so per-session trackers held for the whole run would only be
+        # more long-lived objects for the garbage collector to scan.
+        tracker = SloTracker(spec)
+        for observation in self._observations:
+            tracker.observe(observation)
+        return tracker.state()
 
 
 def run_session(

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -386,9 +386,43 @@ class DecisionRecord:
         )
 
 
-#: DecisionRecord's fields in order, each at its default object (the
-#: ones :meth:`DecisionRecord.bare` always sets have none).
-_RECORD_DEFAULTS = {f.name: f.default for f in fields(DecisionRecord)}
+#: The fields :meth:`DecisionRecord.bare` always sets.
+_BARE_FIELDS = frozenset(
+    {
+        "job_index",
+        "t_s",
+        "governor",
+        "opp_mhz",
+        "predicted_time_s",
+        "features",
+        "energy_j",
+    }
+)
+
+
+def _record_defaults(cls: type) -> dict[str, Any]:
+    """A dataclass's fields in order, each at its plain default object.
+
+    The fields in :data:`_BARE_FIELDS` map to None: ``bare`` overwrites
+    them.  Any other field without a plain default (a required one, or
+    one with a ``default_factory``) raises, so ``bare`` can never store
+    ``dataclasses.MISSING`` in a record.
+    """
+    defaults: dict[str, Any] = {}
+    for f in fields(cls):
+        if f.name in _BARE_FIELDS:
+            defaults[f.name] = None
+        elif f.default is MISSING:
+            raise TypeError(
+                f"{cls.__name__}.{f.name} has no plain default; "
+                "DecisionRecord.bare cannot fill it"
+            )
+        else:
+            defaults[f.name] = f.default
+    return defaults
+
+
+_RECORD_DEFAULTS = _record_defaults(DecisionRecord)
 
 
 def read_decisions_jsonl(

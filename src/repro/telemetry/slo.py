@@ -38,10 +38,9 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple
 
 __all__ = [
     "SIGNALS",
@@ -405,9 +404,6 @@ def merge_states(
     )
 
 
-_MISSED = operator.attrgetter("missed")
-
-
 class SloTracker:
     """Streams one spec's error-budget accounting and burn-rate alarms.
 
@@ -423,11 +419,6 @@ class SloTracker:
 
     def __init__(self, spec: SloSpec, min_jobs: int | None = None):
         self.spec = spec
-        # A miss is the observation's own flag: read it without a call
-        # into SloSpec.is_bad (a tracker classifies every job).
-        self._is_bad = (
-            _MISSED if spec.signal == "deadline_miss" else spec.is_bad
-        )
         lengths = [w.jobs for w in spec.windows]
         self.min_jobs = min_jobs if min_jobs is not None else min(lengths)
         self._rings = [deque(maxlen=n) for n in lengths]
@@ -474,7 +465,7 @@ class SloTracker:
     def observe(self, obs: JobObservation) -> SloAlert | None:
         """Fold one job in; returns a newly-fired alert, if any."""
         spec = self.spec
-        bad = self._is_bad(obs)
+        bad = spec.is_bad(obs)
         if bad is None:
             return None
         flag = int(bad)
@@ -527,31 +518,6 @@ class SloTracker:
             rings=tuple(map(tuple, self._rings)),
             alerts=tuple(self.alerts),
         )
-
-    @classmethod
-    def replay(
-        cls, spec: SloSpec, observations: Sequence[JobObservation]
-    ) -> SloTrackerState:
-        """The state a fresh tracker holds after ``observations``.
-
-        A stream shorter than the shortest window fires no alert (one
-        needs ``min_jobs`` classified jobs) and fits whole in every ring,
-        so it is classified without stepping a tracker.
-        """
-        if len(observations) < min(window.jobs for window in spec.windows):
-            flags = tuple(
-                bad for bad in map(spec.is_bad, observations) if bad is not None
-            )
-            return SloTrackerState(
-                spec=spec,
-                jobs=len(flags),
-                bad=sum(flags),
-                rings=(flags,) * len(spec.windows),
-            )
-        tracker = cls(spec)
-        for observation in observations:
-            tracker.observe(observation)
-        return tracker.state()
 
     @classmethod
     def from_state(

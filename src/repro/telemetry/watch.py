@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.telemetry.events import ListSink, TelemetrySink, TraceEvent
+from repro.telemetry.events import TelemetrySink, TraceEvent
 from repro.telemetry.slo import (
     JobObservation,
     SloAlert,
@@ -60,14 +60,6 @@ _SPARK = "▁▂▃▄▅▆▇█"
 #: Builds a JobObservation from all seven fields without the named
 #: tuple's Python-level ``__new__`` (one is built per job).
 _new_observation = tuple.__new__
-
-#: The events :meth:`Watchdog.consume_event` reads, by name (its one
-#: instant kind is the decision record's); :class:`WatchSink` passes it
-#: no others.
-_CONSUMED_NAMES = frozenset(
-    {"job", "execute", "switch", "freq_mhz", "residual_rel", "energy_j",
-     "decision"}
-)
 
 
 class RollingMad:
@@ -503,16 +495,12 @@ class WatchSink(TelemetrySink):
     def __init__(self, inner: TelemetrySink, watchdog: Watchdog):
         self.inner = inner
         self.watchdog = watchdog
-        # A plain ListSink's emit is its list's append: call that directly.
-        self._inner_emit = (
-            inner.events.append if type(inner) is ListSink else inner.emit
-        )
+        self._inner_emit = inner.emit
         self._consume = watchdog.consume_event
 
     def emit(self, event: TraceEvent) -> None:
         self._inner_emit(event)
-        if event.name in _CONSUMED_NAMES:
-            self._consume(event)
+        self._consume(event)
 
 
 # -- terminal dashboard --------------------------------------------------------

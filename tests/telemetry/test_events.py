@@ -104,6 +104,23 @@ class TestDecisionAudit:
         with pytest.raises(AttributeError):
             bare.margin = 0.0
 
+    def test_bare_refuses_a_field_without_a_plain_default(self):
+        """A new field with a factory (or none) fails at import, not as a
+        record holding ``dataclasses.MISSING``."""
+        from dataclasses import dataclass, field
+
+        from repro.telemetry.audit import _record_defaults
+
+        @dataclass(frozen=True)
+        class Grown:
+            job_index: int
+            features: dict = field(default_factory=dict)
+            mode: str = ""
+            tags: dict = field(default_factory=dict)
+
+        with pytest.raises(TypeError, match="Grown.tags"):
+            _record_defaults(Grown)
+
 
 class TestNullTelemetry:
     def test_disabled_flag(self):

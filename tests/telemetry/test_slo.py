@@ -4,7 +4,6 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.telemetry.slo import (
     SIGNALS,
@@ -208,45 +207,6 @@ class TestMultiWindowAlerting:
         assert set(alert.burn_rates) == {"w20", "w5"}
         assert alert.burn_rates["w5"] == pytest.approx(10.0)
         assert "budget" in alert.message
-
-
-class TestReplay:
-    """``SloTracker.replay`` is the state of a tracker stepped through
-    the stream, on streams shorter and longer than the shortest window."""
-
-    @given(
-        flags=st.lists(
-            st.tuples(st.booleans(), st.booleans(), st.booleans()),
-            max_size=24,
-        ),
-        short=st.integers(1, 8),
-    )
-    def test_matches_a_stepped_tracker(self, flags, short):
-        observations = [
-            obs(
-                index=i,
-                missed=missed,
-                slack_s=-0.01 if late else 0.01,
-                residual_rel=math.nan if unknown else 0.3,
-            )
-            for i, (missed, late, unknown) in enumerate(flags)
-        ]
-        windows = (
-            BurnWindow(jobs=short + 4, max_burn_rate=1.5),
-            BurnWindow(jobs=short, max_burn_rate=2.0),
-        )
-        for signal in ("deadline_miss", "slack_below", "under_estimate"):
-            spec = SloSpec(
-                name=signal,
-                signal=signal,
-                objective=0.2,
-                threshold=0.0 if signal == "slack_below" else 0.1,
-                windows=windows,
-            )
-            tracker = SloTracker(spec)
-            for observation in observations:
-                tracker.observe(observation)
-            assert SloTracker.replay(spec, observations) == tracker.state()
 
 
 class TestJsonRoundTrips:
