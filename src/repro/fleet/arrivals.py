@@ -16,6 +16,7 @@ every tenant's traffic shape.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from abc import ABC, abstractmethod
@@ -29,7 +30,27 @@ __all__ = [
     "DiurnalArrivals",
     "ARRIVAL_KINDS",
     "arrival_from_dict",
+    "check_number",
 ]
+
+
+def check_number(
+    owner: str, key: str, value: object, count: bool = False
+) -> int | float:
+    """Return ``value`` if it is a finite int or float, else raise.
+
+    With ``count`` it must be an int.  A bool is neither.  The
+    ``ValueError`` names ``owner`` and ``key``.
+    """
+    kinds = int if count else (int, float)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, kinds)
+        or not math.isfinite(value)
+    ):
+        what = "an int" if count else "a finite number"
+        raise ValueError(f"{owner}: {key} must be {what}, got {value!r}")
+    return value
 
 
 class ArrivalProcess(ABC):
@@ -67,7 +88,10 @@ class ArrivalProcess(ABC):
 
 @dataclass(frozen=True)
 class PeriodicArrivals(ArrivalProcess):
-    """The paper's release model: one job per period, no randomness."""
+    """The paper's release model: one job per period, no randomness.
+
+    It never draws from ``rng``, which may be None.
+    """
 
     kind = "periodic"
 
@@ -206,12 +230,27 @@ ARRIVAL_KINDS: dict[str, type[ArrivalProcess]] = {
 
 
 def arrival_from_dict(data: dict) -> ArrivalProcess:
-    """Rebuild a process from its :meth:`ArrivalProcess.as_dict` form."""
+    """Rebuild a process from its :meth:`ArrivalProcess.as_dict` form.
+
+    Raises ``ValueError`` for anything but an object with a known
+    ``kind`` whose other fields are the process's own, each a finite
+    number (an int where the default is one).
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"arrival must be a JSON object, got {data!r}")
     kind = data.get("kind")
     if kind not in ARRIVAL_KINDS:
         raise ValueError(
             f"unknown arrival kind {kind!r}; "
             f"expected one of {sorted(ARRIVAL_KINDS)}"
         )
+    cls = ARRIVAL_KINDS[kind]
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     kwargs = {k: v for k, v in data.items() if k != "kind"}
-    return ARRIVAL_KINDS[kind](**kwargs)
+    unknown = sorted(set(kwargs) - set(defaults))
+    if unknown:
+        raise ValueError(f"{kind} arrival has unknown field(s) {unknown}")
+    for key, value in kwargs.items():
+        count = type(defaults[key]) is int
+        check_number(f"{kind} arrival", key, value, count=count)
+    return cls(**kwargs)

@@ -317,13 +317,58 @@ def _report_command(argv: list[str]) -> int:
     if not path.is_file():
         print(f"no fleet report at {path}", file=sys.stderr)
         return 2
-    report = _report_from_dict(json.loads(path.read_text()))
+    try:
+        report = _report_from_dict(json.loads(path.read_text()))
+    except ValueError as error:
+        print(f"{path}: {error}", file=sys.stderr)
+        return 2
     print(report.render_markdown() if args.markdown else report.render_text())
     return 0
 
 
-def _report_from_dict(data: dict):
-    """Rebuild a renderable FleetReport from its as_dict() JSON."""
+class _Fields:
+    """The fields of one JSON object from a saved report.
+
+    A missing or malformed field raises a ``ValueError`` that names the
+    object's owner and the field.
+    """
+
+    _REQUIRED = object()
+
+    def __init__(self, owner: str, data: object):
+        if not isinstance(data, dict):
+            raise ValueError(f"{owner} must be a JSON object, got {data!r}")
+        self.owner = owner
+        self.data = data
+
+    def __call__(self, key: str, convert=None, default=_REQUIRED):
+        if key not in self.data:
+            if default is not self._REQUIRED:
+                return default
+            raise ValueError(f"{self.owner}: no {key!r} field")
+        value = self.data[key]
+        if convert is None:
+            return value
+        try:
+            return convert(value)
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+            raise ValueError(
+                f"{self.owner}: malformed {key!r} field: {value!r}"
+            ) from None
+
+
+def _json_list(value: object) -> list:
+    if not isinstance(value, list):
+        raise TypeError("not a list")
+    return value
+
+
+def _report_from_dict(data: object):
+    """Rebuild a renderable FleetReport from its as_dict() JSON.
+
+    Raises ``ValueError`` naming the tenant and the field when a field
+    is missing or malformed.
+    """
     from repro.fleet.aggregate import FleetReport, SloRollup, TenantRollup
     from repro.telemetry.energy import EnergyState
 
@@ -331,59 +376,70 @@ def _report_from_dict(data: dict):
         # Absent or null in pre-attribution reports -> None.
         return None if payload is None else EnergyState.from_dict(payload)
 
-    tenants = tuple(
-        TenantRollup(
-            name=t["name"],
-            app=t["app"],
-            governor=t["governor"],
-            sessions=int(t["sessions"]),
-            jobs=int(t["jobs"]),
-            misses=int(t["misses"]),
-            energy_j=float(t["energy_j"]),
-            switches=int(t["switches"]),
-            miss_rate=float(t["miss_rate"]),
-            slack_p50_s=float(t["slack_p50_s"]),
-            slack_p95_s=float(t["slack_p95_s"]),
-            objective=float(t["objective"]),
-            slo=tuple(
-                SloRollup(
-                    spec_name=s["spec_name"],
-                    severity=s["severity"],
-                    jobs=int(s["jobs"]),
-                    bad=int(s["bad"]),
-                    budget_consumed=float(s["budget_consumed"]),
-                    burn_rates={
-                        k: float(v) for k, v in s["burn_rates"].items()
-                    },
-                    window_tails={
-                        k: (int(v[0]), int(v[1]))
-                        for k, v in s["window_tails"].items()
-                    },
-                    exceeding=bool(s["exceeding"]),
-                    alerts=int(s["alerts"]),
-                )
-                for s in t["slo"]
+    def floats(mapping):
+        return {k: float(v) for k, v in mapping.items()}
+
+    def slo_rollup(owner, payload):
+        s = _Fields(owner, payload)
+        return SloRollup(
+            spec_name=s("spec_name"),
+            severity=s("severity"),
+            jobs=s("jobs", int),
+            bad=s("bad", int),
+            budget_consumed=s("budget_consumed", float),
+            burn_rates=s("burn_rates", floats),
+            window_tails=s(
+                "window_tails",
+                lambda tails: {
+                    k: (int(v[0]), int(v[1])) for k, v in tails.items()
+                },
             ),
-            energy=energy_state(t.get("energy")),
+            exceeding=s("exceeding", bool),
+            alerts=s("alerts", int),
         )
-        for t in data["tenants"]
+
+    def tenant_rollup(payload):
+        name = payload.get("name") if isinstance(payload, dict) else None
+        t = _Fields(f"fleet report tenant {name!r}", payload)
+        return TenantRollup(
+            name=t("name"),
+            app=t("app"),
+            governor=t("governor"),
+            sessions=t("sessions", int),
+            jobs=t("jobs", int),
+            misses=t("misses", int),
+            energy_j=t("energy_j", float),
+            switches=t("switches", int),
+            miss_rate=t("miss_rate", float),
+            slack_p50_s=t("slack_p50_s", float),
+            slack_p95_s=t("slack_p95_s", float),
+            objective=t("objective", float),
+            slo=tuple(
+                slo_rollup(f"{t.owner} slo", s) for s in t("slo", _json_list)
+            ),
+            energy=t("energy", energy_state, None),
+        )
+
+    report = _Fields("fleet report", data)
+    tenants = tuple(
+        tenant_rollup(t) for t in report("tenants", _json_list)
     )
     return FleetReport(
-        seed=int(data["seed"]),
+        seed=report("seed", int),
         tenants=tenants,
-        sessions=int(data["sessions"]),
-        jobs=int(data["jobs"]),
-        misses=int(data["misses"]),
-        energy_j=float(data["energy_j"]),
-        switches=int(data["switches"]),
-        miss_rate=float(data["miss_rate"]),
-        slack_p50_s=float(data["slack_p50_s"]),
-        slack_p95_s=float(data["slack_p95_s"]),
-        budget_consumed=float(data["budget_consumed"]),
-        burn_rates={k: float(v) for k, v in data["burn_rates"].items()},
-        page_alerts=int(data["page_alerts"]),
-        ticket_alerts=int(data["ticket_alerts"]),
-        top_k=tuple(data["top_k"]),
-        energy=energy_state(data.get("energy")),
-        energy_top_k=tuple(data.get("energy_top_k", ())),
+        sessions=report("sessions", int),
+        jobs=report("jobs", int),
+        misses=report("misses", int),
+        energy_j=report("energy_j", float),
+        switches=report("switches", int),
+        miss_rate=report("miss_rate", float),
+        slack_p50_s=report("slack_p50_s", float),
+        slack_p95_s=report("slack_p95_s", float),
+        budget_consumed=report("budget_consumed", float),
+        burn_rates=report("burn_rates", floats),
+        page_alerts=report("page_alerts", int),
+        ticket_alerts=report("ticket_alerts", int),
+        top_k=report("top_k", tuple),
+        energy=report("energy", energy_state, None),
+        energy_top_k=report("energy_top_k", tuple, ()),
     )

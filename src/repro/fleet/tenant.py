@@ -18,10 +18,20 @@ from repro.fleet.arrivals import (
     ArrivalProcess,
     PeriodicArrivals,
     arrival_from_dict,
+    check_number,
 )
 from repro.workloads.registry import app_names
 
 __all__ = ["TenantSpec", "tenants_to_json", "tenants_from_json"]
+
+#: The spec's real-valued fields (``drift_factor`` may also be None).
+_REALS = (
+    "budget_scale",
+    "miss_objective",
+    "jitter_sigma",
+    "drift_factor",
+    "drift_at_frac",
+)
 
 
 @dataclass(frozen=True)
@@ -59,41 +69,58 @@ class TenantSpec:
     drift_at_frac: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("tenant needs a non-empty name")
-        if self.app not in app_names():
+        if not isinstance(self.name, str) or not self.name:
             raise ValueError(
-                f"tenant {self.name!r}: unknown workload {self.app!r}"
+                f"tenant needs a non-empty name, got {self.name!r}"
             )
+        owner = f"tenant {self.name!r}"
+        for key in ("app", "governor"):
+            if not isinstance(getattr(self, key), str):
+                raise ValueError(
+                    f"{owner}: {key} must be a string, "
+                    f"got {getattr(self, key)!r}"
+                )
+        if self.app not in app_names():
+            raise ValueError(f"{owner}: unknown workload {self.app!r}")
         check_governor(self.governor)
+        for key in ("sessions", "jobs_per_session"):
+            check_number(owner, key, getattr(self, key), count=True)
+        for key in _REALS:
+            if not (key == "drift_factor" and self.drift_factor is None):
+                check_number(owner, key, getattr(self, key))
         if self.sessions < 1:
             raise ValueError(
-                f"tenant {self.name!r} needs >= 1 session, got {self.sessions}"
+                f"{owner} needs >= 1 session, got {self.sessions}"
             )
         if self.jobs_per_session < 1:
             raise ValueError(
-                f"tenant {self.name!r} needs >= 1 job per session, "
+                f"{owner} needs >= 1 job per session, "
                 f"got {self.jobs_per_session}"
             )
         if self.budget_scale <= 0:
             raise ValueError(
-                f"budget_scale must be positive, got {self.budget_scale}"
+                f"{owner}: budget_scale must be positive, "
+                f"got {self.budget_scale}"
             )
         if not 0.0 < self.miss_objective < 1.0:
             raise ValueError(
-                f"miss_objective must be in (0, 1), got {self.miss_objective}"
+                f"{owner}: miss_objective must be in (0, 1), "
+                f"got {self.miss_objective}"
             )
         if self.jitter_sigma < 0:
             raise ValueError(
-                f"jitter_sigma must be non-negative, got {self.jitter_sigma}"
+                f"{owner}: jitter_sigma must be non-negative, "
+                f"got {self.jitter_sigma}"
             )
         if self.drift_factor is not None and self.drift_factor <= 0:
             raise ValueError(
-                f"drift_factor must be positive, got {self.drift_factor}"
+                f"{owner}: drift_factor must be positive, "
+                f"got {self.drift_factor}"
             )
         if not 0.0 < self.drift_at_frac < 1.0:
             raise ValueError(
-                f"drift_at_frac must be inside (0, 1), got {self.drift_at_frac}"
+                f"{owner}: drift_at_frac must be inside (0, 1), "
+                f"got {self.drift_at_frac}"
             )
 
     def as_dict(self) -> dict:
@@ -113,27 +140,39 @@ class TenantSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TenantSpec":
-        return cls(
-            name=str(data["name"]),
-            app=str(data["app"]),
-            governor=str(data.get("governor", "prediction")),
-            sessions=int(data.get("sessions", 1)),
-            jobs_per_session=int(data.get("jobs_per_session", 40)),
-            budget_scale=float(data.get("budget_scale", 1.0)),
-            arrival=(
-                arrival_from_dict(data["arrival"])
-                if "arrival" in data
-                else PeriodicArrivals()
-            ),
-            miss_objective=float(data.get("miss_objective", 0.02)),
-            jitter_sigma=float(data.get("jitter_sigma", 0.02)),
-            drift_factor=(
-                None
-                if data.get("drift_factor") is None
-                else float(data["drift_factor"])
-            ),
-            drift_at_frac=float(data.get("drift_at_frac", 0.5)),
-        )
+        """Rebuild a spec from :meth:`as_dict` output.
+
+        Raises ``ValueError`` naming the tenant and the field for a
+        missing name or app, an unknown field, a count that is not an
+        int, or a real that is not a finite number.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"a tenant must be a JSON object, got {data!r}")
+        if "name" not in data:
+            raise ValueError(f"tenant has no 'name' field: {data!r}")
+        owner = f"tenant {data['name']!r}"
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"{owner}: unknown field(s) {unknown}")
+        if "app" not in data:
+            raise ValueError(f"{owner}: no 'app' field")
+        reals = {
+            key: float(check_number(owner, key, data[key]))
+            for key in _REALS
+            if key in data and not (key == "drift_factor" and data[key] is None)
+        }
+        arrival = PeriodicArrivals()
+        if "arrival" in data:
+            try:
+                arrival = arrival_from_dict(data["arrival"])
+            except ValueError as error:
+                raise ValueError(f"{owner}: {error}") from None
+        fields = {
+            key: data[key]
+            for key in ("name", "app", "governor", "sessions", "jobs_per_session")
+            if key in data
+        }
+        return cls(**fields, **reals, arrival=arrival)
 
 
 def tenants_to_json(tenants: tuple[TenantSpec, ...] | list[TenantSpec]) -> str:

@@ -18,9 +18,9 @@ dict and does its arithmetic inline.  Work, features and final globals
 are those of a node-by-node evaluation of the statement semantics below,
 bit for bit:
 
-- The memory tally, feature counters, call addresses and variable writes
-  happen in exactly the order of the semantics, with the same float
-  additions.
+- Feature counters, call addresses and variable writes happen in
+  exactly the order of the semantics.  So does the memory tally, with
+  the same float additions, except in the closed loops below.
 - The instruction tally is *folded* when every ``Block.instructions``,
   ``Assign.cost`` and ``Hint.cost`` in the tree is an integral ``int``
   or ``float`` (those of never-taken branches too).  It is then a Python
@@ -37,8 +37,26 @@ bit for bit:
   program compiled with folding off (built on first need).  That form,
   also the one for any program with a fractional instruction cost, adds
   each cost as a float, in place.
+- In a folded program, a ``Loop`` with no loop variable whose body is
+  one ``Block`` (alone, or the only statement of a ``Seq``) adds nothing
+  per trip but ``mem += c``.  When ``c``, the Block's ``mem_refs``, is
+  an integral ``int`` or ``float`` of at most ``2**53``, the loop is
+  *closed*: ``k = c * trips`` and ``t = mem + k`` are computed, and
+  ``mem = t`` when ``t < 2**53 and t - mem == k and t - k == mem``;
+  otherwise the loop runs, adding ``c`` per trip.  This is exact.  Costs
+  are never negative and ``mem`` starts at ``0.0``, so every partial sum
+  of the loop lies in ``[mem, t]``.  The subtraction from ``t`` of the
+  larger of ``mem`` and ``k`` is exact (the Fast2Sum lemma), so the two
+  tests both hold only when ``t`` is ``mem + k`` exactly.  Then
+  ``ulp(t) <= 1`` divides the integers ``c`` and ``k`` and so ``mem``,
+  every partial sum is a multiple of ``ulp(t)`` no larger than ``t``,
+  hence a float, and each per-trip addition is exact and gives the same
+  float.  The loop still runs when the sum rounds (it crosses into a
+  binade too coarse for the low bits of ``mem``) or reaches ``2**53``.
+  Fractional ``c`` (e.g. ``320000 / 1500``) is always added per trip.
 
-The compiled function's ``folded`` attribute says which form it is.
+The compiled function's ``folded`` attribute says which form it is, and
+its ``closed_loops`` attribute lists the sites of its closed loops.
 
 Statement semantics (costs in instructions, from :mod:`repro.programs.ir`):
 
@@ -289,9 +307,15 @@ def _compile(program: Program):
 
     Its ``folded`` attribute says whether it folds the instruction tally:
     it does when every instruction cost in the tree is an integral
-    ``int`` or ``float``.
+    ``int`` or ``float``.  Its ``closed_loops`` attribute lists the sites
+    of the loops that add ``c * trips`` to the memory tally at once.
     """
     return _build(program, fold=_integral_costs(program.body))
+
+
+def _integral(value) -> bool:
+    """Whether ``value`` is an integral ``int`` or ``float``."""
+    return type(value) is int or (type(value) is float and value.is_integer())
 
 
 def _integral_costs(body: Stmt) -> bool:
@@ -307,11 +331,28 @@ def _integral_costs(body: Stmt) -> bool:
             cost = node.cost
         else:
             continue
-        if not (
-            type(cost) is int or (type(cost) is float and cost.is_integer())
-        ):
+        if not _integral(cost):
             return False
     return True
+
+
+def _memory_step(node: Loop) -> float | None:
+    """The memory cost ``c`` of a loop whose every trip is ``mem += c``.
+
+    That is a loop with no loop variable whose body is one ``Block``
+    (inside any ``Seq`` of one statement) with an integral ``mem_refs``
+    of at most ``2**53``; ``c`` is that ``mem_refs`` as a float, the
+    number each trip adds.  None for any other loop.
+    """
+    if node.loop_var is not None:
+        return None
+    body = node.body
+    while isinstance(body, Seq) and len(body.stmts) == 1:
+        body = body.stmts[0]
+    if not isinstance(body, Block):
+        return None
+    step = body.mem_refs
+    return float(step) if _integral(step) and step <= _EXACT_LIMIT else None
 
 
 def _build(program: Program, fold: bool):
@@ -331,6 +372,7 @@ def _build(program: Program, fold: bool):
     exec(compile("\n\n".join(gen.defs), COMPILED_FILENAME, "exec"), namespace)
     compiled = namespace[entry]
     compiled.folded = fold
+    compiled.closed_loops = tuple(gen.closed_loops)
     # The sequential twin of a folded program, built on first need.
     compiled.sequential = None
     return compiled
@@ -348,13 +390,16 @@ class _CodeGen:
     return the constant instruction cost of the code they emitted instead
     (an int), and ``ins`` is an int: a straight-line suite adds its
     constants once, at its head, and a loop adds
-    ``(LOOP_ITER_COST + body constants) * trips`` once.
+    ``(LOOP_ITER_COST + body constants) * trips`` once.  A loop whose
+    body is then only ``mem += c`` is emitted closed (module docstring).
     """
 
     def __init__(self, fold: bool):
         self.fold = fold
         self.defs: list[str] = []
         self.consts: dict[str, object] = {}
+        #: Sites of the loops emitted in closed form, in emission order.
+        self.closed_loops: list[str] = []
         self._serial = 0
 
     def _fresh(self, prefix: str) -> str:
@@ -484,9 +529,26 @@ class _CodeGen:
         per_trip += self.stmt(body, node.body, indent + 1, loops + 1)
         if per_trip:
             lines.append(f"{pad}ins += {per_trip} * {trips}")
-        if body:
-            lines.append(header)
-            lines.extend(body)
+        if not body:
+            return constant
+        step = _memory_step(node) if self.fold else None
+        if step is not None:
+            # Folded, the body is the one line ``mem += step``: add
+            # ``step * trips`` at once when that sum is exact, else loop.
+            added, total = self._fresh("m"), self._fresh("m")
+            lines.append(f"{pad}{added} = {self.literal(step)} * {trips}")
+            lines.append(f"{pad}{total} = mem + {added}")
+            lines.append(
+                f"{pad}if {total} < {_EXACT_LIMIT} and {total} - mem == {added}"
+                f" and {total} - {added} == mem:"
+            )
+            lines.append(f"{inner}mem = {total}")
+            lines.append(f"{pad}else:")
+            header = "    " + header
+            body = ["    " + line for line in body]
+            self.closed_loops.append(node.site)
+        lines.append(header)
+        lines.extend(body)
         return constant
 
     def _while(self, lines, node: While, indent, loops) -> int:

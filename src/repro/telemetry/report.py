@@ -589,6 +589,48 @@ class GateResult:
         return not self.failures
 
 
+def _finite(value: object) -> bool:
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, (int, float))
+        and math.isfinite(value)
+    )
+
+
+def _baseline_runs(baseline: object) -> dict[str, dict]:
+    """The pinned runs of a baseline, checked: a ``ValueError`` names
+    the run and the metric of the first bad entry."""
+    if not isinstance(baseline, dict) or "runs" not in baseline:
+        raise ValueError(
+            "baseline has no 'runs' key — was it written by "
+            "`repro report DIR --make-baseline`?"
+        )
+    tolerance = baseline.get("tolerance", _BASELINE_DEFAULT_TOLERANCE)
+    if not _finite(tolerance) or tolerance < 0:
+        raise ValueError(
+            f"baseline tolerance must be a finite number >= 0, "
+            f"got {tolerance!r}"
+        )
+    runs = baseline["runs"]
+    if not isinstance(runs, dict):
+        raise ValueError(
+            f"baseline 'runs' must be an object of runs, got {runs!r}"
+        )
+    for name, pinned in runs.items():
+        if not isinstance(pinned, dict):
+            raise ValueError(
+                f"baseline run {name!r} must be an object of metrics, "
+                f"got {pinned!r}"
+            )
+        for metric, value in pinned.items():
+            if not _finite(value):
+                raise ValueError(
+                    f"baseline run {name!r}: {metric} must be a finite "
+                    f"number, got {value!r}"
+                )
+    return dict(runs)
+
+
 def gate_directory(
     directory: pathlib.Path | str,
     baseline: dict,
@@ -612,17 +654,12 @@ def gate_directory(
             without each job failing on the other's missing runs.
     """
     directory = pathlib.Path(directory)
-    if "runs" not in baseline:
-        raise ValueError(
-            "baseline has no 'runs' key — was it written by "
-            "`repro report DIR --make-baseline`?"
-        )
+    gated_runs = _baseline_runs(baseline)
     tol = (
         tolerance
         if tolerance is not None
         else float(baseline.get("tolerance", _BASELINE_DEFAULT_TOLERANCE))
     )
-    gated_runs = dict(baseline["runs"])
     if runs is not None:
         gated_runs = {
             name: pinned

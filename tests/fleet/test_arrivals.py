@@ -100,3 +100,19 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown arrival kind"):
             arrival_from_dict({"kind": "fractal"})
+
+    @pytest.mark.parametrize(
+        ("data", "match"),
+        [
+            ([1], "must be a JSON object"),
+            ({"kind": "poisson", "speed": 2}, r"unknown field\(s\) \['speed'\]"),
+            ({"kind": "poisson", "rate": "fast"}, "rate must be a finite number"),
+            ({"kind": "poisson", "rate": float("nan")}, "rate must be a finite"),
+            ({"kind": "bursty", "dwell": True}, "dwell must be a finite number"),
+            ({"kind": "diurnal", "cycle_jobs": 64.0}, "cycle_jobs must be an int"),
+        ],
+        ids=repr,
+    )
+    def test_malformed_fields_rejected(self, data, match):
+        with pytest.raises(ValueError, match=match):
+            arrival_from_dict(data)

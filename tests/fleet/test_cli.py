@@ -229,3 +229,113 @@ class TestFleetTraceAndReport:
             == 1
         )
         capsys.readouterr()
+
+
+def _one_line(err):
+    """The single stderr line of a usage error (no traceback)."""
+    assert err.count("\n") == 1, err
+    return err
+
+
+class TestMalformedInput:
+    """Bad rosters, saved reports and gate baselines exit 2 with one
+    line on stderr naming the tenant (or run) and the field."""
+
+    @pytest.mark.parametrize(
+        ("roster", "message"),
+        [
+            ("[1, 2]", "a tenant must be a JSON object, got 1"),
+            ('[{"app": "sha"}]', "tenant has no 'name' field"),
+            (
+                '[{"name": "t", "app": "sha", "jitter_sigma": null}]',
+                "tenant 't': jitter_sigma must be a finite number, got None",
+            ),
+            (
+                '[{"name": "t", "app": "sha", "arrival": 5}]',
+                "tenant 't': arrival must be a JSON object, got 5",
+            ),
+            (
+                '[{"name": "t", "app": "sha",'
+                ' "arrival": {"kind": "poisson", "speed": 2}}]',
+                "tenant 't': poisson arrival has unknown field(s) ['speed']",
+            ),
+            (
+                '[{"name": "t", "app": "sha",'
+                ' "arrival": {"kind": "poisson", "rate": "fast"}}]',
+                "tenant 't': poisson arrival: rate must be a finite number",
+            ),
+            (
+                '[{"name": "t", "app": "sha", "sessions": 2.5}]',
+                "tenant 't': sessions must be an int, got 2.5",
+            ),
+            (
+                '[{"name": "t", "app": "sha", "jobs_per_session": true}]',
+                "tenant 't': jobs_per_session must be an int, got True",
+            ),
+            (
+                '[{"name": "t", "app": "sha", "budget_scale": NaN}]',
+                "tenant 't': budget_scale must be a finite number, got nan",
+            ),
+            (
+                '[{"name": "t", "app": "sha", "jiter_sigma": 0.1}]',
+                "tenant 't': unknown field(s) ['jiter_sigma']",
+            ),
+        ],
+        ids=[
+            "entry-not-object",
+            "no-name",
+            "null-number",
+            "arrival-not-object",
+            "arrival-unknown-field",
+            "arrival-field-not-number",
+            "fractional-sessions",
+            "bool-jobs-per-session",
+            "nan-budget-scale",
+            "unknown-tenant-field",
+        ],
+    )
+    def test_roster(self, tmp_path, capsys, roster, message):
+        spec = tmp_path / "fleet.json"
+        spec.write_text(roster)
+        assert main(["fleet", "run", "--spec", str(spec)]) == 2
+        assert message in _one_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        ("saved", "message"),
+        [
+            ("fleet_report", "Expecting value"),
+            ('{"seed": 7}', "fleet report: no 'tenants' field"),
+            (
+                '{"tenants": [{"name": "a", "app": "sha"}]}',
+                "fleet report tenant 'a': no 'governor' field",
+            ),
+        ],
+        ids=["not-json", "no-tenants", "tenant-missing-field"],
+    )
+    def test_fleet_report(self, tmp_path, capsys, saved, message):
+        path = tmp_path / "fleet_report.json"
+        path.write_text(saved)
+        assert main(["fleet", "report", str(path)]) == 2
+        assert message in _one_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        ("baseline", "message"),
+        [
+            ({"runs": 5}, "baseline 'runs' must be an object of runs, got 5"),
+            ({"runs": {"r": [1]}}, "baseline run 'r' must be an object"),
+            (
+                {"runs": {"r": {"executor.misses": None}}},
+                "baseline run 'r': executor.misses must be a finite number",
+            ),
+            (
+                {"tolerance": "wide", "runs": {}},
+                "baseline tolerance must be a finite number",
+            ),
+        ],
+        ids=["runs-not-object", "run-not-object", "null-metric", "tolerance"],
+    )
+    def test_gate_baseline(self, tmp_path, capsys, baseline, message):
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(baseline))
+        assert main(["report", str(tmp_path), "--gate", str(path)]) == 2
+        assert message in _one_line(capsys.readouterr().err)

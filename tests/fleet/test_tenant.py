@@ -25,6 +25,13 @@ class TestValidation:
             ("jitter_sigma", -0.1, "jitter_sigma"),
             ("drift_factor", -2.0, "drift_factor"),
             ("drift_at_frac", 1.0, "drift_at_frac"),
+            # Counts are ints (not bools), reals finite numbers.
+            ("app", 5, "'t': app must be a string"),
+            ("sessions", 2.5, "'t': sessions must be an int"),
+            ("jobs_per_session", True, "'t': jobs_per_session must be an int"),
+            ("budget_scale", float("nan"), "'t': budget_scale must be a finite"),
+            ("jitter_sigma", None, "'t': jitter_sigma must be a finite"),
+            ("drift_factor", float("inf"), "'t': drift_factor must be a finite"),
         ],
     )
     def test_rejects_bad_fields(self, field, value, match):
