@@ -239,7 +239,7 @@ def arrival_from_dict(data: dict) -> ArrivalProcess:
     if not isinstance(data, dict):
         raise ValueError(f"arrival must be a JSON object, got {data!r}")
     kind = data.get("kind")
-    if kind not in ARRIVAL_KINDS:
+    if not isinstance(kind, str) or kind not in ARRIVAL_KINDS:
         raise ValueError(
             f"unknown arrival kind {kind!r}; "
             f"expected one of {sorted(ARRIVAL_KINDS)}"

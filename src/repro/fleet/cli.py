@@ -363,6 +363,12 @@ def _json_list(value: object) -> list:
     return value
 
 
+def _json_str(value: object) -> str:
+    if not isinstance(value, str):
+        raise TypeError("not a string")
+    return value
+
+
 def _report_from_dict(data: object):
     """Rebuild a renderable FleetReport from its as_dict() JSON.
 
@@ -402,7 +408,7 @@ def _report_from_dict(data: object):
         name = payload.get("name") if isinstance(payload, dict) else None
         t = _Fields(f"fleet report tenant {name!r}", payload)
         return TenantRollup(
-            name=t("name"),
+            name=t("name", _json_str),
             app=t("app"),
             governor=t("governor"),
             sessions=t("sessions", int),
@@ -424,6 +430,15 @@ def _report_from_dict(data: object):
     tenants = tuple(
         tenant_rollup(t) for t in report("tenants", _json_list)
     )
+    by_name = {t.name: t for t in tenants}
+
+    def ranked(names, energy=False):
+        # The ranking tables look every name up among the tenants.
+        for name in _json_list(names):
+            tenant = by_name[name]
+            if energy and tenant.energy is None:
+                raise ValueError("ranked without energy")
+        return tuple(names)
     return FleetReport(
         seed=report("seed", int),
         tenants=tenants,
@@ -439,7 +454,9 @@ def _report_from_dict(data: object):
         burn_rates=report("burn_rates", floats),
         page_alerts=report("page_alerts", int),
         ticket_alerts=report("ticket_alerts", int),
-        top_k=report("top_k", tuple),
+        top_k=report("top_k", ranked),
         energy=report("energy", energy_state, None),
-        energy_top_k=report("energy_top_k", tuple, ()),
+        energy_top_k=report(
+            "energy_top_k", lambda names: ranked(names, energy=True), ()
+        ),
     )

@@ -105,6 +105,7 @@ class TestSerialization:
         ("data", "match"),
         [
             ([1], "must be a JSON object"),
+            ({"kind": ["poisson"]}, "unknown arrival kind"),
             ({"kind": "poisson", "speed": 2}, r"unknown field\(s\) \['speed'\]"),
             ({"kind": "poisson", "rate": "fast"}, "rate must be a finite number"),
             ({"kind": "poisson", "rate": float("nan")}, "rate must be a finite"),

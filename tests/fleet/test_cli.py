@@ -318,6 +318,18 @@ class TestMalformedInput:
         assert main(["fleet", "report", str(path)]) == 2
         assert message in _one_line(capsys.readouterr().err)
 
+    def test_fleet_report_ranking_an_unknown_tenant(self, tmp_path, capsys):
+        trace = tmp_path / "trace"
+        assert main(["fleet", "run", *FAST, "--trace", str(trace)]) == 0
+        saved = trace / "fleet_report.json"
+        payload = json.loads(saved.read_text())
+        payload["top_k"] = ["ghost"]
+        saved.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["fleet", "report", str(saved)]) == 2
+        err = _one_line(capsys.readouterr().err)
+        assert "fleet report: malformed 'top_k' field: ['ghost']" in err
+
     @pytest.mark.parametrize(
         ("baseline", "message"),
         [
