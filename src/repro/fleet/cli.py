@@ -439,6 +439,7 @@ def _report_from_dict(data: object):
             if energy and tenant.energy is None:
                 raise ValueError("ranked without energy")
         return tuple(names)
+
     return FleetReport(
         seed=report("seed", int),
         tenants=tenants,
