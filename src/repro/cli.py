@@ -403,8 +403,10 @@ def _check_run_options(args) -> None:
         raise ValueError(f"unknown workload: {args.app}")
     if args.jobs is not None and args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    if args.jitter < 0:
-        raise ValueError(f"--jitter must be >= 0, got {args.jitter}")
+    if not (math.isfinite(args.jitter) and args.jitter >= 0):
+        raise ValueError(
+            f"--jitter must be a finite number >= 0, got {args.jitter}"
+        )
 
 
 def _single_run_parser(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any
@@ -82,6 +83,24 @@ def _opp_from_dict(data: dict[str, Any]) -> OperatingPoint:
     return OperatingPoint(
         index=data["index"], freq_hz=data["freq_hz"], voltage_v=data["voltage_v"]
     )
+
+
+def _finite_number(value: Any) -> int | float:
+    """``value`` itself when it is a finite int or float (not a bool);
+    otherwise a TypeError, which ``load_controller`` reports naming the
+    field."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise TypeError(f"{value!r} is not a finite number")
+    return value
+
+
+def _config_from_dict(data: dict[str, Any]) -> PipelineConfig:
+    unknown = sorted(set(data) - {f.name for f in fields(PipelineConfig)})
+    if unknown:
+        raise ValueError(
+            f"unknown pipeline config key(s): {', '.join(unknown)}"
+        )
+    return PipelineConfig(**data)
 
 
 def _model_to_dict(model: AsymmetricLassoModel) -> dict[str, Any]:
@@ -223,81 +242,113 @@ def load_adaptive_state(governor, path: str | Path) -> None:
 
 
 def load_controller(path: str | Path) -> TrainedController:
-    """Rebuild a :class:`TrainedController` from :func:`save_controller`."""
+    """Rebuild a :class:`TrainedController` from :func:`save_controller`.
+
+    A missing or malformed field raises a ``ValueError`` naming it.
+    """
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError("saved controller: not a JSON object")
     version = payload.get("format_version")
     if version != _FORMAT_VERSION:
         raise ValueError(
             f"unsupported controller format version {version!r} "
             f"(this library reads version {_FORMAT_VERSION})"
         )
-    unknown = sorted(
-        set(payload["config"]) - {f.name for f in fields(PipelineConfig)}
-    )
-    if unknown:
-        raise ValueError(
-            f"unknown pipeline config key(s): {', '.join(unknown)}"
-        )
-    config = PipelineConfig(**payload["config"])
 
-    sites = tuple(
-        FeatureSite(s["site"], s["kind"]) for s in payload["instrumented"]["sites"]
-    )
-    instrumented = InstrumentedProgram(
-        program=program_from_dict(payload["instrumented"]["program"]),
-        sites=sites,
-    )
-    columns = [
-        FeatureColumn(
-            name=c["name"], site=c["site"], kind=c["kind"], address=c["address"]
-        )
-        for c in payload["encoder_columns"]
-    ]
-    encoder = FeatureEncoder.from_columns(sites, columns)
+    def field(name: str, parse=None):
+        """The field ``name``, through ``parse`` if given; the ValueErrors
+        that the parsers raise already name what they reject."""
+        if name not in payload:
+            raise ValueError(f"saved controller: no {name!r} field")
+        if parse is None:
+            return payload[name]
+        try:
+            return parse(payload[name])
+        except (AttributeError, IndexError, KeyError, TypeError) as error:
+            raise ValueError(
+                f"saved controller: malformed {name!r} field"
+                f" ({type(error).__name__}: {error})"
+            ) from None
 
-    expansion = None
-    if payload["model_degree"] > 1:
-        expansion = PolynomialExpansion(payload["model_degree"]).fit(
-            encoder.n_columns
-        )
+    config = field("config", _config_from_dict)
+    instrumented = field(
+        "instrumented",
+        lambda data: InstrumentedProgram(
+            program=program_from_dict(data["program"]),
+            sites=tuple(
+                FeatureSite(s["site"], s["kind"]) for s in data["sites"]
+            ),
+        ),
+    )
+    encoder = field(
+        "encoder_columns",
+        lambda columns: FeatureEncoder.from_columns(
+            instrumented.sites,
+            [
+                FeatureColumn(
+                    name=c["name"],
+                    site=c["site"],
+                    kind=c["kind"],
+                    address=c["address"],
+                )
+                for c in columns
+            ],
+        ),
+    )
     predictor = ExecutionTimePredictor(
         encoder=encoder,
-        model_fmax=_model_from_dict(payload["model_fmax"]),
-        model_fmin=_model_from_dict(payload["model_fmin"]),
-        margin=payload["margin"],
-        expansion=expansion,
+        model_fmax=field("model_fmax", _model_from_dict),
+        model_fmin=field("model_fmin", _model_from_dict),
+        margin=field("margin", _finite_number),
+        expansion=field(
+            "model_degree",
+            lambda degree: (
+                PolynomialExpansion(degree).fit(encoder.n_columns)
+                if degree > 1
+                else None
+            ),
+        ),
     )
-
-    slice_ = PredictionSlice(
-        program=program_from_dict(payload["slice"]["program"]),
-        needed_sites=frozenset(payload["slice"]["needed_sites"]),
-        relevant_vars=frozenset(payload["slice"]["relevant_vars"]),
+    slice_ = field(
+        "slice",
+        lambda data: PredictionSlice(
+            program=program_from_dict(data["program"]),
+            needed_sites=frozenset(data["needed_sites"]),
+            relevant_vars=frozenset(data["relevant_vars"]),
+        ),
     )
-
-    points = [_opp_from_dict(p) for p in payload["opps"]["points"]]
-    opps = OppTable(
-        points,
-        require_monotone_voltage=not payload["opps"]["heterogeneous"],
+    opps = field(
+        "opps",
+        lambda data: OppTable(
+            [_opp_from_dict(p) for p in data["points"]],
+            require_monotone_voltage=not data["heterogeneous"],
+        ),
     )
-    times = {
-        tuple(int(i) for i in key.split(",")): value
-        for key, value in payload["switch_table"].items()
-    }
-    switch_table = SwitchTimeTable(opps, times)
-
-    trace = (
-        ProfileTrace.from_json(payload["trace"])
-        if payload["trace"] is not None
-        else ProfileTrace([])
+    switch_table = field(
+        "switch_table",
+        lambda table: SwitchTimeTable(
+            opps,
+            {
+                tuple(int(i) for i in key.split(",")): value
+                for key, value in table.items()
+            },
+        ),
+    )
+    trace = field(
+        "trace",
+        lambda data: (
+            ProfileTrace([]) if data is None else ProfileTrace.from_json(data)
+        ),
     )
     certificate_data = payload.get("certificate")
     certificate = (
-        SliceCertificate.from_dict(certificate_data)
-        if certificate_data is not None
-        else None
+        None
+        if certificate_data is None
+        else field("certificate", SliceCertificate.from_dict)
     )
     return TrainedController(
-        app_name=payload["app_name"],
+        app_name=field("app_name"),
         instrumented=instrumented,
         trace=trace,
         encoder=encoder,

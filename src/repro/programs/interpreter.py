@@ -14,9 +14,9 @@ Programs run as Python code.  The first execution of a
 into one Python function (stdlib :func:`compile`) and keeps it on that
 object, so the function lives exactly as long as the program does.  The
 generated code keeps the run's inputs, globals and locals in one flat
-dict and does its arithmetic inline.  Work, features and final globals
-are those of a node-by-node evaluation of the statement semantics below,
-bit for bit:
+dict (those used in loops in Python locals, below) and does its
+arithmetic inline.  Work, features and final globals are those of a
+node-by-node evaluation of the statement semantics below, bit for bit:
 
 - Feature counters, call addresses and variable writes happen in
   exactly the order of the semantics.  So does the memory tally, with
@@ -42,21 +42,44 @@ bit for bit:
   per trip but ``mem += c``.  When ``c``, the Block's ``mem_refs``, is
   an integral ``int`` or ``float`` of at most ``2**53``, the loop is
   *closed*: ``k = c * trips`` and ``t = mem + k`` are computed, and
-  ``mem = t`` when ``t < 2**53 and t - mem == k and t - k == mem``;
-  otherwise the loop runs, adding ``c`` per trip.  This is exact.  Costs
-  are never negative and ``mem`` starts at ``0.0``, so every partial sum
-  of the loop lies in ``[mem, t]``.  The subtraction from ``t`` of the
-  larger of ``mem`` and ``k`` is exact (the Fast2Sum lemma), so the two
-  tests both hold only when ``t`` is ``mem + k`` exactly.  Then
-  ``ulp(t) <= 1`` divides the integers ``c`` and ``k`` and so ``mem``,
-  every partial sum is a multiple of ``ulp(t)`` no larger than ``t``,
-  hence a float, and each per-trip addition is exact and gives the same
-  float.  The loop still runs when the sum rounds (it crosses into a
-  binade too coarse for the low bits of ``mem``) or reaches ``2**53``.
-  Fractional ``c`` (e.g. ``320000 / 1500``) is always added per trip.
+  ``mem = t`` when ``t < 2**53 and t - k == mem``; otherwise the loop
+  runs, adding ``c`` per trip.  This is exact.  Costs are never negative
+  and ``mem`` starts at ``0.0``, so every partial sum of the loop lies
+  in ``[mem, t]``, and ``k <= t < 2**53`` makes ``k`` the exact integer
+  ``c * trips``.  The one test holds only when ``t`` is ``mem + k``
+  exactly, because ``t - k`` is computed exactly: when ``k >= mem`` by
+  the Fast2Sum lemma; when ``mem > k``, the rounding error of ``t`` is a
+  multiple of ``ulp(mem) <= 1`` (which divides the integer ``k``) and at
+  most ``ulp(mem)`` in size (``t <= 2 * mem``), so ``t - k``, that is
+  ``mem`` plus the error, is a float.  Then ``ulp(t) <= 1`` divides the
+  integers ``c`` and ``k`` and so ``mem``, every partial sum is a
+  multiple of ``ulp(t)`` no larger than ``t``, hence a float, and each
+  per-trip addition is exact and gives the same float.  The loop still
+  runs when the sum rounds (it crosses into a binade too coarse for the
+  low bits of ``mem``) or reaches ``2**53``.  Fractional ``c`` (e.g.
+  ``320000 / 1500``) is always added per trip.
+- A variable read or written in the body of a loop that runs its body
+  (a ``Loop`` not elided, or a ``While``) or in a ``While`` condition,
+  and the variable of every such ``Loop``, is *held*: the function reads
+  it from the flat dict once, at entry, into a Python local and uses
+  that local for the rest of the run.  So is the count of every site
+  that a counted ``If``, ``Loop`` or ``While`` in such a body bumps, in
+  a local accumulator.  Which names and sites are held depends on the
+  program alone.  This is exact: the run reads and writes the same
+  values in the same order, and only where they live meanwhile differs.
+  A held name absent at entry holds a sentinel until it is assigned; a
+  read not preceded by an assignment on every path checks for it and
+  then reads the dict, which raises the ``KeyError`` naming the variable
+  at the same point, left operand first.  A held site enters the
+  counters at its first bump, so the counters keep their first-bump key
+  order, and takes its final value when the run ends.  The written held
+  names are stored back into the dict in a ``finally``, so after an
+  error it holds every global written before the error, as it does for
+  the names that are not held.
 
-The compiled function's ``folded`` attribute says which form it is, and
-its ``closed_loops`` attribute lists the sites of its closed loops.
+The compiled function's ``folded`` attribute says which form it is, its
+``closed_loops`` attribute lists the sites of its closed loops, and its
+``held_names`` and ``held_sites`` attributes list what it holds.
 
 Statement semantics (costs in instructions, from :mod:`repro.programs.ir`):
 
@@ -301,6 +324,9 @@ _MAX_EXPR_DEPTH = 40
 #: stays within it is summed exactly in any order.
 _EXACT_LIMIT = 2**53
 
+#: The value of a held variable's local while the variable is unbound.
+_UNBOUND = object()
+
 
 def _compile(program: Program):
     """The Python function that runs ``program``.
@@ -355,9 +381,66 @@ def _memory_step(node: Loop) -> float | None:
     return float(step) if _integral(step) and step <= _EXACT_LIMIT else None
 
 
+def _held_state(body: Stmt):
+    """The variables and counter sites a compiled program holds in locals.
+
+    A variable is held when it is read or written in the body of a loop
+    that runs it (a ``Loop`` whose body is not elided, or a ``While``) or
+    in a ``While`` condition, or is the variable of such a ``Loop``.  A
+    site is held when a counted ``If``, ``Loop`` or ``While`` in such a
+    body bumps it.  Returns the held names, the held sites, and the held
+    names that the program writes somewhere, each sorted.
+    """
+    names: set[str] = set()
+    sites: set[str] = set()
+    written: set[str] = set()
+
+    def visit(node: Stmt, looped: bool) -> None:
+        reads: frozenset[str] = frozenset()
+        if isinstance(node, Assign):
+            written.add(node.target)
+            if looped:
+                names.add(node.target)
+            reads = node.expr.variables()
+        elif isinstance(node, Hint) and node.counted:
+            reads = node.expr.variables()
+        elif isinstance(node, (If, While)):
+            reads = node.cond.variables()
+        elif isinstance(node, Loop):
+            reads = node.count.variables()
+        elif isinstance(node, IndirectCall):
+            reads = node.target.variables()
+        if looped:
+            names.update(reads)
+            if isinstance(node, (If, Loop, While)) and node.counted:
+                sites.add(node.site)
+        if isinstance(node, While):
+            # Its condition is checked once per trip.
+            names.update(reads)
+            visit(node.body, True)
+        elif isinstance(node, Loop):
+            if node.elide_body:
+                return
+            if node.loop_var is not None:
+                names.add(node.loop_var)
+                written.add(node.loop_var)
+            visit(node.body, True)
+        else:
+            for child in node.children():
+                visit(child, looped)
+
+    visit(body, False)
+    return (
+        tuple(sorted(names)),
+        tuple(sorted(sites)),
+        tuple(sorted(written & names)),
+    )
+
+
 def _build(program: Program, fold: bool):
     """Compile ``program``, folding its instruction tally when ``fold``."""
-    gen = _CodeGen(fold)
+    names, sites, written = _held_state(program.body)
+    gen = _CodeGen(fold, names, sites, written)
     entry = "run_" + re.sub(r"\W", "_", program.name, flags=re.ASCII)
     gen.function(
         entry,
@@ -368,11 +451,13 @@ def _build(program: Program, fold: bool):
         # on the order of its additions.
         f"(float(ins) if ins <= {_EXACT_LIMIT} else None)" if fold else "ins",
     )
-    namespace = {"repeat": repeat, **gen.consts}
+    namespace = {"repeat": repeat, "UNBOUND": _UNBOUND, **gen.consts}
     exec(compile("\n\n".join(gen.defs), COMPILED_FILENAME, "exec"), namespace)
     compiled = namespace[entry]
     compiled.folded = fold
     compiled.closed_loops = tuple(gen.closed_loops)
+    compiled.held_names = names
+    compiled.held_sites = sites
     # The sequential twin of a folded program, built on first need.
     compiled.sequential = None
     return compiled
@@ -383,7 +468,11 @@ class _CodeGen:
 
     Generated functions take the flat variable dict ``ns``, the feature
     dicts ``cnt``/``calls`` and the instruction/memory tallies
-    ``ins``/``mem``; every other Python local is a compiler temporary.
+    ``ins``/``mem``.  The held variables ``names`` and sites ``sites``
+    (:func:`_held_state`) live in Python locals ``v<n>`` and ``c<n>``
+    for the whole function; every other Python local is a compiler
+    temporary.  A subtree moved into a helper function gets the held
+    state through ``ns`` and ``cnt`` and holds its own.
 
     With ``fold`` off, every instruction cost is its own ``ins += cost``
     at its place in the run.  With ``fold`` on, the statement emitters
@@ -394,13 +483,20 @@ class _CodeGen:
     body is then only ``mem += c`` is emitted closed (module docstring).
     """
 
-    def __init__(self, fold: bool):
+    def __init__(self, fold: bool, names, sites, written):
         self.fold = fold
         self.defs: list[str] = []
         self.consts: dict[str, object] = {}
         #: Sites of the loops emitted in closed form, in emission order.
         self.closed_loops: list[str] = []
         self._serial = 0
+        #: Held variables and sites -> the Python locals holding them.
+        self.names = {name: self._fresh("v") for name in names}
+        self.sites = {site: self._fresh("c") for site in sites}
+        #: The held variables the program writes somewhere.
+        self.written = written
+        #: Held variables bound on every path to the code being emitted.
+        self.bound: set[str] = set()
 
     def _fresh(self, prefix: str) -> str:
         self._serial += 1
@@ -432,9 +528,39 @@ class _CodeGen:
     def function(self, name, params, prelude, node, result="ins") -> None:
         lines = [f"def {name}({params}):"]
         lines.extend(f"    {line}" for line in prelude)
-        self.suite(lines, node, 1, 0)
+        outer, self.bound = self.bound, set()
+        lines.extend(f"    {line}" for line in self._load(self.names))
+        store = self._store()
+        if store:
+            # Held state is stored back once, on an error too, so that ns
+            # then holds the globals the run has written so far.
+            lines.append("    try:")
+            self.suite(lines, node, 2, 0)
+            lines.append("    finally:")
+            lines.extend(f"        {line}" for line in store)
+        else:
+            self.suite(lines, node, 1, 0)
+        self.bound = outer
         lines.append(f"    return {result}, mem")
         self.defs.append("\n".join(lines))
+
+    def _load(self, names) -> list[str]:
+        """Lines that read the held ``names`` and every held site."""
+        return [
+            f"{self.names[name]} = ns.get({name!r}, UNBOUND)" for name in names
+        ] + [f"{local} = cget({site!r})" for site, local in self.sites.items()]
+
+    def _store(self) -> list[str]:
+        """Lines that store back the written held names that are bound
+        and every held site that has been bumped."""
+        return [
+            f"if {self.names[name]} is not UNBOUND:"
+            f" ns[{name!r}] = {self.names[name]}"
+            for name in self.written
+        ] + [
+            f"if {local} is not None: cnt[{site!r}] = {local}"
+            for site, local in self.sites.items()
+        ]
 
     def suite(self, lines, node, indent, loops, head=None) -> None:
         """Statements for ``node`` at ``indent``, their constant cost
@@ -466,20 +592,45 @@ class _CodeGen:
             return constant
         if isinstance(node, Assign):
             constant = self.cost(lines, pad, node.cost)
-            emit(f"{pad}ns[{node.target!r}] = {self.expr(node.expr, 0)}")
+            value = self.expr(node.expr, 0)
+            local = self.names.get(node.target)
+            if local is None:
+                emit(f"{pad}ns[{node.target!r}] = {value}")
+            else:
+                emit(f"{pad}{local} = {value}")
+                self.bound.add(node.target)
             return constant
         if isinstance(node, Hint):
             constant = self.cost(lines, pad, node.cost)
             if node.counted:
                 constant += self.cost(lines, pad, COUNTER_COST)
-                emit(f"{pad}cnt[{node.site!r}] = float({self.expr(node.expr, 0)})")
+                value = f"float({self.expr(node.expr, 0)})"
+                local = self.sites.get(node.site)
+                if local is None:
+                    emit(f"{pad}cnt[{node.site!r}] = {value}")
+                else:
+                    emit(self._enter(pad, node.site))
+                    emit(f"{pad}{local} = {value}")
             return constant
         if not isinstance(node, (If, Loop, While, IndirectCall)):
             raise TypeError(f"unknown statement type {type(node).__name__}")
         if indent >= _MAX_INDENT or loops >= _MAX_LOOPS:
             helper = self._fresh("part")
             self.function(helper, "ns, cnt, cget, calls, ins, mem", (), node)
-            emit(f"{pad}ins, mem = {helper}(ns, cnt, cget, calls, ins, mem)")
+            call = f"ins, mem = {helper}(ns, cnt, cget, calls, ins, mem)"
+            store = self._store()
+            if not store:
+                emit(pad + call)
+                return 0
+            # The helper holds its own locals: hand it the held state
+            # through ns and cnt, and read back what it wrote, on an
+            # error too.
+            lines.extend(pad + line for line in store)
+            emit(f"{pad}try:")
+            emit(f"{pad}    {call}")
+            emit(f"{pad}finally:")
+            reload = self._load(self.written)
+            lines.extend(f"{pad}    {line}" for line in reload)
             return 0
         if isinstance(node, If):
             return self._if(lines, node, indent, loops)
@@ -491,18 +642,34 @@ class _CodeGen:
 
     def _bump(self, lines, pad, site, amount) -> int:
         constant = self.cost(lines, pad, COUNTER_COST)
-        lines.append(f"{pad}cnt[{site!r}] = cget({site!r}, 0.0) + {amount}")
+        local = self.sites.get(site)
+        if local is None:
+            lines.append(
+                f"{pad}cnt[{site!r}] = cget({site!r}, 0.0) + {amount}"
+            )
+        else:
+            lines.append(self._enter(pad, site))
+            lines.append(f"{pad}{local} += {amount}")
         return constant
+
+    def _enter(self, pad, site) -> str:
+        """The line that enters a held site into ``cnt`` on its first
+        write, so the counters keep their first-write key order."""
+        local = self.sites[site]
+        return f"{pad}if {local} is None: {local} = cnt[{site!r}] = 0.0"
 
     def _if(self, lines, node: If, indent, loops) -> int:
         pad = "    " * indent
         constant = self.cost(lines, pad, BRANCH_COST)
         lines.append(f"{pad}if {self.expr(node.cond, 0)}:")
         head = node.site if node.counted else None
+        before = set(self.bound)
         self.suite(lines, node.then, indent + 1, loops, head)
+        then_bound, self.bound = self.bound, before
         if node.orelse is not None:
             lines.append(f"{pad}else:")
             self.suite(lines, node.orelse, indent + 1, loops)
+        self.bound &= then_bound
         return constant
 
     def _loop(self, lines, node: Loop, indent, loops) -> int:
@@ -518,19 +685,24 @@ class _CodeGen:
             constant += self._bump(lines, pad, node.site, trips)
         if node.elide_body:
             return constant
+        before = set(self.bound)
         body: list[str] = []
         per_trip = self.cost(body, inner, LOOP_ITER_COST)
         if node.loop_var is None:
             header = f"{pad}for _ in repeat(None, {trips}):"
         else:
-            index = self._fresh("i")
+            # A loop variable is always held: the for statement binds it.
+            index = self.names[node.loop_var]
             header = f"{pad}for {index} in range({trips}):"
-            body.append(f"{inner}ns[{node.loop_var!r}] = {index}")
+            self.bound.add(node.loop_var)
         per_trip += self.stmt(body, node.body, indent + 1, loops + 1)
+        self.bound = before
         if per_trip:
             lines.append(f"{pad}ins += {per_trip} * {trips}")
         if not body:
-            return constant
+            if node.loop_var is None:
+                return constant
+            body.append(f"{inner}pass")
         step = _memory_step(node) if self.fold else None
         if step is not None:
             # Folded, the body is the one line ``mem += step``: add
@@ -539,7 +711,7 @@ class _CodeGen:
             lines.append(f"{pad}{added} = {self.literal(step)} * {trips}")
             lines.append(f"{pad}{total} = mem + {added}")
             lines.append(
-                f"{pad}if {total} < {_EXACT_LIMIT} and {total} - mem == {added}"
+                f"{pad}if {total} < {_EXACT_LIMIT}"
                 f" and {total} - {added} == mem:"
             )
             lines.append(f"{inner}mem = {total}")
@@ -560,8 +732,10 @@ class _CodeGen:
         # the loop, so its cost stays in place.
         lines.append(f"{inner}ins += {BRANCH_COST}")
         lines.append(f"{inner}if not {self.expr(node.cond, 0)}: break")
+        before = set(self.bound)
         per_trip = self.cost(lines, inner, LOOP_ITER_COST)
         per_trip += self.stmt(lines, node.body, indent + 1, loops + 1)
+        self.bound = before
         lines.append(f"{inner}{trips} += 1")
         if per_trip:
             lines.append(f"{pad}ins += {per_trip} * {trips}")
@@ -579,17 +753,24 @@ class _CodeGen:
             lines.append(
                 f"{pad}calls.setdefault({node.site!r}, []).append({address})"
             )
+        before = self.bound
+        arms = []
         keyword = "if"
         for key, callee in node.table.items():
+            self.bound = set(before)
             lines.append(f"{pad}{keyword} {address} == {self.literal(key)}:")
             self.suite(lines, callee, indent + 1, loops)
+            arms.append(self.bound)
             keyword = "elif"
-        if node.default is None:
-            return constant
-        if keyword == "if":
-            return constant + self.stmt(lines, node.default, indent, loops)
-        lines.append(f"{pad}else:")
-        self.suite(lines, node.default, indent + 1, loops)
+        # The default, or no arm at all when there is none.
+        self.bound = set(before)
+        if node.default is not None and keyword == "if":
+            constant += self.stmt(lines, node.default, indent, loops)
+        elif node.default is not None:
+            lines.append(f"{pad}else:")
+            self.suite(lines, node.default, indent + 1, loops)
+        for bound in arms:
+            self.bound &= bound
         return constant
 
     # -- expressions ----------------------------------------------------------
@@ -597,15 +778,27 @@ class _CodeGen:
         """Source evaluating ``node`` left to right, exactly like evaluate."""
         if depth >= _MAX_EXPR_DEPTH:
             helper = self._fresh("part")
+            # Held locals go in as they are, checked where they are read.
+            params = ", ".join(["ns", *self.names.values()])
             self.defs.append(
-                f"def {helper}(ns):\n    return {self.expr(node, 0)}"
+                f"def {helper}({params}):\n    return {self.expr(node, 0)}"
             )
-            return f"{helper}(ns)"
+            return f"{helper}({params})"
         depth += 1
         if isinstance(node, Const):
             return self.literal(node.value)
         if isinstance(node, Var):
-            return f"ns[{node.name!r}]"
+            local = self.names.get(node.name)
+            if local is None:
+                return f"ns[{node.name!r}]"
+            if node.name in self.bound:
+                return local
+            # An unbound held name is absent from ns too, so the read of
+            # ns raises the KeyError naming it.
+            return (
+                f"({local} if {local} is not UNBOUND"
+                f" else ns[{node.name!r}])"
+            )
         if isinstance(node, (BinOp, Compare)):
             return self._binary(node, depth)
         if isinstance(node, UnaryOp):

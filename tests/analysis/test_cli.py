@@ -504,6 +504,11 @@ class TestSingleRunCommands:
         ["watch", "sha", "--jobs", "5", "--jitter", "-1"],
         ["profile", "sha", "--jobs", "5", "--jitter", "-1"],
         ["energy", "sha", "--jobs", "5", "--jitter", "-1"],
+        ["watch", "sha", "--jobs", "5", "--jitter", "nan", "--quiet"],
+        ["profile", "sha", "--jobs", "5", "--jitter", "inf"],
+        ["energy", "sha", "--jobs", "5", "--jitter", "nan"],
+        ["fig15", "--jobs", "3", "--jitter", "inf"],
+        ["fig15", "--jobs", "3", "--jitter", "nan"],
         ["profile", "sha", "--profile-jobs", "1"],
         ["energy", "sha", "--profile-jobs", "1"],
         ["fig15", "--jobs", "0"],

@@ -101,6 +101,15 @@ class TestRandomPrograms:
             assert_same_stream(version, job_inputs)
 
     @deep
+    @given(pi=program_and_inputs(n_inputs=4, reads_locals=True))
+    def test_programs_reading_locals_match(self, pi):
+        """Locals and loop variables read in and out of loops, bound or
+        not: the compiled form holds them in Python locals."""
+        program, job_inputs = pi
+        for version in _versions(program):
+            assert_same_stream(version, job_inputs)
+
+    @deep
     @given(
         program=programs(),
         missing=st.sampled_from(INPUT_VARS),

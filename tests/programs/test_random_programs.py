@@ -39,16 +39,21 @@ INTERP = Interpreter()
 
 INPUT_VARS = ("in_a", "in_b", "in_c")
 GLOBAL_VARS = ("g_x", "g_y")
+#: Loop variables of the programs drawn with ``reads_locals``.
+LOOP_VARS = ("i_a", "i_b")
+#: What those programs' expressions read besides inputs and globals: the
+#: local ``local_t`` and the loop variables, bound or not where read.
+LOCAL_VARS = ("local_t",) + LOOP_VARS
 
 # A site-name counter unique per generated program (hypothesis draws).
 _site_counter = st.shared(st.just(None), key="noop")
 
 
-def exprs(depth=2):
-    """Small integer expressions over inputs, globals, and constants."""
+def exprs(depth=2, names=INPUT_VARS + GLOBAL_VARS):
+    """Small integer expressions over ``names`` and constants."""
     leaves = st.one_of(
         st.integers(-3, 12).map(Const),
-        st.sampled_from(INPUT_VARS + GLOBAL_VARS).map(Var),
+        st.sampled_from(names).map(Var),
     )
     if depth == 0:
         return leaves
@@ -57,16 +62,16 @@ def exprs(depth=2):
         st.builds(
             BinOp,
             st.sampled_from(["+", "-", "*", "%", "min", "max"]),
-            exprs(depth - 1),
-            exprs(depth - 1),
+            exprs(depth - 1, names),
+            exprs(depth - 1, names),
         ),
     )
 
 
-def conditions():
+def conditions(names=INPUT_VARS + GLOBAL_VARS):
     return st.builds(
         Compare, st.sampled_from(["<", "<=", "==", ">", ">="]),
-        exprs(1), exprs(1),
+        exprs(1, names), exprs(1, names),
     )
 
 
@@ -87,12 +92,19 @@ FRACTIONAL_COSTS = st.one_of(
 )
 
 
-def stmts(namer, depth, costs=None):
+def stmts(namer, depth, costs=None, reads_locals=False):
     """Statement strategy with bounded nesting.
 
     With ``costs``, Block, Assign and Hint costs all draw from it; by
     default Blocks draw integers and the others keep their default cost.
+    With ``reads_locals``, expressions also read :data:`LOCAL_VARS` and
+    each ``Loop`` may bind one of :data:`LOOP_VARS`.
     """
+    names = INPUT_VARS + GLOBAL_VARS
+    loop_vars = st.none()
+    if reads_locals:
+        names += LOCAL_VARS
+        loop_vars = st.sampled_from((None,) + LOOP_VARS)
     if costs is None:
         block = st.builds(Block, st.integers(0, 5000), st.integers(0, 20))
         cost = ()
@@ -104,32 +116,35 @@ def stmts(namer, depth, costs=None):
         st.builds(
             Assign,
             st.sampled_from(GLOBAL_VARS + ("local_t",)),
-            exprs(1),
+            exprs(1, names),
             *cost,
         ),
         st.builds(
-            lambda e, *c: Hint(namer.next("hint"), e, *c), exprs(1), *cost
+            lambda e, *c: Hint(namer.next("hint"), e, *c),
+            exprs(1, names),
+            *cost,
         ),
     )
     if depth == 0:
         return simple
-    inner = stmts(namer, depth - 1, costs)
+    inner = stmts(namer, depth - 1, costs, reads_locals)
     compound = st.one_of(
         st.lists(inner, min_size=1, max_size=3).map(Seq),
         st.builds(
             lambda cond, then, orelse: If(
                 namer.next("if"), cond, then, orelse
             ),
-            conditions(),
+            conditions(names),
             inner,
             st.one_of(st.none(), inner),
         ),
         st.builds(
-            lambda count, body: Loop(
-                namer.next("loop"), count, body, max_trips=50
+            lambda count, body, var: Loop(
+                namer.next("loop"), count, body, loop_var=var, max_trips=50
             ),
-            exprs(1),
+            exprs(1, names),
             inner,
+            loop_vars,
         ),
         st.builds(
             lambda target, bodies: IndirectCall(
@@ -137,7 +152,7 @@ def stmts(namer, depth, costs=None):
                 target,
                 {i: body for i, body in enumerate(bodies)},
             ),
-            exprs(1),
+            exprs(1, names),
             st.lists(inner, min_size=1, max_size=3),
         ),
         # A terminating While: a private countdown counter drives the
@@ -167,19 +182,29 @@ def _countdown_while(namer, bound, body):
 
 
 @st.composite
-def programs(draw, costs=None):
+def programs(draw, costs=None, reads_locals=False):
     namer = _SiteNamer()
-    body = draw(
-        st.lists(stmts(namer, 2, costs), min_size=1, max_size=4).map(Seq)
-    )
+    statements = stmts(namer, 2, costs, reads_locals)
+    body = draw(st.lists(statements, min_size=1, max_size=4))
+    if reads_locals:
+        # The drawn statements run in a loop, so every name they access
+        # is read or written in a loop body; a few more read them after.
+        outer = Loop(
+            namer.next("outer"),
+            Var("in_a"),
+            Seq(body),
+            loop_var="i_a",
+            max_trips=3,
+        )
+        body = [outer] + draw(st.lists(statements, max_size=2))
     return Program(
-        "random", body, globals_init={"g_x": 0, "g_y": 1}
+        "random", Seq(body), globals_init={"g_x": 0, "g_y": 1}
     )
 
 
 @st.composite
-def program_and_inputs(draw, n_inputs=3, costs=None):
-    program = draw(programs(costs))
+def program_and_inputs(draw, n_inputs=3, costs=None, reads_locals=False):
+    program = draw(programs(costs, reads_locals))
     inputs = [
         {name: draw(st.integers(-5, 20)) for name in INPUT_VARS}
         for _ in range(n_inputs)

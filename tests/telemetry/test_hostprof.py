@@ -8,7 +8,7 @@ import pytest
 
 from repro.programs.expr import Const
 from repro.programs.interpreter import COMPILED_FILENAME, Interpreter
-from repro.programs.ir import Block, Loop, Program
+from repro.programs.ir import Block, IndirectCall, Loop, Program
 from repro.telemetry.hostprof import (
     NO_HOSTPROF,
     PHASES,
@@ -270,14 +270,15 @@ class TestStackSampler:
 
     def test_compiled_programs_sample_as_interp(self):
         """Compiled IR calls no Python function, only builtins (each
-        feature-counter bump is a ``dict.get``); those calls are sampled
-        and land on the program."""
+        recorded call address is a ``dict.setdefault`` and a
+        ``list.append``); those calls are sampled and land on the
+        program."""
         program = Program(
             "t",
             Loop(
                 "outer",
                 Const(20),
-                Loop("inner", Const(3), Block(1), counted=True),
+                IndirectCall("call", Const(1), {1: Block(1)}, counted=True),
             ),
         )
         sampler = StackSampler(interval=1)
@@ -292,7 +293,7 @@ class TestStackSampler:
             for stack, count in sampler.stacks.items()
             if stack.rsplit(";", 1)[-1] == label
         )
-        assert on_program > 20  # one call event, 20 counter bumps
+        assert on_program > 20  # one call event, 40 builtin calls
         assert component_of(*label.split(":", 1)) == "interp"
 
     def test_interval_validation(self):

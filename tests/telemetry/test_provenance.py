@@ -634,6 +634,40 @@ class TestCli:
         assert err.count("\n") == 1
         assert "optimize" in err
 
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("'config'", lambda data: data.pop("config")),
+            ("'model_fmax'", lambda data: data.update(model_fmax=None)),
+            ("'opps'", lambda data: data["opps"].update(points="x")),
+            ("'slice'", lambda data: data["slice"].pop("program")),
+            ("'encoder_columns'", lambda data: data.update(encoder_columns=[1])),
+            ("'model_degree'", lambda data: data.update(model_degree=None)),
+            ("'margin'", lambda data: data.update(margin=None)),
+            ("'margin'", lambda data: data.update(margin=math.inf)),
+        ],
+        ids=["no-config", "null-model", "string-points", "no-slice-program",
+             "int-column", "null-degree", "null-margin", "inf-margin"],
+    )
+    def test_replay_rejects_malformed_field_exit_2(
+        self, traced_lab, tmp_path, capsys, field, edit
+    ):
+        """A controller file with a missing or malformed field is refused
+        with one line naming the field, not a traceback."""
+        from repro.cli import main
+
+        directory, lab = traced_lab
+        path = tmp_path / "ctrl.json"
+        save_controller(lab.controller("rijndael"), path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["replay", str(directory), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("saved controller: ") and field in err
+
     @pytest.mark.parametrize("bad", ["ten", math.nan], ids=repr)
     def test_replay_rejects_bad_slice_cost_exit_2(
         self, traced_lab, tmp_path, capsys, bad
