@@ -390,9 +390,9 @@ def test_perf_attribution_overhead_bounded(monkeypatch):
 def test_perf_fleet_overhead_per_job_bounded():
     """Fleet scheduling must cost <= 2x a bare executor job at 1k sessions.
 
-    A shard multiplexes sessions through a heap (O(log n) per job) and
-    wraps every job in SLO classification; sessions add per-session
-    setup (board, governor, arrival schedule, trackers).  Amortized
+    A shard runs its sessions one after another and wraps every job
+    in SLO classification; sessions add per-session setup (board,
+    governor, arrival schedule) and teardown (trackers).  Amortized
     over a 1000-session shard, all of that together must stay within
     2x the per-job cost of one plain executor run of the same
     workload — i.e. the fleet layer may at most double a job, never

@@ -2,7 +2,6 @@
 
 from repro.analysis.harness import GOVERNOR_NAMES, Lab, default_n_jobs
 from repro.analysis.render import format_bar, format_heatmap, format_table
-from repro.analysis.stats import geometric_mean, normalize_to, percentile
 
 __all__ = [
     "GOVERNOR_NAMES",
@@ -11,7 +10,4 @@ __all__ = [
     "format_bar",
     "format_heatmap",
     "format_table",
-    "geometric_mean",
-    "normalize_to",
-    "percentile",
 ]

@@ -535,6 +535,13 @@ def _watch_command(argv: list[str]) -> int:
     if not 0.0 < args.drift_at < 1.0:
         print("--drift-at must be strictly inside (0, 1)", file=sys.stderr)
         return 2
+    specs = None
+    if args.slo is not None:
+        try:
+            specs = specs_from_json(pathlib.Path(args.slo).read_text())
+        except (OSError, ValueError) as error:
+            print(f"--slo {args.slo}: {error}", file=sys.stderr)
+            return 2
 
     trace_session = (
         TraceSession(args.trace) if args.trace is not None else None
@@ -555,9 +562,7 @@ def _watch_command(argv: list[str]) -> int:
     else:
         telemetry = Telemetry(name=run_name)
 
-    if args.slo is not None:
-        specs = specs_from_json(pathlib.Path(args.slo).read_text())
-    else:
+    if specs is None:
         specs = default_slos(
             budget_s=app.task.budget_s,
             max_energy_per_job_j=args.max_energy_j,

@@ -8,11 +8,11 @@ thousands of concurrent sessions on the existing simulated clock:
   (workload, governor, deadline budget, arrival process) and
   :mod:`repro.fleet.arrivals` generates their job release schedules
   (periodic, Poisson, bursty/MMPP, diurnal).
-- :mod:`repro.fleet.shard` runs many interleaved
-  :class:`~repro.runtime.executor.TaskLoopRunner` sessions under one
-  virtual clock per shard; :mod:`repro.fleet.coordinator` splits a
-  fleet across N shards (optionally a ``multiprocessing`` pool) and
-  merges the results.
+- :mod:`repro.fleet.shard` runs a slice of the fleet's sessions, each
+  one :class:`~repro.runtime.executor.TaskLoopRunner` run to completion
+  before the next is built; :mod:`repro.fleet.coordinator` deals a
+  fleet out to N shards (the unit a ``multiprocessing`` pool
+  dispatches) and merges the results.
 - :mod:`repro.fleet.aggregate` rolls the per-session SLO tracker
   states up into per-tenant and fleet-wide error budgets, multi-window
   burn rates, and a top-K worst-tenants report.

@@ -22,6 +22,8 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+from repro.checks import check_number
+
 __all__ = [
     "ArrivalProcess",
     "PeriodicArrivals",
@@ -30,27 +32,7 @@ __all__ = [
     "DiurnalArrivals",
     "ARRIVAL_KINDS",
     "arrival_from_dict",
-    "check_number",
 ]
-
-
-def check_number(
-    owner: str, key: str, value: object, count: bool = False
-) -> int | float:
-    """Return ``value`` if it is a finite int or float, else raise.
-
-    With ``count`` it must be an int.  A bool is neither.  The
-    ``ValueError`` names ``owner`` and ``key``.
-    """
-    kinds = int if count else (int, float)
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, kinds)
-        or not math.isfinite(value)
-    ):
-        what = "an int" if count else "a finite number"
-        raise ValueError(f"{owner}: {key} must be {what}, got {value!r}")
-    return value
 
 
 class ArrivalProcess(ABC):

@@ -7,10 +7,11 @@ a ``multiprocessing`` pool, and folds the per-session results into a
 :class:`~repro.fleet.aggregate.FleetReport` in canonical order.
 
 Determinism contract: the report depends only on ``(tenants, seed)``.
-Shard count changes which event loop a session runs in; worker count
-changes which process; neither enters any seed path, and the merge
-re-sorts results canonically — so ``run_fleet(spec)`` is bit-identical
-for every ``shards``/``workers`` choice.  Tests assert this directly.
+Shard count changes which shard a session runs in, and after which
+other sessions; worker count changes which process; neither enters any
+seed path, and the merge re-sorts results canonically — so
+``run_fleet(spec)`` is bit-identical for every ``shards``/``workers``
+choice.  Tests assert this directly.
 
 Worker pools fork (where the platform allows), so the coordinator
 pre-warms the per-process controller cache *before* the pool spawns:
@@ -39,8 +40,8 @@ class FleetSpec:
         tenants: The roster (order matters: it keys the canonical
             session order and the report layout).
         seed: Root seed; every stream in the fleet derives from it.
-        shards: Event-loop partitions (display/scale knob, not a
-            result knob).
+        shards: Partitions of the roster, the worker pool's unit of
+            dispatch (a scale knob, not a result knob).
         top_k: Worst-tenant table length.
         profile_jobs / switch_samples: Controller build size (see
             :class:`~repro.fleet.session.FleetBuild`).

@@ -195,10 +195,6 @@ class Session:
         self._energy_mark = 0.0
         self._finished_at = 0.0
 
-    def next_arrival_s(self) -> float | None:
-        """Release time of the next pending job (None when exhausted)."""
-        return self.runner.next_arrival_s()
-
     def step(self) -> bool:
         """Run the next job; False when the session is exhausted."""
         record = self.runner.step()
@@ -245,10 +241,9 @@ class Session:
         )
 
     def _slo_state(self, spec: SloSpec) -> SloTrackerState:
-        # Trackers live only here: a shard keeps every session alive
-        # until the end, and nothing reads SLO state before the result,
-        # so per-session trackers held for the whole run would only be
-        # more long-lived objects for the garbage collector to scan.
+        # Trackers live only here: nothing reads SLO state before the
+        # result, so folding the observations once, at the end, keeps
+        # each job's step to one append.
         tracker = SloTracker(spec)
         for observation in self._observations:
             tracker.observe(observation)
@@ -256,10 +251,30 @@ class Session:
 
 
 def run_session(
-    tenant: TenantSpec, index: int, build: FleetBuild
+    tenant: TenantSpec,
+    index: int,
+    build: FleetBuild,
+    hostprof: HostProfiler | None = None,
+    energy: bool = False,
 ) -> SessionResult:
-    """Run one session start to finish (the shard loop inlines this)."""
-    session = Session(tenant, index, build)
-    while session.step():
-        pass
-    return session.result()
+    """Run one session start to finish: build it, step it once per job,
+    and reduce it to its result.
+
+    ``hostprof`` and ``energy`` are :class:`Session`'s.  With an enabled
+    profiler, building the session and reducing it are charged to the
+    ``fleet`` phase (its jobs charge their own phases in the runner).
+    """
+    profiled = hostprof is not None and hostprof.enabled
+    if profiled:
+        t0 = hostprof.clock()
+    session = Session(tenant, index, build, hostprof=hostprof, energy=energy)
+    if profiled:
+        hostprof.add("fleet", hostprof.clock() - t0)
+    for _ in range(session.runner.jobs_remaining):
+        session.step()
+    if profiled:
+        t0 = hostprof.clock()
+    result = session.result()
+    if profiled:
+        hostprof.add("fleet", hostprof.clock() - t0)
+    return result

@@ -1,30 +1,26 @@
-"""Shards: many interleaved sessions under one virtual clock.
+"""Shards: a fleet's unit of dispatch to the worker pool.
 
-A shard owns a slice of the fleet's sessions and runs them as one
-event loop: a heap keyed by each session's next release time picks
-whichever session fires next, that session executes exactly one job,
-and the loop re-keys it.  This is the serving-system shape — thousands
-of independent deadline clocks multiplexed onto one scheduler — and it
-bounds the shard's virtual-time skew to one job.
+A shard owns a slice of the fleet's sessions and runs them one after
+another: each session is built, run to its last job and reduced to its
+:class:`~repro.fleet.session.SessionResult` before the next is built,
+so a shard holds one live session at a time.
 
-Sessions are computationally independent (each has its own board), so
-the interleaving order cannot change any session's results; what the
-loop buys is a single monotone fleet timeline per shard (live
-dashboards and traces see jobs in virtual-time order) at O(log n)
-scheduling cost per job.  :class:`ShardPlan` is a frozen, picklable
-value so a coordinator can ship shards to worker processes; results
-come back in canonical ``(tenant, session index)`` order regardless of
-how the event loop interleaved them.
+Sessions are computationally independent (each owns its board, its
+random streams and its governor, and reads the shared controller cache
+only), so the order they run in cannot change any session's results.
+:class:`ShardPlan` is a frozen, picklable value so a coordinator can
+ship shards to worker processes; results come back in canonical
+``(tenant, session index)`` order whatever order the shard ran them in.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
-from repro.fleet.session import FleetBuild, Session, SessionResult
+from repro.fleet.session import FleetBuild, SessionResult, run_session
 from repro.fleet.tenant import TenantSpec
 from repro.telemetry.hostprof import (
+    NO_HOSTPROF,
     HostProfiler,
     ProfileState,
     StackSampler,
@@ -81,7 +77,7 @@ class ShardResult:
         index: The shard that produced this.
         sessions: Results sorted by (tenant order in the roster,
             session index) — the order the coordinator merges in.
-        jobs_run: Total jobs the shard's event loop executed.
+        jobs_run: Total jobs the shard's sessions executed.
         host_profile: This shard's host profile when the plan asked
             for one (picklable, so it survives the worker-pool trip
             back; the coordinator merges shards' profiles).
@@ -128,74 +124,42 @@ def plan_shards(
 
 
 def run_shard(plan: ShardPlan) -> ShardResult:
-    """Execute one shard's sessions as a single interleaved event loop.
+    """Execute one shard's sessions, each to completion, in plan order.
 
     Top-level (hence picklable) so a ``multiprocessing`` pool can map
     over plans directly.  With ``plan.profile`` set, the whole shard
-    runs under a :class:`HostProfiler` (session construction charged to
-    the ``fleet`` phase, per-job phases charged inside the runners) and
-    the snapshot rides back on the result.
+    runs under a :class:`HostProfiler` (building each session and
+    reducing it to its result charged to the ``fleet`` phase, per-job
+    phases charged inside the runners) and the snapshot rides back on
+    the result.
     """
     hostprof = (
-        HostProfiler(sampler=StackSampler()) if plan.profile else None
+        HostProfiler(sampler=StackSampler()) if plan.profile else NO_HOSTPROF
     )
     by_name = {tenant.name: tenant for tenant in plan.tenants}
     order = {tenant.name: i for i, tenant in enumerate(plan.tenants)}
-
-    def execute() -> tuple[list[Session], int]:
-        sessions: list[Session] = []
-        if hostprof is not None:
-            build_from = hostprof.clock()
-        for tenant_name, session_index in plan.assignments:
-            if tenant_name not in by_name:
-                raise ValueError(
-                    f"shard {plan.index} assigned unknown tenant "
-                    f"{tenant_name!r}"
-                )
-            sessions.append(
-                Session(
-                    by_name[tenant_name],
-                    session_index,
-                    plan.build,
-                    hostprof=hostprof,
-                    energy=plan.energy,
-                )
+    for tenant_name, _ in plan.assignments:
+        if tenant_name not in by_name:
+            raise ValueError(
+                f"shard {plan.index} assigned unknown tenant "
+                f"{tenant_name!r}"
             )
-        if hostprof is not None:
-            hostprof.add("fleet", hostprof.clock() - build_from)
 
-        # The event loop: (next release, tie-break seq) -> session.  One
-        # job per pop keeps every session within one job of the shard's
-        # clock.
-        heap: list[tuple[float, int, int]] = []
-        for slot, session in enumerate(sessions):
-            arrival = session.next_arrival_s()
-            if arrival is not None:
-                heapq.heappush(heap, (arrival, slot, slot))
-        jobs_run = 0
-        while heap:
-            _, _, slot = heapq.heappop(heap)
-            session = sessions[slot]
-            if session.step():
-                jobs_run += 1
-            arrival = session.next_arrival_s()
-            if arrival is not None:
-                heapq.heappush(heap, (arrival, slot, slot))
-        return sessions, jobs_run
-
-    if hostprof is not None:
-        with hostprof.running():
-            sessions, jobs_run = execute()
-    else:
-        sessions, jobs_run = execute()
-
-    results = sorted(
-        (session.result() for session in sessions),
-        key=lambda r: (order[r.tenant], r.index),
-    )
+    with hostprof.running():
+        results = [
+            run_session(
+                by_name[tenant_name],
+                session_index,
+                plan.build,
+                hostprof=hostprof,
+                energy=plan.energy,
+            )
+            for tenant_name, session_index in plan.assignments
+        ]
+    results.sort(key=lambda r: (order[r.tenant], r.index))
     return ShardResult(
         index=plan.index,
         sessions=tuple(results),
-        jobs_run=jobs_run,
-        host_profile=hostprof.state() if hostprof is not None else None,
+        jobs_run=sum(r.jobs for r in results),
+        host_profile=hostprof.state() if plan.profile else None,
     )

@@ -14,11 +14,11 @@ import json
 from dataclasses import dataclass, field
 
 from repro.analysis.harness import check_governor
+from repro.checks import check_number
 from repro.fleet.arrivals import (
     ArrivalProcess,
     PeriodicArrivals,
     arrival_from_dict,
-    check_number,
 )
 from repro.workloads.registry import app_names
 

@@ -209,7 +209,8 @@ class TaskLoopRunner:
     def next_arrival_s(self) -> float | None:
         """Release time of the next pending job; None when all jobs ran.
 
-        Shard schedulers order interleaved sessions by this value.
+        :class:`~repro.runtime.multitask.MultiTaskRunner` steps
+        whichever stream's runner has the earliest such release.
         """
         if self._next_index >= len(self.inputs):
             return None
@@ -252,8 +253,10 @@ class TaskLoopRunner:
     def step(self) -> JobRecord | None:
         """Run the next pending job; None when the stream is exhausted.
 
-        The stepping half of the run loop: fleet shards interleave many
-        sessions by repeatedly stepping whichever session releases next.
+        The stepping half of the run loop: a fleet session steps its
+        runner once per job, and
+        :class:`~repro.runtime.multitask.MultiTaskRunner` interleaves
+        several runners on one board by stepping whichever releases next.
         """
         self.start()
         if self._next_index >= len(self.inputs):

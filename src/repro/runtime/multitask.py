@@ -9,6 +9,11 @@ overlap), and each task brings its own governor, so two prediction-based
 controllers trained on different programs coexist on one frequency
 ladder.
 
+Each stream is one :class:`~repro.runtime.executor.TaskLoopRunner` on
+the shared board, fed the stream's release times; this runner only
+chooses which of them steps next, so every job takes the same per-job
+step (interpret, decide, switch, execute, report) as a single-task run.
+
 Utilization-timer governors (interactive/ondemand) are per-CPU, not
 per-task; this runner supports per-job policies only (performance,
 powersave, pid, prediction, oracle) and rejects timer-driven ones.
@@ -16,20 +21,19 @@ powersave, pid, prediction, oracle) and rejects timer-driven ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.governors.base import Governor, JobContext
+from repro.governors.base import Governor
 from repro.platform.board import Board
 from repro.programs.expr import Value
 from repro.programs.interpreter import Interpreter
-from repro.runtime.records import JobRecord, RunResult
+from repro.runtime.executor import TaskLoopRunner
+from repro.runtime.records import RunResult
 from repro.runtime.task import Task
-from repro.telemetry.energy import NO_ENERGY_LEDGER, EnergyLedger
 
 __all__ = ["TaskStream", "MultiTaskRunner"]
-
-_EPS = 1e-12
 
 
 @dataclass
@@ -66,22 +70,6 @@ class TaskStream:
         return self.offset_s + index * self.task.budget_s
 
 
-@dataclass
-class _StreamState:
-    stream: TaskStream
-    globals_: dict
-    next_index: int = 0
-    records: list[JobRecord] = field(default_factory=list)
-
-    @property
-    def exhausted(self) -> bool:
-        return self.next_index >= len(self.stream.inputs)
-
-    @property
-    def next_arrival_s(self) -> float:
-        return self.stream.arrival_s(self.next_index)
-
-
 class MultiTaskRunner:
     """Runs several task streams on one board, FIFO by release time."""
 
@@ -90,7 +78,6 @@ class MultiTaskRunner:
         board: Board,
         streams: Sequence[TaskStream],
         interpreter: Interpreter | None = None,
-        energy: EnergyLedger | None = None,
     ):
         if not streams:
             raise ValueError("need at least one task stream")
@@ -100,107 +87,35 @@ class MultiTaskRunner:
         self.board = board
         self.streams = list(streams)
         self.interpreter = interpreter if interpreter is not None else Interpreter()
-        self.energy = energy if energy is not None else NO_ENERGY_LEDGER
-        # Streams share one board; ledger jobs number the interleaved
-        # sequence in execution order across all streams.
-        self._jobs_run = 0
 
     def run(self) -> dict[str, RunResult]:
         """Execute every stream's jobs; returns results keyed by task name."""
-        board = self.board
-        if self.energy.enabled:
-            board.set_segment_observer(self.energy.observe)
-        states = [
-            _StreamState(stream=s, globals_=s.task.program.fresh_globals())
-            for s in self.streams
-        ]
-        for state in states:
-            state.stream.governor.start(board, state.stream.task.budget_s)
-
-        while True:
-            pending = [s for s in states if not s.exhausted]
-            if not pending:
-                break
-            # Earliest release first; FIFO among released jobs.
-            state = min(pending, key=lambda s: s.next_arrival_s)
-            self._run_job(state)
-
-        results: dict[str, RunResult] = {}
-        total_energy = board.energy_j()
-        for state in states:
-            results[state.stream.task.name] = RunResult(
-                governor=state.stream.governor.name,
-                app=state.stream.task.name,
-                budget_s=state.stream.task.budget_s,
-                jobs=state.records,
-                # Whole-board energy is shared; report it on every stream
-                # (splitting idle energy between tasks is arbitrary).
-                energy_j=total_energy,
-                energy_by_tag={
-                    tag: board.energy_j(tag)
-                    for tag in ("job", "predictor", "switch", "idle")
-                },
-                switch_count=board.switch_count,
+        runners = [
+            TaskLoopRunner(
+                board=self.board,
+                task=stream.task,
+                governor=stream.governor,
+                inputs=stream.inputs,
+                interpreter=self.interpreter,
+                arrivals=[
+                    stream.arrival_s(i) for i in range(len(stream.inputs))
+                ],
             )
-        return results
-
-    def _run_job(self, state: _StreamState) -> None:
-        board = self.board
-        stream = state.stream
-        index = state.next_index
-        state.next_index += 1
-        if self.energy.enabled:
-            self.energy.begin_job(self._jobs_run)
-        self._jobs_run += 1
-        arrival = stream.arrival_s(index)
-        board.idle_until(arrival)
-        start = board.now
-        deadline = arrival + stream.task.budget_s
-        job_inputs = stream.inputs[index]
-
-        # One interpretation per job, on an isolated fork: the governor
-        # decides against pre-job state, then the run's globals commit.
-        run = self.interpreter.execute_isolated(
-            stream.task.program, job_inputs, state.globals_
-        )
-        ctx = JobContext(
-            index=index,
-            inputs=job_inputs,
-            task_globals=state.globals_,
-            budget_s=stream.task.budget_s,
-            deadline_s=deadline,
-            board=board,
-            oracle_work=run.work if stream.governor.reads_oracle_work else None,
-        )
-        before = board.now
-        decision = stream.governor.decide(ctx)
-        predictor_time = board.now - before
-
-        switch_time = 0.0
-        if decision is not None and (
-            decision.opp.index != board.current_opp.index
-        ):
-            switch_time = board.set_frequency(decision.opp)
-
-        opp_mhz = board.current_opp.freq_mhz
-        exec_time = board.execute(run.work)
-        state.globals_.update(run.env.globals)
-
-        record = JobRecord(
-            index=index,
-            arrival_s=arrival,
-            start_s=start,
-            end_s=board.now,
-            deadline_s=deadline,
-            opp_mhz=opp_mhz,
-            exec_time_s=exec_time,
-            predictor_time_s=predictor_time,
-            switch_time_s=switch_time,
-            predicted_time_s=(
-                decision.predicted_time_s
-                if decision is not None
-                else float("nan")
-            ),
-        )
-        state.records.append(record)
-        stream.governor.on_job_end(record, ctx)
+            for stream in self.streams
+        ]
+        for runner in runners:
+            runner.start()
+        pending = runners
+        while pending:
+            # Earliest release first; ties go to the earlier stream.
+            min(pending, key=TaskLoopRunner.next_arrival_s).step()
+            pending = [runner for runner in pending if runner.jobs_remaining]
+        # A runner's energy is the shared board's, so every stream
+        # reports the whole board's (splitting idle energy between tasks
+        # is arbitrary); its switch count covers its own switches only.
+        return {
+            runner.task.name: dataclasses.replace(
+                runner.result(), switch_count=self.board.switch_count
+            )
+            for runner in runners
+        }

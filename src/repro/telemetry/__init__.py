@@ -32,9 +32,7 @@ from repro.telemetry.energy import (
     EnergyLedger,
     EnergyState,
     NullEnergyLedger,
-    energy_flamegraph_text,
     energy_metrics,
-    energy_weighted_phases,
     merge_energy,
     register_energy_metrics,
     render_energy,
@@ -190,8 +188,6 @@ __all__ = [
     "register_energy_metrics",
     "render_energy",
     "render_energy_cells",
-    "energy_weighted_phases",
-    "energy_flamegraph_text",
     "write_energy_report",
     "openmetrics_text",
     "openmetrics_directory",

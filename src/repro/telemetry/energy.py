@@ -66,8 +66,6 @@ __all__ = [
     "register_energy_metrics",
     "render_energy",
     "render_energy_cells",
-    "energy_weighted_phases",
-    "energy_flamegraph_text",
     "write_energy_report",
 ]
 
@@ -551,90 +549,6 @@ def render_energy_cells(
         lines.append(row)
     lines.append("(per-phase columns in mJ)")
     return "\n".join(lines)
-
-
-# -- hostprof integration -----------------------------------------------------
-#: Energy phase -> host-profiler phase.  Approximate by construction:
-#: the host profiler times the *simulator* (interpreter eval, governor
-#: decision, switch bookkeeping, record keeping) while the ledger
-#: attributes *simulated* joules, and the map pairs each joule bucket
-#: with the host phase that produces it.
-_HOSTPROF_PHASE = {
-    "execute": "interp",
-    "predict": "governor",
-    OVERLAP_PHASE: "governor",
-    "switch": "switch",
-    "feedback": "record",
-}
-
-
-def energy_weighted_phases(
-    profile, state: EnergyState
-) -> list[tuple[str, float, float, float]]:
-    """Join host wall-time with attributed energy, per phase.
-
-    Returns ``(host_phase, host_seconds, joules, joules_per_host_sec)``
-    rows for every host phase that has either time or energy, so a
-    profile reader can see which *host* hotspots burn *simulated*
-    joules — e.g. an interpreter hotspot weighted by execute-phase
-    energy rather than by sample count alone.
-    """
-    joules: dict[str, float] = {}
-    for phase, energy in state.by_phase.items():
-        host = _HOSTPROF_PHASE.get(phase)
-        if host is not None:
-            joules[host] = joules.get(host, 0.0) + energy
-    rows = []
-    for host in ("interp", "governor", "switch", "record", "fleet"):
-        seconds = profile.phase_s(host)
-        energy = joules.get(host, 0.0)
-        if seconds == 0.0 and energy == 0.0:
-            continue
-        per_sec = energy / seconds if seconds > 0 else float("nan")
-        rows.append((host, seconds, energy, per_sec))
-    return rows
-
-
-def energy_flamegraph_text(profile, state: EnergyState) -> str:
-    """Collapsed stacks re-weighted by attributed energy.
-
-    Each stack's sample count is scaled by its component's
-    joules-per-host-second (via :func:`energy_weighted_phases` and
-    :func:`~repro.telemetry.hostprof.component_of`), then emitted in
-    the same ``stack weight`` collapsed-stack format as
-    :func:`~repro.telemetry.hostprof.flamegraph_text` — paste into any
-    flamegraph viewer to see where the *joules* go, host-frame by
-    host-frame.  Weights are scaled to integer micro-units so standard
-    tooling (which expects integer counts) renders them.
-    """
-    from repro.telemetry.hostprof import component_of
-
-    weights = {
-        host: per_sec
-        for host, _, _, per_sec in energy_weighted_phases(profile, state)
-        if not math.isnan(per_sec)
-    }
-    component_phase = {
-        "interp": "interp",
-        "ir": "interp",
-        "governor": "governor",
-        "predict": "governor",
-        "features": "governor",
-        "platform": "switch",
-        "telemetry": "record",
-        "fleet": "fleet",
-    }
-    lines = []
-    for stack, count in sorted(profile.stacks.items()):
-        leaf = stack.rsplit(";", 1)[-1]
-        module, _, qualname = leaf.partition(":")
-        component = component_of(module, qualname)
-        host_phase = component_phase.get(component)
-        weight = weights.get(host_phase, 0.0) if host_phase else 0.0
-        scaled = int(round(count * weight * 1e6))
-        if scaled > 0:
-            lines.append(f"{stack} {scaled}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # -- artifacts ----------------------------------------------------------------

@@ -42,6 +42,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable, NamedTuple
 
+from repro.checks import check_number
+
 __all__ = [
     "SIGNALS",
     "JobObservation",
@@ -101,11 +103,16 @@ class BurnWindow:
     max_burn_rate: float
 
     def __post_init__(self) -> None:
+        check_number("burn window", "jobs", self.jobs, count=True)
+        check_number("burn window", "max_burn_rate", self.max_burn_rate)
         if self.jobs < 1:
-            raise ValueError(f"window must cover >= 1 job, got {self.jobs}")
+            raise ValueError(
+                f"burn window: jobs must cover >= 1 job, got {self.jobs}"
+            )
         if self.max_burn_rate <= 0:
             raise ValueError(
-                f"max_burn_rate must be positive, got {self.max_burn_rate}"
+                "burn window: max_burn_rate must be positive, "
+                f"got {self.max_burn_rate}"
             )
 
     def as_dict(self) -> dict:
@@ -113,10 +120,18 @@ class BurnWindow:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BurnWindow":
-        return cls(
-            jobs=int(data["jobs"]),
-            max_burn_rate=float(data["max_burn_rate"]),
-        )
+        """Rebuild a window from :meth:`as_dict` output.
+
+        Raises ``ValueError`` naming the field for anything but an
+        object holding an int ``jobs`` and a finite ``max_burn_rate``.
+        """
+        if not isinstance(data, dict) or set(data) != {"jobs", "max_burn_rate"}:
+            raise ValueError(
+                "a burn window must be an object with exactly 'jobs' and "
+                f"'max_burn_rate', got {data!r}"
+            )
+        rate = check_number("burn window", "max_burn_rate", data["max_burn_rate"])
+        return cls(jobs=data["jobs"], max_burn_rate=float(rate))
 
 
 @dataclass(frozen=True)
@@ -148,19 +163,24 @@ class SloSpec:
     description: str = ""
 
     def __post_init__(self) -> None:
+        owner = f"SLO spec {self.name!r}"
         if self.signal not in SIGNALS:
             raise ValueError(
-                f"unknown signal {self.signal!r}; expected one of {SIGNALS}"
+                f"{owner}: unknown signal {self.signal!r}; "
+                f"expected one of {SIGNALS}"
             )
+        for key in ("objective", "threshold"):
+            check_number(owner, key, getattr(self, key))
         if not 0.0 < self.objective < 1.0:
             raise ValueError(
-                f"objective must be in (0, 1), got {self.objective}"
+                f"{owner}: objective must be in (0, 1), got {self.objective}"
             )
         if not self.windows:
-            raise ValueError("a spec needs at least one burn window")
+            raise ValueError(f"{owner}: a spec needs at least one burn window")
         if self.severity not in ("page", "ticket"):
             raise ValueError(
-                f"severity must be 'page' or 'ticket', got {self.severity!r}"
+                f"{owner}: severity must be 'page' or 'ticket', "
+                f"got {self.severity!r}"
             )
 
     def is_bad(self, obs: JobObservation) -> bool | None:
@@ -191,16 +211,44 @@ class SloSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SloSpec":
+        """Rebuild a spec from :meth:`as_dict` output.
+
+        Raises ``ValueError`` naming the spec and the field for a
+        missing name, signal, objective or windows, an unknown field, a
+        window that is not an object of an int and a finite number, or
+        a real that is not a finite number.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"an SLO spec must be a JSON object, got {data!r}")
+        if "name" not in data:
+            raise ValueError(f"SLO spec has no 'name' field: {data!r}")
+        owner = f"SLO spec {data['name']!r}"
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"{owner}: unknown field(s) {unknown}")
+        for key in ("signal", "objective", "windows"):
+            if key not in data:
+                raise ValueError(f"{owner}: no {key!r} field")
+        if not isinstance(data["windows"], list):
+            raise ValueError(
+                f"{owner}: windows must be a list, got {data['windows']!r}"
+            )
+        try:
+            windows = tuple(BurnWindow.from_dict(w) for w in data["windows"])
+        except ValueError as error:
+            raise ValueError(f"{owner}: {error}") from None
+        reals = {
+            key: float(check_number(owner, key, data[key]))
+            for key in ("objective", "threshold")
+            if key in data
+        }
         return cls(
             name=str(data["name"]),
             signal=str(data["signal"]),
-            objective=float(data["objective"]),
-            threshold=float(data.get("threshold", 0.0)),
-            windows=tuple(
-                BurnWindow.from_dict(w) for w in data["windows"]
-            ),
+            windows=windows,
             severity=str(data.get("severity", "page")),
             description=str(data.get("description", "")),
+            **reals,
         )
 
 
@@ -631,7 +679,11 @@ def specs_to_json(specs: Iterable[SloSpec]) -> str:
 
 
 def specs_from_json(text: str) -> tuple[SloSpec, ...]:
-    """Parse a spec suite written by :func:`specs_to_json`."""
+    """Parse a spec suite written by :func:`specs_to_json`.
+
+    Raises ``ValueError`` for text that is not JSON, a top level that is
+    not an array, or a spec that :meth:`SloSpec.from_dict` rejects.
+    """
     data: Any = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("SLO file must be a JSON array of spec objects")

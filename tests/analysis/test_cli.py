@@ -493,6 +493,25 @@ class TestSingleRunCommands:
         assert summary in capsys.readouterr().out
 
 
+def _slo_spec(objective="0.1", threshold="0.0", jobs="5", rate="2.0"):
+    return (
+        '[{"name": "x", "signal": "deadline_miss", '
+        f'"objective": {objective}, "threshold": {threshold}, '
+        f'"windows": [{{"jobs": {jobs}, "max_burn_rate": {rate}}}]}}]'
+    )
+
+
+#: Malformed ``watch --slo`` files, written into the test's directory.
+BAD_SLO_FILES = {
+    "not_json.json": "[{",
+    "no_signal.json": '[{"name": "x", "objective": 0.1, "windows": []}]',
+    "nan_burn_rate.json": _slo_spec(rate="NaN"),
+    "nan_threshold.json": _slo_spec(threshold="NaN"),
+    "fractional_jobs.json": _slo_spec(jobs="1.5"),
+    "bool_jobs.json": _slo_spec(jobs="true"),
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -515,6 +534,10 @@ class TestSingleRunCommands:
         ["fig2", "--app", "nope"],
         ["fleet", "run", "--apps", "nope"],
         ["fleet", "run", "--governor", "nope"],
+        *(
+            ["watch", "sha", "--jobs", "5", "--quiet", "--slo", name]
+            for name in ["missing.json", *BAD_SLO_FILES]
+        ),
     ],
     ids="_".join,
 )
@@ -522,6 +545,8 @@ def test_bad_input_is_one_line_and_exit_code_2(
     argv, tmp_path, monkeypatch, capsys
 ):
     monkeypatch.chdir(tmp_path)  # nothing may land in the working tree
+    for name, text in BAD_SLO_FILES.items():
+        (tmp_path / name).write_text(text)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err

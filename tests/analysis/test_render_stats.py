@@ -1,9 +1,8 @@
-"""Tests for rendering helpers and statistics utilities."""
+"""Tests for the rendering helpers."""
 
 import pytest
 
 from repro.analysis.render import format_bar, format_heatmap, format_table
-from repro.analysis.stats import geometric_mean, normalize_to, percentile
 
 
 class TestFormatTable:
@@ -58,30 +57,3 @@ class TestFormatBar:
     def test_bad_scale(self):
         with pytest.raises(ValueError):
             format_bar(1.0, 0.0)
-
-
-class TestStats:
-    def test_percentile(self):
-        assert percentile(range(101), 50) == pytest.approx(50.0)
-
-    def test_percentile_empty(self):
-        with pytest.raises(ValueError):
-            percentile([], 50)
-
-    def test_normalize_to(self):
-        assert normalize_to([2.0, 4.0], 2.0) == [1.0, 2.0]
-
-    def test_normalize_bad_reference(self):
-        with pytest.raises(ValueError):
-            normalize_to([1.0], 0.0)
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_geometric_mean_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    def test_geometric_mean_empty(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])

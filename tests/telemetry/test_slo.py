@@ -219,6 +219,48 @@ class TestJsonRoundTrips:
         with pytest.raises(ValueError, match="JSON array"):
             specs_from_json("{}")
 
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"signal": None}, "SLO spec 'x': no 'signal' field"),
+            ({"windows": None}, "SLO spec 'x': no 'windows' field"),
+            ({"treshold": 0.1}, r"SLO spec 'x': unknown field\(s\) \['treshold'\]"),
+            ({"threshold": math.nan}, "SLO spec 'x': threshold must be a finite"),
+            ({"objective": math.inf}, "SLO spec 'x': objective must be a finite"),
+            ({"objective": True}, "SLO spec 'x': objective must be a finite"),
+            ({"objective": "0.1"}, "SLO spec 'x': objective must be a finite"),
+            ({"windows": {"jobs": 5}}, "SLO spec 'x': windows must be a list"),
+            ({"windows": [[5, 2.0]]}, "SLO spec 'x': a burn window must be"),
+            ({"windows": [{"jobs": 5}]}, "SLO spec 'x': a burn window must be"),
+            (
+                {"windows": [{"jobs": 5, "max_burn_rate": math.nan}]},
+                "SLO spec 'x': burn window: max_burn_rate must be a finite",
+            ),
+            (
+                {"windows": [{"jobs": 1.5, "max_burn_rate": 2.0}]},
+                "SLO spec 'x': burn window: jobs must be an int, got 1.5",
+            ),
+            (
+                {"windows": [{"jobs": True, "max_burn_rate": 2.0}]},
+                "SLO spec 'x': burn window: jobs must be an int, got True",
+            ),
+        ],
+        ids=repr,
+    )
+    def test_specs_from_json_names_the_spec_and_field(self, change, match):
+        spec = miss_spec().as_dict() | {"name": "x"}
+        spec.update(change)
+        spec = {key: value for key, value in spec.items() if value is not None}
+        with pytest.raises(ValueError, match=match):
+            specs_from_json(json.dumps([spec]))
+
+    @pytest.mark.parametrize(
+        "text", ["[{", "[1]", '[{"signal": "deadline_miss"}]'], ids=repr
+    )
+    def test_specs_from_json_rejects_malformed_text(self, text):
+        with pytest.raises(ValueError):
+            specs_from_json(text)
+
     def test_alert_round_trips(self):
         alert = SloAlert(
             spec_name="miss",
