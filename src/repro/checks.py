@@ -1,4 +1,5 @@
-"""Value checks shared by the JSON loaders (fleet rosters, SLO suites)."""
+"""Value checks shared by the JSON loaders (fleet rosters and reports,
+SLO suites, saved controllers, gate baselines)."""
 
 from __future__ import annotations
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import inspect
 import json
 import math
 import pathlib
@@ -162,7 +163,11 @@ def main(argv: list[str] | None = None) -> int:
         "fig20, drift)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None, help="override jobs per run"
+        "--jobs",
+        type=int,
+        default=None,
+        help="override jobs per run (experiments without a job count, "
+        "such as fig11, ignore it)",
     )
     parser.add_argument(
         "--seed", type=int, default=42, help="base evaluation seed"
@@ -219,7 +224,10 @@ def main(argv: list[str] | None = None) -> int:
     for name in requested:
         _, module = _EXPERIMENTS[name]
         kwargs = {}
-        if args.jobs is not None:
+        if (
+            args.jobs is not None
+            and "n_jobs" in inspect.signature(module.run).parameters
+        ):
             kwargs["n_jobs"] = args.jobs
         if args.app is not None and name in (
             "fig2", "fig3", "fig9", "fig16", "fig20", "drift"

@@ -8,14 +8,13 @@ governor closes the loop at run time.  Per job it:
    comparisons are fair);
 2. while **predicting**, picks the frequency from online-recalibrated
    anchor models under an adaptive safety margin;
-3. after the job, compares observed to predicted time, feeds the signed
-   relative residual to a streaming monitor, an under-prediction drift
-   detector, and a recursive-least-squares update of both anchor models
-   (asymmetry approximated by per-sample weighting);
-4. when the detector flags drift, **falls back** to a conservative
-   deadline-safe policy (the ``performance`` governor by default) while
-   the slice keeps running in shadow, so recalibration continues on live
-   observations;
+3. after the job, compares observed to predicted time, feeds the
+   relative residual to an EWMA of its magnitude, an under-prediction
+   drift detector, and a recursive-least-squares update of both anchor
+   models (asymmetry approximated by per-sample weighting);
+4. when the detector flags drift, **falls back** to the deadline-safe
+   ``performance`` governor while the slice keeps running in shadow, so
+   recalibration continues on live observations;
 5. re-engages prediction once the shadow residuals have stabilised for a
    cooldown period.
 
@@ -33,14 +32,10 @@ from typing import TYPE_CHECKING, Any
 from repro.governors.base import Decision, Governor, JobContext
 from repro.governors.performance import PerformanceGovernor
 from repro.governors.predictive import PredictiveGovernor
-from repro.online.drift import (
-    DriftDetector,
-    PageHinkleyDetector,
-    detector_from_state,
-)
+from repro.online.drift import PageHinkleyDetector
 from repro.online.predictor import OnlineTimePredictor
 from repro.online.recalibrate import AdaptiveMargin
-from repro.online.residuals import ResidualMonitor, ResidualSnapshot
+from repro.online.residuals import Ewma
 from repro.platform.board import Board
 from repro.platform.cpu import Work
 
@@ -50,6 +45,34 @@ if TYPE_CHECKING:  # avoid a circular import with the runtime package
 __all__ = ["AdaptiveMode", "AdaptiveConfig", "AdaptiveGovernor"]
 
 _EPS = 1e-12
+
+# Fixed constants of the adaptation loop (no caller varies them).
+#: RLS forgetting factor (0.98 remembers ~50 jobs).
+RLS_FORGETTING = 0.98
+#: Initial RLS covariance — trust in the offline fit.
+RLS_P0 = 0.05
+#: Page–Hinkley mean-shift tolerance (relative-residual units; shifts
+#: below this are noise).
+PH_DELTA = 0.05
+#: Page–Hinkley alarm level.
+PH_THRESHOLD = 0.4
+#: Observed jobs before drift detection may alarm.
+WARMUP_JOBS = 10
+#: Minimum jobs spent in fallback before re-engaging.
+COOLDOWN_JOBS = 10
+#: Smoothing weight of the |relative residual| EWMA.
+ABS_RESIDUAL_ALPHA = 0.1
+#: The shadow |relative residual| EWMA must fall below this before
+#: prediction re-engages.
+REENGAGE_ABS_RESIDUAL = 0.10
+#: Smoothed miss rate the margin loop aims for.
+TARGET_MISS_RATE = 0.02
+#: Fixed per-job cost of the feedback step (residual and detector
+#: updates), in CPU cycles.
+UPDATE_BASE_CYCLES = 15_000.0
+#: RLS update cost per feature², in CPU cycles (the rank-1 covariance
+#: update is O(n²)).
+UPDATE_CYCLES_PER_FEATURE_SQ = 40.0
 
 
 class AdaptiveMode(enum.Enum):
@@ -61,28 +84,16 @@ class AdaptiveMode(enum.Enum):
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Knobs of the online adaptation loop.
+    """Knobs of the online adaptation loop (the ablation varies each).
+
+    The loop's other parameters are the module constants above.
 
     Attributes:
-        rls_forgetting: RLS forgetting factor (0.98 remembers ~50 jobs).
-        rls_p0: Initial RLS covariance — trust in the offline fit.
         under_weight: RLS sample weight for under-predicted jobs (online
             stand-in for the paper's asymmetric penalty alpha).
-        ph_delta: Page–Hinkley mean-shift tolerance (relative-residual
-            units; shifts below this are noise).
-        ph_threshold: Page–Hinkley alarm level.
-        warmup_jobs: Observed jobs before drift detection may alarm.
-        cooldown_jobs: Minimum jobs spent in fallback before re-engaging.
-        reengage_abs_residual: Shadow |relative residual| EWMA must fall
-            below this before prediction re-engages.
         margin_initial: Starting safety margin (paper: 0.10).
         margin_floor: Smallest margin the decay may reach.
         margin_ceiling: Largest margin a miss burst may reach.
-        target_miss_rate: Smoothed miss rate the margin loop aims for.
-        update_base_cycles: Fixed per-job cost of the feedback step
-            (monitor + detector updates), in CPU cycles.
-        update_cycles_per_feature_sq: RLS update cost per feature², in
-            CPU cycles (the rank-1 covariance update is O(n²)).
         recalibrate: Feed observed residuals back into the anchor
             models (the online RLS update).  False freezes the offline
             coefficients — drift is still *detected* but never learned
@@ -102,33 +113,13 @@ class AdaptiveConfig:
             measurable.
     """
 
-    rls_forgetting: float = 0.98
-    rls_p0: float = 0.05
     under_weight: float = 25.0
-    ph_delta: float = 0.05
-    ph_threshold: float = 0.4
-    warmup_jobs: int = 10
-    cooldown_jobs: int = 10
-    reengage_abs_residual: float = 0.10
     margin_initial: float = 0.10
     margin_floor: float = 0.04
     margin_ceiling: float = 0.40
-    target_miss_rate: float = 0.02
-    update_base_cycles: float = 15_000.0
-    update_cycles_per_feature_sq: float = 40.0
     recalibrate: bool = True
     fallback_armed: bool = True
     bound_skip: bool = False
-
-    def __post_init__(self) -> None:
-        if self.warmup_jobs < 1:
-            raise ValueError("warmup_jobs must be >= 1")
-        if self.cooldown_jobs < 1:
-            raise ValueError("cooldown_jobs must be >= 1")
-        if self.reengage_abs_residual <= 0:
-            raise ValueError("reengage_abs_residual must be positive")
-        if self.update_base_cycles < 0 or self.update_cycles_per_feature_sq < 0:
-            raise ValueError("update cost cycles must be non-negative")
 
 
 class AdaptiveGovernor(Governor):
@@ -147,8 +138,10 @@ class AdaptiveGovernor(Governor):
     Attributes:
         inner: Predictive governor wired to the online predictor.
         predictor: The recalibrating execution-time predictor.
-        fallback: Deadline-safe governor used while drift is flagged.
-        monitor: Streaming residual statistics.
+        fallback: The ``performance`` governor, used while drift is
+            flagged.
+        abs_residual: EWMA of the per-job |relative residual|; gates
+            re-engagement.
         detector: Under-prediction drift detector.
         mode: Current :class:`AdaptiveMode`.
     """
@@ -156,29 +149,22 @@ class AdaptiveGovernor(Governor):
     def __init__(
         self,
         predictive: PredictiveGovernor,
-        fallback: Governor | None = None,
         config: AdaptiveConfig | None = None,
-        detector: DriftDetector | None = None,
     ):
         self.config = config if config is not None else AdaptiveConfig()
         cfg = self.config
-        offline = predictive.predictor
-        if isinstance(offline, OnlineTimePredictor):
-            # Already online (e.g. rebuilt from persisted state).
-            self.predictor = offline
-        else:
-            self.predictor = OnlineTimePredictor(
-                offline,
-                margin=AdaptiveMargin(
-                    initial=cfg.margin_initial,
-                    floor=cfg.margin_floor,
-                    ceiling=cfg.margin_ceiling,
-                    target_miss_rate=cfg.target_miss_rate,
-                ),
-                lam=cfg.rls_forgetting,
-                p0=cfg.rls_p0,
-                under_weight=cfg.under_weight,
-            )
+        self.predictor = OnlineTimePredictor(
+            predictive.predictor,
+            margin=AdaptiveMargin(
+                initial=cfg.margin_initial,
+                floor=cfg.margin_floor,
+                ceiling=cfg.margin_ceiling,
+                target_miss_rate=TARGET_MISS_RATE,
+            ),
+            lam=RLS_FORGETTING,
+            p0=RLS_P0,
+            under_weight=cfg.under_weight,
+        )
         self.inner = PredictiveGovernor(
             slice=predictive.slice,
             predictor=self.predictor,
@@ -187,43 +173,25 @@ class AdaptiveGovernor(Governor):
             interpreter=predictive.interpreter,
             certificate=predictive.certificate,
         )
-        self.fallback = (
-            fallback
-            if fallback is not None
-            else PerformanceGovernor(predictive.dvfs.opps)
-        )
-        self.monitor = ResidualMonitor()
-        self.detector = (
-            detector
-            if detector is not None
-            else PageHinkleyDetector(
-                delta=cfg.ph_delta,
-                threshold=cfg.ph_threshold,
-                min_samples=cfg.warmup_jobs,
-            )
+        self.fallback = PerformanceGovernor(predictive.dvfs.opps)
+        self.abs_residual = Ewma(ABS_RESIDUAL_ALPHA)
+        self.detector = PageHinkleyDetector(
+            delta=PH_DELTA, threshold=PH_THRESHOLD, min_samples=WARMUP_JOBS
         )
         self.mode = AdaptiveMode.PREDICT
         self.jobs_in_mode = 0
         self.drift_events = 0
-        # Sampled governors (interactive/conservative fallbacks) need the
-        # executor's utilization timer; expose the fallback's period.
-        self.timer_period_s = self.fallback.timer_period_s
         self._pending: tuple[Any, Any] | None = None
 
     @classmethod
     def from_controller(
         cls,
         controller,
-        fallback: Governor | None = None,
         config: AdaptiveConfig | None = None,
         interpreter=None,
     ) -> "AdaptiveGovernor":
         """Build from a trained offline controller (the common path)."""
-        return cls(
-            predictive=controller.governor(interpreter),
-            fallback=fallback,
-            config=config,
-        )
+        return cls(predictive=controller.governor(interpreter), config=config)
 
     @property
     def name(self) -> str:
@@ -233,19 +201,14 @@ class AdaptiveGovernor(Governor):
     def predicting(self) -> bool:
         return self.mode is AdaptiveMode.PREDICT
 
-    def residuals(self) -> ResidualSnapshot:
-        """Current residual statistics (for experiments and dashboards)."""
-        return self.monitor.snapshot()
-
     # -- decision path ---------------------------------------------------------
     def start(self, board: Board, budget_s: float) -> None:
         self.fallback.start(board, budget_s)
 
     def bind_telemetry(self, telemetry) -> None:
-        """Forward the run's telemetry to the composed governors too."""
+        """Forward the run's telemetry to the inner predictive governor."""
         super().bind_telemetry(telemetry)
         self.inner.bind_telemetry(telemetry)
-        self.fallback.bind_telemetry(telemetry)
 
     def bind_hostprof(self, hostprof) -> None:
         """Forward the host profiler so the inner predictive governor's
@@ -253,7 +216,6 @@ class AdaptiveGovernor(Governor):
         driven through the adaptive wrapper."""
         super().bind_hostprof(hostprof)
         self.inner.bind_hostprof(hostprof)
-        self.fallback.bind_hostprof(hostprof)
 
     def switch_estimate_s(self, ctx: JobContext) -> float:
         return self.inner.switch_estimate_s(ctx)
@@ -295,21 +257,13 @@ class AdaptiveGovernor(Governor):
             )
         return decision
 
-    def on_timer(self, now_s: float, utilization: float):
-        """Utilization samples drive the fallback only while it is active."""
-        if self.mode is AdaptiveMode.FALLBACK:
-            return self.fallback.on_timer(now_s, utilization)
-        return None
-
     # -- feedback path ---------------------------------------------------------
     def on_job_end(self, record: JobRecord, ctx: JobContext) -> Work | None:
-        """Close the loop: residual -> monitor/detector/RLS -> mode machine.
+        """Close the loop: residual -> EWMA/detector/RLS -> mode machine.
 
         Returns the computational bill of the update, which the executor
         charges as predictor time.
         """
-        if self.mode is AdaptiveMode.FALLBACK:
-            self.fallback.on_job_end(record, ctx)
         if self._pending is None:
             return None
         x, raw = self._pending
@@ -337,7 +291,7 @@ class AdaptiveGovernor(Governor):
                 self.detector.statistic
             )
 
-        self.monitor.update(residual, record.missed)
+        self.abs_residual.update(abs(residual))
         # Project the observation to both anchors with the model's own
         # time decomposition: a multiplicative residual at the executed
         # frequency is applied to both anchor predictions.  Uniform drift
@@ -377,9 +331,8 @@ class AdaptiveGovernor(Governor):
                     ).inc()
         else:
             stable = (
-                self.jobs_in_mode >= self.config.cooldown_jobs
-                and self.monitor.magnitude.get(default=1.0)
-                < self.config.reengage_abs_residual
+                self.jobs_in_mode >= COOLDOWN_JOBS
+                and self.abs_residual.get(default=1.0) < REENGAGE_ABS_RESIDUAL
             )
             if stable:
                 self.mode = AdaptiveMode.PREDICT
@@ -399,11 +352,11 @@ class AdaptiveGovernor(Governor):
 
         n = self.predictor.n_features
         rls_cycles = (
-            self.config.update_cycles_per_feature_sq * float(n * n)
+            UPDATE_CYCLES_PER_FEATURE_SQ * float(n * n)
             if self.config.recalibrate
             else 0.0
         )
-        return Work(cycles=self.config.update_base_cycles + rls_cycles)
+        return Work(cycles=UPDATE_BASE_CYCLES + rls_cycles)
 
     def arm_fallback(self, reason: str = "external", t_s: float = 0.0) -> bool:
         """Force the deadline-safe fallback mode from outside the loop.
@@ -438,24 +391,3 @@ class AdaptiveGovernor(Governor):
         """The raw (unmargined) predicted time at an executed frequency."""
         components = self.inner.dvfs.components(raw.t_fmin_s, raw.t_fmax_s)
         return components.time_at(freq_hz)
-
-    # -- persistence -----------------------------------------------------------
-    def state_dict(self) -> dict[str, Any]:
-        """Everything the feedback loop has learned, JSON-serializable."""
-        return {
-            "mode": self.mode.value,
-            "jobs_in_mode": self.jobs_in_mode,
-            "drift_events": self.drift_events,
-            "predictor": self.predictor.state_dict(),
-            "monitor": self.monitor.state_dict(),
-            "detector": self.detector.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict[str, Any]) -> None:
-        """Restore the full adaptation loop from :meth:`state_dict`."""
-        self.mode = AdaptiveMode(state["mode"])
-        self.jobs_in_mode = int(state["jobs_in_mode"])
-        self.drift_events = int(state["drift_events"])
-        self.predictor.load_state_dict(state["predictor"])
-        self.monitor.load_state_dict(state["monitor"])
-        self.detector = detector_from_state(state["detector"])

@@ -111,7 +111,7 @@ class Governor(ABC):
         """Attach a run's telemetry pipeline (optional observability hook).
 
         The executor calls this once per run.  Governors that compose
-        other governors (adaptive's fallback, batch wrappers) should
+        other governors (the adaptive and batch wrappers) should
         override it and forward the binding to their delegates.
         """
         self.telemetry = telemetry

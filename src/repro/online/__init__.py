@@ -1,18 +1,13 @@
 """Online adaptation: keep the deployed predictive governor honest.
 
 The offline pipeline (paper Fig. 13) trains once; this package closes
-the loop at run time — streaming residual statistics, drift detection,
-incremental recalibration of the execution-time model, and the adaptive
-safety margin.  The :class:`~repro.governors.adaptive.AdaptiveGovernor`
-composes these pieces over the frozen predictive governor.
+the loop at run time — drift detection, incremental recalibration of
+the execution-time model, and the adaptive safety margin.  The
+:class:`~repro.governors.adaptive.AdaptiveGovernor` composes these
+pieces over the frozen predictive governor.
 """
 
-from repro.online.drift import (
-    CusumDetector,
-    DriftDetector,
-    PageHinkleyDetector,
-    detector_from_state,
-)
+from repro.online.drift import PageHinkleyDetector
 from repro.online.inject import StepDriftJitter, scale_inputs
 from repro.online.predictor import OnlineTimePredictor
 from repro.online.recalibrate import (
@@ -20,18 +15,10 @@ from repro.online.recalibrate import (
     OnlineAnchorModel,
     RecursiveLeastSquares,
 )
-from repro.online.residuals import (
-    Ewma,
-    P2Quantile,
-    ResidualMonitor,
-    ResidualSnapshot,
-)
+from repro.online.residuals import Ewma
 
 __all__ = [
-    "CusumDetector",
-    "DriftDetector",
     "PageHinkleyDetector",
-    "detector_from_state",
     "StepDriftJitter",
     "scale_inputs",
     "OnlineTimePredictor",
@@ -39,7 +26,4 @@ __all__ = [
     "OnlineAnchorModel",
     "RecursiveLeastSquares",
     "Ewma",
-    "P2Quantile",
-    "ResidualMonitor",
-    "ResidualSnapshot",
 ]

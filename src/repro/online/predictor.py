@@ -1,9 +1,9 @@
 """Execution-time predictor whose anchor models learn online.
 
 Mirrors the interface of
-:class:`~repro.models.timing.ExecutionTimePredictor` (``predict`` /
-``predict_raw`` over :class:`~repro.programs.interpreter.RawFeatures`),
-so a :class:`~repro.governors.predictive.PredictiveGovernor` composes it
+:class:`~repro.models.timing.ExecutionTimePredictor` (``predict`` over
+:class:`~repro.programs.interpreter.RawFeatures`), so a
+:class:`~repro.governors.predictive.PredictiveGovernor` composes it
 without knowing the coefficients underneath move.  Encoding and
 polynomial expansion are reused from the wrapped offline predictor —
 the slice computes the same features either way.
@@ -40,17 +40,14 @@ class OnlineTimePredictor:
     def __init__(
         self,
         offline: ExecutionTimePredictor,
-        margin: AdaptiveMargin | None = None,
-        lam: float = 0.98,
-        p0: float = 0.05,
-        under_weight: float = 25.0,
+        margin: AdaptiveMargin,
+        lam: float,
+        p0: float,
+        under_weight: float,
     ):
-        self.offline = offline
         self.encoder = offline.encoder
         self.expansion = offline.expansion
-        self.margin = margin if margin is not None else AdaptiveMargin(
-            initial=offline.margin
-        )
+        self.margin = margin
         self.model_fmax = OnlineAnchorModel(
             coef=self._coef(offline.model_fmax.coef_),
             intercept=offline.model_fmax.intercept_,
@@ -113,29 +110,9 @@ class OnlineTimePredictor:
             t_fmin_s=prediction.t_fmin_s * factor,
         )
 
-    def predict_raw(self, raw: RawFeatures) -> TimePrediction:
-        """Predictions without the margin (error analysis)."""
-        x = self._encode(raw)
-        return TimePrediction(
-            t_fmax_s=float(self.model_fmax.predict_one(x)),
-            t_fmin_s=float(self.model_fmin.predict_one(x)),
-        )
-
     def observe(
         self, x: np.ndarray, t_fmax_s: float, t_fmin_s: float
     ) -> None:
         """Fold one job's anchor-projected observed times into both models."""
         self.model_fmax.update(x, t_fmax_s)
         self.model_fmin.update(x, t_fmin_s)
-
-    def state_dict(self) -> dict:
-        return {
-            "model_fmax": self.model_fmax.state_dict(),
-            "model_fmin": self.model_fmin.state_dict(),
-            "margin": self.margin.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.model_fmax.load_state_dict(state["model_fmax"])
-        self.model_fmin.load_state_dict(state["model_fmin"])
-        self.margin.load_state_dict(state["margin"])

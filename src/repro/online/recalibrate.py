@@ -69,9 +69,11 @@ class RecursiveLeastSquares:
     the gain denominator uses ``lam / w`` — exactly what batch weighted
     least squares with weight ``w`` on that row would do.
 
-    Attributes:
-        theta: Current coefficient vector (includes whatever columns the
-            caller puts in ``x`` — the anchor model appends an intercept).
+    Args:
+        theta0: Starting coefficient vector (includes whatever columns
+            the caller puts in ``x`` — the anchor model appends an
+            intercept); :attr:`theta` holds the current one.
+        lam: Forgetting factor.
         p0: Initial covariance scale.  Small values trust the warm-start
             coefficients; large values let early samples move them fast.
     """
@@ -83,7 +85,6 @@ class RecursiveLeastSquares:
             raise ValueError(f"p0 must be positive, got {p0}")
         self.theta = np.asarray(theta0, dtype=float).copy()
         self.lam = lam
-        self.p0 = p0
         self._P = p0 * np.eye(self.theta.shape[0])
         self.n_updates = 0
 
@@ -106,22 +107,6 @@ class RecursiveLeastSquares:
         self._P = 0.5 * (self._P + self._P.T)
         self.n_updates += 1
         return error
-
-    def state_dict(self) -> dict[str, Any]:
-        return {
-            "theta": self.theta.tolist(),
-            "lam": self.lam,
-            "p0": self.p0,
-            "P": self._P.tolist(),
-            "n_updates": self.n_updates,
-        }
-
-    def load_state_dict(self, state: dict[str, Any]) -> None:
-        self.theta = np.asarray(state["theta"], dtype=float)
-        self.lam = float(state["lam"])
-        self.p0 = float(state["p0"])
-        self._P = np.asarray(state["P"], dtype=float)
-        self.n_updates = int(state["n_updates"])
 
 
 class OnlineAnchorModel:
@@ -236,33 +221,6 @@ class OnlineAnchorModel:
         self._rls.update(design, float(observed_s), weight=weight)
         return residual
 
-    def state_dict(self) -> dict[str, Any]:
-        return {
-            "offline_coef": self.offline_coef.tolist(),
-            "offline_intercept": self.offline_intercept,
-            "lam": self.lam,
-            "p0": self.p0,
-            "under_weight": self.under_weight,
-            "scales": None if self._scales is None else self._scales.tolist(),
-            "rls": None if self._rls is None else self._rls.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict[str, Any]) -> None:
-        self.offline_coef = np.asarray(state["offline_coef"], dtype=float)
-        self.offline_intercept = float(state["offline_intercept"])
-        self.lam = float(state["lam"])
-        self.p0 = float(state["p0"])
-        self.under_weight = float(state["under_weight"])
-        scales = state["scales"]
-        self._scales = None if scales is None else np.asarray(scales, dtype=float)
-        if state["rls"] is None:
-            self._rls = None
-        else:
-            self._rls = RecursiveLeastSquares(
-                np.zeros(self.n_features + 1), lam=self.lam, p0=self.p0
-            )
-            self._rls.load_state_dict(state["rls"])
-
 
 class AdaptiveMargin:
     """AIMD safety margin driven by the observed miss rate.
@@ -319,27 +277,3 @@ class AdaptiveMargin:
         elif miss_rate <= self.target_miss_rate:
             self.value = max(self.floor, self.value * self.decay)
         return self.value
-
-    @property
-    def miss_rate(self) -> float:
-        return self._miss_ewma.get()
-
-    def state_dict(self) -> dict[str, Any]:
-        return {
-            "value": self.value,
-            "floor": self.floor,
-            "ceiling": self.ceiling,
-            "target_miss_rate": self.target_miss_rate,
-            "widen_factor": self.widen_factor,
-            "decay": self.decay,
-            "miss_ewma": self._miss_ewma.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict[str, Any]) -> None:
-        self.value = float(state["value"])
-        self.floor = float(state["floor"])
-        self.ceiling = float(state["ceiling"])
-        self.target_miss_rate = float(state["target_miss_rate"])
-        self.widen_factor = float(state["widen_factor"])
-        self.decay = float(state["decay"])
-        self._miss_ewma.load_state_dict(state["miss_ewma"])

@@ -1,25 +1,15 @@
 """Streaming statistics over per-job prediction residuals.
 
-The online feedback loop never stores job history: every statistic here
-is O(1) in memory and update cost, so the monitor itself cannot become
-an overhead problem at production job rates.
-
-Two primitives back the :class:`ResidualMonitor`:
-
-- :class:`Ewma` — exponentially-weighted moving averages of the signed
-  relative residual, its magnitude, and the deadline-miss indicator.
-- :class:`P2Quantile` — the Jain & Chlamtac P² algorithm, a five-marker
-  streaming quantile estimator.  The monitor tracks an upper quantile of
-  the *under-prediction* residual, which is what the adaptive safety
-  margin must cover.
+The online feedback loop never stores job history: the one statistic
+here is O(1) in memory and update cost, so it cannot become an overhead
+problem at production job rates.  :class:`Ewma` backs both the adaptive
+governor's residual-magnitude average (which gates re-engagement after
+a drift alarm) and the adaptive margin's miss-rate average.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
-
-__all__ = ["Ewma", "P2Quantile", "ResidualSnapshot", "ResidualMonitor"]
+__all__ = ["Ewma"]
 
 
 class Ewma:
@@ -47,226 +37,3 @@ class Ewma:
     def get(self, default: float = 0.0) -> float:
         """Current average, or ``default`` before any update."""
         return default if self.value is None else self.value
-
-    def reset(self) -> None:
-        self.value = None
-
-    def state_dict(self) -> dict[str, Any]:
-        return {"alpha": self.alpha, "value": self.value}
-
-    def load_state_dict(self, state: dict[str, Any]) -> None:
-        self.alpha = float(state["alpha"])
-        value = state["value"]
-        self.value = None if value is None else float(value)
-
-
-class P2Quantile:
-    """Jain & Chlamtac's P² streaming quantile estimator.
-
-    Five markers track the running minimum, the target quantile, the
-    midpoints, and the maximum; marker heights are adjusted with a
-    piecewise-parabolic interpolation as samples arrive.  Until five
-    samples have been seen the estimate falls back to the exact order
-    statistic of what was observed.
-    """
-
-    def __init__(self, q: float):
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"q must be in (0, 1), got {q}")
-        self.q = q
-        self._heights: list[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-        self._count = 0
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def update(self, x: float) -> None:
-        """Fold one sample into the marker set."""
-        x = float(x)
-        self._count += 1
-        if len(self._heights) < 5:
-            self._heights.append(x)
-            self._heights.sort()
-            return
-
-        heights = self._heights
-        if x < heights[0]:
-            heights[0] = x
-            cell = 0
-        elif x >= heights[4]:
-            heights[4] = x
-            cell = 3
-        else:
-            cell = 0
-            while x >= heights[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            self._positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-
-        for i in (1, 2, 3):
-            delta = self._desired[i] - self._positions[i]
-            below = self._positions[i] - self._positions[i - 1]
-            above = self._positions[i + 1] - self._positions[i]
-            if (delta >= 1.0 and above > 1.0) or (delta <= -1.0 and below > 1.0):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if not heights[i - 1] < candidate < heights[i + 1]:
-                    candidate = self._linear(i, step)
-                heights[i] = candidate
-                self._positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        pos = self._positions
-        h = self._heights
-        return h[i] + step / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + step)
-            * (h[i + 1] - h[i])
-            / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - step)
-            * (h[i] - h[i - 1])
-            / (pos[i] - pos[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        j = i + int(step)
-        return self._heights[i] + step * (self._heights[j] - self._heights[i]) / (
-            self._positions[j] - self._positions[i]
-        )
-
-    def get(self, default: float = 0.0) -> float:
-        """Current quantile estimate (``default`` before any sample)."""
-        if not self._heights:
-            return default
-        if len(self._heights) < 5:
-            rank = self.q * (len(self._heights) - 1)
-            low = int(rank)
-            high = min(low + 1, len(self._heights) - 1)
-            frac = rank - low
-            return self._heights[low] * (1 - frac) + self._heights[high] * frac
-        return self._heights[2]
-
-    def reset(self) -> None:
-        self._heights = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        q = self.q
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._count = 0
-
-    def state_dict(self) -> dict[str, Any]:
-        return {
-            "q": self.q,
-            "heights": list(self._heights),
-            "positions": list(self._positions),
-            "desired": list(self._desired),
-            "count": self._count,
-        }
-
-    def load_state_dict(self, state: dict[str, Any]) -> None:
-        self.q = float(state["q"])
-        self._heights = [float(h) for h in state["heights"]]
-        self._positions = [float(p) for p in state["positions"]]
-        self._desired = [float(d) for d in state["desired"]]
-        self._increments = [
-            0.0, self.q / 2.0, self.q, (1.0 + self.q) / 2.0, 1.0
-        ]
-        self._count = int(state["count"])
-
-
-@dataclass(frozen=True)
-class ResidualSnapshot:
-    """One read of the monitor's current view of prediction quality.
-
-    Attributes:
-        signed_ewma: EWMA of the signed relative residual
-            ``(observed - predicted) / predicted`` (positive means the
-            model under-predicted).
-        abs_ewma: EWMA of the residual magnitude.
-        miss_ewma: EWMA of the deadline-miss indicator.
-        under_quantile: Streaming upper quantile of the under-prediction
-            residual (0 when over-predicting).
-        n_samples: Jobs folded in since the last reset.
-    """
-
-    signed_ewma: float
-    abs_ewma: float
-    miss_ewma: float
-    under_quantile: float
-    n_samples: int
-
-
-class ResidualMonitor:
-    """Tracks how well the deployed model matches observed job times.
-
-    Args:
-        ewma_alpha: Smoothing weight for the residual averages.
-        miss_alpha: Smoothing weight for the miss-rate average (slower:
-            misses are rare events).
-        quantile: Which upper quantile of the under-prediction residual
-            to track (default 0.95, mirroring the paper's conservative
-            95th-percentile switch estimate).
-    """
-
-    def __init__(
-        self,
-        ewma_alpha: float = 0.1,
-        miss_alpha: float = 0.05,
-        quantile: float = 0.95,
-    ):
-        self.signed = Ewma(ewma_alpha)
-        self.magnitude = Ewma(ewma_alpha)
-        self.miss = Ewma(miss_alpha)
-        self.under_quantile = P2Quantile(quantile)
-        self._n_samples = 0
-
-    def update(self, relative_residual: float, missed: bool) -> None:
-        """Fold one job in.
-
-        Args:
-            relative_residual: ``(observed - predicted) / predicted`` for
-                the job, using the *unmargined* prediction at the
-                frequency the job actually ran at.
-            missed: Whether the job missed its deadline.
-        """
-        self.signed.update(relative_residual)
-        self.magnitude.update(abs(relative_residual))
-        self.miss.update(1.0 if missed else 0.0)
-        self.under_quantile.update(max(relative_residual, 0.0))
-        self._n_samples += 1
-
-    def snapshot(self) -> ResidualSnapshot:
-        return ResidualSnapshot(
-            signed_ewma=self.signed.get(),
-            abs_ewma=self.magnitude.get(),
-            miss_ewma=self.miss.get(),
-            under_quantile=self.under_quantile.get(),
-            n_samples=self._n_samples,
-        )
-
-    def reset(self) -> None:
-        self.signed.reset()
-        self.magnitude.reset()
-        self.miss.reset()
-        self.under_quantile.reset()
-        self._n_samples = 0
-
-    def state_dict(self) -> dict[str, Any]:
-        return {
-            "signed": self.signed.state_dict(),
-            "magnitude": self.magnitude.state_dict(),
-            "miss": self.miss.state_dict(),
-            "under_quantile": self.under_quantile.state_dict(),
-            "n_samples": self._n_samples,
-        }
-
-    def load_state_dict(self, state: dict[str, Any]) -> None:
-        self.signed.load_state_dict(state["signed"])
-        self.magnitude.load_state_dict(state["magnitude"])
-        self.miss.load_state_dict(state["miss"])
-        self.under_quantile.load_state_dict(state["under_quantile"])
-        self._n_samples = int(state["n_samples"])

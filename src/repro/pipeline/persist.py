@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any
 
+from repro.checks import check_number
 from repro.features.encoding import FeatureColumn, FeatureEncoder
 from repro.features.trace import ProfileTrace
 from repro.models.asymmetric import AsymmetricLassoModel
@@ -42,12 +42,9 @@ __all__ = [
     "controller_fingerprint",
     "save_controller",
     "load_controller",
-    "save_adaptive_state",
-    "load_adaptive_state",
 ]
 
 _FORMAT_VERSION = 1
-_ADAPTIVE_FORMAT_VERSION = 1
 
 
 def _opp_to_dict(point: OperatingPoint) -> dict[str, Any]:
@@ -83,15 +80,6 @@ def _opp_from_dict(data: dict[str, Any]) -> OperatingPoint:
     return OperatingPoint(
         index=data["index"], freq_hz=data["freq_hz"], voltage_v=data["voltage_v"]
     )
-
-
-def _finite_number(value: Any) -> int | float:
-    """``value`` itself when it is a finite int or float (not a bool);
-    otherwise a TypeError, which ``load_controller`` reports naming the
-    field."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise TypeError(f"{value!r} is not a finite number")
-    return value
 
 
 def _config_from_dict(data: dict[str, Any]) -> PipelineConfig:
@@ -202,45 +190,6 @@ def save_controller(
     Path(path).write_text(json.dumps(payload))
 
 
-def save_adaptive_state(governor, path: str | Path) -> None:
-    """Write an adaptive governor's learned state to a JSON file.
-
-    This is the run-time counterpart of :func:`save_controller`: the
-    offline artifacts are the distribution format, while this captures
-    what the feedback loop has learned since deployment — recalibrated
-    coefficients, covariances, the adaptive margin, and the drift
-    detector/monitor state — so a service restart resumes adaptation
-    instead of restarting it from the offline fit.
-
-    Args:
-        governor: An object exposing ``state_dict()`` (an
-            :class:`~repro.governors.adaptive.AdaptiveGovernor`).
-        path: Destination file.
-    """
-    payload = {
-        "format_version": _ADAPTIVE_FORMAT_VERSION,
-        "state": governor.state_dict(),
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
-def load_adaptive_state(governor, path: str | Path) -> None:
-    """Restore a governor's learned state from :func:`save_adaptive_state`.
-
-    The governor must be built from the *same* trained controller (same
-    slice and feature vocabulary); state from a different controller
-    would silently mis-map coefficients, so pair the two files.
-    """
-    payload = json.loads(Path(path).read_text())
-    version = payload.get("format_version")
-    if version != _ADAPTIVE_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported adaptive-state format version {version!r} "
-            f"(this library reads version {_ADAPTIVE_FORMAT_VERSION})"
-        )
-    governor.load_state_dict(payload["state"])
-
-
 def load_controller(path: str | Path) -> TrainedController:
     """Rebuild a :class:`TrainedController` from :func:`save_controller`.
 
@@ -300,7 +249,10 @@ def load_controller(path: str | Path) -> TrainedController:
         encoder=encoder,
         model_fmax=field("model_fmax", _model_from_dict),
         model_fmin=field("model_fmin", _model_from_dict),
-        margin=field("margin", _finite_number),
+        margin=field(
+            "margin",
+            lambda value: check_number("saved controller", "'margin'", value),
+        ),
         expansion=field(
             "model_degree",
             lambda degree: (

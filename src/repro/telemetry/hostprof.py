@@ -138,22 +138,6 @@ class ProfileState:
             "stacks": dict(sorted(self.stacks.items())),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProfileState":
-        return cls(
-            jobs=int(data["jobs"]),
-            wall_s=float(data["wall_s"]),
-            phases={
-                name: (int(calls), float(total))
-                for name, (calls, total) in data.get("phases", {}).items()
-            },
-            samples=int(data.get("samples", 0)),
-            stacks={
-                stack: int(count)
-                for stack, count in data.get("stacks", {}).items()
-            },
-        )
-
 
 def merge_profiles(first: ProfileState, second: ProfileState) -> ProfileState:
     """Fold two profiles with concatenation semantics.
@@ -596,7 +580,7 @@ def write_host_profile(
     Four files per run, parallel to :func:`~repro.telemetry.exporters.
     write_run` but host-side (and therefore never byte-stable)::
 
-        <run>.hostprof.json   ProfileState round-trip (merge input)
+        <run>.hostprof.json   ProfileState snapshot (as_dict)
         <run>.flame.txt       collapsed-stack flamegraph text
         <run>.hotspots.json   top-N hotspot table + phase summary
         <run>.metrics.json    host.* metrics dump (report/gate input)

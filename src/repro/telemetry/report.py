@@ -28,6 +28,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.checks import check_number
+
 __all__ = [
     "render_report",
     "summarize_directory",
@@ -589,14 +591,6 @@ class GateResult:
         return not self.failures
 
 
-def _finite(value: object) -> bool:
-    return (
-        not isinstance(value, bool)
-        and isinstance(value, (int, float))
-        and math.isfinite(value)
-    )
-
-
 def _baseline_runs(baseline: object) -> dict[str, dict]:
     """The pinned runs of a baseline, checked: a ``ValueError`` names
     the run and the metric of the first bad entry."""
@@ -605,12 +599,13 @@ def _baseline_runs(baseline: object) -> dict[str, dict]:
             "baseline has no 'runs' key — was it written by "
             "`repro report DIR --make-baseline`?"
         )
-    tolerance = baseline.get("tolerance", _BASELINE_DEFAULT_TOLERANCE)
-    if not _finite(tolerance) or tolerance < 0:
-        raise ValueError(
-            f"baseline tolerance must be a finite number >= 0, "
-            f"got {tolerance!r}"
-        )
+    tolerance = check_number(
+        "baseline",
+        "tolerance",
+        baseline.get("tolerance", _BASELINE_DEFAULT_TOLERANCE),
+    )
+    if tolerance < 0:
+        raise ValueError(f"baseline: tolerance must be >= 0, got {tolerance!r}")
     runs = baseline["runs"]
     if not isinstance(runs, dict):
         raise ValueError(
@@ -623,11 +618,7 @@ def _baseline_runs(baseline: object) -> dict[str, dict]:
                 f"got {pinned!r}"
             )
         for metric, value in pinned.items():
-            if not _finite(value):
-                raise ValueError(
-                    f"baseline run {name!r}: {metric} must be a finite "
-                    f"number, got {value!r}"
-                )
+            check_number(f"baseline run {name!r}", metric, value)
     return dict(runs)
 
 

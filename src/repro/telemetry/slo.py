@@ -29,8 +29,8 @@ The model is the SRE one, translated to per-job events:
 Everything here is plain Python and allocation-light: one ring buffer
 of booleans per window, O(1) per job.  The consumer is
 :mod:`repro.telemetry.watch`, which feeds trackers from the live
-telemetry stream; specs and alerts round-trip through JSON so suites
-can be committed next to a workload.  See ``docs/slo_watchdog.md``.
+telemetry stream; specs round-trip through JSON so suites can be
+committed next to a workload.  See ``docs/slo_watchdog.md``.
 """
 
 from __future__ import annotations
@@ -285,20 +285,6 @@ class SloAlert:
             "message": self.message,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SloAlert":
-        return cls(
-            spec_name=str(data["spec_name"]),
-            severity=str(data["severity"]),
-            t_s=float(data["t_s"]),
-            job_index=int(data["job_index"]),
-            burn_rates={
-                str(k): float(v) for k, v in data["burn_rates"].items()
-            },
-            budget_consumed=float(data["budget_consumed"]),
-            message=str(data.get("message", "")),
-        )
-
 
 @dataclass(frozen=True)
 class SloStatus:
@@ -325,7 +311,7 @@ class SloStatus:
 
 @dataclass(frozen=True)
 class SloTrackerState:
-    """Serializable, mergeable snapshot of one tracker's accounting.
+    """Picklable, mergeable snapshot of one tracker's accounting.
 
     This is the transport format of the fleet roll-up: every shard (or
     worker process) tracks its own streams, snapshots them, and the
@@ -397,29 +383,6 @@ class SloTrackerState:
             ring and (sum(ring) / len(ring)) / self.spec.objective
             > window.max_burn_rate
             for window, ring in zip(self.spec.windows, self.rings)
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "spec": self.spec.as_dict(),
-            "jobs": self.jobs,
-            "bad": self.bad,
-            "rings": [[bool(b) for b in ring] for ring in self.rings],
-            "alerts": [alert.as_dict() for alert in self.alerts],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SloTrackerState":
-        return cls(
-            spec=SloSpec.from_dict(data["spec"]),
-            jobs=int(data["jobs"]),
-            bad=int(data["bad"]),
-            rings=tuple(
-                tuple(bool(b) for b in ring) for ring in data["rings"]
-            ),
-            alerts=tuple(
-                SloAlert.from_dict(a) for a in data.get("alerts", [])
-            ),
         )
 
 

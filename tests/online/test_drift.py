@@ -1,14 +1,10 @@
-"""Tests for the drift detectors (Page–Hinkley and CUSUM)."""
+"""Tests for the Page–Hinkley drift detector."""
 
 import random
 
 import pytest
 
-from repro.online.drift import (
-    CusumDetector,
-    PageHinkleyDetector,
-    detector_from_state,
-)
+from repro.online.drift import PageHinkleyDetector
 
 
 def stationary(n, seed=0, level=0.0, noise=0.02):
@@ -57,43 +53,3 @@ class TestPageHinkley:
         with pytest.raises(ValueError):
             PageHinkleyDetector(min_samples=0)
 
-
-class TestCusum:
-    def test_quiet_within_slack(self):
-        detector = CusumDetector(target=0.0, slack=0.05, threshold=0.4)
-        assert not any(detector.update(x) for x in stationary(500))
-
-    def test_flags_level_above_target(self):
-        detector = CusumDetector(target=0.0, slack=0.05, threshold=0.4)
-        flagged = [detector.update(x) for x in stationary(100, level=0.2)]
-        assert any(flagged)
-
-    def test_keeps_flagging_chronic_bias(self):
-        """Unlike Page–Hinkley, the fixed baseline keeps objecting."""
-        detector = CusumDetector(target=0.0, slack=0.05, threshold=0.4)
-        flags = [detector.update(x) for x in stationary(500, level=0.2)]
-        assert all(flags[100:])
-
-
-class TestDetectorPersistence:
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: PageHinkleyDetector(delta=0.01, threshold=0.2),
-            lambda: CusumDetector(target=0.02, slack=0.01, threshold=0.2),
-        ],
-    )
-    def test_round_trip_continues_identically(self, make):
-        original = make()
-        stream = stationary(120, seed=9, level=0.05)
-        for x in stream[:60]:
-            original.update(x)
-        restored = detector_from_state(original.state_dict())
-        assert type(restored) is type(original)
-        for x in stream[60:]:
-            assert original.update(x) == restored.update(x)
-        assert restored.statistic == pytest.approx(original.statistic)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown drift-detector"):
-            detector_from_state({"kind": "madeup"})

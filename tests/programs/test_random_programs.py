@@ -15,7 +15,7 @@ hold for every such program, not just the shipped workloads:
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.programs.expr import BinOp, Compare, Const, Var
 from repro.programs.instrument import Instrumenter
@@ -212,9 +212,12 @@ def program_and_inputs(draw, n_inputs=3, costs=None, reads_locals=False):
     return program, inputs
 
 
+# No shrink phase: shrinking a failing random program can run for many
+# minutes, so a regression reports its first failing example instead.
 deep = settings(
     max_examples=30,
     deadline=None,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 

@@ -138,24 +138,6 @@ class TestNullProfiler:
 
 
 class TestProfileState:
-    def test_json_round_trip(self):
-        state = ProfileState(
-            jobs=7,
-            wall_s=1.25,
-            phases={"interp": (7, 0.8), "predict": (7, 0.1)},
-            samples=3,
-            stacks={"a;b;c": 2, "a;b": 1},
-        )
-        blob = json.dumps(state.as_dict())
-        back = ProfileState.from_dict(json.loads(blob))
-        assert back == state
-
-    def test_from_dict_tolerates_missing_optionals(self):
-        back = ProfileState.from_dict({"jobs": 1, "wall_s": 0.5})
-        assert back.jobs == 1
-        assert back.samples == 0
-        assert back.stacks == {}
-
     def test_picklable_for_worker_pools(self):
         state = ProfileState(jobs=2, wall_s=0.1, phases={"interp": (2, 0.05)})
         assert pickle.loads(pickle.dumps(state)) == state
@@ -425,7 +407,7 @@ class TestArtifacts:
             "host.demo.metrics.json",
         }
         snap = json.loads((tmp_path / "host.demo.hostprof.json").read_text())
-        assert ProfileState.from_dict(snap) == self.make_state()
+        assert snap == self.make_state().as_dict()
         hot = json.loads((tmp_path / "host.demo.hotspots.json").read_text())
         assert hot["run"] == "host.demo"
         assert hot["jobs"] == 4

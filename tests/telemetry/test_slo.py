@@ -9,7 +9,6 @@ from repro.telemetry.slo import (
     SIGNALS,
     BurnWindow,
     JobObservation,
-    SloAlert,
     SloSpec,
     SloTracker,
     default_slos,
@@ -260,21 +259,6 @@ class TestJsonRoundTrips:
     def test_specs_from_json_rejects_malformed_text(self, text):
         with pytest.raises(ValueError):
             specs_from_json(text)
-
-    def test_alert_round_trips(self):
-        alert = SloAlert(
-            spec_name="miss",
-            severity="page",
-            t_s=1.25,
-            job_index=24,
-            burn_rates={"w10": 5.0},
-            budget_consumed=0.8,
-            message="m",
-        )
-        restored = SloAlert.from_dict(
-            json.loads(json.dumps(alert.as_dict()))
-        )
-        assert restored == alert
 
 
 class TestDefaultSuite:

@@ -5,10 +5,8 @@ snapshots together must produce exactly the accounting a single tracker
 would hold after observing the shards' streams back to back.  The
 hypothesis properties here pin that identity for jobs/bad counts, the
 error budget, and every windowed burn rate; the unit tests cover the
-serialization round-trip and the resume path.
+state checks and the resume path.
 """
-
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -110,15 +108,6 @@ class TestStateMechanics:
         b = SloTracker(_spec(objective=0.2)).state()
         with pytest.raises(ValueError, match="different specs"):
             merge_states(a, b)
-
-    def test_state_round_trips_through_json(self):
-        spec = _spec()
-        tracker = _observe_stream(spec, [True, False, True, True, False])
-        state = tracker.state()
-        restored = SloTrackerState.from_dict(
-            json.loads(json.dumps(state.as_dict()))
-        )
-        assert restored == state
 
     def test_state_validates_ring_shape(self):
         spec = _spec(windows=((4, 2.0),))
