@@ -1,5 +1,7 @@
 """The component registry: off-state semantics declared exactly once."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.ablation.registry import (
@@ -12,6 +14,7 @@ from repro.ablation.registry import (
     configs_without,
     get_component,
 )
+from repro.governors.adaptive import AdaptiveConfig
 
 
 class TestRegistryShape:
@@ -32,6 +35,20 @@ class TestRegistryShape:
                 or component.adaptive_off
                 or component.adaptive_post is not None
             ), component.name
+
+    def test_every_adaptive_knob_is_switched_by_a_component(self):
+        # AdaptiveConfig holds only what the ablation varies; the loop's
+        # other parameters are constants of repro.governors.adaptive.
+        baseline = baseline_adaptive()
+        switched = set()
+        for name in component_names():
+            _, adaptive = configs_without([name])
+            switched |= {
+                f.name
+                for f in fields(AdaptiveConfig)
+                if getattr(adaptive, f.name) != getattr(baseline, f.name)
+            }
+        assert switched == {f.name for f in fields(AdaptiveConfig)}
 
     def test_unknown_component_lists_valid_names(self):
         with pytest.raises(KeyError, match="asymmetric_loss"):

@@ -1,6 +1,7 @@
 """Error handling for the controller persistence format."""
 
 import json
+import math
 
 import pytest
 
@@ -76,6 +77,18 @@ class TestCorruptFiles:
         bad = corrupt(saved, tmp_path, lambda p: p["config"].update(bogus=1))
         with pytest.raises(ValueError, match="bogus"):
             load_controller(bad)
+
+    @pytest.mark.parametrize(
+        "margin", ["0.1", True, math.nan], ids=["string", "bool", "nan"]
+    )
+    def test_margin_not_a_finite_number(self, saved, tmp_path, margin):
+        bad = corrupt(saved, tmp_path, lambda p: p.update(margin=margin))
+        with pytest.raises(ValueError) as error:
+            load_controller(bad)
+        assert str(error.value) == (
+            "saved controller: 'margin' must be a finite number, "
+            f"got {margin!r}"
+        )
 
     def test_valid_file_still_loads(self, saved):
         controller = load_controller(saved)

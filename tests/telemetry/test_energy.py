@@ -277,6 +277,59 @@ class TestEnergyState:
         assert state.counterfactual_j == 0.0
         assert state.by_phase == {}
 
+    @pytest.mark.parametrize(
+        ("edit", "message"),
+        [
+            (lambda d: d.pop("jobs"), "no 'jobs' field"),
+            (lambda d: d.pop("total_j"), "no 'total_j' field"),
+            (lambda d: d.update(jobs=2.0), "jobs must be an int, got 2.0"),
+            (
+                lambda d: d.update(overlap_j=math.inf),
+                "overlap_j must be a finite number, got inf",
+            ),
+            (
+                lambda d: d.update(counterfactual_j=None),
+                "counterfactual_j must be a finite number, got None",
+            ),
+            (
+                lambda d: d.update(by_phase=[1.2]),
+                "by_phase must be a JSON object, got [1.2]",
+            ),
+            (
+                lambda d: d["time_by_phase"].update(idle="0.5"),
+                "time_by_phase['idle'] must be a finite number, got '0.5'",
+            ),
+            (
+                lambda d: d["by_opp_mhz"].update({"1400": False}),
+                "by_opp_mhz['1400'] must be a finite number, got False",
+            ),
+            (
+                lambda d: d["by_opp_mhz"].update(fast=0.5),
+                "by_opp_mhz key must be a finite number, got 'fast'",
+            ),
+            (
+                lambda d: d["by_opp_mhz"].update(nan=0.5),
+                "by_opp_mhz key must be a finite number, got nan",
+            ),
+        ],
+        ids=["no-jobs", "no-total", "float-jobs", "inf-overlap",
+             "null-counterfactual", "list-phases", "string-phase-time",
+             "bool-opp-energy", "word-opp-key", "nan-opp-key"],
+    )
+    def test_from_dict_rejects_malformed_field(self, edit, message):
+        payload = self._state().as_dict()
+        edit(payload)
+        with pytest.raises(ValueError) as error:
+            EnergyState.from_dict(payload)
+        assert str(error.value) == f"energy state: {message}"
+
+    def test_from_dict_names_its_owner(self):
+        with pytest.raises(ValueError) as error:
+            EnergyState.from_dict([1.5], "tenant 'a' energy")
+        assert str(error.value) == (
+            "tenant 'a' energy must be a JSON object, got [1.5]"
+        )
+
     def test_picklable_for_the_worker_pool(self):
         state = self._state()
         assert pickle.loads(pickle.dumps(state)) == state

@@ -366,6 +366,27 @@ class TestMetricsGate:
         with _pytest.raises(ValueError, match="runs"):
             gate_directory(directory, {"tolerance": 0.1})
 
+    @pytest.mark.parametrize(
+        ("tolerance", "message"),
+        [
+            (-0.1, "baseline: tolerance must be >= 0, got -0.1"),
+            (
+                float("nan"),
+                "baseline: tolerance must be a finite number, got nan",
+            ),
+            (True, "baseline: tolerance must be a finite number, got True"),
+            (None, "baseline: tolerance must be a finite number, got None"),
+        ],
+        ids=["negative", "nan", "bool", "null"],
+    )
+    def test_malformed_baseline_tolerance(self, tmp_path, tolerance, message):
+        from repro.telemetry.report import gate_directory
+
+        baseline = {"tolerance": tolerance, "runs": {}}
+        with pytest.raises(ValueError) as error:
+            gate_directory(self.trace_dir(tmp_path), baseline)
+        assert str(error.value) == message
+
 
 class TestEmptyDataRendering:
     def test_empty_histogram_renders_na(self):
