@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.checks import check_number
+
 __all__ = ["PipelineConfig"]
 
 
@@ -21,6 +23,7 @@ class PipelineConfig:
         margin: Safety margin on predicted times (§3.4: 10%).
         model_degree: Execution-time model order — 1 is the paper's
             linear model; 2 adds squares/products (§3.5 extension).
+            No other order is accepted.
         n_profile_jobs: Jobs profiled per app for training.
         profile_seed: Seed for the profiling input script (distinct from
             evaluation seeds — train and test inputs differ, as on the
@@ -79,23 +82,25 @@ class PipelineConfig:
     slice_mode: str = "selected"
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
+        if check_number(_OWNER, "alpha", self.alpha) <= 0:
             raise ValueError("alpha must be positive")
-        if self.gamma_rel < 0:
-            raise ValueError("gamma_rel must be non-negative")
-        if self.margin < 0:
-            raise ValueError("margin must be non-negative")
-        if self.n_profile_jobs < 2:
-            raise ValueError("need at least two profiling jobs")
-        if self.eval_n_jobs < 1:
-            raise ValueError("eval_n_jobs must be >= 1")
+        for name in _NON_NEGATIVE:
+            if check_number(_OWNER, name, getattr(self, name)) < 0:
+                raise ValueError(f"{name} must be non-negative")
+        check_number(_OWNER, "profile_seed", self.profile_seed, count=True)
+        for name, least in _LEAST_COUNTS.items():
+            value = check_number(_OWNER, name, getattr(self, name), count=True)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+        if self.model_degree > 2:
+            raise ValueError(
+                f"model_degree must be 1 or 2, got {self.model_degree}"
+            )
         if self.certify not in ("off", "warn", "error"):
             raise ValueError(
                 f"certify must be 'off', 'warn', or 'error', "
                 f"got {self.certify!r}"
             )
-        if self.certify_input_widen < 0:
-            raise ValueError("certify_input_widen must be non-negative")
         if self.slice_mode not in ("selected", "full"):
             raise ValueError(
                 f"slice_mode must be 'selected' or 'full', "
@@ -103,16 +108,25 @@ class PipelineConfig:
             )
         # JSON round-trips (pipeline.persist) deliver lists; normalize so
         # the config stays hashable and comparable.
-        object.__setattr__(
-            self,
-            "eval_n_jobs_overrides",
-            tuple(
-                (str(app), int(jobs))
-                for app, jobs in self.eval_n_jobs_overrides
-            ),
-        )
-        if any(jobs < 1 for _, jobs in self.eval_n_jobs_overrides):
-            raise ValueError("per-app eval job counts must be >= 1")
+        overrides = []
+        for entry in self.eval_n_jobs_overrides:
+            if (
+                not isinstance(entry, (list, tuple))
+                or len(entry) != 2
+                or not isinstance(entry[0], str)
+            ):
+                raise ValueError(
+                    "PipelineConfig: eval_n_jobs_overrides entries must be "
+                    f"(app name, job count) pairs, got {entry!r}"
+                )
+            app, jobs = entry
+            check_number(
+                _OWNER, f"eval_n_jobs_overrides[{app!r}]", jobs, count=True
+            )
+            if jobs < 1:
+                raise ValueError("per-app eval job counts must be >= 1")
+            overrides.append((app, jobs))
+        object.__setattr__(self, "eval_n_jobs_overrides", tuple(overrides))
 
     def eval_jobs_for(self, app_name: str) -> int:
         """Evaluation job count for an application."""
@@ -120,3 +134,23 @@ class PipelineConfig:
             if name == app_name:
                 return jobs
         return self.eval_n_jobs
+
+
+_OWNER = "PipelineConfig"
+#: Real fields that must be finite and >= 0.
+_NON_NEGATIVE = (
+    "gamma_rel",
+    "margin",
+    "profile_jitter_sigma",
+    "slice_marshal_base_instr",
+    "slice_marshal_per_var_instr",
+    "certify_input_widen",
+)
+#: Count fields (ints, not bools) and the least value each may take.
+_LEAST_COUNTS = {
+    "model_degree": 1,
+    "n_profile_jobs": 2,
+    "switch_samples": 1,
+    "max_iter": 1,
+    "eval_n_jobs": 1,
+}

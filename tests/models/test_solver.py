@@ -1,5 +1,7 @@
 """Tests for the FISTA asymmetric-Lasso solver."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,51 @@ class TestValidation:
         X, y, _ = toy_data()
         with pytest.raises(ValueError):
             solve_asymmetric_lasso(X, y, penalty_mask=np.ones(5, dtype=bool))
+
+    @pytest.mark.parametrize(
+        "argument, value",
+        [
+            ("alpha", math.nan),
+            ("alpha", math.inf),
+            ("alpha", True),
+            ("alpha", "100"),
+            ("gamma", math.nan),
+            ("gamma", -math.inf),
+            ("tol", math.nan),
+            ("tol", -1e-9),
+            ("max_iter", 0),
+            ("max_iter", -3),
+            ("max_iter", 2.5),
+            ("max_iter", True),
+        ],
+        ids=repr,
+    )
+    def test_rejects_malformed_scalar(self, argument, value):
+        """Each one used to fit quietly: gamma=nan dropped the L1 term and
+        reported convergence, alpha=nan ran every step to an all-NaN
+        beta, tol=nan never converged, max_iter <= 0 returned zeros and
+        alpha=True fit as alpha = 1."""
+        X, y, _ = toy_data()
+        with pytest.raises(ValueError) as error:
+            solve_asymmetric_lasso(X, y, **{argument: value})
+        message = str(error.value)
+        assert "\n" not in message and argument in message
+
+    @pytest.mark.parametrize(
+        "argument", ["X", "y", "gamma_weights"], ids=str
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=repr)
+    def test_rejects_non_finite_arrays(self, argument, bad):
+        """A NaN or inf in the data used to yield NaN coefficients."""
+        X, y, _ = toy_data()
+        arrays = {"X": X.copy(), "y": y.copy(), "gamma_weights": np.ones(3)}
+        arrays[argument].flat[7 % arrays[argument].size] = bad
+        with pytest.raises(ValueError) as error:
+            solve_asymmetric_lasso(
+                arrays["X"], arrays["y"], gamma_weights=arrays["gamma_weights"]
+            )
+        message = str(error.value)
+        assert "\n" not in message and message.startswith(f"{argument} ")
 
 
 class TestSymmetricCase:

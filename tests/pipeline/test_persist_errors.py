@@ -93,3 +93,94 @@ class TestCorruptFiles:
     def test_valid_file_still_loads(self, saved):
         controller = load_controller(saved)
         assert controller.app_name == "xpilot"
+
+
+class TestConfigValues:
+    """Every numeric ``PipelineConfig`` field is a finite real or an int
+    (not a bool) within its bounds, also when it comes from a file."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("alpha", math.nan),
+            ("gamma_rel", math.inf),
+            ("margin", "0.1"),
+            ("model_degree", 3),
+            ("model_degree", 2.0),
+            ("model_degree", True),
+            ("n_profile_jobs", 40.0),
+            ("profile_seed", 1.5),
+            ("profile_jitter_sigma", -0.02),
+            ("profile_jitter_sigma", math.nan),
+            ("switch_samples", 0),
+            ("switch_samples", 2.5),
+            ("max_iter", 0),
+            ("max_iter", 2.5),
+            ("slice_marshal_base_instr", -1.0),
+            ("slice_marshal_base_instr", math.nan),
+            ("slice_marshal_per_var_instr", math.inf),
+            ("certify_input_widen", math.nan),
+            ("eval_n_jobs", True),
+            ("eval_n_jobs_overrides", (("pocketsphinx", 2.5),)),
+            ("eval_n_jobs_overrides", (("pocketsphinx", "40"),)),
+            ("eval_n_jobs_overrides", (("pocketsphinx",),)),
+        ],
+        ids=repr,
+    )
+    def test_rejects_with_one_line(self, field, value):
+        with pytest.raises(ValueError) as error:
+            PipelineConfig(**{field: value})
+        message = str(error.value)
+        assert "\n" not in message and field in message
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("alpha", math.nan),
+            ("max_iter", 2.5),
+            ("model_degree", 3),
+            ("profile_jitter_sigma", -0.5),
+            ("eval_n_jobs_overrides", [["pocketsphinx", 2.5]]),
+        ],
+        ids=repr,
+    )
+    def test_saved_config_refused(self, saved, tmp_path, capsys, field, value):
+        """A saved controller's config is checked as it loads, so
+        ``repro replay`` exits 2 with one line naming the field."""
+        from repro.cli import main
+
+        bad = corrupt(
+            saved, tmp_path, lambda p: p["config"].update({field: value})
+        )
+        with pytest.raises(ValueError, match=field):
+            load_controller(bad)
+        capsys.readouterr()
+        assert main(["replay", str(tmp_path), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and field in err
+
+    def test_int_too_large_for_a_float(self, saved, tmp_path, capsys):
+        """A JSON integer past float range is refused like NaN, not with
+        an ``OverflowError`` traceback from ``repro replay``."""
+        from repro.cli import main
+
+        huge = 10**400
+        with pytest.raises(ValueError, match="alpha must be a finite number"):
+            PipelineConfig(alpha=huge)
+        assert PipelineConfig(profile_seed=huge).profile_seed == huge
+        bad = corrupt(
+            saved, tmp_path, lambda p: p["config"].update(alpha=huge)
+        )
+        capsys.readouterr()
+        assert main(["replay", str(tmp_path), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "alpha" in err
+
+    def test_valid_configs_unchanged(self, saved):
+        config = load_controller(saved).config
+        assert config == PipelineConfig(n_profile_jobs=40)
+        listed = PipelineConfig(
+            eval_n_jobs_overrides=[["sha", 3], ("rijndael", 9)]
+        )
+        assert listed.eval_n_jobs_overrides == (("sha", 3), ("rijndael", 9))
+        assert PipelineConfig(alpha=10, margin=0).alpha == 10
