@@ -7,13 +7,11 @@ band's main fidelity concern), and the asymmetric objective vs. plain OLS.
 
 from dataclasses import replace
 
-import pytest
 from conftest import one_shot
 
 from repro.ablation.registry import PLATFORMS, batch_governor, configs_without
 from repro.analysis.harness import Lab
 from repro.analysis.render import format_table
-from repro.pipeline.config import PipelineConfig
 from repro.runtime.placement import PredictorPlacement
 
 APP = "ldecode"

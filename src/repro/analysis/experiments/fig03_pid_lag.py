@@ -17,7 +17,6 @@ from repro.governors.base import JobContext
 from repro.governors.pid import PidGovernor
 from repro.platform.board import Board
 from repro.platform.cpu import SimulatedCpu
-from repro.programs.interpreter import Interpreter
 from repro.runtime.records import JobRecord
 
 __all__ = ["PidLagResult", "run", "render"]

@@ -14,7 +14,6 @@ import numpy as np
 from repro.analysis.harness import Lab
 from repro.analysis.render import format_table
 from repro.platform.cpu import SimulatedCpu
-from repro.programs.interpreter import Interpreter
 
 __all__ = ["LinearityResult", "run", "render"]
 

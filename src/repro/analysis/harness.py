@@ -17,7 +17,6 @@ from functools import cached_property
 
 from repro.governors.base import Governor
 from repro.governors.conservative import ConservativeGovernor
-from repro.governors.idle import IdlePolicy
 from repro.governors.interactive import InteractiveGovernor
 from repro.governors.ondemand import OndemandGovernor
 from repro.governors.oracle import OracleGovernor
@@ -332,7 +331,7 @@ class Lab:
             inputs=app.inputs(jobs, seed=self.seed),
             interpreter=self.interpreter,
             placement=placement,
-            idle_policy=IdlePolicy(enabled=idle),
+            idle=idle,
             charge_predictor=charge_predictor,
             charge_switch=charge_switch,
             telemetry=telemetry,

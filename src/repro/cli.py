@@ -466,7 +466,7 @@ def _watch_command(argv: list[str]) -> int:
     when any page-severity SLO alert fired, 2 on bad input, else 0.
     """
     from repro.runtime.executor import TaskLoopRunner
-    from repro.telemetry import Telemetry, Watchdog, WatchdogConfig
+    from repro.telemetry import Telemetry, Watchdog
     from repro.telemetry.slo import default_slos, specs_from_json
     from repro.telemetry.watch import render_dashboard
 
@@ -598,8 +598,7 @@ def _watch_command(argv: list[str]) -> int:
 
     watchdog = Watchdog(
         specs=specs,
-        config=WatchdogConfig(arm_fallback=args.arm_fallback),
-        governor=governor,
+        governor=governor if args.arm_fallback else None,
         telemetry=telemetry,
         on_observation=repaint,
     )
@@ -641,21 +640,6 @@ def _watch_command(argv: list[str]) -> int:
     return 0
 
 
-def _select_runs(path: str, run: str | None) -> tuple[dict, list[str]]:
-    """Load decision logs under ``path``, optionally filtered to one run."""
-    from repro.telemetry.provenance import load_run_decisions
-
-    runs, warnings = load_run_decisions(path)
-    if run is not None:
-        if run not in runs:
-            raise FileNotFoundError(
-                f"run {run!r} not found under {path} "
-                f"(available: {', '.join(sorted(runs)) or 'none'})"
-            )
-        runs = {run: runs[run]}
-    return runs, warnings
-
-
 def _explain_command(argv: list[str]) -> int:
     """``repro explain`` — attribute recorded decisions to their inputs.
 
@@ -664,7 +648,11 @@ def _explain_command(argv: list[str]) -> int:
     the frequency ladder) for that job.  Exit codes: 0 ok, 2 missing
     input or job.
     """
-    from repro.telemetry.provenance import render_explanation, result_json
+    from repro.telemetry.provenance import (
+        load_run_decisions,
+        render_explanation,
+        result_json,
+    )
 
     parser = argparse.ArgumentParser(
         prog="repro explain",
@@ -699,7 +687,7 @@ def _explain_command(argv: list[str]) -> int:
         return int(error.code or 0)
 
     try:
-        runs, warnings = _select_runs(args.trace, args.run)
+        runs, warnings = load_run_decisions(args.trace, args.run)
     except FileNotFoundError as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -761,11 +749,13 @@ def _replay_command(argv: list[str]) -> int:
     """``repro replay`` — re-derive every decision, verify bit-exact.
 
     Exit codes: 0 all replayed decisions agree bit-exactly (or a
-    counterfactual knob was set), 1 any mismatch, 2 missing input.
+    counterfactual knob was set), 1 any mismatch, 2 missing input or a
+    line of a replayed run that cannot be read.
     """
     from repro.pipeline.persist import load_controller
     from repro.telemetry.provenance import (
         beta_from_controller_payload,
+        load_run_decisions,
         render_replay,
         replay_records,
         result_json,
@@ -822,7 +812,9 @@ def _replay_command(argv: list[str]) -> int:
 
     try:
         controller = load_controller(args.controller)
-        runs, warnings = _select_runs(args.trace, args.run)
+        # Every line of a replayed run must parse: an unreadable one is
+        # a decision replay could not verify.
+        runs, warnings = load_run_decisions(args.trace, args.run, strict=True)
         beta = None
         if args.beta is not None:
             beta = beta_from_controller_payload(
@@ -868,6 +860,7 @@ def _diff_decisions_command(argv: list[str]) -> int:
     """
     from repro.telemetry.provenance import (
         diff_decisions,
+        load_run_decisions,
         render_diff,
         result_json,
     )
@@ -903,8 +896,8 @@ def _diff_decisions_command(argv: list[str]) -> int:
         return int(error.code or 0)
 
     try:
-        runs_a, warnings_a = _select_runs(args.trace_a, args.run)
-        runs_b, warnings_b = _select_runs(args.trace_b, args.run)
+        runs_a, warnings_a = load_run_decisions(args.trace_a, args.run)
+        runs_b, warnings_b = load_run_decisions(args.trace_b, args.run)
     except FileNotFoundError as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -1214,7 +1207,7 @@ def _render_certificate(cert) -> str:
             if cert.writes_globals
             else ""
         ),
-        f"  coverage:         "
+        "  coverage:         "
         + (
             f"ok ({len(cert.covered_sites)} site(s))"
             if cert.coverage_ok

@@ -10,7 +10,7 @@ times too, and the asymmetric training objective is designed around that.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.features.trace import ProfileSample, ProfileTrace
 from repro.platform.cpu import SimulatedCpu

@@ -43,7 +43,7 @@ class FleetSpec:
         shards: Partitions of the roster, the worker pool's unit of
             dispatch (a scale knob, not a result knob).
         top_k: Worst-tenant table length.
-        profile_jobs / switch_samples: Controller build size (see
+        profile_jobs: Controller build size (see
             :class:`~repro.fleet.session.FleetBuild`).
         energy: Attribute every session's joules (conservation-checked
             per-session ledgers, rolled up per tenant and fleet-wide in
@@ -57,7 +57,6 @@ class FleetSpec:
     shards: int = 1
     top_k: int = 5
     profile_jobs: int = 60
-    switch_samples: int = 60
     energy: bool = False
 
     def __post_init__(self) -> None:
@@ -71,11 +70,7 @@ class FleetSpec:
 
     @property
     def build(self) -> FleetBuild:
-        return FleetBuild(
-            root_seed=self.seed,
-            profile_jobs=self.profile_jobs,
-            switch_samples=self.switch_samples,
-        )
+        return FleetBuild(root_seed=self.seed, profile_jobs=self.profile_jobs)
 
     @property
     def total_sessions(self) -> int:

@@ -41,6 +41,9 @@ from repro.telemetry.slo import (
 
 __all__ = ["FleetBuild", "SessionResult", "Session", "run_session", "lab_for"]
 
+#: Samples per OPP pair for a fleet's switch-time microbenchmark.
+SWITCH_SAMPLES = 60
+
 
 @dataclass(frozen=True)
 class FleetBuild:
@@ -53,29 +56,26 @@ class FleetBuild:
             controllers.  Smaller than the single-run default: a fleet
             amortizes one controller over thousands of sessions and the
             training cost is paid per worker process.
-        switch_samples: Samples per OPP pair for the switch-time
-            microbenchmark.
     """
 
     root_seed: int
     profile_jobs: int = 60
-    switch_samples: int = 60
 
 
-#: One Lab per build configuration: (root_seed, profile_jobs,
-#: switch_samples) -> Lab.  Sessions share its apps and interpreter; its
-#: controllers live in the harness's process-wide cache.
-_LABS: dict[tuple[int, int, int], Lab] = {}
+#: One Lab per build configuration: (root_seed, profile_jobs) -> Lab.
+#: Sessions share its apps and interpreter; its controllers live in the
+#: harness's process-wide cache.
+_LABS: dict[tuple[int, int], Lab] = {}
 
 
 def lab_for(build: FleetBuild) -> Lab:
     """This process's shared Lab for a build configuration."""
-    key = (build.root_seed, build.profile_jobs, build.switch_samples)
+    key = (build.root_seed, build.profile_jobs)
     if key not in _LABS:
         _LABS[key] = Lab(
             pipeline_config=PipelineConfig(n_profile_jobs=build.profile_jobs),
             seed=derive_seed(build.root_seed, "fleet", "build"),
-            switch_samples=build.switch_samples,
+            switch_samples=SWITCH_SAMPLES,
         )
     return _LABS[key]
 

@@ -8,7 +8,6 @@ from repro.governors.adaptive import (
 from repro.governors.base import Decision, Governor, JobContext
 from repro.governors.batch import BatchPredictiveGovernor
 from repro.governors.conservative import ConservativeGovernor
-from repro.governors.idle import IdlePolicy
 from repro.governors.interactive import InteractiveGovernor
 from repro.governors.ondemand import OndemandGovernor
 from repro.governors.oracle import OracleGovernor
@@ -26,7 +25,6 @@ __all__ = [
     "JobContext",
     "BatchPredictiveGovernor",
     "ConservativeGovernor",
-    "IdlePolicy",
     "InteractiveGovernor",
     "OndemandGovernor",
     "OracleGovernor",

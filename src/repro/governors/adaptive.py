@@ -65,8 +65,6 @@ ABS_RESIDUAL_ALPHA = 0.1
 #: The shadow |relative residual| EWMA must fall below this before
 #: prediction re-engages.
 REENGAGE_ABS_RESIDUAL = 0.10
-#: Smoothed miss rate the margin loop aims for.
-TARGET_MISS_RATE = 0.02
 #: Fixed per-job cost of the feedback step (residual and detector
 #: updates), in CPU cycles.
 UPDATE_BASE_CYCLES = 15_000.0
@@ -159,7 +157,6 @@ class AdaptiveGovernor(Governor):
                 initial=cfg.margin_initial,
                 floor=cfg.margin_floor,
                 ceiling=cfg.margin_ceiling,
-                target_miss_rate=TARGET_MISS_RATE,
             ),
             lam=RLS_FORGETTING,
             p0=RLS_P0,

@@ -25,6 +25,10 @@ from repro.models.timing import TimePrediction
 
 __all__ = ["BatchPredictiveGovernor"]
 
+#: Extra inflation of the head job's predicted times, absorbing
+#: job-to-job variation inside the batch.
+BATCH_MARGIN = 0.15
+
 
 class BatchPredictiveGovernor(PredictiveGovernor):
     """Predict once per batch, hold the level for the rest.
@@ -38,24 +42,13 @@ class BatchPredictiveGovernor(PredictiveGovernor):
     Attributes:
         batch_size: Jobs per decision (1 degenerates to the paper's
             per-job controller).
-        batch_margin: Extra inflation of the head job's predicted times,
-            absorbing job-to-job variation inside the batch.
     """
 
-    def __init__(
-        self,
-        *args,
-        batch_size: int = 4,
-        batch_margin: float = 0.15,
-        **kwargs,
-    ):
+    def __init__(self, *args, batch_size: int = 4, **kwargs):
         super().__init__(*args, **kwargs)
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if batch_margin < 0:
-            raise ValueError("batch_margin must be non-negative")
         self.batch_size = batch_size
-        self.batch_margin = batch_margin
 
     @property
     def name(self) -> str:
@@ -68,16 +61,16 @@ class BatchPredictiveGovernor(PredictiveGovernor):
     def audit_decision(self, ctx: JobContext, decision, **fields) -> None:
         """Record nothing; the executor's bare record covers every job.
 
-        A head decision holds for its whole batch through the batch
-        margin, which the provenance of one job's prediction cannot
-        replay.
+        A head decision holds for its whole batch through
+        :data:`BATCH_MARGIN`, which the provenance of one job's
+        prediction cannot replay.
         """
 
     def analyze(self, ctx: JobContext) -> SliceOutcome:
         """The head job's outcome, its predicted times inflated by
-        :attr:`batch_margin` to cover the rest of the batch."""
+        :data:`BATCH_MARGIN` to cover the rest of the batch."""
         outcome = super().analyze(ctx)
-        inflate = 1.0 + self.batch_margin
+        inflate = 1.0 + BATCH_MARGIN
         return replace(
             outcome,
             prediction=TimePrediction(

@@ -9,30 +9,24 @@ others it is deadline-blind.
 from __future__ import annotations
 
 from repro.governors.base import Decision, Governor, JobContext
+from repro.governors.interactive import SAMPLE_PERIOD_S
 from repro.platform.opp import OperatingPoint, OppTable
 
 __all__ = ["ConservativeGovernor"]
+
+#: Utilization above which it steps one level up.
+UP_THRESHOLD = 0.70
+#: Utilization below which it steps one level down.
+DOWN_THRESHOLD = 0.30
 
 
 class ConservativeGovernor(Governor):
     """Sampled governor: one-step ramps in both directions."""
 
-    def __init__(
-        self,
-        opps: OppTable,
-        sample_period_s: float = 0.080,
-        up_threshold: float = 0.70,
-        down_threshold: float = 0.30,
-    ):
-        if sample_period_s <= 0:
-            raise ValueError("sample_period_s must be positive")
-        if not 0 < down_threshold < up_threshold <= 1:
-            raise ValueError("need 0 < down_threshold < up_threshold <= 1")
+    timer_period_s = SAMPLE_PERIOD_S
+
+    def __init__(self, opps: OppTable):
         self.opps = opps
-        self.sample_period_s = sample_period_s
-        self.up_threshold = up_threshold
-        self.down_threshold = down_threshold
-        self.timer_period_s = sample_period_s
         self._board = None
 
     @property
@@ -52,8 +46,8 @@ class ConservativeGovernor(Governor):
     ) -> OperatingPoint | None:
         """Step one level toward the load, never further."""
         current = self._board.current_opp if self._board else self.opps.fmax
-        if utilization > self.up_threshold and current.index < len(self.opps) - 1:
+        if utilization > UP_THRESHOLD and current.index < len(self.opps) - 1:
             return self.opps[current.index + 1]
-        if utilization < self.down_threshold and current.index > 0:
+        if utilization < DOWN_THRESHOLD and current.index > 0:
             return self.opps[current.index - 1]
         return None

@@ -14,44 +14,35 @@ from repro.platform.opp import OperatingPoint, OppTable
 
 __all__ = ["InteractiveGovernor"]
 
+#: Utilization sampling period (paper §5.1: 80 ms).
+SAMPLE_PERIOD_S = 0.080
+#: Utilization above which the governor jumps to fmax (paper §5.1: 85%).
+HISPEED_LOAD = 0.85
+#: Utilization the scaling rule holds below the go-to-max threshold.
+#: Deliberately conservative (well under ``HISPEED_LOAD``), reproducing
+#: the stock governor's profile in the paper's Fig. 15: modest energy
+#: savings, low deadline misses.
+TARGET_LOAD = 0.45
+#: The input boost raises the clock to the lowest level at or above this
+#: fraction of fmax.
+HISPEED_FRAC = 0.55
+
 
 class InteractiveGovernor(Governor):
     """Utilization-sampled governor with a go-to-max threshold.
 
     Attributes:
         opps: Operating points.
-        sample_period_s: Utilization sampling period (paper: 80 ms).
-        hispeed_load: Utilization above which it jumps to fmax (paper: 0.85).
-        target_load: Utilization the scaling rule tries to maintain.  The
-            default is deliberately conservative (well under the hispeed
-            threshold), reproducing the stock governor's profile in the
-            paper's Fig. 15: modest energy savings, low deadline misses.
+        hispeed_opp: The level the input boost raises the clock to.
     """
 
-    def __init__(
-        self,
-        opps: OppTable,
-        sample_period_s: float = 0.080,
-        hispeed_load: float = 0.85,
-        target_load: float = 0.45,
-        input_boost: bool = True,
-        hispeed_frac: float = 0.55,
-    ):
-        if sample_period_s <= 0:
-            raise ValueError("sample_period_s must be positive")
-        if not 0 < hispeed_load <= 1 or not 0 < target_load <= 1:
-            raise ValueError("loads must be in (0, 1]")
-        if not 0 < hispeed_frac <= 1:
-            raise ValueError("hispeed_frac must be in (0, 1]")
+    timer_period_s = SAMPLE_PERIOD_S
+
+    def __init__(self, opps: OppTable):
         self.opps = opps
-        self.sample_period_s = sample_period_s
-        self.hispeed_load = hispeed_load
-        self.target_load = target_load
-        self.input_boost = input_boost
         self.hispeed_opp = opps.lowest_at_or_above(
-            hispeed_frac * opps.fmax.freq_hz
+            HISPEED_FRAC * opps.fmax.freq_hz
         )
-        self.timer_period_s = sample_period_s
         self._board = None
 
     @property
@@ -67,10 +58,7 @@ class InteractiveGovernor(Governor):
         governor never settles at fmin on interactive apps — and why its
         energy savings trail prediction-based control (Fig. 15).
         """
-        if (
-            self.input_boost
-            and ctx.board.current_opp.freq_hz < self.hispeed_opp.freq_hz
-        ):
+        if ctx.board.current_opp.freq_hz < self.hispeed_opp.freq_hz:
             return Decision(self.hispeed_opp)
         return None
 
@@ -79,14 +67,14 @@ class InteractiveGovernor(Governor):
     ) -> OperatingPoint | None:
         """Linux-interactive-like scaling rule.
 
-        Above ``hispeed_load`` go straight to fmax.  Otherwise pick the
+        Above ``HISPEED_LOAD`` go straight to fmax.  Otherwise pick the
         lowest frequency that would have kept the observed load at or
-        below ``target_load`` (busy cycles conserved: load*f invariant).
+        below ``TARGET_LOAD`` (busy cycles conserved: load*f invariant).
         """
-        if utilization > self.hispeed_load:
+        if utilization > HISPEED_LOAD:
             return self.opps.fmax
         current = self._board.current_opp if self._board else self.opps.fmax
-        wanted_hz = utilization * current.freq_hz / self.target_load
+        wanted_hz = utilization * current.freq_hz / TARGET_LOAD
         return self.opps.lowest_at_or_above(wanted_hz)
 
     def start(self, board, budget_s: float) -> None:

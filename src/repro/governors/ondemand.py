@@ -1,6 +1,7 @@
 """A Linux ``ondemand``-style governor, for ablation completeness.
 
-Samples utilization like ``interactive`` but ramps differently: jump to
+Samples utilization like ``interactive`` (at the same period) but
+ramps differently: jump to
 fmax above the up-threshold, otherwise step *down* one level at a time
 when utilization is comfortably low.  Not a paper baseline; included
 because DESIGN.md calls for the family of stock governors.
@@ -9,30 +10,25 @@ because DESIGN.md calls for the family of stock governors.
 from __future__ import annotations
 
 from repro.governors.base import Decision, Governor, JobContext
+from repro.governors.interactive import SAMPLE_PERIOD_S
 from repro.platform.opp import OperatingPoint, OppTable
 
 __all__ = ["OndemandGovernor"]
+
+#: Utilization above which it sprints to fmax (Linux ondemand's default
+#: ``up_threshold`` of 80%).
+UP_THRESHOLD = 0.80
+#: Utilization below which it steps one level down.
+DOWN_THRESHOLD = 0.40
 
 
 class OndemandGovernor(Governor):
     """Sampled governor: sprint to fmax, decay one step at a time."""
 
-    def __init__(
-        self,
-        opps: OppTable,
-        sample_period_s: float = 0.080,
-        up_threshold: float = 0.80,
-        down_threshold: float = 0.40,
-    ):
-        if sample_period_s <= 0:
-            raise ValueError("sample_period_s must be positive")
-        if not 0 < down_threshold < up_threshold <= 1:
-            raise ValueError("need 0 < down_threshold < up_threshold <= 1")
+    timer_period_s = SAMPLE_PERIOD_S
+
+    def __init__(self, opps: OppTable):
         self.opps = opps
-        self.sample_period_s = sample_period_s
-        self.up_threshold = up_threshold
-        self.down_threshold = down_threshold
-        self.timer_period_s = sample_period_s
         self._board = None
 
     @property
@@ -49,8 +45,8 @@ class OndemandGovernor(Governor):
         self, now_s: float, utilization: float
     ) -> OperatingPoint | None:
         current = self._board.current_opp if self._board else self.opps.fmax
-        if utilization > self.up_threshold:
+        if utilization > UP_THRESHOLD:
             return self.opps.fmax
-        if utilization < self.down_threshold and current.index > 0:
+        if utilization < DOWN_THRESHOLD and current.index > 0:
             return self.opps[current.index - 1]
         return None

@@ -17,24 +17,23 @@ from repro.platform.opp import OppTable
 
 __all__ = ["OracleGovernor"]
 
+#: Safety factor over the true time, absorbing run-to-run jitter the
+#: oracle cannot foresee (recorded times from a prior run differ from
+#: this run's times by exactly that noise).
+MARGIN = 0.05
+
 
 class OracleGovernor(Governor):
     """Chooses the lowest frequency whose true job time fits the budget.
 
     Attributes:
         opps: Operating points.
-        margin: Safety factor over the true time, absorbing run-to-run
-            jitter the oracle cannot foresee (recorded times from a prior
-            run differ from this run's times by exactly that noise).
     """
 
     reads_oracle_work = True
 
-    def __init__(self, opps: OppTable, margin: float = 0.05):
-        if margin < 0:
-            raise ValueError("margin must be non-negative")
+    def __init__(self, opps: OppTable):
         self.opps = opps
-        self.margin = margin
         self._cpu = SimulatedCpu()
 
     @property
@@ -46,7 +45,7 @@ class OracleGovernor(Governor):
             raise ValueError(
                 "OracleGovernor requires oracle_work in the job context"
             )
-        factor = 1.0 + self.margin
+        factor = 1.0 + MARGIN
         budget = ctx.deadline_s - ctx.board.now
         for opp in self.opps:
             time = self._cpu.ideal_time(ctx.oracle_work, opp) * factor

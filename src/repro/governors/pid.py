@@ -14,7 +14,6 @@ fmax-equivalent cycle counts assuming fully frequency-scalable work.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 from repro.governors.base import Decision, Governor, JobContext
@@ -27,38 +26,30 @@ if TYPE_CHECKING:  # avoid a circular import with the runtime package
 
 __all__ = ["PidGovernor"]
 
+#: Proportional gain when the estimate was too LOW (the job was bigger
+#: than expected — the dangerous direction).
+KP_UP = 0.9
+#: Proportional gain when the estimate was too high.  The asymmetry (rise
+#: fast, decay slowly) is the offline tuning the paper describes:
+#: "optimized to reduce deadline misses".
+KP_DOWN = 0.15
+#: Integral gain.
+KI = 0.01
+#: Derivative gain.
+KD = 0.05
+#: Safety factor applied to the cycle estimate.
+MARGIN = 0.25
+
 
 class PidGovernor(Governor):
     """Predicts next-job cycles with a PID filter on observation errors.
 
     Attributes:
         opps: Operating points.
-        kp_up: Proportional gain when the estimate was too LOW (the job
-            was bigger than expected — the dangerous direction).
-        kp_down: Proportional gain when the estimate was too high.  The
-            asymmetry (rise fast, decay slowly) is the offline tuning the
-            paper describes: "optimized to reduce deadline misses".
-        ki, kd: Integral and derivative gains.
-        margin: Safety factor applied to the cycle estimate.
     """
 
-    def __init__(
-        self,
-        opps: OppTable,
-        kp_up: float = 0.9,
-        kp_down: float = 0.15,
-        ki: float = 0.01,
-        kd: float = 0.05,
-        margin: float = 0.25,
-    ):
-        if margin < 0:
-            raise ValueError("margin must be non-negative")
+    def __init__(self, opps: OppTable):
         self.opps = opps
-        self.kp_up = kp_up
-        self.kp_down = kp_down
-        self.ki = ki
-        self.kd = kd
-        self.margin = margin
         self._dvfs = DvfsModel(opps)
         self._estimate_cycles: float | None = None
         self._integral = 0.0
@@ -82,13 +73,10 @@ class PidGovernor(Governor):
         if self._estimate_cycles is None:
             # No history yet: be safe, run the first job flat out.
             return Decision(self.opps.fmax)
-        cycles = self._estimate_cycles * (1.0 + self.margin)
-        components = DvfsComponents(tmem_s=0.0, ndep_cycles=cycles)
-        ideal = self._dvfs.freq_for_budget(components, ctx.budget_s)
-        if math.isinf(ideal):
-            opp = self.opps.fmax
-        else:
-            opp = self.opps.lowest_at_or_above(ideal)
+        cycles = self._estimate_cycles * (1.0 + MARGIN)
+        opp = self._dvfs.opp_for_budget(
+            DvfsComponents(tmem_s=0.0, ndep_cycles=cycles), ctx.budget_s
+        )
         return Decision(opp, predicted_time_s=cycles / opp.freq_hz)
 
     def on_job_end(self, record: "JobRecord", ctx: JobContext) -> None:
@@ -107,11 +95,11 @@ class PidGovernor(Governor):
         self._integral += error
         derivative = error - self._last_error
         self._last_error = error
-        kp = self.kp_up if error > 0 else self.kp_down
+        kp = KP_UP if error > 0 else KP_DOWN
         self._estimate_cycles = max(
             0.0,
             self._estimate_cycles
             + kp * error
-            + self.ki * self._integral
-            + self.kd * derivative,
+            + KI * self._integral
+            + KD * derivative,
         )

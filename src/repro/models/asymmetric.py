@@ -14,6 +14,10 @@ from repro.models.solver import SolverResult, solve_asymmetric_lasso
 
 __all__ = ["AsymmetricLassoModel", "lasso_time"]
 
+#: Step-size tolerance of the FISTA fit (see
+#: :func:`~repro.models.solver.solve_asymmetric_lasso`).
+FIT_TOL = 1e-9
+
 
 def lasso_time(x: np.ndarray, coef: np.ndarray, intercept: float) -> float:
     """``x @ coef + intercept`` for one float feature vector ``x``.
@@ -44,7 +48,6 @@ class AsymmetricLassoModel:
         alpha: float = 100.0,
         gamma: float = 0.0,
         max_iter: int = 5000,
-        tol: float = 1e-9,
     ):
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
@@ -53,7 +56,6 @@ class AsymmetricLassoModel:
         self.alpha = alpha
         self.gamma = gamma
         self.max_iter = max_iter
-        self.tol = tol
         self.coef_: np.ndarray | None = None
         self.intercept_: float = 0.0
         self.solver_result_: SolverResult | None = None
@@ -122,7 +124,7 @@ class AsymmetricLassoModel:
             gamma=self.gamma,
             penalty_mask=penalty_mask,
             max_iter=self.max_iter,
-            tol=self.tol,
+            tol=FIT_TOL,
             gamma_weights=weights,
         )
         std_coef = result.beta[:-1]

@@ -32,12 +32,7 @@ class PageHinkleyDetector:
             running mean has something to stand on.
     """
 
-    def __init__(
-        self,
-        delta: float = 0.05,
-        threshold: float = 0.4,
-        min_samples: int = 8,
-    ):
+    def __init__(self, delta: float, threshold: float, min_samples: int):
         if delta < 0:
             raise ValueError(f"delta must be non-negative, got {delta}")
         if threshold <= 0:

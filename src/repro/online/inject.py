@@ -32,26 +32,18 @@ _EPS = 1e-12
 class StepDriftJitter(JitterModel):
     """Wraps a jitter model; multiplies samples by ``factor`` after a step.
 
-    Two ways to place the step:
-
-    - ``shift_after_samples``: engage after that many draws.  Suitable
-      for model-level studies where the caller controls every draw.  Do
-      NOT use it under the executor: governors that charge predictor or
-      feedback time draw extra samples per job, so the step would land
-      at a different job for every governor.
-    - ``shift_at_s`` + ``clock``: engage once the supplied clock (e.g.
-      ``lambda: board.now``) reaches a simulated time.  Jobs are
-      released periodically, so ``shift_job * budget_s`` drifts the same
-      job for every governor — and a time trigger is also the physically
-      honest model (throttling does not wait for a job boundary).
+    The step engages once the supplied clock (e.g. ``lambda: board.now``)
+    reaches ``shift_at_s``.  Jobs are released periodically, so
+    ``shift_job * budget_s`` drifts the same job for every governor, even
+    though governors that charge predictor or feedback time draw extra
+    samples per job — and a time trigger is also the physically honest
+    model (throttling does not wait for a job boundary).
 
     Args:
         inner: The base timing-noise model.
         factor: Multiplicative slowdown (> 1) applied from the step on.
-        shift_after_samples: Samples drawn before the drift engages.
         shift_at_s: Simulated time the drift engages at.
-        clock: Callable returning the current simulated time (required
-            with ``shift_at_s``).
+        clock: Callable returning the current simulated time.
     """
 
     def __init__(
@@ -59,47 +51,21 @@ class StepDriftJitter(JitterModel):
         inner: JitterModel,
         factor: float,
         *,
-        shift_after_samples: int | None = None,
-        shift_at_s: float | None = None,
-        clock: Callable[[], float] | None = None,
+        shift_at_s: float,
+        clock: Callable[[], float],
     ):
         if factor <= 0:
             raise ValueError(f"factor must be positive, got {factor}")
-        if (shift_after_samples is None) == (shift_at_s is None):
-            raise ValueError(
-                "give exactly one of shift_after_samples or shift_at_s"
-            )
-        if shift_after_samples is not None and shift_after_samples < 0:
-            raise ValueError(
-                f"shift_after_samples must be >= 0, got {shift_after_samples}"
-            )
-        if shift_at_s is not None and clock is None:
-            raise ValueError("shift_at_s requires a clock callable")
         self.inner = inner
         self.factor = factor
-        self.shift_after_samples = shift_after_samples
         self.shift_at_s = shift_at_s
         self.clock = clock
-        self._drawn = 0
-
-    def _drifted(self) -> bool:
-        if self.shift_at_s is not None:
-            return self.clock() >= self.shift_at_s - _EPS
-        return self._drawn > self.shift_after_samples
 
     def sample(self) -> float:
         base = self.inner.sample()
-        self._drawn += 1
-        return base * self.factor if self._drifted() else base
-
-    def clone(self, seed: int) -> "StepDriftJitter":
-        return StepDriftJitter(
-            self.inner.clone(seed),
-            self.factor,
-            shift_after_samples=self.shift_after_samples,
-            shift_at_s=self.shift_at_s,
-            clock=self.clock,
-        )
+        if self.clock() >= self.shift_at_s - _EPS:
+            return base * self.factor
+        return base
 
 
 def scale_inputs(

@@ -39,6 +39,16 @@ __all__ = [
     "recalibrated_time",
 ]
 
+#: Smoothed miss rate the margin loop aims for; below it the margin may
+#: shrink.
+TARGET_MISS_RATE = 0.02
+#: Multiplicative widening of the margin per missed job.
+WIDEN_FACTOR = 1.4
+#: Geometric shrink of the margin per compliant job.
+DECAY = 0.995
+#: Smoothing weight of the miss-rate EWMA.
+MISS_ALPHA = 0.05
+
 
 # The two expressions OnlineAnchorModel.predict_one evaluates.  Decision
 # replay (repro.telemetry.provenance.predict_anchor) calls the same
@@ -226,54 +236,33 @@ class AdaptiveMargin:
     """AIMD safety margin driven by the observed miss rate.
 
     Replaces the paper's fixed 10% inflation (§3.4): every miss widens
-    the margin multiplicatively (misses are expensive and must be reacted
-    to immediately); while the smoothed miss rate sits at or below the
-    target, the margin decays geometrically toward its floor, clawing the
-    energy headroom back.
+    the margin by ``WIDEN_FACTOR`` (misses are expensive and must be
+    reacted to immediately); while the ``MISS_ALPHA``-smoothed miss rate
+    sits at or below ``TARGET_MISS_RATE``, the margin decays by ``DECAY``
+    per job toward its floor, clawing the energy headroom back.
 
     Args:
-        initial: Starting margin (the paper's 0.10 by default).
+        initial: Starting margin.
         floor: Smallest margin the decay may reach.
         ceiling: Largest margin a miss burst may reach.
-        target_miss_rate: Acceptable smoothed miss rate; below it the
-            margin is allowed to shrink.
-        widen_factor: Multiplicative widening per missed job.
-        decay: Geometric shrink per compliant job.
-        miss_alpha: Smoothing weight of the miss-rate EWMA.
     """
 
-    def __init__(
-        self,
-        initial: float = 0.10,
-        floor: float = 0.04,
-        ceiling: float = 0.40,
-        target_miss_rate: float = 0.02,
-        widen_factor: float = 1.4,
-        decay: float = 0.995,
-        miss_alpha: float = 0.05,
-    ):
+    def __init__(self, initial: float, floor: float, ceiling: float):
         if not 0.0 <= floor <= initial <= ceiling:
             raise ValueError(
                 f"need 0 <= floor <= initial <= ceiling, got "
                 f"{floor}/{initial}/{ceiling}"
             )
-        if widen_factor <= 1.0:
-            raise ValueError(f"widen_factor must be > 1, got {widen_factor}")
-        if not 0.0 < decay <= 1.0:
-            raise ValueError(f"decay must be in (0, 1], got {decay}")
         self.value = initial
         self.floor = floor
         self.ceiling = ceiling
-        self.target_miss_rate = target_miss_rate
-        self.widen_factor = widen_factor
-        self.decay = decay
-        self._miss_ewma = Ewma(miss_alpha)
+        self._miss_ewma = Ewma(MISS_ALPHA)
 
     def update(self, missed: bool) -> float:
         """Fold one job outcome in; returns the new margin."""
         miss_rate = self._miss_ewma.update(1.0 if missed else 0.0)
         if missed:
-            self.value = min(self.ceiling, self.value * self.widen_factor)
-        elif miss_rate <= self.target_miss_rate:
-            self.value = max(self.floor, self.value * self.decay)
+            self.value = min(self.ceiling, self.value * WIDEN_FACTOR)
+        elif miss_rate <= TARGET_MISS_RATE:
+            self.value = max(self.floor, self.value * DECAY)
         return self.value

@@ -23,19 +23,12 @@ class JitterModel(ABC):
     def sample(self) -> float:
         """Return a positive multiplicative factor (median ~1.0)."""
 
-    @abstractmethod
-    def clone(self, seed: int) -> "JitterModel":
-        """Return a fresh model of the same shape with a new seed."""
-
 
 class NoJitter(JitterModel):
     """Deterministic timing: every sample is exactly 1.0."""
 
     def sample(self) -> float:
         return 1.0
-
-    def clone(self, seed: int) -> "NoJitter":
-        return NoJitter()
 
 
 class LogNormalJitter(JitterModel):
@@ -68,9 +61,6 @@ class LogNormalJitter(JitterModel):
             return 1.0
         factor = math.exp(self._rng.gauss(0.0, self.sigma))
         return min(max(factor, 1.0 / self.max_factor), self.max_factor)
-
-    def clone(self, seed: int) -> "LogNormalJitter":
-        return LogNormalJitter(self.sigma, seed=seed, max_factor=self.max_factor)
 
     def __repr__(self) -> str:
         return f"LogNormalJitter(sigma={self.sigma}, seed={self._seed})"

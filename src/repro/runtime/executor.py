@@ -27,7 +27,6 @@ import math
 from typing import Mapping, Sequence
 
 from repro.governors.base import Decision, Governor, JobContext
-from repro.governors.idle import IdlePolicy
 from repro.governors.predictive import PredictiveGovernor
 from repro.platform.board import Board
 from repro.platform.cpu import Work
@@ -44,6 +43,10 @@ from repro.telemetry.hostprof import NO_HOSTPROF, HostProfiler
 __all__ = ["TaskLoopRunner"]
 
 _EPS = 1e-12
+#: With idling on, a gap this short or shorter stays at the current
+#: level: it is not worth two DVFS switches (roughly twice the typical
+#: switch latency).
+IDLE_MIN_GAP_S = 0.004
 
 
 class TaskLoopRunner:
@@ -57,7 +60,9 @@ class TaskLoopRunner:
         interpreter: Executes the task program (job semantics + work).
         placement: Predictor placement mode (only affects
             :class:`~repro.governors.predictive.PredictiveGovernor`).
-        idle_policy: Between-job idling configuration (Fig. 21).
+        idle: Drop to fmin for each between-job gap longer than
+            ``IDLE_MIN_GAP_S`` and restore the pre-idle level at the next
+            release, unless the governor decides for itself (Fig. 21).
         charge_predictor: Charge predictor time/energy (False for Fig. 18).
         charge_switch: Charge DVFS switch time/energy (False for Fig. 18).
         telemetry: Run observability pipeline (spans, metrics, decision
@@ -92,7 +97,7 @@ class TaskLoopRunner:
         inputs: Sequence[Mapping[str, Value]],
         interpreter: Interpreter | None = None,
         placement: PredictorPlacement = PredictorPlacement.SEQUENTIAL,
-        idle_policy: IdlePolicy | None = None,
+        idle: bool = False,
         charge_predictor: bool = True,
         charge_switch: bool = True,
         telemetry: Telemetry | None = None,
@@ -108,7 +113,7 @@ class TaskLoopRunner:
         self.inputs = list(inputs)
         self.interpreter = interpreter if interpreter is not None else Interpreter()
         self.placement = placement
-        self.idle_policy = idle_policy if idle_policy is not None else IdlePolicy()
+        self.idle = idle
         self.charge_predictor = charge_predictor
         self.charge_switch = charge_switch
         self.telemetry = telemetry if telemetry is not None else NO_TELEMETRY
@@ -161,14 +166,7 @@ class TaskLoopRunner:
 
     # -- public API -----------------------------------------------------------
     def reset(
-        self,
-        board: Board | None = None,
-        inputs: Sequence[Mapping[str, Value]] | None = None,
-        arrivals: Sequence[float] | None = None,
-        governor: Governor | None = None,
-        telemetry: Telemetry | None = None,
-        hostprof: HostProfiler | None = None,
-        energy: EnergyLedger | None = None,
+        self, board: Board | None = None, governor: Governor | None = None
     ) -> None:
         """Return the runner to its pre-run state so it can run again.
 
@@ -176,28 +174,16 @@ class TaskLoopRunner:
         (the repository benchmark does; fleet sessions build a fresh
         runner each); without this, switch counts, overlap energy, timer
         phase, and job records would bleed from one run into the next.
-        The board and telemetry are stateful accumulators (time, energy,
-        metric counters), so a reset that should be indistinguishable
-        from a fresh runner must supply fresh instances of both; the
-        governor likewise if it learns online.  Passing ``None`` keeps
-        the current object.
+        The board is a stateful accumulator (time, energy), so a reset
+        that should be indistinguishable from a fresh runner must supply
+        a fresh one; the governor likewise if it learns online.  Passing
+        ``None`` keeps the current object.  Inputs, release schedule,
+        telemetry, host profiler and energy ledger stay as built.
         """
         if board is not None:
             self.board = board
-        if inputs is not None:
-            if not inputs:
-                raise ValueError("need at least one job input")
-            self.inputs = list(inputs)
         if governor is not None:
             self.governor = governor
-        if telemetry is not None:
-            self.telemetry = telemetry
-        if hostprof is not None:
-            self.hostprof = hostprof
-        if energy is not None:
-            self.energy = energy
-        if arrivals is not None or inputs is not None:
-            self.arrivals = self._validated_arrivals(arrivals)
         self._init_run_state()
 
     def arrival_s(self, index: int) -> float:
@@ -631,7 +617,7 @@ class TaskLoopRunner:
         gap = arrival - board.now
         if gap <= 0:
             return
-        if self.idle_policy.should_idle(gap):
+        if self.idle and gap > IDLE_MIN_GAP_S:
             self._restore_opp = board.current_opp
             self._switch(board.opps.fmin)
         while board.now < arrival - _EPS:

@@ -73,12 +73,7 @@ class TaskStream:
 class MultiTaskRunner:
     """Runs several task streams on one board, FIFO by release time."""
 
-    def __init__(
-        self,
-        board: Board,
-        streams: Sequence[TaskStream],
-        interpreter: Interpreter | None = None,
-    ):
+    def __init__(self, board: Board, streams: Sequence[TaskStream]):
         if not streams:
             raise ValueError("need at least one task stream")
         names = [s.task.name for s in streams]
@@ -86,7 +81,7 @@ class MultiTaskRunner:
             raise ValueError(f"duplicate task names: {names}")
         self.board = board
         self.streams = list(streams)
-        self.interpreter = interpreter if interpreter is not None else Interpreter()
+        self.interpreter = Interpreter()
 
     def run(self) -> dict[str, RunResult]:
         """Execute every stream's jobs; returns results keyed by task name."""

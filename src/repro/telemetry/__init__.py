@@ -120,7 +120,6 @@ from repro.telemetry.slo import (
 )
 from repro.telemetry.watch import (
     Watchdog,
-    WatchdogConfig,
     render_dashboard,
 )
 
@@ -208,6 +207,5 @@ __all__ = [
     "merge_states",
     "default_slos",
     "Watchdog",
-    "WatchdogConfig",
     "render_dashboard",
 ]

@@ -27,7 +27,12 @@ self-explanatory and offline-replayable (see
 Parsing is forward/backward tolerant: :func:`DecisionRecord.from_dict`
 accepts version-1 records (provenance fields default to empty), ignores
 unknown keys, and :func:`read_decisions_jsonl` reports — rather than
-raises on — malformed lines and newer-than-known schema versions.
+raises on — malformed lines and newer-than-known schema versions.  It
+is not lenient about types: every field present must have the type the
+writer gives it (a count an int, a real a JSON number or, where the
+writer stores NaN, ``null``, a flag a boolean, a label a string), so a
+hand-edited ``"opp_mhz": "1200"`` or ``"fits": "false"`` makes its line
+unreadable instead of being coerced.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
+
+from repro.checks import check_number
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -59,8 +66,53 @@ def _clean(value: float | None) -> float | None:
     return None if math.isnan(value) else value
 
 
-def _nan(value: Any, default: float = float("nan")) -> float:
-    return default if value is None else float(value)
+def _count(
+    owner: str, payload: Mapping[str, Any], key: str, default: int
+) -> int:
+    return check_number(owner, key, payload.get(key, default), count=True)
+
+
+def _real(owner: str, payload: Mapping[str, Any], key: str) -> float:
+    return float(check_number(owner, key, payload.get(key, 0.0)))
+
+
+def _real_or_nan(owner: str, payload: Mapping[str, Any], key: str) -> float:
+    """A real the writer stores as ``null`` when it is NaN."""
+    value = payload.get(key)
+    if value is None:
+        return math.nan
+    return float(check_number(owner, key, value))
+
+
+def _reals(
+    owner: str, payload: Mapping[str, Any], key: str
+) -> tuple[float, ...]:
+    values = payload.get(key, [])
+    if not isinstance(values, list):
+        raise ValueError(f"{owner}: {key} must be a list, got {values!r}")
+    return tuple(float(check_number(owner, key, v)) for v in values)
+
+
+def _string(
+    owner: str, payload: Mapping[str, Any], key: str, default: str
+) -> str:
+    value = payload.get(key, default)
+    if not isinstance(value, str):
+        raise ValueError(f"{owner}: {key} must be a string, got {value!r}")
+    return value
+
+
+def _flag(owner: str, payload: Mapping[str, Any], key: str) -> bool:
+    value = payload.get(key, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"{owner}: {key} must be a boolean, got {value!r}")
+    return value
+
+
+def _object(owner: str, value: Any, key: str) -> Mapping[str, Any]:
+    if not isinstance(value, dict):
+        raise ValueError(f"{owner}: {key} must be an object, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -97,12 +149,16 @@ class AnchorSnapshot:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "AnchorSnapshot":
-        scales = payload.get("scales")
+        owner = "anchor"
         return cls(
-            kind=str(payload.get("kind", "offline")),
-            coef=tuple(float(c) for c in payload.get("coef", ())),
-            intercept=float(payload.get("intercept", 0.0)),
-            scales=None if scales is None else tuple(float(s) for s in scales),
+            kind=_string(owner, payload, "kind", "offline"),
+            coef=_reals(owner, payload, "coef"),
+            intercept=_real(owner, payload, "intercept"),
+            scales=(
+                None
+                if payload.get("scales") is None
+                else _reals(owner, payload, "scales")
+            ),
         )
 
 
@@ -139,12 +195,14 @@ class LadderRung:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "LadderRung":
+        owner = "ladder rung"
+        payload = _object(owner, payload, "rung")
         return cls(
-            freq_mhz=float(payload.get("freq_mhz", 0.0)),
-            predicted_time_s=float(payload.get("predicted_time_s", 0.0)),
-            margin_s=_nan(payload.get("margin_s")),
-            fits=bool(payload.get("fits", False)),
-            chosen=bool(payload.get("chosen", False)),
+            freq_mhz=_real(owner, payload, "freq_mhz"),
+            predicted_time_s=_real(owner, payload, "predicted_time_s"),
+            margin_s=_real_or_nan(owner, payload, "margin_s"),
+            fits=_flag(owner, payload, "fits"),
+            chosen=_flag(owner, payload, "chosen"),
         )
 
 
@@ -215,27 +273,36 @@ class DecisionAttribution:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "DecisionAttribution":
+        owner = "attribution"
+        payload = _object(owner, payload, "attribution")
+        columns = payload.get("columns", [])
+        if not isinstance(columns, list) or not all(
+            isinstance(c, str) for c in columns
+        ):
+            raise ValueError(
+                f"{owner}: columns must be a list of strings, got {columns!r}"
+            )
         return cls(
-            columns=tuple(str(c) for c in payload.get("columns", ())),
-            x=tuple(float(v) for v in payload.get("x", ())),
-            contributions_s=tuple(
-                float(v) for v in payload.get("contributions_s", ())
-            ),
-            intercept_s=float(payload.get("intercept_s", 0.0)),
-            adjustment_s=float(payload.get("adjustment_s", 0.0)),
-            tmem_s=float(payload.get("tmem_s", 0.0)),
-            ndep_cycles=float(payload.get("ndep_cycles", 0.0)),
-            t_fmax_raw_s=float(payload.get("t_fmax_raw_s", 0.0)),
-            t_fmin_raw_s=float(payload.get("t_fmin_raw_s", 0.0)),
+            columns=tuple(columns),
+            x=_reals(owner, payload, "x"),
+            contributions_s=_reals(owner, payload, "contributions_s"),
+            intercept_s=_real(owner, payload, "intercept_s"),
+            adjustment_s=_real(owner, payload, "adjustment_s"),
+            tmem_s=_real(owner, payload, "tmem_s"),
+            ndep_cycles=_real(owner, payload, "ndep_cycles"),
+            t_fmax_raw_s=_real(owner, payload, "t_fmax_raw_s"),
+            t_fmin_raw_s=_real(owner, payload, "t_fmin_raw_s"),
             anchor_fmax=AnchorSnapshot.from_dict(
-                payload.get("anchor_fmax", {})
+                _object(owner, payload.get("anchor_fmax", {}), "anchor_fmax")
             ),
             anchor_fmin=AnchorSnapshot.from_dict(
-                payload.get("anchor_fmin", {})
+                _object(owner, payload.get("anchor_fmin", {}), "anchor_fmin")
             ),
-            switch_estimate_s=_nan(payload.get("switch_estimate_s")),
-            budget_s=_nan(payload.get("budget_s")),
-            deadline_s=_nan(payload.get("deadline_s")),
+            switch_estimate_s=_real_or_nan(
+                owner, payload, "switch_estimate_s"
+            ),
+            budget_s=_real_or_nan(owner, payload, "budget_s"),
+            deadline_s=_real_or_nan(owner, payload, "deadline_s"),
         )
 
 
@@ -355,34 +422,43 @@ class DecisionRecord:
 
         Version-1 records (no ``version`` key) load with provenance
         fields at their defaults; unknown keys are ignored so records
-        written by a *newer* minor revision still parse.
+        written by a *newer* minor revision still parse.  A field of the
+        wrong type is a ``ValueError`` naming it.
         """
-        opp_mhz = payload.get("opp_mhz")
+        owner = "decision record"
+        payload = _object(owner, payload, "record")
+        features = _object(owner, payload.get("features", {}), "features")
         attribution = payload.get("attribution")
+        ladder = payload.get("ladder", [])
+        if not isinstance(ladder, list):
+            raise ValueError(f"{owner}: ladder must be a list, got {ladder!r}")
         return cls(
-            job_index=int(payload.get("job_index", -1)),
-            t_s=float(payload.get("t_s", 0.0)),
-            governor=str(payload.get("governor", "")),
-            opp_mhz=None if opp_mhz is None else float(opp_mhz),
-            predicted_time_s=_nan(payload.get("predicted_time_s")),
-            effective_budget_s=_nan(payload.get("effective_budget_s")),
-            margin=_nan(payload.get("margin")),
-            mode=str(payload.get("mode", "")),
+            job_index=_count(owner, payload, "job_index", -1),
+            t_s=_real(owner, payload, "t_s"),
+            governor=_string(owner, payload, "governor", ""),
+            opp_mhz=(
+                None
+                if payload.get("opp_mhz") is None
+                else _real(owner, payload, "opp_mhz")
+            ),
+            predicted_time_s=_real_or_nan(owner, payload, "predicted_time_s"),
+            effective_budget_s=_real_or_nan(
+                owner, payload, "effective_budget_s"
+            ),
+            margin=_real_or_nan(owner, payload, "margin"),
+            mode=_string(owner, payload, "mode", ""),
             features={
-                str(k): float(v)
-                for k, v in dict(payload.get("features", {})).items()
+                key: float(check_number(owner, f"features[{key!r}]", value))
+                for key, value in features.items()
             },
-            beta_generation=int(payload.get("beta_generation", -1)),
-            energy_j=_nan(payload.get("energy_j")),
+            beta_generation=_count(owner, payload, "beta_generation", -1),
+            energy_j=_real_or_nan(owner, payload, "energy_j"),
             attribution=(
                 None
                 if attribution is None
                 else DecisionAttribution.from_dict(attribution)
             ),
-            ladder=tuple(
-                LadderRung.from_dict(rung)
-                for rung in payload.get("ladder", ())
-            ),
+            ladder=tuple(LadderRung.from_dict(rung) for rung in ladder),
         )
 
 
@@ -426,13 +502,15 @@ _RECORD_DEFAULTS = _record_defaults(DecisionRecord)
 
 
 def read_decisions_jsonl(
-    path: str | Path,
+    path: str | Path, strict: bool = False
 ) -> tuple[list[DecisionRecord], list[str]]:
     """Load a ``*.decisions.jsonl`` audit log, tolerantly.
 
     Returns ``(records, warnings)``.  Missing file, malformed lines and
     unknown future schema versions become warnings, never exceptions —
     report tooling must degrade gracefully on old or partial traces.
+    With ``strict`` a malformed line is a ``ValueError`` naming the file
+    and the line instead: replay must verify every recorded decision.
     """
     path = Path(path)
     records: list[DecisionRecord] = []
@@ -445,15 +523,16 @@ def read_decisions_jsonl(
         if not line.strip():
             continue
         try:
-            payload = json.loads(line)
-            version = int(payload.get("version", 1))
+            payload = _object("decision record", json.loads(line), "record")
+            version = _count("decision record", payload, "version", 1)
             if version > SCHEMA_VERSION:
                 newer += 1
             records.append(DecisionRecord.from_dict(payload))
         except (ValueError, TypeError, AttributeError) as error:
-            warnings.append(
-                f"{path.name}:{lineno}: unreadable record ({error})"
-            )
+            message = f"{path.name}:{lineno}: unreadable record ({error})"
+            if strict:
+                raise ValueError(message) from error
+            warnings.append(message)
     if newer:
         warnings.append(
             f"{path.name}: {newer} record(s) use a schema newer than "

@@ -70,6 +70,9 @@ SUB_PHASES = ("features", "predict", "ladder")
 
 PHASES = TOP_PHASES + SUB_PHASES
 
+#: Frames a :class:`StackSampler` sample keeps, leaf upward.
+STACK_MAX_DEPTH = 48
+
 
 # -- profile snapshots ---------------------------------------------------------
 @dataclass(frozen=True)
@@ -239,14 +242,12 @@ class StackSampler:
 
     Args:
         interval: Call events per sample (larger = cheaper, coarser).
-        max_depth: Frames kept per sample, leaf upward.
     """
 
-    def __init__(self, interval: int = 64, max_depth: int = 48):
+    def __init__(self, interval: int = 64):
         if interval < 1:
             raise ValueError(f"interval must be >= 1, got {interval}")
         self.interval = interval
-        self.max_depth = max_depth
         self.samples = 0
         self.stacks: dict[str, int] = {}
         self._countdown = interval
@@ -270,7 +271,7 @@ class StackSampler:
         self._countdown = self.interval
         parts = []
         depth = 0
-        while frame is not None and depth < self.max_depth:
+        while frame is not None and depth < STACK_MAX_DEPTH:
             parts.append(self._label(frame.f_code))
             frame = frame.f_back
             depth += 1

@@ -696,17 +696,26 @@ def decision_logs(path: str | Path) -> dict[str, Path]:
 
 
 def load_run_decisions(
-    path: str | Path,
+    path: str | Path, run: str | None = None, strict: bool = False
 ) -> tuple[dict[str, list[DecisionRecord]], list[str]]:
-    """All runs' decision records under ``path``, with parse warnings."""
+    """All runs' decision records under ``path`` (only ``run``'s, when
+    given), with parse warnings; ``strict`` as in
+    :func:`~repro.telemetry.audit.read_decisions_jsonl`."""
+    logs = decision_logs(path)
+    if run is not None:
+        if run not in logs:
+            raise FileNotFoundError(
+                f"run {run!r} not found under {path} "
+                f"(available: {', '.join(sorted(logs)) or 'none'})"
+            )
+        logs = {run: logs[run]}
     runs: dict[str, list[DecisionRecord]] = {}
     warnings: list[str] = []
-    logs = decision_logs(path)
     if not logs:
         warnings.append(f"no {_LOG_SUFFIX} files under {path} (older trace?)")
-    for run, log in logs.items():
-        records, log_warnings = read_decisions_jsonl(log)
-        runs[run] = records
+    for name, log in logs.items():
+        records, log_warnings = read_decisions_jsonl(log, strict=strict)
+        runs[name] = records
         warnings.extend(log_warnings)
     return runs, warnings
 

@@ -420,18 +420,18 @@ class SloTracker:
 
     An alert fires on the *rising edge* of the all-windows condition and
     re-arms only after the condition clears, so a sustained violation
-    produces one alert, not one per job.
+    produces one alert, not one per job.  No alert fires before the
+    stream has filled the shortest window, so the short windows judge
+    real data.
 
     Args:
         spec: The objective to hold the stream to.
-        min_jobs: Jobs that must be classified before the first alert
-            may fire (lets short windows fill with real data).
     """
 
-    def __init__(self, spec: SloSpec, min_jobs: int | None = None):
+    def __init__(self, spec: SloSpec):
         self.spec = spec
         lengths = [w.jobs for w in spec.windows]
-        self.min_jobs = min_jobs if min_jobs is not None else min(lengths)
+        self.min_jobs = min(lengths)
         self._rings = [deque(maxlen=n) for n in lengths]
         self._bad_in_ring = [0] * len(spec.windows)
         # (ring index, ring, length cap, burn-rate trigger) per window:
@@ -529,28 +529,6 @@ class SloTracker:
             rings=tuple(map(tuple, self._rings)),
             alerts=tuple(self.alerts),
         )
-
-    @classmethod
-    def from_state(
-        cls, state: SloTrackerState, min_jobs: int | None = None
-    ) -> "SloTracker":
-        """A live tracker primed with a (possibly merged) state.
-
-        The resumed tracker continues the stream: counts, window tails,
-        and alert history carry over; the firing latch re-arms from the
-        restored windows, so a violation still in progress produces no
-        duplicate rising-edge alert.
-        """
-        tracker = cls(state.spec, min_jobs=min_jobs)
-        tracker.jobs = state.jobs
-        tracker.bad = state.bad
-        for i, ring in enumerate(state.rings):
-            for value in ring:
-                tracker._rings[i].append(bool(value))
-            tracker._bad_in_ring[i] = sum(ring)
-        tracker.alerts = list(state.alerts)
-        tracker._firing = state.exceeding and state.jobs >= tracker.min_jobs
-        return tracker
 
     def status(self) -> SloStatus:
         return SloStatus(

@@ -21,10 +21,11 @@ a run without telemetry executes zero watchdog instructions — the
 perf suite proves zero allocations from this module per job.
 
 The watchdog observes; it never steers — with one deliberate, opt-in
-exception: ``arm_fallback=True`` plus an :class:`~repro.governors.
-adaptive.AdaptiveGovernor` lets a page-severity SLO alert force the
-governor into its deadline-safe fallback mode, closing the loop from
-declared objective to actuation.
+exception: a governor handed to it (``repro watch --arm-fallback``) that
+exposes ``arm_fallback()``, as :class:`~repro.governors.adaptive.
+AdaptiveGovernor` does, is forced into its deadline-safe fallback mode
+by a page-severity SLO alert, closing the loop from declared objective
+to actuation.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from repro.telemetry.slo import (
 __all__ = [
     "RollingMad",
     "Anomaly",
-    "WatchdogConfig",
     "Watchdog",
     "WatchSink",
     "render_dashboard",
@@ -56,6 +56,24 @@ __all__ = [
 
 _EPS = 1e-12
 _SPARK = "▁▂▃▄▅▆▇█"
+
+#: Samples a :class:`RollingMad` window retains.
+MAD_WINDOW = 48
+#: Samples a :class:`RollingMad` needs before flagging starts.
+MAD_MIN_SAMPLES = 12
+#: Modified z-score above which a prediction residual is an outlier.
+RESIDUAL_Z = 6.0
+#: Modified z-score above which a DVFS switch latency is an outlier.
+SWITCH_Z = 8.0
+#: Page–Hinkley tolerance of the miss-rate step detector (the indicator
+#: stream is 0/1, so this is in miss-probability units).
+MISS_PH_DELTA = 0.02
+#: Page–Hinkley alarm level of the miss-rate step detector.
+MISS_PH_THRESHOLD = 2.0
+#: Jobs observed before the miss-rate step detector may fire.
+MISS_PH_MIN_JOBS = 20
+#: Residual samples retained for the dashboard sparkline.
+SPARK_SAMPLES = 32
 
 #: Builds a JobObservation from all seven fields without the named
 #: tuple's Python-level ``__new__`` (one is built per job).
@@ -70,32 +88,20 @@ class RollingMad:
     window contains the very outliers being hunted, so one anomalous
     switch latency cannot hide the next.  Samples are admitted to the
     window whether or not they are flagged (the window is small, the
-    median robust).
+    median robust).  The window keeps the last ``MAD_WINDOW`` samples, and
+    flagging starts once it holds ``MAD_MIN_SAMPLES``.
 
     Args:
-        window: Samples retained.
         z_threshold: Modified z-score above which a sample is an outlier.
-        min_samples: Samples required before flagging starts.
     """
 
-    def __init__(
-        self,
-        window: int = 48,
-        z_threshold: float = 6.0,
-        min_samples: int = 12,
-    ):
-        if window < 3:
-            raise ValueError(f"window must be >= 3, got {window}")
+    def __init__(self, z_threshold: float):
         if z_threshold <= 0:
             raise ValueError(
                 f"z_threshold must be positive, got {z_threshold}"
             )
-        if min_samples < 3:
-            raise ValueError(f"min_samples must be >= 3, got {min_samples}")
-        self.window = window
         self.z_threshold = z_threshold
-        self.min_samples = min_samples
-        self._ring: deque[float] = deque(maxlen=window)
+        self._ring: deque[float] = deque(maxlen=MAD_WINDOW)
         self.last_z = 0.0
 
     @staticmethod
@@ -110,7 +116,7 @@ class RollingMad:
         """Fold one sample in; True when it is an outlier vs the window."""
         x = float(x)
         flagged = False
-        if len(self._ring) >= self.min_samples:
+        if len(self._ring) >= MAD_MIN_SAMPLES:
             ordered = sorted(self._ring)
             median = self._median(ordered)
             mad = self._median(sorted(abs(v - median) for v in ordered))
@@ -158,37 +164,6 @@ class Anomaly:
 
 
 @dataclass(frozen=True)
-class WatchdogConfig:
-    """Detector knobs of the watchdog plane.
-
-    Attributes:
-        residual_window / residual_z: Rolling-MAD parameters for the
-            prediction-residual stream.
-        switch_window / switch_z: Rolling-MAD parameters for the DVFS
-            switch-latency stream.
-        miss_ph_delta / miss_ph_threshold / miss_ph_min_jobs: Page–
-            Hinkley parameters for miss-rate step-change detection (the
-            indicator stream is 0/1, so delta is in miss-probability
-            units).
-        arm_fallback: When True and a governor with ``arm_fallback()``
-            is registered, a page-severity SLO alert forces it into its
-            deadline-safe fallback mode.
-        spark_samples: Residual samples retained for the dashboard
-            sparkline.
-    """
-
-    residual_window: int = 48
-    residual_z: float = 6.0
-    switch_window: int = 48
-    switch_z: float = 8.0
-    miss_ph_delta: float = 0.02
-    miss_ph_threshold: float = 2.0
-    miss_ph_min_jobs: int = 20
-    arm_fallback: bool = False
-    spark_samples: int = 32
-
-
-@dataclass(frozen=True)
 class WatchdogStatus:
     """Snapshot of the whole plane (one dashboard frame's data)."""
 
@@ -210,10 +185,9 @@ class Watchdog:
         specs: SLO suite to hold the run to (default:
             :func:`~repro.telemetry.slo.default_slos` without the
             budget-dependent specs).
-        config: Detector knobs.
-        governor: Optional governor exposing ``arm_fallback()`` (the
-            adaptive governor does); used only with
-            ``config.arm_fallback``.
+        governor: Optional governor whose fallback a page-severity alert
+            arms, through its ``arm_fallback()`` (the adaptive governor
+            has one).  The watchdog holds a governor for nothing else.
         telemetry: Optional *enabled* pipeline the watchdog mirrors its
             findings into (``slo.alert`` / ``watch.anomaly`` instants and
             ``watch.*`` metrics).  Usually the same pipeline the watchdog
@@ -225,27 +199,20 @@ class Watchdog:
     def __init__(
         self,
         specs: tuple[SloSpec, ...] | None = None,
-        config: WatchdogConfig | None = None,
         governor: Any = None,
         telemetry: Any = None,
         on_observation: Any = None,
     ):
         from repro.online.drift import PageHinkleyDetector
 
-        self.config = config if config is not None else WatchdogConfig()
-        cfg = self.config
         self.specs = specs if specs is not None else default_slos()
         self.trackers = [SloTracker(spec) for spec in self.specs]
-        self.residual_mad = RollingMad(
-            window=cfg.residual_window, z_threshold=cfg.residual_z
-        )
-        self.switch_mad = RollingMad(
-            window=cfg.switch_window, z_threshold=cfg.switch_z
-        )
+        self.residual_mad = RollingMad(RESIDUAL_Z)
+        self.switch_mad = RollingMad(SWITCH_Z)
         self.miss_step = PageHinkleyDetector(
-            delta=cfg.miss_ph_delta,
-            threshold=cfg.miss_ph_threshold,
-            min_samples=cfg.miss_ph_min_jobs,
+            delta=MISS_PH_DELTA,
+            threshold=MISS_PH_THRESHOLD,
+            min_samples=MISS_PH_MIN_JOBS,
         )
         self._miss_step_fired = False
         self.governor = governor
@@ -258,9 +225,7 @@ class Watchdog:
         self.misses = 0
         self.freq_mhz = float("nan")
         self.now_s = 0.0
-        self._recent_residuals: deque[float] = deque(
-            maxlen=cfg.spark_samples
-        )
+        self._recent_residuals: deque[float] = deque(maxlen=SPARK_SAMPLES)
         # Per-job correlation state fed by the event stream.
         self._predicted: tuple[int, float] | None = None
         self._exec: tuple[int, float] | None = None
@@ -447,7 +412,6 @@ class Watchdog:
             ).inc()
         if (
             alert.severity == "page"
-            and self.config.arm_fallback
             and self.governor is not None
             and not self.fallback_armed
         ):

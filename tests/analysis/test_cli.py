@@ -280,6 +280,22 @@ class TestCliWatch:
         # must complete either way.
         assert code in (0, 1)
 
+    @pytest.mark.parametrize("armed", (True, False))
+    def test_only_arm_fallback_lets_an_alert_arm_the_governor(
+        self, capsys, armed
+    ):
+        """The page alert of a 1.5x drift arms the adaptive governor's
+        fallback with ``--arm-fallback`` and never without it."""
+        argv = [
+            "watch", "rijndael", "--drift", "1.5", "--governor", "adaptive",
+            "--quiet",
+        ]
+        code = main(argv + ["--arm-fallback"] if armed else argv)
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "SLO ALERT [page]" in out
+        assert ("fallback=ARMED" in out) == armed
+
     def test_unknown_app_rejected(self, capsys):
         assert main(["watch", "nosuchapp"]) == 2
         assert "unknown workload" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""Shards: planning, the event loop, canonical result order."""
+"""Shards: planning, running each session to completion, canonical result
+order."""
 
 import pytest
 

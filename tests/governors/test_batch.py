@@ -6,6 +6,7 @@ import pytest
 
 from repro.governors.batch import BatchPredictiveGovernor
 from repro.governors.base import JobContext
+from repro.governors.predictive import PredictiveGovernor
 from repro.platform.board import Board
 from repro.platform.opp import default_xu3_a7_table
 from repro.programs.interpreter import Interpreter
@@ -17,10 +18,10 @@ from tests.governors.conftest import toy_inputs
 OPPS = default_xu3_a7_table()
 
 
-def make_governor(trained_stack, batch_size=4, **kwargs):
+def make_governor(trained_stack, batch_size=4):
     _, slice_, predictor, dvfs, table = trained_stack
     return BatchPredictiveGovernor(
-        slice_, predictor, dvfs, table, batch_size=batch_size, **kwargs
+        slice_, predictor, dvfs, table, batch_size=batch_size
     )
 
 
@@ -39,10 +40,6 @@ class TestConstruction:
     def test_rejects_bad_batch_size(self, trained_stack):
         with pytest.raises(ValueError):
             make_governor(trained_stack, batch_size=0)
-
-    def test_rejects_negative_margin(self, trained_stack):
-        with pytest.raises(ValueError):
-            make_governor(trained_stack, batch_margin=-0.1)
 
     def test_name_includes_batch_size(self, trained_stack):
         assert make_governor(trained_stack, batch_size=8).name == (
@@ -76,11 +73,12 @@ class TestBatching:
         assert board.now == t_after_head
 
     def test_batch_margin_raises_level(self, trained_stack):
-        cautious = make_governor(trained_stack, batch_size=4, batch_margin=0.8)
-        eager = make_governor(trained_stack, batch_size=4, batch_margin=0.0)
-        d_cautious = cautious.decide(ctx_for(Board(), 0))
-        d_eager = eager.decide(ctx_for(Board(), 0))
-        assert d_cautious.opp.freq_hz >= d_eager.opp.freq_hz
+        _, slice_, predictor, dvfs, table = trained_stack
+        per_job = PredictiveGovernor(slice_, predictor, dvfs, table)
+        batched = make_governor(trained_stack, batch_size=4)
+        d_batched = batched.decide(ctx_for(Board(), 0))
+        d_per_job = per_job.decide(ctx_for(Board(), 0))
+        assert d_batched.opp.freq_hz >= d_per_job.opp.freq_hz
 
 
 class CountingInterpreter(Interpreter):
@@ -121,12 +119,12 @@ class TestPlacements:
 
     @pytest.mark.parametrize("placement", PredictorPlacement)
     def test_batch_margin_applies(self, trained_stack, placement):
+        """A batch head's predicted time is the per-job governor's
+        x 1.15, under every placement."""
         program, slice_, predictor, dvfs, table = trained_stack
 
-        def head_prediction(batch_margin):
-            gov = BatchPredictiveGovernor(
-                slice_, predictor, dvfs, table, batch_margin=batch_margin
-            )
+        def head_prediction(cls):
+            gov = cls(slice_, predictor, dvfs, table)
             result = TaskLoopRunner(
                 Board(),
                 Task("toy", program, 10.0),
@@ -139,6 +137,6 @@ class TestPlacements:
             return result.jobs[0].predicted_time_s
 
         # A loose budget keeps both at fmin, so only the margin differs.
-        assert head_prediction(0.5) == pytest.approx(
-            1.5 * head_prediction(0.0), rel=1e-12
+        assert head_prediction(BatchPredictiveGovernor) == pytest.approx(
+            1.15 * head_prediction(PredictiveGovernor), rel=1e-12
         )

@@ -9,22 +9,14 @@ from repro.platform.opp import default_xu3_a7_table
 OPPS = default_xu3_a7_table()
 
 
-def started(board=None, **kwargs):
+def started(board=None):
     board = board if board is not None else Board()
-    gov = ConservativeGovernor(OPPS, **kwargs)
+    gov = ConservativeGovernor(OPPS)
     gov.start(board, 0.05)
     return gov, board
 
 
-class TestValidation:
-    def test_bad_period(self):
-        with pytest.raises(ValueError):
-            ConservativeGovernor(OPPS, sample_period_s=0.0)
-
-    def test_bad_thresholds(self):
-        with pytest.raises(ValueError):
-            ConservativeGovernor(OPPS, up_threshold=0.2, down_threshold=0.5)
-
+class TestConstruction:
     def test_name_and_timer(self):
         gov = ConservativeGovernor(OPPS)
         assert gov.name == "conservative"
@@ -51,6 +43,14 @@ class TestPolicy:
     def test_holds_in_band(self):
         gov, board = started(board=Board(initial_opp=OPPS[3]))
         assert gov.on_timer(0.08, utilization=0.5) is None
+
+    def test_thresholds_are_strict(self):
+        """It steps up above 70% and down below 30%, not at them."""
+        gov, board = started(board=Board(initial_opp=OPPS[3]))
+        assert gov.on_timer(0.08, utilization=0.70) is None
+        assert gov.on_timer(0.08, utilization=0.30) is None
+        assert gov.on_timer(0.08, utilization=0.71).index == 4
+        assert gov.on_timer(0.08, utilization=0.29).index == 2
 
     def test_saturates_at_ends(self):
         gov, board = started(board=Board(initial_opp=OPPS.fmax))

@@ -96,7 +96,6 @@ class TestExecutorWithTimersAndIdling:
     def test_timer_governors_survive_idling(self, name):
         """Timers + idle dips + restores must compose without error and
         keep the timeline contiguous."""
-        from repro.governors.idle import IdlePolicy
         from repro.programs.ir import Block, Program
         from repro.runtime.executor import TaskLoopRunner
         from repro.runtime.task import Task
@@ -107,7 +106,7 @@ class TestExecutorWithTimersAndIdling:
             Task("t", Program("t", Block(8e6)), 0.050),
             SIMPLE_FACTORIES[name](),
             [{}] * 25,
-            idle_policy=IdlePolicy(enabled=True),
+            idle=True,
         )
         result = runner.run()
         assert result.n_jobs == 25

@@ -1,11 +1,9 @@
 """Unit tests for each governor's policy logic."""
 
-import math
-
 import pytest
 
+from repro.governors import oracle, pid
 from repro.governors.base import JobContext
-from repro.governors.idle import IdlePolicy
 from repro.governors.interactive import InteractiveGovernor
 from repro.governors.ondemand import OndemandGovernor
 from repro.governors.oracle import OracleGovernor
@@ -79,12 +77,6 @@ class TestPowersaveGovernor:
 
 
 class TestInteractiveGovernor:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            InteractiveGovernor(OPPS, sample_period_s=0.0)
-        with pytest.raises(ValueError):
-            InteractiveGovernor(OPPS, hispeed_load=1.5)
-
     def test_has_80ms_timer(self):
         assert InteractiveGovernor(OPPS).timer_period_s == pytest.approx(0.080)
 
@@ -93,6 +85,14 @@ class TestInteractiveGovernor:
         gov = InteractiveGovernor(OPPS)
         gov.start(board, 0.05)
         assert gov.decide(make_ctx(board)) is None
+
+    def test_job_release_boosts_to_hispeed(self):
+        """Below hispeed a release raises the clock to the lowest level
+        at or above 55% of fmax (770 MHz -> 800 MHz)."""
+        board = Board(initial_opp=OPPS.fmin)
+        gov = InteractiveGovernor(OPPS)
+        gov.start(board, 0.05)
+        assert gov.decide(make_ctx(board)).opp.freq_mhz == 800
 
     def test_high_load_goes_to_max(self):
         board = Board(initial_opp=OPPS.fmin)
@@ -124,10 +124,6 @@ class TestInteractiveGovernor:
 
 
 class TestOndemandGovernor:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OndemandGovernor(OPPS, up_threshold=0.3, down_threshold=0.5)
-
     def test_sprints_on_high_load(self):
         board = Board(initial_opp=OPPS.fmin)
         gov = OndemandGovernor(OPPS)
@@ -146,6 +142,16 @@ class TestOndemandGovernor:
         gov = OndemandGovernor(OPPS)
         gov.start(board, 0.05)
         assert gov.on_timer(0.08, 0.60) is None
+
+    def test_thresholds_are_strict(self):
+        """It sprints above 80% and steps down below 40%, not at them."""
+        board = Board(initial_opp=OPPS[6])
+        gov = OndemandGovernor(OPPS)
+        gov.start(board, 0.05)
+        assert gov.on_timer(0.08, 0.80) is None
+        assert gov.on_timer(0.08, 0.40) is None
+        assert gov.on_timer(0.08, 0.81) == OPPS.fmax
+        assert gov.on_timer(0.08, 0.39) == OPPS[5]
 
     def test_cannot_step_below_fmin(self):
         board = Board(initial_opp=OPPS.fmin)
@@ -198,9 +204,18 @@ class TestPidGovernor:
         decision = gov.decide(make_ctx(board, budget_s=0.001))
         assert decision.opp == OPPS.fmax
 
-    def test_negative_margin_rejected(self):
-        with pytest.raises(ValueError):
-            PidGovernor(OPPS, margin=-0.1)
+    def test_margin_inflates_the_cycle_estimate(self):
+        """One 10 ms job at 1400 MHz is 14M cycles; the 25% margin asks
+        for 17.5M cycles in 50 ms (350 MHz), quantized up to 400 MHz."""
+        board = Board()
+        gov = PidGovernor(OPPS)
+        gov.start(board, 0.05)
+        gov.on_job_end(make_record(0.010, 1400.0), make_ctx(board))
+        decision = gov.decide(make_ctx(board, index=1))
+        cycles = gov.estimate_cycles * (1.0 + pid.MARGIN)
+        assert cycles == pytest.approx(17.5e6)
+        assert decision.opp.freq_mhz == 400
+        assert decision.predicted_time_s == cycles / decision.opp.freq_hz
 
     def test_start_resets_state(self):
         board = Board()
@@ -220,32 +235,40 @@ class TestOracleGovernor:
 
     def test_picks_lowest_feasible_level(self):
         board = Board()
-        gov = OracleGovernor(OPPS, margin=0.0)
-        work = Work(cycles=10e6)  # 50 ms at 200 MHz exactly
+        gov = OracleGovernor(OPPS)
+        work = Work(cycles=9e6)  # 45 ms at 200 MHz, 47.25 ms with margin
         decision = gov.decide(make_ctx(board, oracle_work=work))
         assert decision.opp == OPPS.fmin
 
+    def test_predicted_time_is_ideal_time_with_margin(self):
+        board = Board()
+        work = Work(cycles=9e6)
+        decision = OracleGovernor(OPPS).decide(
+            make_ctx(board, oracle_work=work)
+        )
+        ideal = board.cpu.ideal_time(work, decision.opp)
+        assert oracle.MARGIN == 0.05
+        assert decision.predicted_time_s == ideal * 1.05
+
     def test_margin_pushes_level_up(self):
+        """Exactly 50 ms at 200 MHz fits the budget bare but not with the
+        5% margin, so the oracle runs one level up."""
         board = Board()
         work = Work(cycles=10e6)
-        no_margin = OracleGovernor(OPPS, margin=0.0).decide(
+        decision = OracleGovernor(OPPS).decide(
             make_ctx(board, oracle_work=work)
         )
-        with_margin = OracleGovernor(OPPS, margin=0.2).decide(
-            make_ctx(board, oracle_work=work)
-        )
-        assert with_margin.opp.freq_hz > no_margin.opp.freq_hz
+        assert decision.opp == OPPS[1]
 
     def test_infeasible_job_saturates_fmax(self):
         board = Board()
-        gov = OracleGovernor(OPPS, margin=0.0)
+        gov = OracleGovernor(OPPS)
         work = Work(cycles=1e9)  # 714 ms even at fmax
         decision = gov.decide(make_ctx(board, oracle_work=work))
         assert decision.opp == OPPS.fmax
-
-    def test_negative_margin_rejected(self):
-        with pytest.raises(ValueError):
-            OracleGovernor(OPPS, margin=-0.5)
+        assert decision.predicted_time_s == (
+            board.cpu.ideal_time(work, OPPS.fmax) * 1.05
+        )
 
 
 class TestPredictiveGovernor:
@@ -325,18 +348,3 @@ class TestPredictiveGovernor:
         estimate = gov.switch_estimate_s(ctx)
         for end in OPPS:
             assert estimate >= table.time_s(board.current_opp, end)
-
-
-class TestIdlePolicy:
-    def test_disabled_never_idles(self):
-        assert not IdlePolicy(enabled=False).should_idle(1.0)
-
-    def test_enabled_idles_long_gaps(self):
-        assert IdlePolicy(enabled=True).should_idle(0.020)
-
-    def test_short_gap_not_worth_it(self):
-        assert not IdlePolicy(enabled=True, min_gap_s=0.004).should_idle(0.002)
-
-    def test_negative_min_gap_rejected(self):
-        with pytest.raises(ValueError):
-            IdlePolicy(min_gap_s=-1.0)

@@ -9,7 +9,6 @@ outcomes (energy, misses, conservation laws).
 import pytest
 
 from repro.analysis.harness import Lab
-from repro.governors.idle import IdlePolicy
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.offline import build_controller
 from repro.platform.board import Board

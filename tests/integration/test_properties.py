@@ -7,7 +7,6 @@ from repro.governors.performance import PerformanceGovernor
 from repro.governors.powersave import PowersaveGovernor
 from repro.models.dvfs import DvfsModel
 from repro.platform.board import Board
-from repro.platform.cpu import Work
 from repro.platform.jitter import LogNormalJitter
 from repro.platform.opp import default_xu3_a7_table
 from repro.programs.expr import Var

@@ -1,7 +1,6 @@
 """Property-based tests on the FISTA solver's mathematical invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.models.solver import (

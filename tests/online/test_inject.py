@@ -3,29 +3,10 @@
 import pytest
 
 from repro.online.inject import StepDriftJitter, scale_inputs
-from repro.platform.jitter import NoJitter
+from repro.platform.jitter import LogNormalJitter, NoJitter
 
 
-class TestStepDriftJitterSamples:
-    def test_shifts_after_n_samples(self):
-        jitter = StepDriftJitter(NoJitter(), 1.5, shift_after_samples=3)
-        assert [jitter.sample() for _ in range(5)] == pytest.approx(
-            [1.0, 1.0, 1.0, 1.5, 1.5]
-        )
-
-    def test_zero_samples_drifts_immediately(self):
-        jitter = StepDriftJitter(NoJitter(), 2.0, shift_after_samples=0)
-        assert jitter.sample() == pytest.approx(2.0)
-
-    def test_clone_restarts_the_count(self):
-        jitter = StepDriftJitter(NoJitter(), 1.5, shift_after_samples=2)
-        for _ in range(3):
-            jitter.sample()
-        clone = jitter.clone(seed=1)
-        assert clone.sample() == pytest.approx(1.0)
-
-
-class TestStepDriftJitterClock:
+class TestStepDriftJitter:
     def test_shifts_when_clock_passes_threshold(self):
         now = {"t": 0.0}
         jitter = StepDriftJitter(
@@ -37,25 +18,23 @@ class TestStepDriftJitterClock:
         now["t"] = 1.0
         assert jitter.sample() == pytest.approx(1.5)
 
-    def test_clock_required_with_shift_at_s(self):
-        with pytest.raises(ValueError, match="clock"):
-            StepDriftJitter(NoJitter(), 1.5, shift_at_s=1.0)
+    def test_shift_at_zero_drifts_immediately(self):
+        jitter = StepDriftJitter(
+            NoJitter(), 2.0, shift_at_s=0.0, clock=lambda: 0.0
+        )
+        assert jitter.sample() == pytest.approx(2.0)
 
-    def test_exactly_one_mode_required(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            StepDriftJitter(NoJitter(), 1.5)
-        with pytest.raises(ValueError, match="exactly one"):
-            StepDriftJitter(
-                NoJitter(),
-                1.5,
-                shift_after_samples=3,
-                shift_at_s=1.0,
-                clock=lambda: 0.0,
-            )
+    def test_drift_scales_the_inner_draw(self):
+        inner = LogNormalJitter(0.1, seed=5)
+        reference = LogNormalJitter(0.1, seed=5)
+        jitter = StepDriftJitter(inner, 1.5, shift_at_s=0.0, clock=lambda: 1.0)
+        assert [jitter.sample() for _ in range(5)] == [
+            1.5 * reference.sample() for _ in range(5)
+        ]
 
     def test_factor_validated(self):
         with pytest.raises(ValueError, match="factor"):
-            StepDriftJitter(NoJitter(), 0.0, shift_after_samples=1)
+            StepDriftJitter(NoJitter(), 0.0, shift_at_s=1.0, clock=lambda: 0.0)
 
 
 class TestScaleInputs:

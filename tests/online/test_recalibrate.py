@@ -111,34 +111,42 @@ class TestOnlineAnchorModel:
             OnlineAnchorModel(coef=np.ones(2), intercept=0.0, under_weight=0.5)
 
 
+def paper_margin():
+    """The adaptive governor's default margin: 10%, within [4%, 40%]."""
+    return AdaptiveMargin(initial=0.10, floor=0.04, ceiling=0.40)
+
+
 class TestAdaptiveMargin:
     def test_miss_widens_multiplicatively(self):
-        margin = AdaptiveMargin(initial=0.10, widen_factor=1.4)
-        assert margin.update(missed=True) == pytest.approx(0.14)
+        assert paper_margin().update(missed=True) == pytest.approx(0.14)
 
     def test_ceiling_caps_widening(self):
-        margin = AdaptiveMargin(initial=0.10, ceiling=0.20)
+        margin = AdaptiveMargin(initial=0.10, floor=0.04, ceiling=0.20)
         for _ in range(10):
             margin.update(missed=True)
         assert margin.value == pytest.approx(0.20)
 
+    def test_compliant_job_decays_by_half_a_percent(self):
+        assert paper_margin().update(missed=False) == pytest.approx(0.0995)
+
     def test_decays_toward_floor_when_compliant(self):
-        margin = AdaptiveMargin(initial=0.10, floor=0.04, decay=0.9)
+        margin = paper_margin()
         for _ in range(200):
             margin.update(missed=False)
         assert margin.value == pytest.approx(0.04)
 
     def test_no_decay_while_miss_rate_above_target(self):
-        margin = AdaptiveMargin(
-            initial=0.10, target_miss_rate=0.02, miss_alpha=0.5
-        )
+        """After one miss the 0.05-weight miss EWMA starts at 1 and needs
+        77 compliant jobs to fall to the 2% target; the margin holds
+        until then."""
+        margin = paper_margin()
         margin.update(missed=True)
         widened = margin.value
-        # Miss EWMA (0.5) is far above target: the margin must hold.
-        margin.update(missed=False)
-        assert margin.value == widened
+        for _ in range(76):
+            assert margin.update(missed=False) == widened
+        assert margin.update(missed=False) == pytest.approx(widened * 0.995)
 
     def test_ordering_validated(self):
         with pytest.raises(ValueError):
-            AdaptiveMargin(initial=0.05, floor=0.10)
+            AdaptiveMargin(initial=0.05, floor=0.10, ceiling=0.40)
 

@@ -1,7 +1,5 @@
 """Tests for the offline controller-generation pipeline."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 

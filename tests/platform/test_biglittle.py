@@ -5,14 +5,13 @@ import pytest
 from repro.platform.biglittle import (
     BIG_A15,
     LITTLE_A7,
-    ClusterOperatingPoint,
     HeterogeneousPowerModel,
     MigrationAwareSwitchModel,
     build_biglittle_platform,
 )
 from repro.platform.board import Board
 from repro.platform.cpu import SimulatedCpu, Work
-from repro.platform.opp import OperatingPoint, OppTable
+from repro.platform.opp import OperatingPoint
 
 
 @pytest.fixture(scope="module")

@@ -147,13 +147,6 @@ class TestJitter:
         b = LogNormalJitter(0.1, seed=2)
         assert [a.sample() for _ in range(5)] != [b.sample() for _ in range(5)]
 
-    def test_clone_changes_seed_keeps_shape(self):
-        a = LogNormalJitter(0.1, seed=1, max_factor=2.0)
-        b = a.clone(99)
-        assert isinstance(b, LogNormalJitter)
-        assert b.sigma == 0.1
-        assert b.max_factor == 2.0
-
     def test_median_near_one(self):
         j = LogNormalJitter(0.05, seed=11)
         samples = sorted(j.sample() for _ in range(4001))

@@ -10,7 +10,6 @@ within a few percent, and the error must shrink with the rate.
 import pytest
 
 from repro.analysis.harness import Lab
-from repro.platform.board import Board
 from repro.platform.sensor import PowerSensor
 from repro.runtime.executor import TaskLoopRunner
 

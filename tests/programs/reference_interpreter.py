@@ -18,7 +18,6 @@ from repro.programs.env import Environment
 from repro.programs.expr import Value
 from repro.programs.interpreter import ExecutionResult, RawFeatures
 from repro.programs.ir import (
-    ASSIGN_COST,
     BRANCH_COST,
     CALL_DISPATCH_COST,
     COUNTER_COST,

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from repro.programs.env import Environment
-from repro.programs.expr import Compare, Const, Var
+from repro.programs.expr import Const
 from repro.programs.ir import (
     Assign,
     Block,

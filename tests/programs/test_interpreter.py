@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.programs.expr import Compare, Const, Var
+from repro.programs.expr import Const, Var
 from repro.programs.interpreter import Interpreter
 from repro.programs.ir import (
     ASSIGN_COST,

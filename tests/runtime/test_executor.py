@@ -4,8 +4,8 @@ import collections
 
 import pytest
 
-from repro.governors.base import Decision, Governor, JobContext
-from repro.governors.idle import IdlePolicy
+from repro.governors import oracle
+from repro.governors.base import Decision, Governor
 from repro.governors.interactive import InteractiveGovernor
 from repro.governors.oracle import OracleGovernor
 from repro.governors.performance import PerformanceGovernor
@@ -328,7 +328,7 @@ class TestIdling:
             fixed_program(28e6),
             PerformanceGovernor(OPPS),
             inputs,
-            idle_policy=IdlePolicy(enabled=True),
+            idle=True,
         )
         assert idled.energy_j < plain.energy_j
 
@@ -337,7 +337,7 @@ class TestIdling:
             fixed_program(28e6),
             PerformanceGovernor(OPPS),
             [{}] * 10,
-            idle_policy=IdlePolicy(enabled=True),
+            idle=True,
         )
         assert result.n_missed == 0
 
@@ -365,7 +365,7 @@ class TestIdling:
             fixed_program(1e6),
             OneShot(),
             [{}] * 3,
-            idle_policy=IdlePolicy(enabled=True),
+            idle=True,
         )
         # Level 6 was restored after each idle dip (not left at fmin).
         assert board.current_opp.index == 6
@@ -377,9 +377,25 @@ class TestIdling:
             fixed_program(68e6),
             PerformanceGovernor(OPPS),
             [{}] * 4,
-            idle_policy=IdlePolicy(enabled=True),
+            idle=True,
         )
         assert result.switch_count == 0
+
+    @pytest.mark.parametrize("gap_ms, idled", ((3.9, False), (4.1, True)))
+    def test_gaps_of_4ms_or_less_not_idled(self, gap_ms, idled):
+        """At fmax a job of (50 - gap) ms leaves a gap of ``gap_ms``
+        before each release; only gaps longer than 4 ms drop to fmin.
+        Free switches keep every gap the same length."""
+        cycles = (50.0 - gap_ms) * 1e-3 * OPPS.fmax.freq_hz
+        result, board = run_task(
+            fixed_program(cycles),
+            PerformanceGovernor(OPPS),
+            [{}] * 4,
+            idle=True,
+            charge_switch=False,
+        )
+        # Each of the three idled gaps is one dip to fmin and one restore.
+        assert result.switch_count == (6 if idled else 0)
 
 
 class TestTimers:
@@ -415,13 +431,28 @@ class TestTimers:
         assert result.n_missed > 0
 
     def test_timer_fires_during_idle(self):
-        board = Board()
-        gov = InteractiveGovernor(OPPS, input_boost=False)
+        """Near-idle samples taken between jobs retarget the clock to
+        fmin before the next release boosts it again."""
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry()
         result, board = run_task(
-            fixed_program(1.4e6), gov, [{}] * 30, board=board
+            fixed_program(1.4e6),
+            InteractiveGovernor(OPPS),
+            [{}] * 30,
+            telemetry=telemetry,
         )
-        # After ~1.5 s of near-idle the governor must have ratcheted down.
-        assert board.current_opp.index <= 1
+        busy = [(job.start_s, job.end_s) for job in result.jobs]
+        idle_retargets = [
+            event
+            for event in telemetry.events
+            if event.name == "timer.retarget"
+            and not any(start <= event.ts_s <= end for start, end in busy)
+        ]
+        assert idle_retargets
+        assert {e.args["to_mhz"] for e in idle_retargets} == {
+            OPPS.fmin.freq_mhz
+        }
 
     def test_input_boost_raises_frequency_at_job_start(self):
         board = Board(initial_opp=OPPS.fmin)
@@ -551,12 +582,12 @@ class TestOracleWork:
         runner = TaskLoopRunner(
             board=Board(opps=OPPS),
             task=Task("loopy", loopy_program(), 0.050),
-            governor=OracleGovernor(OPPS, margin=0.0),
+            governor=OracleGovernor(OPPS),
             inputs=[{"n": n} for n in (1000, 3000, 2000)],
             charge_predictor=False,
             charge_switch=False,
         )
         result = runner.run()
         assert [job.predicted_time_s for job in result.jobs] == [
-            job.exec_time_s for job in result.jobs
+            job.exec_time_s * (1.0 + oracle.MARGIN) for job in result.jobs
         ]

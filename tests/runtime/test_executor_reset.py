@@ -1,10 +1,10 @@
 """Executor reuse: reset(), stepping, and explicit arrival schedules.
 
-The fleet layer re-runs one TaskLoopRunner per session slot across
-tenants; these tests pin the contract that makes that safe: a reset
-runner with fresh board/telemetry is bit-identical to a fresh runner,
-and state (switch counts, overlap energy, records, metric counters)
-never bleeds between runs.
+The repository benchmark replays one configured TaskLoopRunner round
+after round (fleet sessions build a fresh runner each); these tests pin
+the contract that makes that safe: a reset runner with a fresh board
+and governor is bit-identical to a fresh runner, and state (switch
+counts, overlap energy, records) never bleeds between runs.
 """
 
 import pytest
@@ -14,19 +14,17 @@ from repro.governors.performance import PerformanceGovernor
 from repro.platform.board import Board
 from repro.platform.opp import default_xu3_a7_table
 from repro.runtime.executor import TaskLoopRunner
-from repro.telemetry import Telemetry
 from repro.workloads.registry import get_app
 
 OPPS = default_xu3_a7_table()
 
 
-def _runner(app, telemetry=None, n_jobs=6, arrivals=None, governor=None):
+def _runner(app, n_jobs=6, arrivals=None, governor=None):
     return TaskLoopRunner(
         board=Board(opps=OPPS),
         task=app.task,
         governor=governor if governor is not None else InteractiveGovernor(OPPS),
         inputs=app.inputs(n_jobs, seed=3),
-        telemetry=telemetry,
         arrivals=arrivals,
     )
 
@@ -75,43 +73,6 @@ class TestReset:
         )
         second = runner.run()
         assert second.switch_count == first.switch_count
-
-    def test_reset_with_fresh_telemetry_has_no_counter_bleed(self):
-        """Metric counters must not accumulate across tenant sessions."""
-        app = get_app("sha")
-        first_telemetry = Telemetry(name="first")
-        runner = _runner(app, telemetry=first_telemetry)
-        runner.run()
-        jobs_first = first_telemetry.metrics.counter("executor.jobs").value
-        assert jobs_first == 6
-
-        second_telemetry = Telemetry(name="second")
-        runner.reset(
-            board=Board(opps=OPPS),
-            governor=InteractiveGovernor(OPPS),
-            telemetry=second_telemetry,
-        )
-        runner.run()
-        assert second_telemetry.metrics.counter("executor.jobs").value == 6
-        # The first run's pipeline kept its own totals untouched.
-        assert first_telemetry.metrics.counter("executor.jobs").value == 6
-
-    def test_reset_swaps_inputs_and_task_state(self):
-        app = get_app("sha")
-        runner = _runner(app, n_jobs=4)
-        runner.run()
-        runner.reset(
-            board=Board(opps=OPPS),
-            inputs=app.inputs(2, seed=9),
-            governor=InteractiveGovernor(OPPS),
-        )
-        result = runner.run()
-        assert result.n_jobs == 2
-
-    def test_reset_rejects_empty_inputs(self):
-        runner = _runner(get_app("sha"))
-        with pytest.raises(ValueError, match="at least one job"):
-            runner.reset(inputs=[])
 
 
 class TestStepping:

@@ -10,6 +10,7 @@ from repro.platform.board import Board
 from repro.platform.opp import default_xu3_a7_table
 from repro.programs.expr import Var
 from repro.programs.ir import Block, Loop, Program
+from repro.runtime import multitask
 from repro.runtime.multitask import MultiTaskRunner, TaskStream
 from repro.runtime.task import Task
 from tests.runtime.test_executor import (
@@ -228,18 +229,20 @@ class SpyOracle(OracleGovernor):
 @pytest.mark.parametrize(
     "make_governor", [GlobalsSpy, SpyOracle], ids=["per-job", "oracle"]
 )
-def test_one_interpretation_per_job_against_pre_job_state(make_governor):
+def test_one_interpretation_per_job_against_pre_job_state(
+    make_governor, monkeypatch
+):
     """Oracle or not, each job interprets its task once; the governor
     decides against pre-job globals and the run's globals commit after."""
+    monkeypatch.setattr(multitask, "Interpreter", CountingInterpreter)
     program = accumulating_program()
     governor = make_governor()
-    interpreter = CountingInterpreter()
-    MultiTaskRunner(
+    runner = MultiTaskRunner(
         Board(),
         [TaskStream(Task("acc", program, 0.05), governor, ACCUMULATING_INPUTS)],
-        interpreter=interpreter,
-    ).run()
+    )
+    runner.run()
     expected = reference_states(program, ACCUMULATING_INPUTS)
-    assert interpreter.runs[id(program)] == len(ACCUMULATING_INPUTS)
+    assert runner.interpreter.runs[id(program)] == len(ACCUMULATING_INPUTS)
     assert governor.before == expected[:-1]
     assert governor.after == expected[1:]

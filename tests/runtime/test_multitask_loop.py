@@ -24,7 +24,6 @@ def test_one_stream_equals_a_task_loop_run(governor):
     (multi,) = MultiTaskRunner(
         lab.make_board(7),
         [TaskStream(app.task, lab.make_governor(governor, "sha"), inputs)],
-        interpreter=lab.interpreter,
     ).run().values()
     assert multi.jobs == single.jobs
     assert multi.energy_j == single.energy_j

@@ -12,6 +12,7 @@ from repro.programs.ir import Block, IndirectCall, Loop, Program
 from repro.telemetry.hostprof import (
     NO_HOSTPROF,
     PHASES,
+    STACK_MAX_DEPTH,
     SUB_PHASES,
     TOP_PHASES,
     HostProfiler,
@@ -228,7 +229,7 @@ class TestComponentAttribution:
 
 class TestStackSampler:
     def test_samples_every_nth_call(self):
-        sampler = StackSampler(interval=1, max_depth=8)
+        sampler = StackSampler(interval=1)
 
         def leaf():
             return 1
@@ -277,6 +278,20 @@ class TestStackSampler:
         )
         assert on_program > 20  # one call event, 40 builtin calls
         assert component_of(*label.split(":", 1)) == "interp"
+
+    def test_stacks_keep_the_innermost_48_frames(self):
+        sampler = StackSampler(interval=1)
+
+        def dive(depth):
+            return dive(depth - 1) if depth else len("leaf")
+
+        sampler.start()
+        try:
+            dive(60)
+        finally:
+            sampler.stop()
+        depths = {stack.count(";") + 1 for stack in sampler.stacks}
+        assert max(depths) == STACK_MAX_DEPTH == 48
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):

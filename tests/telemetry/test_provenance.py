@@ -706,3 +706,171 @@ def _first_block(node):
         if found is not None:
             return found
     return None
+
+
+def _set_opp(value):
+    return lambda record: record.update(opp_mhz=value)
+
+
+def _set_fits(value):
+    def edit(record):
+        record["ladder"][0]["fits"] = value
+
+    return edit
+
+
+class TestUnreadableReplayedLines:
+    """``repro replay`` refuses a log it could not fully read.
+
+    Five records of the rijndael prediction run, the second one edited.
+    A wrong type makes the line unreadable (``float()``, ``int()`` and
+    ``bool()`` coercion used to let these through): replay exits 2 with
+    one line naming the file and the line instead of verifying the
+    other four, while ``explain`` and ``diff-decisions`` warn and skip.
+    """
+
+    EDITS = {
+        "opp_mhz 'fast'": _set_opp("fast"),
+        "opp_mhz '1200'": _set_opp("1200"),
+        "t_s '0.05'": lambda record: record.update(t_s="0.05"),
+        "job_index 1.5": lambda record: record.update(job_index=1.5),
+        "job_index true": lambda record: record.update(job_index=True),
+        "rung fits 'false'": _set_fits("false"),
+    }
+
+    @pytest.fixture()
+    def edited_trace(self, traced_lab, tmp_path):
+        directory, lab = traced_lab
+        controller = tmp_path / "ctrl-rijndael.json"
+        save_controller(lab.controller("rijndael"), controller)
+        lines = (
+            (directory / "rijndael.prediction.decisions.jsonl")
+            .read_text()
+            .splitlines()[:5]
+        )
+        trace = tmp_path / "trace"
+        trace.mkdir()
+
+        def write(edit):
+            record = json.loads(lines[1])
+            edit(record)
+            log = trace / "rijndael.prediction.decisions.jsonl"
+            log.write_text(
+                "\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n"
+            )
+            return trace, controller
+
+        return write
+
+    @pytest.mark.parametrize("edit", EDITS.values(), ids=EDITS.keys())
+    def test_replay_exits_2_naming_the_line(self, edited_trace, edit, capsys):
+        from repro.cli import main
+
+        trace, controller = edited_trace(edit)
+        capsys.readouterr()
+        assert main(["replay", str(trace), str(controller)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert "rijndael.prediction.decisions.jsonl:2: unreadable record" in (
+            captured.err
+        )
+        assert "bit-exact" not in captured.out
+
+    @pytest.mark.parametrize("edit", EDITS.values(), ids=EDITS.keys())
+    def test_explain_and_diff_warn_and_skip(self, edited_trace, edit, capsys):
+        from repro.cli import main
+
+        trace, _ = edited_trace(edit)
+        capsys.readouterr()
+        assert main(["explain", str(trace)]) == 0
+        assert ":2: unreadable record" in capsys.readouterr().err
+        assert main(["diff-decisions", str(trace), str(trace)]) == 0
+        assert ":2: unreadable record" in capsys.readouterr().err
+
+    def test_replay_ignores_a_run_it_does_not_replay(
+        self, edited_trace, capsys
+    ):
+        from repro.cli import main
+
+        trace, controller = edited_trace(_set_opp("fast"))
+        good = trace / "rijndael.good.decisions.jsonl"
+        good.write_text(
+            (trace / "rijndael.prediction.decisions.jsonl")
+            .read_text()
+            .replace('"opp_mhz": "fast"', '"opp_mhz": null', 1)
+        )
+        capsys.readouterr()
+        assert (
+            main(
+                ["replay", str(trace), str(controller), "--run", "rijndael.good"]
+            )
+            != 2
+        )
+
+
+class TestTypedRecordFields:
+    """Each record field is read with the type its writer gives it."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("job_index", 1.5),
+            ("job_index", True),
+            ("beta_generation", "3"),
+            ("t_s", "0.05"),
+            ("t_s", None),
+            ("opp_mhz", "1200"),
+            ("opp_mhz", True),
+            ("predicted_time_s", "0.01"),
+            ("margin", float("inf")),
+            ("governor", 7),
+            ("mode", None),
+            ("features", [["a", 1.0]]),
+            ("features", {"a": "1.0"}),
+            ("attribution", []),
+            ("ladder", {}),
+        ],
+    )
+    def test_wrong_type_is_a_value_error(self, rijndael_records, field, value):
+        payload = rijndael_records[1].as_dict()
+        payload[field] = value
+        with pytest.raises(ValueError, match=field):
+            DecisionRecord.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("x", ["1.0"]),
+            ("intercept_s", None),
+            ("budget_s", "0.05"),
+            ("columns", [1]),
+            ("anchor_fmax", None),
+        ],
+    )
+    def test_attribution_field_types(self, rijndael_records, field, value):
+        payload = rijndael_records[1].attribution.as_dict()
+        payload[field] = value
+        with pytest.raises(ValueError, match=field):
+            DecisionAttribution.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("kind", 1), ("coef", "1,2"), ("coef", [None]), ("scales", [True])],
+    )
+    def test_anchor_field_types(self, rijndael_records, field, value):
+        payload = rijndael_records[1].attribution.anchor_fmax.as_dict()
+        payload[field] = value
+        with pytest.raises(ValueError, match=field):
+            AnchorSnapshot.from_dict(payload)
+
+    def test_valid_records_read_back_equal(self, rijndael_records):
+        for record in rijndael_records:
+            assert DecisionRecord.from_dict(record.as_dict()) == record
+
+    def test_missing_fields_take_their_defaults(self):
+        attribution = DecisionAttribution.from_dict({})
+        assert attribution.columns == () and attribution.x == ()
+        assert attribution.anchor_fmax == AnchorSnapshot(kind="offline", coef=())
+        assert math.isnan(attribution.budget_s)
+        record = DecisionRecord.from_dict({"job_index": 3, "opp_mhz": 200})
+        assert record.opp_mhz == 200.0 and record.ladder == ()

@@ -121,7 +121,7 @@ class TestBurnRateMath:
         assert tracker.budget_consumed == pytest.approx(1.0)
 
     def test_window_ring_forgets_old_jobs(self):
-        tracker = SloTracker(miss_spec(), min_jobs=1)
+        tracker = SloTracker(miss_spec())
         for i in range(5):
             tracker.observe(obs(index=i, missed=True))
         for i in range(5, 20):
@@ -135,7 +135,7 @@ class TestBurnRateMath:
         spec = SloSpec(
             name="u", signal="under_estimate", objective=0.1, threshold=0.1
         )
-        tracker = SloTracker(spec, min_jobs=1)
+        tracker = SloTracker(spec)
         for i in range(10):
             assert tracker.observe(obs(index=i)) is None  # NaN residual
         assert tracker.jobs == 0
@@ -188,12 +188,13 @@ class TestMultiWindowAlerting:
 
     def test_min_jobs_suppresses_cold_start(self):
         tracker = SloTracker(self.two_window_spec())
-        # Default min_jobs = smallest window = 5.
+        # min_jobs is the smallest window: 5.
         assert tracker.min_jobs == 5
         early = [
             tracker.observe(obs(index=i, missed=True)) for i in range(4)
         ]
         assert all(alert is None for alert in early)
+        assert tracker.observe(obs(index=4, missed=True)) is not None
 
     def test_alert_payload(self):
         tracker = SloTracker(self.two_window_spec())

@@ -118,44 +118,6 @@ class TestStateMechanics:
                 spec=spec, jobs=9, bad=0, rings=((False,) * 9,)
             )
 
-    def test_from_state_resumes_the_stream(self):
-        """A resumed tracker continues exactly where the stream stopped."""
-        spec = _spec(windows=((6, 2.0), (3, 4.0)))
-        stream = [True, False, True, False, False, True, True, False]
-        tail = [True, True, False, True]
-
-        whole = _observe_stream(spec, stream + tail)
-        resumed = SloTracker.from_state(_observe_stream(spec, stream).state())
-        for i, missed in enumerate(tail):
-            resumed.observe(
-                JobObservation(
-                    index=len(stream) + i,
-                    t_s=float(len(stream) + i),
-                    missed=missed,
-                    slack_s=-0.01 if missed else 0.01,
-                )
-            )
-        assert resumed.jobs == whole.jobs
-        assert resumed.bad == whole.bad
-        assert resumed.burn_rates() == whole.burn_rates()
-        assert resumed.budget_consumed == pytest.approx(
-            whole.budget_consumed
-        )
-
-    def test_from_state_rearms_without_duplicate_alert(self):
-        """Restoring mid-violation must not re-fire the rising edge."""
-        spec = _spec(objective=0.05, windows=((4, 1.0),))
-        stream = [True] * 8  # sustained violation, one alert
-        tracker = _observe_stream(spec, stream)
-        assert len(tracker.alerts) == 1
-        resumed = SloTracker.from_state(tracker.state())
-        assert resumed.firing
-        alert = resumed.observe(
-            JobObservation(index=8, t_s=8.0, missed=True, slack_s=-0.01)
-        )
-        assert alert is None
-        assert len(resumed.alerts) == 1
-
     def test_merged_exceeding_reflects_combined_tails(self):
         """Two calm halves can burn hot combined — the fleet-level case."""
         spec = _spec(objective=0.1, windows=((6, 2.0),))

@@ -11,10 +11,11 @@ from repro.telemetry.audit import DecisionRecord
 from repro.telemetry.events import ListSink
 from repro.telemetry.slo import BurnWindow, SloSpec
 from repro.telemetry.watch import (
+    MAD_MIN_SAMPLES,
+    MISS_PH_MIN_JOBS,
     Anomaly,
     RollingMad,
     Watchdog,
-    WatchdogConfig,
     WatchSink,
     render_dashboard,
     sparkline,
@@ -35,41 +36,47 @@ def miss_specs(window=5, objective=0.10):
     )
 
 
+def stable(detector, n=MAD_MIN_SAMPLES):
+    """Feed ``n`` samples that vary by at most 2%."""
+    for i in range(n):
+        assert not detector.update(1.0 + 0.01 * (i % 3))
+
+
 class TestRollingMad:
     def test_quiet_until_min_samples(self):
-        detector = RollingMad(window=10, z_threshold=3.0, min_samples=5)
-        assert not any(detector.update(1e9) for _ in range(4))
+        # The 12th sample is judged against 11 and never flags.
+        detector = RollingMad(z_threshold=3.0)
+        stable(detector, MAD_MIN_SAMPLES - 1)
+        assert not detector.update(1e9)
+        # The 13th is judged against 12.
+        detector = RollingMad(z_threshold=3.0)
+        stable(detector)
+        assert detector.update(1e9)
 
     def test_flags_outlier_against_stable_window(self):
-        detector = RollingMad(window=20, z_threshold=6.0, min_samples=5)
-        for i in range(10):
-            assert not detector.update(1.0 + 0.01 * (i % 3))
+        detector = RollingMad(z_threshold=6.0)
+        stable(detector)
         assert detector.update(5.0)
         assert detector.last_z > 6.0
 
     def test_robust_to_prior_outliers(self):
         # A median-based window barely moves after one outlier, so the
         # next outlier is still flagged (a mean-based z would be masked).
-        detector = RollingMad(window=20, z_threshold=6.0, min_samples=5)
-        for i in range(10):
-            detector.update(1.0 + 0.01 * (i % 3))
+        detector = RollingMad(z_threshold=6.0)
+        stable(detector)
         assert detector.update(5.0)
         assert detector.update(5.1)
 
     def test_degenerate_window_does_not_divide_by_zero(self):
-        detector = RollingMad(window=10, z_threshold=3.0, min_samples=3)
-        for _ in range(5):
+        detector = RollingMad(z_threshold=3.0)
+        for _ in range(MAD_MIN_SAMPLES):
             detector.update(2.0)
         assert detector.update(2.5)  # any deviation is huge vs MAD~0
         assert math.isfinite(detector.last_z)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            RollingMad(window=2)
-        with pytest.raises(ValueError):
             RollingMad(z_threshold=0.0)
-        with pytest.raises(ValueError):
-            RollingMad(min_samples=2)
 
 
 class TestAttachDiscipline:
@@ -223,10 +230,7 @@ class TestAlertsAndReactions:
         telemetry = Telemetry()
         governor = StubGovernor()
         watchdog = Watchdog(
-            specs=miss_specs(),
-            config=WatchdogConfig(arm_fallback=True),
-            governor=governor,
-            telemetry=telemetry,
+            specs=miss_specs(), governor=governor, telemetry=telemetry
         )
         watchdog.attach(telemetry)
         for i in range(30):
@@ -236,15 +240,9 @@ class TestAlertsAndReactions:
         assert governor.arms[0][0] == "slo:miss"
         assert telemetry.metrics.counter("watch.fallback_arms").value == 1
 
-    def test_fallback_not_armed_without_opt_in(self):
-        class StubGovernor:
-            def arm_fallback(self, reason="", t_s=0.0):  # pragma: no cover
-                raise AssertionError("must not be called")
-
+    def test_fallback_not_armed_without_a_governor(self):
         telemetry = Telemetry()
-        watchdog = Watchdog(
-            specs=miss_specs(), governor=StubGovernor(), telemetry=telemetry
-        )
+        watchdog = Watchdog(specs=miss_specs(), telemetry=telemetry)
         watchdog.attach(telemetry)
         for i in range(8):
             emit_job(telemetry, i, missed=True, slack_s=-0.01)
@@ -309,15 +307,13 @@ class TestStreamingAnomalies:
         assert [a.kind for a in watchdog.anomalies] == ["switch.latency"]
 
     def test_miss_rate_step_detected_once(self):
+        """A stream that starts missing every job at job 20 fires one
+        miss-rate step, at the first job the Page–Hinkley statistic
+        (delta 0.02) exceeds 2.0."""
         from repro.telemetry.slo import JobObservation
 
-        watchdog = Watchdog(
-            specs=(),
-            config=WatchdogConfig(
-                miss_ph_delta=0.02, miss_ph_threshold=1.0, miss_ph_min_jobs=10
-            ),
-        )
-        for i in range(40):
+        watchdog = Watchdog(specs=())
+        for i in range(60):
             watchdog.observe_job(
                 JobObservation(
                     index=i, t_s=i * 0.05, missed=i >= 20, slack_s=0.01
@@ -327,7 +323,26 @@ class TestStreamingAnomalies:
             a for a in watchdog.anomalies if a.kind == "miss_rate.step"
         ]
         assert len(steps) == 1
-        assert steps[0].job_index >= 20
+        assert steps[0].job_index == 22
+        assert steps[0].statistic > 2.0
+
+    def test_miss_rate_step_waits_for_min_jobs(self):
+        """Misses from the first job on cannot fire before job 20."""
+        from repro.telemetry.slo import JobObservation
+
+        watchdog = Watchdog(specs=())
+        fired = []
+        for i in range(40):
+            watchdog.observe_job(
+                JobObservation(
+                    index=i, t_s=i * 0.05, missed=i % 2 == 0 or i >= 10,
+                    slack_s=0.01,
+                )
+            )
+            if watchdog.anomalies:
+                fired.append(i)
+        assert fired
+        assert fired[0] == MISS_PH_MIN_JOBS - 1
 
     def test_anomaly_round_trips_as_dict(self):
         anomaly = Anomaly(
