@@ -7,7 +7,10 @@ They guard against performance regressions in the substrate itself.
 """
 
 from repro.features.profiler import Profiler
-from repro.models.solver import solve_asymmetric_lasso
+from repro.models.solver import (
+    solve_asymmetric_lasso,
+    solve_asymmetric_lasso_stack,
+)
 from repro.platform.board import Board
 from repro.platform.cpu import SimulatedCpu
 from repro.platform.opp import default_xu3_a7_table
@@ -63,6 +66,27 @@ def test_perf_solver_fit(benchmark):
         solve_asymmetric_lasso, X, y, alpha=100.0, gamma=10.0, max_iter=2000
     )
     assert result.beta.shape == (8,)
+
+
+def test_perf_solver_fit_pair(benchmark):
+    """Two targets on one 200 x 8 design in one stacked solve, as the
+    fmax and fmin anchor models are fit."""
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0, 50, (200, 8))
+    Y = np.stack(
+        [X @ rng.uniform(0, 2, 8) + rng.normal(0, 1, 200) for _ in range(2)]
+    )
+    results = benchmark(
+        solve_asymmetric_lasso_stack,
+        X,
+        Y,
+        alpha=100.0,
+        gamma=10.0,
+        max_iter=2000,
+    )
+    assert [r.beta.shape for r in results] == [(8,), (8,)]
 
 
 def test_perf_profile_50_jobs(benchmark):

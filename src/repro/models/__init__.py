@@ -9,6 +9,7 @@ from repro.models.solver import (
     SolverResult,
     asymmetric_lasso_objective,
     solve_asymmetric_lasso,
+    solve_asymmetric_lasso_stack,
 )
 from repro.models.timing import ExecutionTimePredictor, TimePrediction
 
@@ -24,6 +25,7 @@ __all__ = [
     "SolverResult",
     "asymmetric_lasso_objective",
     "solve_asymmetric_lasso",
+    "solve_asymmetric_lasso_stack",
     "ExecutionTimePredictor",
     "TimePrediction",
 ]

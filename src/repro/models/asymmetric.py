@@ -8,11 +8,13 @@ loop counter), and the selected-feature mask that drives program slicing.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from repro.models.solver import SolverResult, solve_asymmetric_lasso
+from repro.models.solver import SolverResult, solve_asymmetric_lasso_stack
 
-__all__ = ["AsymmetricLassoModel", "lasso_time"]
+__all__ = ["AsymmetricLassoModel", "fit_models", "lasso_time"]
 
 #: Step-size tolerance of the FISTA fit (see
 #: :func:`~repro.models.solver.solve_asymmetric_lasso`).
@@ -98,40 +100,7 @@ class AsymmetricLassoModel:
                 selection, paper §3.5): a feature with weight w needs w
                 times the explanatory power to survive.
         """
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.ndim != 2 or y.shape != (X.shape[0],):
-            raise ValueError(f"incompatible shapes X{X.shape}, y{y.shape}")
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit on empty data")
-
-        means = X.mean(axis=0)
-        scales = X.std(axis=0)
-        live = scales > 1e-12
-        safe_scales = np.where(live, scales, 1.0)
-        X_std = (X - means) / safe_scales
-        X_std[:, ~live] = 0.0
-
-        design = np.hstack([X_std, np.ones((X.shape[0], 1))])
-        penalty_mask = np.append(np.ones(X.shape[1], dtype=bool), False)
-        weights = None
-        if gamma_weights is not None:
-            weights = np.append(np.asarray(gamma_weights, dtype=float), 1.0)
-        result = solve_asymmetric_lasso(
-            design,
-            y,
-            alpha=self.alpha,
-            gamma=self.gamma,
-            penalty_mask=penalty_mask,
-            max_iter=self.max_iter,
-            tol=FIT_TOL,
-            gamma_weights=weights,
-        )
-        std_coef = result.beta[:-1]
-        std_coef[~live] = 0.0
-        self.coef_ = std_coef / safe_scales
-        self.intercept_ = float(result.beta[-1] - (self.coef_ * means).sum())
-        self.solver_result_ = result
+        fit_models((self,), X, (y,), gamma_weights)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -160,3 +129,66 @@ class AsymmetricLassoModel:
     @property
     def n_selected(self) -> int:
         return int(self.selected_mask().sum())
+
+
+def fit_models(
+    models: Sequence[AsymmetricLassoModel],
+    X: np.ndarray,
+    targets: Sequence[np.ndarray],
+    gamma_weights: np.ndarray | None = None,
+) -> None:
+    """Fit ``models[i]`` to ``targets[i]``, all on the same ``X``.
+
+    ``X`` is standardized once and every target is fit in one stacked
+    solve (:func:`~repro.models.solver.solve_asymmetric_lasso_stack`), so
+    each model ends up as its own :meth:`AsymmetricLassoModel.fit` would
+    leave it, bit for bit.  The models must share ``alpha``, ``gamma``
+    and ``max_iter``.
+    """
+    X = np.asarray(X, dtype=float)
+    ys = [np.asarray(y, dtype=float) for y in targets]
+    if len(ys) != len(models) or not models:
+        raise ValueError(
+            f"need one target per model, got {len(ys)} for {len(models)}"
+        )
+    for y in ys:
+        if X.ndim != 2 or y.shape != (X.shape[0],):
+            raise ValueError(f"incompatible shapes X{X.shape}, y{y.shape}")
+    if X.shape[0] == 0:
+        raise ValueError("cannot fit on empty data")
+    first = models[0]
+    if len({(m.alpha, m.gamma, m.max_iter) for m in models}) != 1:
+        raise ValueError("models fit together must share alpha, gamma, max_iter")
+
+    means = X.mean(axis=0)
+    scales = X.std(axis=0)
+    live = scales > 1e-12
+    safe_scales = np.where(live, scales, 1.0)
+    X_std = (X - means) / safe_scales
+    X_std[:, ~live] = 0.0
+
+    design = np.hstack([X_std, np.ones((X.shape[0], 1))])
+    penalty_mask = np.append(np.ones(X.shape[1], dtype=bool), False)
+    weights = None
+    if gamma_weights is not None:
+        weights = np.append(np.asarray(gamma_weights, dtype=float), 1.0)
+    results = solve_asymmetric_lasso_stack(
+        design,
+        np.stack(ys),
+        alpha=first.alpha,
+        gamma=first.gamma,
+        penalty_mask=penalty_mask,
+        max_iter=first.max_iter,
+        tol=FIT_TOL,
+        gamma_weights=weights,
+    )
+    for model, result in zip(models, results):
+        std_coef = result.beta[:-1]
+        std_coef[~live] = 0.0
+        # A new contiguous array: lasso_time's product dispatches on the
+        # strides of coef_.
+        model.coef_ = std_coef / safe_scales
+        model.intercept_ = float(
+            result.beta[-1] - (model.coef_ * means).sum()
+        )
+        model.solver_result_ = result

@@ -24,17 +24,41 @@ takes ``alpha * r`` or ``r`` with one min/max (exact; see the loop), the
 penalized positions and their thresholds are looked up once per fit,
 ``new_beta - beta`` is formed once, in-place products and sums only swap
 the operands of a commutative operation, and both norms are the square
-root of the ``x.dot(x)`` that ``np.linalg.norm`` computes.  The momentum
+root of the ``x.dot(x)`` that ``np.linalg.norm`` computes.  The scalars
+enter as 0-d float64 arrays, which numpy multiplies as it does a Python
+float but without converting one at every call.  The momentum
 coefficients ``(t_k - 1) / t_{k+1}`` depend only on ``k``, so they are
 computed once per ``max_iter`` (:func:`_momentum_coefficients`) instead
 of with numpy scalars at every step.  They keep the recurrence's ``t**2``:
 Python's float power gives the same bits as numpy's scalar power, and
 ``t*t`` does not at every step.
 
+Targets that share ``X`` and the options, such as the fmax and fmin
+anchor models (paper §3.4), run through one loop
+(:func:`solve_asymmetric_lasso_stack`; a single fit is the one-target
+case).  Each iterate is a stack of k C-contiguous ``(n_features, 1)``
+columns.  An elementwise call does to every row what the one-target step
+does to its vector, and numpy's matmul loops over the rows, calling for
+each the BLAS routine that the one-target product calls, on the same
+strides: gemv for ``X @ B`` and ``X.T @ W``, and ``DOUBLE_dot``, the
+routine behind ``x.dot(x)``, for the norms, which ``np.vecdot`` takes row
+by row.  One stack holds the changes and the new betas, so one call gives
+every ``||change||^2`` and every ``||new_beta||^2``, the next step's
+scale.  So each row keeps the bits of its own fit.
+
+- *Contiguity.*  numpy picks the BLAS path from the strides, so every
+  stacked row must be C-contiguous like the one-target vector: a stack
+  cut down by a fancy index, which need not be C-ordered, is copied.
+- *Retirement.*  A row stops at the step where its own ``delta / scale``
+  falls below ``tol``, with its own ``n_iter`` and ``converged``; the
+  other rows go on as a smaller stack.  Rows still running at
+  ``max_iter`` stop there unconverged.
+
 The contract is bit identity with the plain loop: the same ``beta``
 bytes (signed zeros included), ``n_iter``, ``converged`` and
-``objective``.  ``tests/models/reference_solver.py`` keeps that loop,
-and ``tests/models/test_solver_differential.py`` holds the two to it.
+``objective``, for every row of every stack.
+``tests/models/reference_solver.py`` keeps that loop, and
+``tests/models/test_solver_differential.py`` holds the two to it.
 """
 
 from __future__ import annotations
@@ -48,7 +72,12 @@ import numpy as np
 
 from repro.checks import check_number
 
-__all__ = ["SolverResult", "asymmetric_lasso_objective", "solve_asymmetric_lasso"]
+__all__ = [
+    "SolverResult",
+    "asymmetric_lasso_objective",
+    "solve_asymmetric_lasso",
+    "solve_asymmetric_lasso_stack",
+]
 
 
 @dataclass(frozen=True)
@@ -123,19 +152,63 @@ def solve_asymmetric_lasso(
             more explanatory power to earn a place in the model.
 
     Returns:
-        The fitted coefficients and solver diagnostics.
+        The fitted coefficients and solver diagnostics: the one-target
+        case of :func:`solve_asymmetric_lasso_stack`.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"y shape {y.shape} incompatible with X {np.shape(X)}")
+    (result,) = solve_asymmetric_lasso_stack(
+        X,
+        y.reshape(1, -1),
+        alpha=alpha,
+        gamma=gamma,
+        penalty_mask=penalty_mask,
+        max_iter=max_iter,
+        tol=tol,
+        gamma_weights=gamma_weights,
+    )
+    return result
+
+
+def solve_asymmetric_lasso_stack(
+    X: np.ndarray,
+    Y: np.ndarray,
+    alpha: float = 100.0,
+    gamma: float = 0.0,
+    penalty_mask: np.ndarray | None = None,
+    max_iter: int = 5000,
+    tol: float = 1e-9,
+    gamma_weights: np.ndarray | None = None,
+) -> tuple[SolverResult, ...]:
+    """Minimize the asymmetric Lasso objective for each row of ``Y``.
+
+    One FISTA loop runs every target at once on the shared ``X`` and
+    options; each result is the one :func:`solve_asymmetric_lasso` gives
+    for that target alone, bit for bit (see the module docstring).
+
+    Args:
+        X: (n_samples, n_features) design matrix.
+        Y: (n_targets, n_samples) targets, one row per fit.
+        alpha, gamma, penalty_mask, max_iter, tol, gamma_weights: As for
+            :func:`solve_asymmetric_lasso`, shared by every target.
+
+    Returns:
+        One result per row of ``Y``, in order.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    Y = np.asarray(Y, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
-    if y.shape != (X.shape[0],):
-        raise ValueError(f"y shape {y.shape} incompatible with X {X.shape}")
+    if Y.ndim != 2 or Y.shape[0] == 0 or Y.shape[1] != X.shape[0]:
+        raise ValueError(
+            f"targets of shape {Y.shape} incompatible with X {X.shape}"
+        )
     if X.shape[0] == 0:
         raise ValueError("cannot fit on an empty design matrix")
     if not np.isfinite(X).all():
         raise ValueError("X must hold only finite values")
-    if not np.isfinite(y).all():
+    if not np.isfinite(Y).all():
         raise ValueError("y must hold only finite values")
     owner = "solve_asymmetric_lasso"
     if check_number(owner, "alpha", alpha) <= 0:
@@ -164,23 +237,41 @@ def solve_asymmetric_lasso(
         if np.any(gamma_weights < 0):
             raise ValueError("gamma_weights must be non-negative")
 
+    def result(target: int, beta: np.ndarray, n_iter: int, converged: bool):
+        return SolverResult(
+            beta=beta,
+            objective=asymmetric_lasso_objective(
+                X, Y[target], beta, alpha, gamma, penalty_mask, gamma_weights
+            ),
+            n_iter=n_iter,
+            converged=converged,
+        )
+
+    n_targets = Y.shape[0]
+
     # Lipschitz constant of the smooth gradient: 2 * max(1, alpha) * sigma_max(X)^2.
     sigma_max = _spectral_norm(X)
     lipschitz = 2.0 * max(1.0, alpha) * sigma_max**2
     if lipschitz == 0.0:
         # X is all zeros; the optimum is beta = 0.
-        beta = np.zeros(n_features)
-        return SolverResult(
-            beta=beta,
-            objective=asymmetric_lasso_objective(
-                X, y, beta, alpha, gamma, penalty_mask, gamma_weights
-            ),
-            n_iter=0,
-            converged=True,
+        return tuple(
+            result(target, np.zeros(n_features), 0, True)
+            for target in range(n_targets)
         )
     step = 1.0 / lipschitz
     penalized = np.flatnonzero(penalty_mask)
-    thresholds = (gamma * step * gamma_weights)[penalized]
+    shrink = gamma > 0 and penalized.size > 0
+    # A contiguous range (every column but the intercept, in the
+    # pipeline) reads as a view, so the shrunk values land in place.
+    in_place = shrink and penalized[-1] - penalized[0] + 1 == penalized.size
+    # Shaped to the stack, so that no step broadcasts.
+    thresholds = np.repeat(
+        (gamma * step * gamma_weights)[penalized].reshape(1, -1, 1),
+        n_targets,
+        axis=0,
+    )
+    if in_place:
+        penalized = slice(penalized[0], penalized[-1] + 1)
 
     # The weighted residual is alpha * r where r < 0 and r elsewhere.
     # Rounding is monotone, so for alpha >= 1 the rounded alpha * r is
@@ -190,48 +281,89 @@ def solve_asymmetric_lasso(
     # included, wherever they tie.  That is two cheap calls where a
     # masked multiply costs more than both.
     select = np.minimum if alpha >= 1.0 else np.maximum
+    absolute, maximum, multiply, sign = np.abs, np.maximum, np.multiply, np.sign
+    subtract, vecdot, sqrt = np.subtract, np.vecdot, math.sqrt
+    # The scalars as 0-d float64 arrays: the same products, without
+    # numpy converting a Python number at every call.
+    alpha_, two, step_, zero = (
+        np.array(float(value)) for value in (alpha, 2.0, step, 0.0)
+    )
+    momentum_coefficient = np.empty(())
     X_t = X.T
-    beta = np.zeros(n_features)
-    momentum = beta.copy()
-    converged = False
+    targets = Y.reshape(n_targets, -1, 1)
+    live = list(range(n_targets))  # the target each stack row fits
+    scales = [1e-12] * n_targets  # max(||beta||, 1e-12); beta starts at 0
+    fits: list[SolverResult | None] = [None] * n_targets
+    previous = _iterates(np.zeros((2, n_targets, n_features, 1)))
+    current = _iterates(np.empty_like(previous[0]))
     iterations = 0
     for iterations, coefficient in enumerate(
         _momentum_coefficients(max_iter), 1
     ):
+        _, momentum, beta, _ = previous
+        stack, change, new_beta, rows = current
         # Gradient of the smooth part: 2 X^T (w * r), w = 1 where r >= 0
         # and alpha where r < 0.
         residual = X @ momentum
-        residual -= y
-        gradient = X_t @ select(residual, residual * alpha)
-        gradient *= 2.0
-        gradient *= step
-        new_beta = momentum - gradient
-        if gamma > 0:
-            candidate = new_beta[penalized]
-            shrunk = np.abs(candidate)
+        residual -= targets
+        gradient = X_t @ select(residual, residual * alpha_)
+        gradient *= two
+        gradient *= step_
+        subtract(momentum, gradient, out=new_beta)
+        if shrink:
+            candidate = new_beta[:, penalized]
+            shrunk = absolute(candidate)
             shrunk -= thresholds
-            np.maximum(shrunk, 0.0, out=shrunk)
-            shrunk *= np.sign(candidate)
-            new_beta[penalized] = shrunk
-        change = new_beta - beta
-        delta = math.sqrt(change.dot(change))
-        scale = max(math.sqrt(beta.dot(beta)), 1e-12)
-        change *= coefficient
+            maximum(shrunk, zero, out=shrunk)
+            if in_place:
+                multiply(shrunk, sign(candidate), out=candidate)
+            else:
+                shrunk *= sign(candidate)
+                new_beta[:, penalized] = shrunk
+        subtract(new_beta, beta, out=change)
+        # ||change||^2 of every row, then ||new_beta||^2 of every row,
+        # which scales its next step.
+        squares = vecdot(rows, rows).tolist()
+        n_live = len(live)
+        retired = []
+        for row in range(n_live):
+            if sqrt(squares[row]) / scales[row] < tol:
+                retired.append(row)
+            scales[row] = max(sqrt(squares[n_live + row]), 1e-12)
+        momentum_coefficient[()] = coefficient
+        change *= momentum_coefficient
         change += new_beta
-        momentum = change
-        beta = new_beta
-        if delta / scale < tol:
-            converged = True
-            break
+        if retired:
+            for row in retired:
+                beta = new_beta[row, :, 0].copy()
+                fits[live[row]] = result(live[row], beta, iterations, True)
+            kept = [row for row in range(n_live) if row not in retired]
+            if not kept:
+                break
+            live = [live[row] for row in kept]
+            scales = [scales[row] for row in kept]
+            targets = targets[kept]
+            thresholds = thresholds[: len(kept)]
+            # A copy in C order: the fancy index alone may not be.
+            current = _iterates(stack[:, kept].copy())
+            previous = _iterates(np.empty_like(current[0]))
+        previous, current = current, previous
+    else:
+        _, _, betas, _ = previous
+        for row, target in enumerate(live):
+            beta = betas[row, :, 0].copy()
+            fits[target] = result(target, beta, iterations, False)
+    return tuple(fits)
 
-    return SolverResult(
-        beta=beta,
-        objective=asymmetric_lasso_objective(
-            X, y, beta, alpha, gamma, penalty_mask, gamma_weights
-        ),
-        n_iter=iterations,
-        converged=converged,
-    )
+
+def _iterates(stack: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A (2, k, n_features, 1) stack of FISTA iterates and its views:
+    the momenta (or changes), the betas, and all 2k vectors as rows.
+
+    Every (n_features, 1) column is C-contiguous, as a one-target
+    vector is, so each stacked product takes the same BLAS path.
+    """
+    return stack, stack[0], stack[1], stack.reshape(-1, stack.shape[2])
 
 
 @functools.lru_cache(maxsize=4)

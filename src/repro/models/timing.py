@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.features.encoding import FeatureEncoder
 from repro.features.trace import ProfileTrace
-from repro.models.asymmetric import AsymmetricLassoModel
+from repro.models.asymmetric import AsymmetricLassoModel, fit_models
 from repro.models.poly import PolynomialExpansion
 from repro.programs.interpreter import RawFeatures
 
@@ -69,7 +69,9 @@ class ExecutionTimePredictor:
         degree: int = 1,
         feature_costs: np.ndarray | None = None,
     ) -> "ExecutionTimePredictor":
-        """Fit both anchor models from a profiling trace.
+        """Fit both anchor models from a profiling trace, in one stacked
+        solve on the shared features
+        (:func:`~repro.models.asymmetric.fit_models`).
 
         Args:
             degree: Model order.  1 is the paper's linear model; 2 adds
@@ -102,15 +104,17 @@ class ExecutionTimePredictor:
                         for term in expansion.terms
                     ]
                 )
-        model_fmax = AsymmetricLassoModel(
-            alpha=alpha, gamma=gamma, max_iter=max_iter
-        ).fit(X, trace.times_s("fmax"), gamma_weights=gamma_weights)
-        model_fmin = AsymmetricLassoModel(
-            alpha=alpha, gamma=gamma, max_iter=max_iter
-        ).fit(X, trace.times_s("fmin"), gamma_weights=gamma_weights)
-        return cls(
-            encoder, model_fmax, model_fmin, margin=margin, expansion=expansion
+        models = [
+            AsymmetricLassoModel(alpha=alpha, gamma=gamma, max_iter=max_iter)
+            for _ in range(2)
+        ]
+        fit_models(
+            models,
+            X,
+            (trace.times_s("fmax"), trace.times_s("fmin")),
+            gamma_weights=gamma_weights,
         )
+        return cls(encoder, *models, margin=margin, expansion=expansion)
 
     def _encode(self, raw: RawFeatures) -> np.ndarray:
         x = self.encoder.encode(raw)

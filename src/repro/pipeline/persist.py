@@ -40,6 +40,7 @@ from repro.programs.slicer import PredictionSlice
 
 __all__ = [
     "controller_fingerprint",
+    "controller_from_payload",
     "save_controller",
     "load_controller",
 ]
@@ -101,9 +102,36 @@ def _model_to_dict(model: AsymmetricLassoModel) -> dict[str, Any]:
     }
 
 
-def _model_from_dict(data: dict[str, Any]) -> AsymmetricLassoModel:
+def _model_from_dict(name: str, data: Any, n_coef: int) -> AsymmetricLassoModel:
+    """An anchor model read by type: ``coef`` is a list of ``n_coef``
+    finite JSON numbers (no bools, no strings), ``intercept`` a finite
+    number, ``alpha`` > 0 and ``gamma`` >= 0.  A bad field raises a
+    ``ValueError`` naming the model and the field."""
+    owner = "saved controller"
+    if not isinstance(data, dict):
+        raise ValueError(f"{owner}: malformed {name!r} field (not an object)")
+    for key in ("coef", "intercept", "alpha", "gamma"):
+        if key not in data:
+            raise ValueError(f"{owner}: {name!r} has no {key!r} field")
+    coef = data["coef"]
+    if not isinstance(coef, list) or len(coef) != n_coef:
+        raise ValueError(
+            f"{owner}: {name!r} coef must be a list of {n_coef} numbers"
+            " (one per model column)"
+        )
+    for i, value in enumerate(coef):
+        check_number(owner, f"{name!r} coef[{i}]", value)
+    intercept = check_number(owner, f"{name!r} intercept", data["intercept"])
+    alpha = check_number(owner, f"{name!r} alpha", data["alpha"])
+    if alpha <= 0:
+        raise ValueError(f"{owner}: {name!r} alpha must be positive, got {alpha}")
+    gamma = check_number(owner, f"{name!r} gamma", data["gamma"])
+    if gamma < 0:
+        raise ValueError(
+            f"{owner}: {name!r} gamma must be non-negative, got {gamma}"
+        )
     return AsymmetricLassoModel.from_coefficients(
-        data["coef"], data["intercept"], alpha=data["alpha"], gamma=data["gamma"]
+        coef, intercept, alpha=alpha, gamma=gamma
     )
 
 
@@ -195,7 +223,11 @@ def load_controller(path: str | Path) -> TrainedController:
 
     A missing or malformed field raises a ``ValueError`` naming it.
     """
-    payload = json.loads(Path(path).read_text())
+    return controller_from_payload(json.loads(Path(path).read_text()))
+
+
+def controller_from_payload(payload: Any) -> TrainedController:
+    """:func:`load_controller` on an already decoded JSON payload."""
     if not isinstance(payload, dict):
         raise ValueError("saved controller: not a JSON object")
     version = payload.get("format_version")
@@ -245,22 +277,30 @@ def load_controller(path: str | Path) -> TrainedController:
             ],
         ),
     )
+    expansion = field(
+        "model_degree",
+        lambda degree: (
+            PolynomialExpansion(degree).fit(encoder.n_columns)
+            if degree > 1
+            else None
+        ),
+    )
+    n_coef = encoder.n_columns if expansion is None else expansion.n_terms
     predictor = ExecutionTimePredictor(
         encoder=encoder,
-        model_fmax=field("model_fmax", _model_from_dict),
-        model_fmin=field("model_fmin", _model_from_dict),
+        model_fmax=field(
+            "model_fmax",
+            lambda data: _model_from_dict("model_fmax", data, n_coef),
+        ),
+        model_fmin=field(
+            "model_fmin",
+            lambda data: _model_from_dict("model_fmin", data, n_coef),
+        ),
         margin=field(
             "margin",
             lambda value: check_number("saved controller", "'margin'", value),
         ),
-        expansion=field(
-            "model_degree",
-            lambda degree: (
-                PolynomialExpansion(degree).fit(encoder.n_columns)
-                if degree > 1
-                else None
-            ),
-        ),
+        expansion=expansion,
     )
     slice_ = field(
         "slice",

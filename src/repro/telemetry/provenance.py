@@ -32,7 +32,9 @@ Besides the audit schema (plus numpy and the stdlib), this module
 imports only those prediction functions, from ``repro.models`` and
 ``repro.online``, neither of which imports ``repro.telemetry``;
 governors hand their predictor and DVFS model in as arguments, keeping
-``repro.telemetry`` import-cycle-free.
+``repro.telemetry`` import-cycle-free.  The one exception is
+:func:`beta_from_controller_payload`, which reads a saved controller
+through ``repro.pipeline.persist``, imported when it is called.
 """
 
 from __future__ import annotations
@@ -389,17 +391,17 @@ def beta_from_controller_payload(
     """Offline anchor snapshots from a ``save_controller`` JSON payload.
 
     The ``--beta FILE`` counterfactual: replay a trace as if these
-    coefficients (not the recorded ones) had been deciding.
+    coefficients (not the recorded ones) had been deciding.  The payload
+    is read as :func:`~repro.pipeline.persist.load_controller` reads a
+    file, so a malformed model raises a ``ValueError`` naming it.
     """
-    snapshots = {}
-    for key in ("model_fmax", "model_fmin"):
-        model = payload[key]
-        snapshots[key] = AnchorSnapshot(
-            kind="offline",
-            coef=tuple(float(c) for c in model["coef"]),
-            intercept=float(model["intercept"]),
-        )
-    return snapshots
+    from repro.pipeline.persist import controller_from_payload
+
+    predictor = controller_from_payload(payload).predictor
+    return {
+        "model_fmax": anchor_snapshot(predictor.model_fmax),
+        "model_fmin": anchor_snapshot(predictor.model_fmin),
+    }
 
 
 def replay_records(

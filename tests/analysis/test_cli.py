@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cli import main
+from tests.pipeline.test_persist_errors import MODEL_EDITS, edit_model
 
 
 class TestCliBasics:
@@ -536,6 +537,61 @@ class TestSingleRunCommands:
             [command, "sha", "--governor", "oracle", "--jobs", "20", *options]
         ) == 0
         assert summary in capsys.readouterr().out
+
+
+class TestReplayAnchorModels:
+    """``repro replay`` reads the anchor models of the controller and of
+    ``--beta FILE`` by type, and refuses a bad one with one line."""
+
+    @pytest.fixture(scope="class")
+    def traced(self, tmp_path_factory):
+        from repro.analysis.harness import Lab
+        from repro.pipeline.persist import save_controller
+        from repro.telemetry import TraceSession
+
+        directory = tmp_path_factory.mktemp("replay-models")
+        lab = Lab(switch_samples=10, trace_session=TraceSession(directory))
+        lab.run("rijndael", "prediction", n_jobs=8)
+        lab.trace_session.flush()
+        controller = directory / "ctrl.json"
+        save_controller(lab.controller("rijndael"), controller)
+        return directory, controller
+
+    def _replay(self, traced, tmp_path, capsys, edit, beta):
+        directory, controller = traced
+        payload = json.loads(controller.read_text())
+        edit(payload)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        argv = ["replay", str(directory)]
+        argv += [str(controller), "--beta", str(bad)] if beta else [str(bad)]
+        capsys.readouterr()
+        code = main(argv)
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta", [False, True], ids=["ctrl", "beta"])
+    @pytest.mark.parametrize("case", MODEL_EDITS)
+    def test_bad_model_is_one_line_and_exit_code_2(
+        self, traced, tmp_path, capsys, case, beta
+    ):
+        edit = edit_model(case)
+        code, err = self._replay(traced, tmp_path, capsys, edit, beta)
+        model, field, _ = MODEL_EDITS[case]
+        assert code == 2
+        assert err.count("\n") == 1 and f"'{model}' {field}" in err
+
+    def test_beta_without_fmin_model(self, traced, tmp_path, capsys):
+        code, err = self._replay(
+            traced, tmp_path, capsys, lambda p: p.pop("model_fmin"), True
+        )
+        assert code == 2
+        assert err == "saved controller: no 'model_fmin' field\n"
+
+    def test_valid_beta_replays(self, traced, capsys):
+        directory, controller = traced
+        capsys.readouterr()
+        argv = ["replay", str(directory), str(controller)]
+        assert main([*argv, "--beta", str(controller)]) == 0
 
 
 def _slo_spec(objective="0.1", threshold="0.0", jobs="5", rate="2.0"):

@@ -2,10 +2,13 @@
 predecessor in ``tests/models/reference_solver.py``.
 
 Every fit must return the same ``beta`` bytes (signed zeros included),
-``n_iter``, ``converged`` flag and ``objective`` bytes.  The problems
-include what the pipeline's designs hold (dead columns, columns that are
-exact combinations of others, an unpenalized intercept) and the edges of
-the step (no L1 term, alpha < 1, zero L1 weights, a single step, tol 0).
+``n_iter``, ``converged`` flag and ``objective`` bytes, whether it runs
+alone (:func:`solve_asymmetric_lasso`) or as one row of a stacked solve
+(:func:`solve_asymmetric_lasso_stack`) beside other targets on the same
+``X``.  The problems include what the pipeline's designs hold (dead
+columns, columns that are exact combinations of others, an unpenalized
+intercept) and the edges of the step (no L1 term, alpha < 1, zero L1
+weights, a single step, tol 0).
 """
 
 import numpy as np
@@ -14,7 +17,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import repro.models.asymmetric as asymmetric
 from repro.models import solver
-from repro.models.solver import solve_asymmetric_lasso
+from repro.models.solver import (
+    solve_asymmetric_lasso,
+    solve_asymmetric_lasso_stack,
+)
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.offline import build_controller
 from repro.platform.opp import default_xu3_a7_table
@@ -27,9 +33,7 @@ from tests.models.reference_solver import (
 OPPS = default_xu3_a7_table()
 
 
-def assert_same_fit(X, y, **kwargs):
-    new = solve_asymmetric_lasso(X, y, **kwargs)
-    old = reference_solve(X, y, **kwargs)
+def assert_same_result(new, old):
     assert new.beta.tobytes() == old.beta.tobytes(), (new.beta, old.beta)
     assert new.n_iter == old.n_iter
     assert new.converged == old.converged
@@ -37,14 +41,31 @@ def assert_same_fit(X, y, **kwargs):
         np.float64(new.objective).tobytes()
         == np.float64(old.objective).tobytes()
     )
+
+
+def assert_same_fit(X, y, **kwargs):
+    new = solve_asymmetric_lasso(X, y, **kwargs)
+    assert_same_result(new, reference_solve(X, y, **kwargs))
     return new
 
 
-def design(seed, kinds, n_rows):
+def assert_same_stack(X, Y, **kwargs):
+    """Each row of the stacked solve against the reference run on that
+    row's target alone."""
+    results = solve_asymmetric_lasso_stack(X, Y, **kwargs)
+    assert len(results) == len(Y)
+    for result, y in zip(results, Y):
+        assert_same_result(result, reference_solve(X, y, **kwargs))
+    return results
+
+
+def design(seed, kinds, n_rows, n_targets=None):
     """A counter-like design with one column per entry of ``kinds``:
     ``free`` (random counts), ``dead`` (all zero), ``scaled`` (an exact
     multiple of the first column), ``sum`` (the first two columns
-    added) or ``one`` (an intercept)."""
+    added) or ``one`` (an intercept).  Each target is a random
+    combination of the columns plus noise: one 1-D ``y``, or a
+    (``n_targets``, ``n_rows``) stack."""
     rng = np.random.default_rng(seed)
     X = rng.integers(0, 40, (n_rows, len(kinds))).astype(float)
     for j, kind in enumerate(kinds):
@@ -56,8 +77,15 @@ def design(seed, kinds, n_rows):
             X[:, j] = X[:, 0] + X[:, min(1, len(kinds) - 1)]
         elif kind == "one":
             X[:, j] = 1.0
-    y = X @ rng.uniform(-2.0, 5.0, len(kinds)) + rng.normal(0.0, 4.0, n_rows)
-    return X, y + 50.0
+    Y = np.stack(
+        [
+            X @ rng.uniform(-2.0, 5.0, len(kinds))
+            + rng.normal(0.0, 4.0, n_rows)
+            for _ in range(n_targets or 1)
+        ]
+    )
+    Y += 50.0
+    return X, (Y[0] if n_targets is None else Y)
 
 
 @st.composite
@@ -71,7 +99,9 @@ def problems(draw):
         )
     )
     seed = draw(st.integers(0, 2**32 - 1))
-    X, y = design(seed, kinds, draw(st.integers(1, 40)))
+    X, Y = design(
+        seed, kinds, draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    )
     mask = draw(
         st.one_of(
             st.none(),
@@ -88,7 +118,7 @@ def problems(draw):
             ),
         )
     )
-    return X, y, dict(
+    return X, Y, dict(
         alpha=draw(st.sampled_from([0.3, 1.0, 10.0, 100.0, 1000.0])),
         gamma=draw(st.sampled_from([0.0, 1.0, 50.0, 3e3])),
         penalty_mask=None if mask is None else np.array(mask),
@@ -107,7 +137,9 @@ class TestRandomProblems:
     @given(problem=problems())
     @example(
         problem=(
-            *design(5, ["free", "dead", "scaled", "free", "sum", "one"], 30),
+            *design(
+                5, ["free", "dead", "scaled", "free", "sum", "one"], 30, 2
+            ),
             dict(
                 alpha=0.5,
                 gamma=40.0,
@@ -119,8 +151,8 @@ class TestRandomProblems:
         )
     )
     def test_same_fit_as_reference(self, problem):
-        X, y, kwargs = problem
-        assert_same_fit(X, y, **kwargs)
+        X, Y, kwargs = problem
+        assert_same_stack(X, Y, **kwargs)
 
 
 class TestEdges:
@@ -161,18 +193,65 @@ class TestEdges:
         assert_same_fit(np.zeros((6, 3)), np.ones(6), gamma=1.0)
 
 
+class TestStack:
+    """Rows that share X retire one by one, each at its own step."""
+
+    X, y = design(0, ["free", "free", "dead", "free"], 30)
+    Y = np.stack([y, 0.5 * y + 3.0, 200.0 - y])
+
+    def test_rows_retire_at_different_iterations(self):
+        results = assert_same_stack(
+            self.X, self.Y, gamma=10.0, max_iter=3000, tol=1e-6
+        )
+        assert [r.n_iter for r in results] == [623, 577, 353]
+        assert all(r.converged for r in results)
+
+    def test_capped_row_beside_converged_rows(self):
+        results = assert_same_stack(
+            self.X, self.Y, gamma=10.0, max_iter=600, tol=1e-6
+        )
+        assert [(r.n_iter, r.converged) for r in results] == [
+            (600, False),
+            (577, True),
+            (353, True),
+        ]
+
+    def test_zero_target_retires_first(self):
+        """A zero target has a zero gradient: it stops at the first step
+        while the row before it runs on."""
+        Y = np.stack([self.y, np.zeros_like(self.y)])
+        results = assert_same_stack(self.X, Y, gamma=10.0, max_iter=800)
+        assert [r.n_iter for r in results] == [800, 1]
+
+    def test_one_target_through_the_plain_solver(self):
+        options = dict(gamma=10.0, max_iter=3000, tol=1e-6)
+        plain = assert_same_fit(self.X, self.Y[1], **options)
+        (stacked,) = solve_asymmetric_lasso_stack(
+            self.X, self.Y[1:2], **options
+        )
+        assert_same_result(stacked, plain)
+
+    @pytest.mark.parametrize(
+        "shape", [(0, 30), (2, 29), (30,), (1, 2, 30)], ids=str
+    )
+    def test_rejects_targets_not_matching_X(self, shape):
+        with pytest.raises(ValueError) as error:
+            solve_asymmetric_lasso_stack(self.X, np.ones(shape))
+        assert "targets of shape" in str(error.value)
+
+
 @pytest.fixture(scope="module")
 def pipeline_problems():
-    """The (X, y, options) of every fit ``build_controller`` makes for
-    2048, uzbl and sha at 40 profile jobs."""
+    """The (X, Y, options) of every stacked solve ``build_controller``
+    makes for 2048, uzbl and sha at 40 profile jobs."""
     calls = []
-    original = asymmetric.solve_asymmetric_lasso
+    original = asymmetric.solve_asymmetric_lasso_stack
 
-    def record(X, y, **kwargs):
-        calls.append((X.copy(), y.copy(), kwargs))
-        return original(X, y, **kwargs)
+    def record(X, Y, **kwargs):
+        calls.append((X.copy(), Y.copy(), kwargs))
+        return original(X, Y, **kwargs)
 
-    asymmetric.solve_asymmetric_lasso = record
+    asymmetric.solve_asymmetric_lasso_stack = record
     try:
         for name in ("2048", "uzbl", "sha"):
             build_controller(
@@ -182,15 +261,16 @@ def pipeline_problems():
                 switch_table=SwitchLatencyModel(OPPS).microbenchmark(2),
             )
     finally:
-        asymmetric.solve_asymmetric_lasso = original
+        asymmetric.solve_asymmetric_lasso_stack = original
     return calls
 
 
 class TestPipelineDesigns:
     def test_every_fit_matches(self, pipeline_problems):
-        assert len(pipeline_problems) == 6
-        for X, y, kwargs in pipeline_problems:
-            assert_same_fit(X, y, **kwargs)
+        """One solve per controller, fmax and fmin stacked."""
+        assert [len(Y) for _, Y, _ in pipeline_problems] == [2, 2, 2]
+        for X, Y, kwargs in pipeline_problems:
+            assert_same_stack(X, Y, **kwargs)
 
 
 class TestMomentumCoefficients:

@@ -95,6 +95,58 @@ class TestCorruptFiles:
         assert controller.app_name == "xpilot"
 
 
+#: A saved anchor model's field edited to a value that must not load:
+#: case -> (model, field, new value from old).
+MODEL_EDITS = {
+    "nan-coef": ("model_fmax", "coef", lambda c: [math.nan, *c[1:]]),
+    "inf-coef": ("model_fmax", "coef", lambda c: [c[0], math.inf, *c[2:]]),
+    "string-coef": ("model_fmax", "coef", lambda c: ["0.001", *c[1:]]),
+    "bool-coef": ("model_fmin", "coef", lambda c: [True, *c[1:]]),
+    "short-coef": ("model_fmax", "coef", lambda c: c[:-1]),
+    "nested-coef": ("model_fmin", "coef", lambda c: [c]),
+    "string-intercept": ("model_fmax", "intercept", lambda _: "0.01"),
+    "nan-intercept": ("model_fmin", "intercept", lambda _: math.nan),
+    "nan-alpha": ("model_fmax", "alpha", lambda _: math.nan),
+    "inf-gamma": ("model_fmin", "gamma", lambda _: math.inf),
+}
+
+
+def edit_model(case):
+    """The payload edit of ``MODEL_EDITS[case]``."""
+    model, key, change = MODEL_EDITS[case]
+
+    def edit(payload):
+        payload[model][key] = change(payload[model][key])
+
+    return edit
+
+
+class TestAnchorModels:
+    """A saved anchor model is read by type: every one of these used to
+    load, and then predicted NaN or inf, was coerced, or raised a numpy
+    shape error mid-run."""
+
+    @pytest.mark.parametrize("case", MODEL_EDITS)
+    def test_rejects_naming_model_and_field(self, saved, tmp_path, case):
+        model, field, _ = MODEL_EDITS[case]
+        bad = corrupt(saved, tmp_path, edit_model(case))
+        with pytest.raises(ValueError) as error:
+            load_controller(bad)
+        message = str(error.value)
+        assert "\n" not in message
+        assert message.startswith(f"saved controller: '{model}' {field}")
+
+    def test_coef_count_follows_the_expansion(self, saved, tmp_path):
+        """With ``model_degree`` 2 a model holds one coefficient per
+        expanded term, not per encoder column."""
+
+        def mutate(payload):
+            payload["model_degree"] = 2
+
+        with pytest.raises(ValueError, match="'model_fmax' coef must be"):
+            load_controller(corrupt(saved, tmp_path, mutate))
+
+
 class TestConfigValues:
     """Every numeric ``PipelineConfig`` field is a finite real or an int
     (not a bool) within its bounds, also when it comes from a file."""

@@ -19,7 +19,10 @@ A third digest pins the baseline governors (the stock Linux family,
 PID and the oracle) on the same drifting streams, with overhead charging
 on and off, and with between-job idling on for ``performance`` and
 ``interactive``; these governors ignore the placement, so their rows run
-sequential only.
+sequential only.  On those streams conservative never switches, nor do
+ondemand and interactive on sha, so the load-following governors also
+run an undrifted 2048 stream, where each of them switches
+(``SWITCHING_GOVERNORS`` on ``SWITCHING_APP``).
 
 To re-record a row after an intended behaviour change, print
 ``_digest(...)`` for it and replace its entry in ``DIGESTS``.  The batch
@@ -59,6 +62,10 @@ BASELINE_GOVERNORS = (
     "oracle",
 )
 IDLING_GOVERNORS = ("performance", "interactive")
+# Baseline governors that follow the load, and the undrifted app whose
+# stream makes each of them switch.
+SWITCHING_GOVERNORS = ("ondemand", "conservative", "interactive")
+SWITCHING_APP = "2048"
 # Step drift (factor, start as a fraction of the stream): rijndael drifts
 # late and mildly (adaptive falls back), sha early and hard (jobs queue
 # up, so the certified pre-flight pins fmax without slicing).
@@ -167,6 +174,12 @@ BASELINE_DIGESTS = {
     "sha pid free": "dd5a34bbf299867d",
     "sha oracle charged": "793eb30e2852786a",
     "sha oracle free": "725b6516e5db499a",
+    "2048 ondemand charged": "fbe15c8da2256b3c",
+    "2048 ondemand free": "62f9abbdd9f8018f",
+    "2048 conservative charged": "414b5fdce80580c9",
+    "2048 conservative free": "2337b09a4687a756",
+    "2048 interactive charged": "18171df566a7d01b",
+    "2048 interactive free": "ffed6ef151d40b1a",
 }
 
 
@@ -271,6 +284,13 @@ def _baseline_rows():
                 yield f"{app} {name} {charge}"
                 if name in IDLING_GOVERNORS:
                     yield f"{app} {name} {charge} idle"
+    yield from _switching_rows()
+
+
+def _switching_rows():
+    for name in SWITCHING_GOVERNORS:
+        for charge in ("charged", "free"):
+            yield f"{SWITCHING_APP} {name} {charge}"
 
 
 @pytest.mark.parametrize("key", tuple(_baseline_rows()))
@@ -285,3 +305,18 @@ def test_baseline_decisions_match_recorded_digest(lab, key):
         idle=bool(idle),
     )
     assert digest[:16] == BASELINE_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", tuple(_switching_rows()))
+def test_switching_rows_switch(lab, key):
+    """A row whose governor never switches would pin none of its
+    thresholds."""
+    app, governor_name, charge = key.split()
+    runner = _runner(
+        lab,
+        app,
+        governor_name,
+        PredictorPlacement.SEQUENTIAL,
+        charge == "charged",
+    )
+    assert runner.run().switch_count >= 1
