@@ -324,10 +324,11 @@ def test_ablation_biglittle(benchmark, lab):
 
     def sweep():
         from repro.governors.performance import PerformanceGovernor
-        from repro.pipeline import build_controller
-        from repro.platform import Board, LogNormalJitter
+        from repro.pipeline.offline import build_controller
+        from repro.platform.board import Board
+        from repro.platform.jitter import LogNormalJitter
         from repro.platform.biglittle import build_biglittle_platform
-        from repro.runtime import TaskLoopRunner
+        from repro.runtime.executor import TaskLoopRunner
 
         table, power, switcher = build_biglittle_platform()
         app = lab.app(APP)

@@ -101,9 +101,10 @@ def test_perf_profile_50_jobs(benchmark):
 
 def test_perf_one_governed_job(benchmark):
     """A full simulated job under the predictive governor."""
-    from repro.pipeline import PipelineConfig, build_controller
+    from repro.pipeline.config import PipelineConfig
+    from repro.pipeline.offline import build_controller
     from repro.platform.switching import SwitchLatencyModel
-    from repro.runtime import TaskLoopRunner
+    from repro.runtime.executor import TaskLoopRunner
 
     app = get_app("xpilot")
     controller = build_controller(
@@ -127,7 +128,7 @@ def test_perf_one_governed_job(benchmark):
 def _smoke_run(telemetry=None, n_jobs=50):
     """A governed smoke run (no training) used by the telemetry guards."""
     from repro.governors.interactive import InteractiveGovernor
-    from repro.runtime import TaskLoopRunner
+    from repro.runtime.executor import TaskLoopRunner
 
     app = get_app("sha")
     board = Board(opps=OPPS)
@@ -152,7 +153,7 @@ def test_perf_telemetry_noop_under_two_percent():
     """
     import time as _time
 
-    from repro.telemetry import NO_TELEMETRY
+    from repro.telemetry.events import NO_TELEMETRY
 
     n_jobs = 50
     t_run = best_of(lambda: _smoke_run(telemetry=None, n_jobs=n_jobs))
@@ -182,7 +183,8 @@ def test_perf_watchdog_disabled_is_provably_noop():
     """
     import tracemalloc
 
-    from repro.telemetry import NO_TELEMETRY, Watchdog
+    from repro.telemetry.events import NO_TELEMETRY
+    from repro.telemetry.watch import Watchdog
 
     watchdog = Watchdog()
     assert watchdog.attach(NO_TELEMETRY) is False
@@ -216,7 +218,8 @@ def test_perf_watchdog_attached_overhead_bounded():
     adds one dict-free dispatch per event, so doubling the run means a
     detector grew an accidental hot loop.
     """
-    from repro.telemetry import Telemetry, Watchdog
+    from repro.telemetry.events import Telemetry
+    from repro.telemetry.watch import Watchdog
 
     Watchdog()  # warm the one-time drift-detector import before timing
     t_noop = best_of(lambda: _smoke_run(telemetry=None))
@@ -279,7 +282,7 @@ def test_perf_hostprof_timers_overhead_bounded():
     it is opt-in and priced separately by ``repro profile``.
     """
     from repro.governors.interactive import InteractiveGovernor
-    from repro.runtime import TaskLoopRunner
+    from repro.runtime.executor import TaskLoopRunner
     from repro.telemetry.hostprof import HostProfiler
 
     app = get_app("sha")
@@ -311,7 +314,8 @@ def test_perf_hostprof_timers_overhead_bounded():
 
 def _sha_controller():
     """A small trained controller for the attribution guards (cached)."""
-    from repro.pipeline import PipelineConfig, build_controller
+    from repro.pipeline.config import PipelineConfig
+    from repro.pipeline.offline import build_controller
     from repro.platform.switching import SwitchLatencyModel
 
     if not hasattr(_sha_controller, "value"):
@@ -326,7 +330,7 @@ def _sha_controller():
 
 def _predictive_run(telemetry=None, n_jobs=30):
     """A predictive-governed sha run (the path that builds attribution)."""
-    from repro.runtime import TaskLoopRunner
+    from repro.runtime.executor import TaskLoopRunner
 
     app = get_app("sha")
     controller = _sha_controller()
@@ -381,7 +385,7 @@ def test_perf_attribution_overhead_bounded(monkeypatch):
     isolates the new capture cost from pre-existing telemetry overhead.
     """
     import repro.governors.predictive as predictive_mod
-    from repro.telemetry import Telemetry
+    from repro.telemetry.events import Telemetry
 
     audited = []
 
@@ -465,7 +469,7 @@ def test_perf_telemetry_enabled_overhead_bounded():
     sink or per-event allocation storm fails CI rather than silently
     doubling every traced experiment.
     """
-    from repro.telemetry import Telemetry
+    from repro.telemetry.events import Telemetry
 
     t_noop = best_of(lambda: _smoke_run(telemetry=None))
     recorded = []
@@ -524,7 +528,7 @@ def test_perf_energy_ledger_overhead_bounded():
     accidental hot loop (e.g. re-walking the timeline per job).
     """
     from repro.governors.interactive import InteractiveGovernor
-    from repro.runtime import TaskLoopRunner
+    from repro.runtime.executor import TaskLoopRunner
     from repro.telemetry.energy import EnergyLedger
 
     app = get_app("sha")

@@ -25,9 +25,10 @@ provenance land in ``--out`` for ``repro ablate report`` to re-score.
 Run:  python examples/ablation_demo.py
 """
 
-from repro.ablation import plan_matrix, run_ablation, score_ablation
 from repro.ablation.emit import ranked_table
-from repro.ablation.planner import Scenario
+from repro.ablation.planner import Scenario, plan_matrix
+from repro.ablation.runner import run_ablation
+from repro.ablation.score import score_ablation
 
 COMPONENTS = ("asymmetric_loss", "safety_margin")
 

@@ -20,9 +20,12 @@ from collections import Counter
 
 from repro.analysis.render import format_table
 from repro.governors.performance import PerformanceGovernor
-from repro.pipeline import PipelineConfig, build_controller
-from repro.platform import Board, LogNormalJitter, build_biglittle_platform
-from repro.runtime import TaskLoopRunner
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.offline import build_controller
+from repro.platform.biglittle import build_biglittle_platform
+from repro.platform.board import Board
+from repro.platform.jitter import LogNormalJitter
+from repro.runtime.executor import TaskLoopRunner
 from repro.workloads.registry import get_app
 
 BUDGET_S = 0.020  # 50 FPS: infeasible for the A7 cluster alone

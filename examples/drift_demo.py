@@ -14,7 +14,7 @@ Run:  python examples/drift_demo.py
 """
 
 from repro.analysis.harness import Lab, seeded_board
-from repro.runtime import TaskLoopRunner
+from repro.runtime.executor import TaskLoopRunner
 
 APP = "ldecode"
 N_JOBS = 240

@@ -16,7 +16,9 @@ and worker counts are partitioning, not input.
 Run:  python examples/fleet_demo.py
 """
 
-from repro.fleet import BurstyArrivals, FleetSpec, TenantSpec, run_fleet
+from repro.fleet.arrivals import BurstyArrivals
+from repro.fleet.coordinator import FleetSpec, run_fleet
+from repro.fleet.tenant import TenantSpec
 
 TENANTS = (
     TenantSpec(

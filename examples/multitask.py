@@ -10,10 +10,13 @@ Run:  python examples/multitask.py
 """
 
 from repro.analysis.render import format_table
-from repro.pipeline import PipelineConfig, build_controller
-from repro.platform import Board, LogNormalJitter, default_xu3_a7_table
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.offline import build_controller
+from repro.platform.board import Board
+from repro.platform.jitter import LogNormalJitter
+from repro.platform.opp import default_xu3_a7_table
 from repro.platform.switching import SwitchLatencyModel
-from repro.runtime import MultiTaskRunner, TaskStream
+from repro.runtime.multitask import MultiTaskRunner, TaskStream
 from repro.workloads.registry import get_app
 
 N_JOBS = 120

@@ -11,10 +11,15 @@ Run:  python examples/quickstart.py
 import random
 
 from repro.governors.performance import PerformanceGovernor
-from repro.pipeline import PipelineConfig, build_controller
-from repro.platform import Board, LogNormalJitter, default_xu3_a7_table
-from repro.programs import Block, Compare, Const, If, Loop, Program, Seq, Var
-from repro.runtime import Task, TaskLoopRunner
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.offline import build_controller
+from repro.platform.board import Board
+from repro.platform.jitter import LogNormalJitter
+from repro.platform.opp import default_xu3_a7_table
+from repro.programs.expr import Compare, Const, Var
+from repro.programs.ir import Block, If, Loop, Program, Seq
+from repro.runtime.executor import TaskLoopRunner
+from repro.runtime.task import Task
 from repro.workloads.base import InteractiveApp, JobTimeStats
 
 

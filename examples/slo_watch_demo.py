@@ -14,10 +14,10 @@ Run:  python examples/slo_watch_demo.py
 """
 
 from repro.analysis.harness import Lab, seeded_board
-from repro.runtime import TaskLoopRunner
-from repro.telemetry import Telemetry, Watchdog
+from repro.runtime.executor import TaskLoopRunner
+from repro.telemetry.events import Telemetry
 from repro.telemetry.slo import default_slos
-from repro.telemetry.watch import render_dashboard
+from repro.telemetry.watch import Watchdog, render_dashboard
 
 APP = "rijndael"
 N_JOBS = 160

@@ -11,7 +11,7 @@ of the paper's evaluation.
 
 Quick tour::
 
-    from repro.pipeline import build_controller
+    from repro.pipeline.offline import build_controller
     from repro.workloads.registry import get_app
 
     controller = build_controller(get_app("ldecode"))
@@ -23,8 +23,9 @@ Quick tour::
     print(lab.normalized_energy(result, "ldecode"), result.miss_rate)
 
 Or from a shell: ``python -m repro fig15``.
+
+Every package ``__init__`` holds only its docstring: import each name
+from the module that defines it, so a run loads only what it uses.
 """
 
 __version__ = "1.0.0"
-
-__all__ = ["__version__"]

@@ -21,50 +21,3 @@ regenerable evidence:
 - :mod:`repro.ablation.cli` — the ``repro ablate run`` / ``repro ablate
   report`` commands.
 """
-
-from repro.ablation.planner import (
-    DEFAULT_SCENARIOS,
-    AblationPlan,
-    CellPlan,
-    Scenario,
-    Variant,
-    plan_matrix,
-)
-from repro.ablation.registry import (
-    COMPONENTS,
-    Component,
-    PLATFORMS,
-    Platform,
-    baseline_adaptive,
-    baseline_pipeline,
-    batch_governor,
-    component_names,
-    configs_without,
-    get_component,
-)
-from repro.ablation.runner import AblationResult, CellResult, run_ablation
-from repro.ablation.score import AblationReport, score_ablation
-
-__all__ = [
-    "COMPONENTS",
-    "Component",
-    "PLATFORMS",
-    "Platform",
-    "baseline_adaptive",
-    "baseline_pipeline",
-    "batch_governor",
-    "component_names",
-    "configs_without",
-    "get_component",
-    "DEFAULT_SCENARIOS",
-    "AblationPlan",
-    "CellPlan",
-    "Scenario",
-    "Variant",
-    "plan_matrix",
-    "AblationResult",
-    "CellResult",
-    "run_ablation",
-    "AblationReport",
-    "score_ablation",
-]

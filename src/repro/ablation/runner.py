@@ -35,8 +35,9 @@ from repro.fleet.seeding import derive_seed
 from repro.governors.adaptive import AdaptiveConfig, AdaptiveGovernor
 from repro.pipeline.offline import TrainedController
 from repro.runtime.executor import TaskLoopRunner
-from repro.telemetry import DecisionRecord, Telemetry
+from repro.telemetry.audit import DecisionRecord
 from repro.telemetry.energy import EnergyLedger
+from repro.telemetry.events import Telemetry
 
 __all__ = ["AblationResult", "CellResult", "run_ablation", "run_cell"]
 

@@ -4,41 +4,3 @@ Every module exposes ``run(lab, ...) -> <Result dataclass>`` and
 ``render(result) -> str``.  The benchmark harness under ``benchmarks/``
 calls these; so can users, directly.
 """
-
-from repro.analysis.experiments import (
-    cross_platform,
-    drift_adaptation,
-    energy_breakdown,
-    fig02_trace,
-    fig03_pid_lag,
-    fig09_linearity,
-    fig11_switching,
-    fig15_energy_misses,
-    fig16_budget_sweep,
-    fig17_overheads,
-    fig18_limit_study,
-    fig19_prediction_error,
-    fig20_alpha_sweep,
-    fig21_idling,
-    robustness,
-    table2_job_stats,
-)
-
-__all__ = [
-    "cross_platform",
-    "drift_adaptation",
-    "energy_breakdown",
-    "fig02_trace",
-    "fig03_pid_lag",
-    "fig09_linearity",
-    "fig11_switching",
-    "fig15_energy_misses",
-    "fig16_budget_sweep",
-    "fig17_overheads",
-    "fig18_limit_study",
-    "fig19_prediction_error",
-    "fig20_alpha_sweep",
-    "fig21_idling",
-    "robustness",
-    "table2_job_stats",
-]

@@ -14,16 +14,9 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from repro.governors.base import Governor
-from repro.governors.conservative import ConservativeGovernor
-from repro.governors.interactive import InteractiveGovernor
-from repro.governors.ondemand import OndemandGovernor
-from repro.governors.oracle import OracleGovernor
-from repro.governors.performance import PerformanceGovernor
-from repro.governors.pid import PidGovernor
-from repro.governors.powersave import PowersaveGovernor
-from repro.online.inject import StepDriftJitter
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.offline import TrainedController, build_controller
 from repro.platform.board import Board
@@ -35,9 +28,12 @@ from repro.programs.interpreter import Interpreter
 from repro.runtime.executor import TaskLoopRunner
 from repro.runtime.placement import PredictorPlacement
 from repro.runtime.records import RunResult
-from repro.telemetry import NO_TELEMETRY, Telemetry, TraceSession
+from repro.telemetry.events import NO_TELEMETRY, Telemetry
 from repro.workloads.base import InteractiveApp
 from repro.workloads.registry import get_app
+
+if TYPE_CHECKING:
+    from repro.telemetry.exporters import TraceSession
 
 __all__ = [
     "Lab", "GOVERNOR_NAMES", "check_governor", "default_n_jobs", "seeded_board"
@@ -104,6 +100,8 @@ def seeded_board(
         jitter=jitter,
     )
     if drift is not None and drift[0] != 1.0:
+        from repro.online.inject import StepDriftJitter
+
         factor, shift_at_s = drift
         board.cpu.jitter = StepDriftJitter(
             jitter, factor, shift_at_s=shift_at_s, clock=lambda: board.now
@@ -142,7 +140,7 @@ class Lab:
         switch_samples: Microbenchmark samples per OPP pair.
         trace_session: Optional telemetry session (``--trace DIR``).
             When set, every run gets its own named
-            :class:`~repro.telemetry.Telemetry` wired into the runner,
+            :class:`~repro.telemetry.events.Telemetry` wired into the runner,
             and run caching is bypassed so each trace is complete.
     """
 
@@ -225,38 +223,59 @@ class Lab:
         app_name: str,
         pipeline_config: PipelineConfig | None = None,
     ) -> Governor:
-        """Instantiate a governor by name (trained on demand)."""
+        """Instantiate a governor by name (trained on demand).
+
+        Each governor's module is imported by its own branch, so a run
+        loads only the policy it uses.
+        """
         check_governor(name)
+        # ``import ... as`` rather than ``from ... import``: a fleet builds
+        # a governor per session, and on Python 3.11 a ``from`` import
+        # probes the module for ``__path__`` on every call (~1 us more).
         if name == "performance":
-            return PerformanceGovernor(self.opps)
+            import repro.governors.performance as performance
+
+            return performance.PerformanceGovernor(self.opps)
         if name == "powersave":
-            return PowersaveGovernor(self.opps)
+            import repro.governors.powersave as powersave
+
+            return powersave.PowersaveGovernor(self.opps)
         if name == "ondemand":
-            return OndemandGovernor(self.opps)
+            import repro.governors.ondemand as ondemand
+
+            return ondemand.OndemandGovernor(self.opps)
         if name == "conservative":
-            return ConservativeGovernor(self.opps)
+            import repro.governors.conservative as conservative
+
+            return conservative.ConservativeGovernor(self.opps)
         if name == "interactive":
-            return InteractiveGovernor(self.opps)
+            import repro.governors.interactive as interactive
+
+            return interactive.InteractiveGovernor(self.opps)
         if name == "pid":
-            return PidGovernor(self.opps)
+            import repro.governors.pid as pid
+
+            return pid.PidGovernor(self.opps)
         if name == "oracle":
-            return OracleGovernor(self.opps)
+            import repro.governors.oracle as oracle
+
+            return oracle.OracleGovernor(self.opps)
         if name == "prediction":
             return self.controller(app_name, pipeline_config).governor(
                 self.interpreter
             )
         if name == "adaptive":
-            from repro.governors.adaptive import AdaptiveGovernor
+            import repro.governors.adaptive as adaptive
 
-            return AdaptiveGovernor.from_controller(
+            return adaptive.AdaptiveGovernor.from_controller(
                 self.controller(app_name, pipeline_config),
                 interpreter=self.interpreter,
             )
         # §7 future-work controller: "prediction-batch8" -> batch of 8.
-        from repro.governors.batch import BatchPredictiveGovernor
+        import repro.governors.batch as batch
 
         controller = self.controller(app_name, pipeline_config)
-        return BatchPredictiveGovernor(
+        return batch.BatchPredictiveGovernor(
             slice=controller.slice,
             predictor=controller.predictor,
             dvfs=controller.dvfs,

@@ -49,32 +49,50 @@ import warnings
 import zlib
 from typing import Callable
 
+from repro.analysis.experiments import (
+    cross_platform,
+    drift_adaptation,
+    energy_breakdown,
+    fig02_trace,
+    fig03_pid_lag,
+    fig09_linearity,
+    fig11_switching,
+    fig15_energy_misses,
+    fig16_budget_sweep,
+    fig17_overheads,
+    fig18_limit_study,
+    fig19_prediction_error,
+    fig20_alpha_sweep,
+    fig21_idling,
+    robustness,
+    table2_job_stats,
+)
 from repro.analysis.harness import Lab, check_governor, seeded_board
-from repro.analysis import experiments as exp
-from repro.telemetry import TraceSession, summarize_directory
+from repro.telemetry.exporters import TraceSession
+from repro.telemetry.report import summarize_directory
 from repro.workloads.registry import app_names
 
 __all__ = ["main"]
 
 _EXPERIMENTS: dict[str, tuple[str, Callable]] = {
-    "table2": ("Job-time statistics at fmax", exp.table2_job_stats),
-    "fig2": ("ldecode per-job time trace", exp.fig02_trace),
-    "fig3": ("PID expected-vs-actual lag", exp.fig03_pid_lag),
-    "fig9": ("Execution time vs 1/frequency", exp.fig09_linearity),
-    "fig11": ("DVFS switch-time matrix", exp.fig11_switching),
-    "fig15": ("Energy and misses, 4 governors x 8 apps", exp.fig15_energy_misses),
-    "fig16": ("Budget sweep", exp.fig16_budget_sweep),
-    "fig17": ("Predictor and switch overheads", exp.fig17_overheads),
-    "fig18": ("Limit study (overheads removed, oracle)", exp.fig18_limit_study),
-    "fig19": ("Prediction-error box plots", exp.fig19_prediction_error),
-    "fig20": ("Under-predict penalty sweep", exp.fig20_alpha_sweep),
-    "fig21": ("Idling between jobs", exp.fig21_idling),
-    "breakdown": ("Energy by activity (extra)", exp.energy_breakdown),
+    "table2": ("Job-time statistics at fmax", table2_job_stats),
+    "fig2": ("ldecode per-job time trace", fig02_trace),
+    "fig3": ("PID expected-vs-actual lag", fig03_pid_lag),
+    "fig9": ("Execution time vs 1/frequency", fig09_linearity),
+    "fig11": ("DVFS switch-time matrix", fig11_switching),
+    "fig15": ("Energy and misses, 4 governors x 8 apps", fig15_energy_misses),
+    "fig16": ("Budget sweep", fig16_budget_sweep),
+    "fig17": ("Predictor and switch overheads", fig17_overheads),
+    "fig18": ("Limit study (overheads removed, oracle)", fig18_limit_study),
+    "fig19": ("Prediction-error box plots", fig19_prediction_error),
+    "fig20": ("Under-predict penalty sweep", fig20_alpha_sweep),
+    "fig21": ("Idling between jobs", fig21_idling),
+    "breakdown": ("Energy by activity (extra)", energy_breakdown),
     "drift": ("Mid-run drift: adaptation vs frozen (extra)",
-              exp.drift_adaptation),
-    "robustness": ("Headline across seeds (extra)", exp.robustness),
+              drift_adaptation),
+    "robustness": ("Headline across seeds (extra)", robustness),
     "crossplatform": ("Feature stability across platforms (§4.2)",
-                      exp.cross_platform),
+                      cross_platform),
 }
 
 _ALIASES = {f"fig0{n}": f"fig{n}" for n in (2, 3, 9)}
@@ -466,9 +484,9 @@ def _watch_command(argv: list[str]) -> int:
     when any page-severity SLO alert fired, 2 on bad input, else 0.
     """
     from repro.runtime.executor import TaskLoopRunner
-    from repro.telemetry import Telemetry, Watchdog
+    from repro.telemetry.events import Telemetry
     from repro.telemetry.slo import default_slos, specs_from_json
-    from repro.telemetry.watch import render_dashboard
+    from repro.telemetry.watch import Watchdog, render_dashboard
 
     parser = _single_run_parser(
         "repro watch",
@@ -810,15 +828,28 @@ def _replay_command(argv: list[str]) -> int:
     except SystemExit as error:
         return int(error.code or 0)
 
+    def read(path: str, parse):
+        """``parse(path)``; a file it cannot read or parse is a
+        ValueError whose one line starts with the path."""
+        try:
+            return parse(path)
+        except OSError as error:
+            raise ValueError(f"{path}: {error.strerror or error}") from None
+        except ValueError as error:
+            raise ValueError(f"{path}: {error}") from None
+
     try:
-        controller = load_controller(args.controller)
+        controller = read(args.controller, load_controller)
         # Every line of a replayed run must parse: an unreadable one is
         # a decision replay could not verify.
         runs, warnings = load_run_decisions(args.trace, args.run, strict=True)
         beta = None
         if args.beta is not None:
-            beta = beta_from_controller_payload(
-                json.loads(pathlib.Path(args.beta).read_text())
+            beta = read(
+                args.beta,
+                lambda path: beta_from_controller_payload(
+                    json.loads(pathlib.Path(path).read_text())
+                ),
             )
     except (FileNotFoundError, ValueError) as error:
         print(str(error), file=sys.stderr)
@@ -1177,7 +1208,7 @@ def _energy_command(argv: list[str]) -> int:
 
 def _controller_certificate_report(path: pathlib.Path) -> str:
     """Render the slice certificate stored in a saved controller file."""
-    from repro.programs.analysis import SliceCertificate
+    from repro.programs.analysis.certify import SliceCertificate
 
     payload = json.loads(path.read_text())
     app = payload.get("app_name", "?")
@@ -1329,13 +1360,15 @@ def _lint_one_workload(app, n_sample_jobs: int) -> dict:
     Pure so tests can call it without going through argv parsing.
     """
     from repro.pipeline.offline import profiled_input_ranges
-    from repro.programs.analysis import (
+    from repro.programs.analysis.diagnostics import (
         Diagnostic,
         apply_suppressions,
-        cost_bound,
+    )
+    from repro.programs.analysis.hazards import (
         dead_store_diagnostics,
         hazard_diagnostics,
     )
+    from repro.programs.analysis.intervals import cost_bound
     from repro.programs.validate import validate_program
 
     program = app.task.program

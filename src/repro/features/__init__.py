@@ -1,13 +1,1 @@
 """Feature extraction: encoding, profiling traces, and the profiler."""
-
-from repro.features.encoding import FeatureColumn, FeatureEncoder
-from repro.features.profiler import Profiler
-from repro.features.trace import ProfileSample, ProfileTrace
-
-__all__ = [
-    "FeatureColumn",
-    "FeatureEncoder",
-    "Profiler",
-    "ProfileSample",
-    "ProfileTrace",
-]

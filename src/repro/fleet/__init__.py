@@ -23,52 +23,3 @@ stream is derived from ``(root seed, tenant name, session index)`` via
 derivation, and results merge in canonical session order — so a fleet
 report is bit-identical no matter how the fleet was partitioned.
 """
-
-from repro.fleet.aggregate import (
-    FleetReport,
-    TenantRollup,
-    aggregate_fleet,
-    fleet_metrics,
-)
-from repro.fleet.arrivals import (
-    ARRIVAL_KINDS,
-    ArrivalProcess,
-    BurstyArrivals,
-    DiurnalArrivals,
-    PeriodicArrivals,
-    PoissonArrivals,
-    arrival_from_dict,
-)
-from repro.fleet.coordinator import FleetOutcome, FleetSpec, run_fleet
-from repro.fleet.seeding import derive_seed, session_seed
-from repro.fleet.session import SessionResult, run_session
-from repro.fleet.shard import ShardPlan, ShardResult, plan_shards, run_shard
-from repro.fleet.tenant import TenantSpec, tenants_from_json, tenants_to_json
-
-__all__ = [
-    "ARRIVAL_KINDS",
-    "ArrivalProcess",
-    "PeriodicArrivals",
-    "PoissonArrivals",
-    "BurstyArrivals",
-    "DiurnalArrivals",
-    "arrival_from_dict",
-    "derive_seed",
-    "session_seed",
-    "TenantSpec",
-    "tenants_to_json",
-    "tenants_from_json",
-    "SessionResult",
-    "run_session",
-    "ShardPlan",
-    "ShardResult",
-    "plan_shards",
-    "run_shard",
-    "FleetSpec",
-    "FleetOutcome",
-    "run_fleet",
-    "TenantRollup",
-    "FleetReport",
-    "aggregate_fleet",
-    "fleet_metrics",
-]

@@ -30,7 +30,6 @@ from repro.fleet.session import SessionResult
 from repro.fleet.tenant import TenantSpec
 from repro.telemetry.energy import EnergyState, merge_energy
 from repro.telemetry.metrics import percentile
-from repro.telemetry.report import _table
 from repro.telemetry.slo import SloTrackerState, merge_states
 
 __all__ = [
@@ -297,6 +296,8 @@ class FleetReport:
 
     def render_text(self) -> str:
         """Plain-text report (the CLI default)."""
+        from repro.telemetry.report import _table
+
         sections = [
             f"fleet report (seed {self.seed}): "
             f"{self.sessions} sessions, {self.jobs} jobs"

@@ -28,8 +28,8 @@ from repro.fleet.seeding import derive_seed, session_seed
 from repro.fleet.tenant import TenantSpec
 from repro.pipeline.config import PipelineConfig
 from repro.runtime.executor import TaskLoopRunner
-from repro.telemetry import NO_TELEMETRY
 from repro.telemetry.energy import EnergyLedger, EnergyState
+from repro.telemetry.events import NO_TELEMETRY
 from repro.telemetry.hostprof import HostProfiler
 from repro.telemetry.slo import (
     JobObservation,

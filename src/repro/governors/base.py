@@ -25,15 +25,20 @@ from repro.platform.board import Board
 from repro.platform.cpu import Work
 from repro.platform.opp import OperatingPoint
 from repro.programs.expr import Value
-from repro.telemetry import NO_TELEMETRY, DecisionRecord
+from repro.telemetry.events import NO_TELEMETRY
 from repro.telemetry.hostprof import NO_HOSTPROF
 
 if TYPE_CHECKING:  # avoid a circular import with the runtime package
     from repro.runtime.records import JobRecord
-    from repro.telemetry import Telemetry
+    from repro.telemetry.events import Telemetry
     from repro.telemetry.hostprof import HostProfiler
 
 __all__ = ["JobContext", "Decision", "Governor"]
+
+#: :class:`~repro.telemetry.audit.DecisionRecord`, bound by the first
+#: :meth:`Governor.bind_telemetry` of an enabled telemetry: a run that
+#: is not traced never loads the audit schema.
+DecisionRecord = None
 
 
 @dataclass
@@ -112,9 +117,16 @@ class Governor(ABC):
 
         The executor calls this once per run.  Governors that compose
         other governors (the adaptive and batch wrappers) should
-        override it and forward the binding to their delegates.
+        override it and forward the binding to their delegates.  An
+        enabled telemetry also binds :data:`DecisionRecord` here, so
+        :meth:`audit_decision` runs no import per job.
         """
+        global DecisionRecord
         self.telemetry = telemetry
+        if telemetry.enabled and DecisionRecord is None:
+            from repro.telemetry.audit import DecisionRecord as record
+
+            DecisionRecord = record
 
     def bind_hostprof(self, hostprof: "HostProfiler") -> None:
         """Attach a run's host profiler (optional observability hook).

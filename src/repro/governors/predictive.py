@@ -29,12 +29,16 @@ from repro.models.dvfs import DvfsModel
 from repro.models.timing import ExecutionTimePredictor, TimePrediction
 from repro.platform.cpu import Work
 from repro.platform.switching import SwitchTimeTable
-from repro.programs.analysis import SliceCertificate
+from repro.programs.analysis.certify import SliceCertificate
 from repro.programs.interpreter import Interpreter, RawFeatures
 from repro.programs.slicer import PredictionSlice
-from repro.telemetry.provenance import build_provenance
 
 __all__ = ["SliceOutcome", "PredictiveGovernor"]
+
+#: :func:`~repro.telemetry.provenance.build_provenance`, bound by the
+#: first :meth:`PredictiveGovernor.bind_telemetry` of an enabled
+#: telemetry: a run that is not traced never loads the provenance engine.
+build_provenance = None
 
 
 @dataclass(frozen=True)
@@ -180,9 +184,16 @@ class PredictiveGovernor(Governor):
         return float(value) if isinstance(value, (int, float)) else float("nan")
 
     def bind_telemetry(self, telemetry) -> None:
+        global build_provenance
         super().bind_telemetry(telemetry)
+        if not telemetry.enabled:
+            return
+        if build_provenance is None:
+            from repro.telemetry.provenance import build_provenance as build
+
+            build_provenance = build
         cert = self.certificate
-        if cert is None or not telemetry.enabled:
+        if cert is None:
             return
         metrics = telemetry.metrics
         for diagnostic in cert.diagnostics:

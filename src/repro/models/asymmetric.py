@@ -12,6 +12,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.checks import check_number
 from repro.models.solver import SolverResult, solve_asymmetric_lasso_stack
 
 __all__ = ["AsymmetricLassoModel", "fit_models", "lasso_time"]
@@ -51,10 +52,13 @@ class AsymmetricLassoModel:
         gamma: float = 0.0,
         max_iter: int = 5000,
     ):
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        if gamma < 0:
-            raise ValueError(f"gamma must be non-negative, got {gamma}")
+        owner = "AsymmetricLassoModel"
+        if check_number(owner, "alpha", alpha) <= 0:
+            raise ValueError(f"{owner}: alpha must be positive, got {alpha}")
+        if check_number(owner, "gamma", gamma) < 0:
+            raise ValueError(
+                f"{owner}: gamma must be non-negative, got {gamma}"
+            )
         self.alpha = alpha
         self.gamma = gamma
         self.max_iter = max_iter
@@ -75,10 +79,23 @@ class AsymmetricLassoModel:
         gamma: float = 0.0,
     ) -> "AsymmetricLassoModel":
         """Rebuild a fitted model from stored coefficients (§4.2:
-        developers distribute trained coefficients with the program)."""
+        developers distribute trained coefficients with the program).
+
+        Raises:
+            ValueError: naming the argument, for a coefficient or an
+                intercept that is not finite, or a bad ``alpha``/``gamma``.
+        """
         model = cls(alpha=alpha, gamma=gamma)
-        model.coef_ = np.asarray(coef, dtype=float)
-        model.intercept_ = float(intercept)
+        owner = "AsymmetricLassoModel"
+        coef = np.asarray(coef, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(coef))
+        if bad.size:
+            i, value = int(bad[0]), float(coef[bad[0]])
+            raise ValueError(
+                f"{owner}: coef[{i}] must be a finite number, got {value!r}"
+            )
+        model.coef_ = coef
+        model.intercept_ = float(check_number(owner, "intercept", intercept))
         return model
 
     def fit(

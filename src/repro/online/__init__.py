@@ -6,24 +6,3 @@ the execution-time model, and the adaptive safety margin.  The
 :class:`~repro.governors.adaptive.AdaptiveGovernor` composes these
 pieces over the frozen predictive governor.
 """
-
-from repro.online.drift import PageHinkleyDetector
-from repro.online.inject import StepDriftJitter, scale_inputs
-from repro.online.predictor import OnlineTimePredictor
-from repro.online.recalibrate import (
-    AdaptiveMargin,
-    OnlineAnchorModel,
-    RecursiveLeastSquares,
-)
-from repro.online.residuals import Ewma
-
-__all__ = [
-    "PageHinkleyDetector",
-    "StepDriftJitter",
-    "scale_inputs",
-    "OnlineTimePredictor",
-    "AdaptiveMargin",
-    "OnlineAnchorModel",
-    "RecursiveLeastSquares",
-    "Ewma",
-]

@@ -1,13 +1,1 @@
 """Offline pipeline: instrument -> profile -> train -> slice -> controller."""
-
-from repro.pipeline.config import PipelineConfig
-from repro.pipeline.offline import TrainedController, build_controller
-from repro.pipeline.persist import load_controller, save_controller
-
-__all__ = [
-    "PipelineConfig",
-    "TrainedController",
-    "build_controller",
-    "load_controller",
-    "save_controller",
-]

@@ -41,7 +41,7 @@ class PipelineConfig:
         certify: What to do with the slice certifier's verdict at train
             time: "error" refuses to hand an uncertified slice to the
             governor (raises
-            :class:`~repro.programs.analysis.CertificationError`),
+            :class:`~repro.programs.analysis.certify.CertificationError`),
             "warn" emits a ``UserWarning`` and continues, "off" skips
             certification entirely.
         certify_input_widen: How far beyond the profiled input range the

@@ -38,7 +38,7 @@ from repro.platform.cpu import SimulatedCpu
 from repro.platform.jitter import LogNormalJitter, NoJitter
 from repro.platform.opp import OppTable, default_xu3_a7_table
 from repro.platform.switching import SwitchLatencyModel, SwitchTimeTable
-from repro.programs.analysis import (
+from repro.programs.analysis.certify import (
     CertificationError,
     SliceCertificate,
     certify_slice,

@@ -33,7 +33,7 @@ from repro.pipeline.offline import TrainedController
 from repro.platform.biglittle import ClusterOperatingPoint
 from repro.platform.opp import OperatingPoint, OppTable
 from repro.platform.switching import SwitchTimeTable
-from repro.programs.analysis import SliceCertificate
+from repro.programs.analysis.certify import SliceCertificate
 from repro.programs.instrument import FeatureSite, InstrumentedProgram
 from repro.programs.serialize import program_from_dict, program_to_dict
 from repro.programs.slicer import PredictionSlice
@@ -67,19 +67,41 @@ def _opp_to_dict(point: OperatingPoint) -> dict[str, Any]:
     return data
 
 
-def _opp_from_dict(data: dict[str, Any]) -> OperatingPoint:
-    if data["t"] == "cluster":
-        return ClusterOperatingPoint(
-            index=data["index"],
-            freq_hz=data["freq_hz"],
-            voltage_v=data["voltage_v"],
-            cluster=data["cluster"],
-            real_freq_hz=data["real_freq_hz"],
-            c_eff_farads=data["c_eff_farads"],
-            i_leak_amps=data["i_leak_amps"],
+def _opp_from_dict(i: int, data: dict[str, Any]) -> OperatingPoint:
+    """Point ``i`` of a saved OPP table, read by type: ``index`` an int,
+    ``freq_hz`` and ``voltage_v`` finite numbers > 0, and for a cluster
+    point ``cluster`` a string and ``real_freq_hz``, ``c_eff_farads`` and
+    ``i_leak_amps`` finite numbers >= 0.  A bad field raises a
+    ``ValueError`` naming the point and the field."""
+    owner, point = "saved controller", f"'opps' point {i}"
+
+    def number(key: str, positive: bool = False) -> float:
+        value = check_number(owner, f"{point} {key}", data[key])
+        if value < 0 or (positive and value == 0):
+            bound = "> 0" if positive else ">= 0"
+            raise ValueError(
+                f"{owner}: {point} {key} must be {bound}, got {value}"
+            )
+        return value
+
+    index = check_number(owner, f"{point} index", data["index"], count=True)
+    freq_hz = number("freq_hz", positive=True)
+    voltage_v = number("voltage_v", positive=True)
+    if data["t"] != "cluster":
+        return OperatingPoint(index, freq_hz, voltage_v)
+    cluster = data["cluster"]
+    if not isinstance(cluster, str):
+        raise ValueError(
+            f"{owner}: {point} cluster must be a string, got {cluster!r}"
         )
-    return OperatingPoint(
-        index=data["index"], freq_hz=data["freq_hz"], voltage_v=data["voltage_v"]
+    return ClusterOperatingPoint(
+        index=index,
+        freq_hz=freq_hz,
+        voltage_v=voltage_v,
+        cluster=cluster,
+        real_freq_hz=number("real_freq_hz"),
+        c_eff_farads=number("c_eff_farads"),
+        i_leak_amps=number("i_leak_amps"),
     )
 
 
@@ -313,7 +335,7 @@ def controller_from_payload(payload: Any) -> TrainedController:
     opps = field(
         "opps",
         lambda data: OppTable(
-            [_opp_from_dict(p) for p in data["points"]],
+            [_opp_from_dict(i, p) for i, p in enumerate(data["points"])],
             require_monotone_voltage=not data["heterogeneous"],
         ),
     )

@@ -12,59 +12,3 @@ Cortex-A7 cluster).  This package provides a faithful software stand-in:
 - :mod:`repro.platform.jitter` — seeded timing-noise models.
 - :mod:`repro.platform.board` — the stateful facade tying it all together.
 """
-
-from repro.platform.biglittle import (
-    BIG_A15,
-    LITTLE_A7,
-    ClusterOperatingPoint,
-    ClusterSpec,
-    HeterogeneousPowerModel,
-    MigrationAwareSwitchModel,
-    build_biglittle_platform,
-)
-from repro.platform.board import Board
-from repro.platform.clock import VirtualClock
-from repro.platform.cpu import SimulatedCpu, Work
-from repro.platform.jitter import JitterModel, LogNormalJitter, NoJitter
-from repro.platform.opp import (
-    OperatingPoint,
-    OppTable,
-    default_xu3_a7_table,
-    default_xu3_a15_table,
-)
-from repro.platform.power import (
-    PowerModel,
-    default_a7_power_model,
-    default_a15_power_model,
-)
-from repro.platform.sensor import PowerSegment, PowerSensor, Timeline
-from repro.platform.switching import SwitchLatencyModel, SwitchTimeTable
-
-__all__ = [
-    "BIG_A15",
-    "LITTLE_A7",
-    "ClusterOperatingPoint",
-    "ClusterSpec",
-    "HeterogeneousPowerModel",
-    "MigrationAwareSwitchModel",
-    "build_biglittle_platform",
-    "Board",
-    "VirtualClock",
-    "SimulatedCpu",
-    "Work",
-    "JitterModel",
-    "LogNormalJitter",
-    "NoJitter",
-    "OperatingPoint",
-    "OppTable",
-    "default_xu3_a7_table",
-    "default_xu3_a15_table",
-    "PowerModel",
-    "default_a7_power_model",
-    "default_a15_power_model",
-    "PowerSegment",
-    "PowerSensor",
-    "Timeline",
-    "SwitchLatencyModel",
-    "SwitchTimeTable",
-]

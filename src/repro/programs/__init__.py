@@ -7,82 +7,3 @@ instead of C.  Control-flow semantics (branches, counted loops, calls
 through function pointers) are real, so instrumentation and slicing are
 genuine program transformations.
 """
-
-from repro.programs.env import Environment
-from repro.programs.expr import (
-    BinOp,
-    BoolOp,
-    Compare,
-    Const,
-    Expr,
-    IfExpr,
-    UnaryOp,
-    Var,
-    as_expr,
-)
-from repro.programs.instrument import (
-    FeatureSite,
-    InstrumentedProgram,
-    Instrumenter,
-)
-from repro.programs.interpreter import (
-    ExecutionResult,
-    Interpreter,
-    RawFeatures,
-)
-from repro.programs.ir import (
-    Assign,
-    Block,
-    Hint,
-    If,
-    IndirectCall,
-    Loop,
-    Program,
-    Seq,
-    Stmt,
-    While,
-    control_sites,
-    walk,
-)
-from repro.programs.slicer import PredictionSlice, Slicer
-from repro.programs.validate import (
-    free_variables,
-    static_instruction_bound,
-    validate_program,
-)
-
-__all__ = [
-    "Environment",
-    "BinOp",
-    "BoolOp",
-    "Compare",
-    "Const",
-    "Expr",
-    "IfExpr",
-    "UnaryOp",
-    "Var",
-    "as_expr",
-    "FeatureSite",
-    "InstrumentedProgram",
-    "Instrumenter",
-    "ExecutionResult",
-    "Interpreter",
-    "RawFeatures",
-    "Assign",
-    "Block",
-    "Hint",
-    "If",
-    "IndirectCall",
-    "Loop",
-    "Program",
-    "Seq",
-    "Stmt",
-    "While",
-    "control_sites",
-    "walk",
-    "PredictionSlice",
-    "Slicer",
-    "free_variables",
-    "static_instruction_bound",
-    "validate_program",
-]

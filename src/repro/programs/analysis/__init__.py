@@ -8,87 +8,3 @@ approximation-hazard linter — orchestrated by
 :func:`~repro.programs.analysis.certify.certify_slice` into a
 :class:`~repro.programs.analysis.certify.SliceCertificate`.
 """
-
-from repro.programs.analysis.certify import (
-    ANALYSIS_PASSES,
-    CertificationError,
-    SliceCertificate,
-    certify_slice,
-)
-from repro.programs.analysis.coverage import (
-    counted_sites,
-    coverage_diagnostics,
-)
-from repro.programs.analysis.dataflow import (
-    DataflowEngine,
-    DataflowPass,
-    FixpointDiverged,
-)
-from repro.programs.analysis.diagnostics import (
-    SEVERITIES,
-    Diagnostic,
-    Suppression,
-    apply_suppressions,
-    max_severity,
-)
-from repro.programs.analysis.effects import (
-    EffectReport,
-    effect_diagnostics,
-    effect_report,
-)
-from repro.programs.analysis.hazards import (
-    assigned_names,
-    dead_store_diagnostics,
-    hazard_diagnostics,
-)
-from repro.programs.analysis.intervals import (
-    TOP,
-    CostBound,
-    CostBoundAnalyzer,
-    Interval,
-    IntervalAnalysis,
-    analyze_intervals,
-    cost_bound,
-    eval_interval,
-)
-from repro.programs.analysis.reaching import (
-    LiveVariables,
-    ReachingDefinitions,
-    live_variables,
-    reaching_definitions,
-)
-
-__all__ = [
-    "ANALYSIS_PASSES",
-    "CertificationError",
-    "SliceCertificate",
-    "certify_slice",
-    "counted_sites",
-    "coverage_diagnostics",
-    "DataflowEngine",
-    "DataflowPass",
-    "FixpointDiverged",
-    "SEVERITIES",
-    "Diagnostic",
-    "Suppression",
-    "apply_suppressions",
-    "max_severity",
-    "EffectReport",
-    "effect_diagnostics",
-    "effect_report",
-    "assigned_names",
-    "dead_store_diagnostics",
-    "hazard_diagnostics",
-    "TOP",
-    "CostBound",
-    "CostBoundAnalyzer",
-    "Interval",
-    "IntervalAnalysis",
-    "analyze_intervals",
-    "cost_bound",
-    "eval_interval",
-    "LiveVariables",
-    "ReachingDefinitions",
-    "live_variables",
-    "reaching_definitions",
-]

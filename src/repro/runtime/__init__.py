@@ -1,17 +1,1 @@
 """Runtime: tasks, jobs, records, and the task-loop executor."""
-
-from repro.runtime.executor import TaskLoopRunner
-from repro.runtime.multitask import MultiTaskRunner, TaskStream
-from repro.runtime.placement import PredictorPlacement
-from repro.runtime.records import JobRecord, RunResult
-from repro.runtime.task import Task
-
-__all__ = [
-    "TaskLoopRunner",
-    "MultiTaskRunner",
-    "TaskStream",
-    "PredictorPlacement",
-    "JobRecord",
-    "RunResult",
-    "Task",
-]

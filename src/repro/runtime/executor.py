@@ -36,11 +36,16 @@ from repro.programs.interpreter import Interpreter
 from repro.runtime.placement import PredictorPlacement
 from repro.runtime.records import JobRecord, RunResult
 from repro.runtime.task import Task
-from repro.telemetry import NO_TELEMETRY, DecisionRecord, Telemetry
 from repro.telemetry.energy import NO_ENERGY_LEDGER, EnergyLedger
+from repro.telemetry.events import NO_TELEMETRY, Telemetry
 from repro.telemetry.hostprof import NO_HOSTPROF, HostProfiler
 
 __all__ = ["TaskLoopRunner"]
+
+#: :class:`~repro.telemetry.audit.DecisionRecord`, bound by the first
+#: :meth:`TaskLoopRunner.start` with an enabled telemetry: a run that is
+#: not traced never loads the audit schema.
+DecisionRecord = None
 
 _EPS = 1e-12
 #: With idling on, a gap this short or shorter stays at the current
@@ -212,6 +217,7 @@ class TaskLoopRunner:
         Idempotent between :meth:`reset` calls; :meth:`step` and
         :meth:`run` call it automatically.
         """
+        global DecisionRecord
         if self._started:
             return
         self._started = True
@@ -224,6 +230,10 @@ class TaskLoopRunner:
         self.governor.bind_hostprof(self.hostprof)
         self.governor.start(self.board, self.task.budget_s)
         if telemetry.enabled:
+            if DecisionRecord is None:
+                from repro.telemetry.audit import DecisionRecord as record
+
+                DecisionRecord = record
             telemetry.counter(
                 "freq_mhz", self.board.now, self.board.current_opp.freq_mhz
             )

@@ -22,10 +22,12 @@ callable, e.g. for streaming to an open file.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 
-from repro.telemetry.audit import DecisionRecord
 from repro.telemetry.metrics import MetricsRegistry
+
+if TYPE_CHECKING:  # records are built by their writers, not here
+    from repro.telemetry.audit import DecisionRecord
 
 #: Shared read-only payload of events built without ``args``.
 _NO_ARGS: Mapping[str, Any] = MappingProxyType({})

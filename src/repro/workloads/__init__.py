@@ -1,5 +1,1 @@
 """The paper's eight interactive benchmarks, re-modelled in the mini IR."""
-
-from repro.workloads.base import InteractiveApp, JobTimeStats
-
-__all__ = ["InteractiveApp", "JobTimeStats"]

@@ -1,58 +1,50 @@
 """Workload registry: name -> application factory.
 
-The eight benchmarks of the paper's Table 2, in its order.
+The eight benchmarks of the paper's Table 2, in its order.  Each lives
+in its own module, imported only when that app is built.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from importlib import import_module
 
-from repro.workloads import (
-    curseofwar,
-    game2048,
-    ldecode,
-    pocketsphinx,
-    rijndael,
-    sha,
-    uzbl,
-    xpilot,
-)
 from repro.workloads.base import InteractiveApp
 
-__all__ = ["APP_FACTORIES", "app_names", "get_app", "all_apps"]
+__all__ = ["APP_MODULES", "app_names", "get_app", "all_apps"]
 
-APP_FACTORIES: dict[str, Callable[[], InteractiveApp]] = {
-    "2048": game2048.make_app,
-    "curseofwar": curseofwar.make_app,
-    "ldecode": ldecode.make_app,
-    "pocketsphinx": pocketsphinx.make_app,
-    "rijndael": rijndael.make_app,
-    "sha": sha.make_app,
-    "uzbl": uzbl.make_app,
-    "xpilot": xpilot.make_app,
+#: App name -> the ``repro.workloads`` module whose ``make_app`` builds it.
+APP_MODULES: dict[str, str] = {
+    "2048": "game2048",
+    "curseofwar": "curseofwar",
+    "ldecode": "ldecode",
+    "pocketsphinx": "pocketsphinx",
+    "rijndael": "rijndael",
+    "sha": "sha",
+    "uzbl": "uzbl",
+    "xpilot": "xpilot",
 }
 
 
 def app_names() -> list[str]:
     """Benchmark names in Table-2 order."""
-    return list(APP_FACTORIES)
+    return list(APP_MODULES)
 
 
 def get_app(name: str) -> InteractiveApp:
-    """Build one benchmark by name.
+    """Build one benchmark by name, importing only its module.
 
     Raises:
         KeyError: For unknown names, listing the valid ones.
     """
     try:
-        factory = APP_FACTORIES[name]
+        module = APP_MODULES[name]
     except KeyError:
         raise KeyError(
-            f"unknown app {name!r}; available: {', '.join(APP_FACTORIES)}"
+            f"unknown app {name!r}; available: {', '.join(APP_MODULES)}"
         ) from None
-    return factory()
+    return import_module(f"repro.workloads.{module}").make_app()
 
 
 def all_apps() -> list[InteractiveApp]:
     """All eight benchmarks, freshly constructed."""
-    return [factory() for factory in APP_FACTORIES.values()]
+    return [get_app(name) for name in APP_MODULES]

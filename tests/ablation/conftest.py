@@ -8,8 +8,9 @@ measured behaviour, not mocks.
 
 import pytest
 
-from repro.ablation import plan_matrix, run_ablation, score_ablation
-from repro.ablation.planner import Scenario
+from repro.ablation.planner import Scenario, plan_matrix
+from repro.ablation.runner import run_ablation
+from repro.ablation.score import score_ablation
 
 SEED = 7
 N_JOBS = 40

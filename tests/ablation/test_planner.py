@@ -1,7 +1,5 @@
 """Planner properties: matrix shape, dedup, and JSON round-trips."""
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

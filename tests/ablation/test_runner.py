@@ -9,9 +9,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.ablation import plan_matrix, run_ablation
-from repro.ablation.planner import Scenario
-from repro.ablation.runner import AblationResult
+from repro.ablation.planner import Scenario, plan_matrix
+from repro.ablation.runner import AblationResult, run_ablation
 
 TINY = dict(
     seed=11,
@@ -28,8 +27,8 @@ def _last_of_plans_in_one_process(*seeds: int) -> str:
     the last plan's results as JSON."""
     script = f"""
 import json
-from repro.ablation import plan_matrix, run_ablation
-from repro.ablation.planner import Scenario
+from repro.ablation.planner import Scenario, plan_matrix
+from repro.ablation.runner import run_ablation
 
 for seed in {list(seeds)!r}:
     plan = plan_matrix(

@@ -547,7 +547,7 @@ class TestReplayAnchorModels:
     def traced(self, tmp_path_factory):
         from repro.analysis.harness import Lab
         from repro.pipeline.persist import save_controller
-        from repro.telemetry import TraceSession
+        from repro.telemetry.exporters import TraceSession
 
         directory = tmp_path_factory.mktemp("replay-models")
         lab = Lab(switch_samples=10, trace_session=TraceSession(directory))
@@ -585,13 +585,63 @@ class TestReplayAnchorModels:
             traced, tmp_path, capsys, lambda p: p.pop("model_fmin"), True
         )
         assert code == 2
-        assert err == "saved controller: no 'model_fmin' field\n"
+        bad = tmp_path / "bad.json"
+        assert err == f"{bad}: saved controller: no 'model_fmin' field\n"
 
     def test_valid_beta_replays(self, traced, capsys):
         directory, controller = traced
         capsys.readouterr()
         argv = ["replay", str(directory), str(controller)]
         assert main([*argv, "--beta", str(controller)]) == 0
+
+
+#: Files ``repro replay`` cannot read as a controller: case -> a writer
+#: taking the path and the saved controller's payload.
+UNREADABLE_CONTROLLERS = {
+    "directory": lambda path, payload: path.mkdir(),
+    "missing": lambda path, payload: None,
+    "not-json": lambda path, payload: path.write_text("{"),
+    "not-utf8": lambda path, payload: path.write_bytes(b"\xff\xfe{"),
+    "not-an-object": lambda path, payload: path.write_text("[]"),
+    "no-fmin-model": lambda path, payload: path.write_text(
+        json.dumps({k: v for k, v in payload.items() if k != "model_fmin"})
+    ),
+}
+
+
+class TestReplayUnreadableFiles:
+    """A controller or ``--beta`` file that cannot be read or parsed
+    makes ``repro replay`` exit 2 with one line that starts with its
+    path, so with both files given the line says which one is bad."""
+
+    @pytest.fixture(scope="class")
+    def traced(self, tmp_path_factory):
+        from repro.analysis.harness import Lab
+        from repro.pipeline.persist import save_controller
+        from repro.telemetry.exporters import TraceSession
+
+        directory = tmp_path_factory.mktemp("replay-files")
+        lab = Lab(switch_samples=10, trace_session=TraceSession(directory))
+        lab.run("rijndael", "prediction", n_jobs=8)
+        lab.trace_session.flush()
+        controller = directory / "ctrl.json"
+        save_controller(lab.controller("rijndael"), controller)
+        return directory, controller
+
+    @pytest.mark.parametrize("beta", [False, True], ids=["ctrl", "beta"])
+    @pytest.mark.parametrize("case", UNREADABLE_CONTROLLERS)
+    def test_one_line_naming_the_file(
+        self, traced, tmp_path, capsys, case, beta
+    ):
+        directory, controller = traced
+        bad = tmp_path / "bad.json"
+        UNREADABLE_CONTROLLERS[case](bad, json.loads(controller.read_text()))
+        argv = ["replay", str(directory)]
+        argv += [str(controller), "--beta", str(bad)] if beta else [str(bad)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"{bad}: ")
 
 
 def _slo_spec(objective="0.1", threshold="0.0", jobs="5", rate="2.0"):

@@ -16,8 +16,9 @@ from repro.governors.base import JobContext
 from repro.governors.predictive import PredictiveGovernor
 from repro.platform.board import Board
 from repro.platform.opp import default_xu3_a7_table
-from repro.programs.analysis import ANALYSIS_PASSES, Diagnostic, SliceCertificate
-from repro.telemetry import Telemetry
+from repro.programs.analysis.certify import ANALYSIS_PASSES, SliceCertificate
+from repro.programs.analysis.diagnostics import Diagnostic
+from repro.telemetry.events import Telemetry
 
 OPPS = default_xu3_a7_table()
 INPUTS = {"width": 10, "height": 10, "kind": 0}

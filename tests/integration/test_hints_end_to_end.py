@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.governors.performance import PerformanceGovernor
-from repro.pipeline import PipelineConfig, build_controller
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.offline import build_controller
 from repro.pipeline.persist import load_controller, save_controller
 from repro.platform.board import Board
 from repro.platform.jitter import LogNormalJitter
@@ -13,7 +14,8 @@ from repro.platform.opp import default_xu3_a7_table
 from repro.platform.switching import SwitchLatencyModel
 from repro.programs.expr import Compare, Const, Var
 from repro.programs.ir import Block, Hint, If, Loop, Program, Seq
-from repro.runtime import Task, TaskLoopRunner
+from repro.runtime.executor import TaskLoopRunner
+from repro.runtime.task import Task
 from repro.workloads.base import InteractiveApp, JobTimeStats
 
 OPPS = default_xu3_a7_table()

@@ -61,6 +61,49 @@ class TestAsymmetricLassoModel:
         with pytest.raises(ValueError):
             AsymmetricLassoModel(gamma=-1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            ({"alpha": math.nan}, "alpha"),
+            ({"alpha": math.inf}, "alpha"),
+            ({"alpha": True}, "alpha"),
+            ({"gamma": math.nan}, "gamma"),
+            ({"gamma": math.inf}, "gamma"),
+            ({"gamma": False}, "gamma"),
+        ],
+        ids=repr,
+    )
+    def test_refuses_non_finite_or_bool_weights(self, kwargs, named):
+        with pytest.raises(ValueError) as error:
+            AsymmetricLassoModel(**kwargs)
+        message = str(error.value)
+        assert "\n" not in message
+        assert message.startswith(f"AsymmetricLassoModel: {named} must be")
+
+    @pytest.mark.parametrize(
+        "coef, intercept, named",
+        [
+            ([math.nan, 1.0], 0.0, "coef[0]"),
+            ([1.0, -math.inf], 0.0, "coef[1]"),
+            ([1.0, 1.0], math.inf, "intercept"),
+            ([1.0, 1.0], math.nan, "intercept"),
+            ([1.0, 1.0], True, "intercept"),
+        ],
+        ids=repr,
+    )
+    def test_from_coefficients_refuses_non_finite(
+        self, coef, intercept, named
+    ):
+        with pytest.raises(ValueError) as error:
+            AsymmetricLassoModel.from_coefficients(coef, intercept)
+        message = str(error.value)
+        assert "\n" not in message
+        assert message.startswith(f"AsymmetricLassoModel: {named} must be")
+
+    def test_from_coefficients_checks_weights(self):
+        with pytest.raises(ValueError, match="gamma must be a finite number"):
+            AsymmetricLassoModel.from_coefficients([1.0], 0.0, gamma=math.inf)
+
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             AsymmetricLassoModel().predict(np.zeros((1, 2)))

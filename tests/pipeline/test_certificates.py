@@ -7,12 +7,12 @@ import pytest
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.offline import build_controller, profiled_input_ranges
 from repro.pipeline.persist import load_controller, save_controller
-from repro.programs.analysis import (
+from repro.programs.analysis.certify import (
     ANALYSIS_PASSES,
     CertificationError,
-    Diagnostic,
     SliceCertificate,
 )
+from repro.programs.analysis.diagnostics import Diagnostic
 from repro.workloads.registry import get_app
 
 FAST = dict(n_profile_jobs=40, switch_samples=2)

@@ -1,6 +1,5 @@
 """Tests for controller persistence (paper §4.2 distribution format)."""
 
-import numpy as np
 import pytest
 
 from repro.pipeline.config import PipelineConfig

@@ -147,6 +147,83 @@ class TestAnchorModels:
             load_controller(corrupt(saved, tmp_path, mutate))
 
 
+#: A field of the saved OPP table's point 3 edited to a value that must
+#: not load: case -> (field, value).  Cluster fields apply to the point
+#: once it is made a cluster point (``as_cluster_point``).
+OPP_EDITS = {
+    "nan-voltage": ("voltage_v", math.nan),
+    "bool-voltage": ("voltage_v", True),
+    "zero-voltage": ("voltage_v", 0.0),
+    "string-freq": ("freq_hz", "5e8"),
+    "inf-freq": ("freq_hz", math.inf),
+    "negative-freq": ("freq_hz", -5e8),
+    "float-index": ("index", 3.0),
+    "bool-index": ("index", True),
+    "int-cluster": ("cluster", 7),
+    "nan-real-freq": ("real_freq_hz", math.nan),
+    "negative-c-eff": ("c_eff_farads", -1e-10),
+    "bool-leak": ("i_leak_amps", False),
+}
+
+#: The cluster fields a point needs to load as a ClusterOperatingPoint.
+CLUSTER_FIELDS = {
+    "t": "cluster",
+    "cluster": "A7",
+    "real_freq_hz": 5e8,
+    "c_eff_farads": 3e-10,
+    "i_leak_amps": 0.05,
+}
+
+
+def edit_opp(field, value, cluster):
+    """A payload edit setting point 3's ``field`` (after making it a
+    cluster point when ``cluster``)."""
+
+    def edit(payload):
+        point = payload["opps"]["points"][3]
+        if cluster:
+            point.update(CLUSTER_FIELDS)
+        point[field] = value
+
+    return edit
+
+
+class TestOppPoints:
+    """A saved operating point is read by type: a NaN voltage used to
+    load silently (``OppTable`` compares with ``<=``, false for NaN), and
+    a bool loaded as 1."""
+
+    @pytest.mark.parametrize("case", OPP_EDITS)
+    def test_rejects_naming_point_and_field(self, saved, tmp_path, case):
+        field, value = OPP_EDITS[case]
+        cluster = field not in ("index", "freq_hz", "voltage_v")
+        bad = corrupt(saved, tmp_path, edit_opp(field, value, cluster))
+        with pytest.raises(ValueError) as error:
+            load_controller(bad)
+        message = str(error.value)
+        assert "\n" not in message
+        assert message.startswith(f"saved controller: 'opps' point 3 {field}")
+
+    def test_replay_exits_2_with_one_line(self, saved, tmp_path, capsys):
+        from repro.cli import main
+
+        bad = corrupt(saved, tmp_path, edit_opp("voltage_v", math.nan, False))
+        capsys.readouterr()
+        assert main(["replay", str(tmp_path), str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"{bad}: saved controller: 'opps' point 3 voltage_v must be a "
+            "finite number, got nan\n"
+        )
+
+    def test_valid_cluster_point_loads(self, saved, tmp_path):
+        from repro.platform.biglittle import ClusterOperatingPoint
+
+        good = corrupt(saved, tmp_path, edit_opp("cluster", "A7", True))
+        point = load_controller(good).dvfs.opps[3]
+        assert isinstance(point, ClusterOperatingPoint)
+        assert (point.cluster, point.real_freq_hz) == ("A7", 5e8)
+
+
 class TestConfigValues:
     """Every numeric ``PipelineConfig`` field is a finite real or an int
     (not a bool) within its bounds, also when it comes from a file."""

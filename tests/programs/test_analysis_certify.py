@@ -4,15 +4,17 @@ import math
 
 import pytest
 
-from repro.programs.analysis import (
+from repro.programs.analysis.certify import (
     ANALYSIS_PASSES,
     CertificationError,
-    Diagnostic,
     SliceCertificate,
+    certify_slice,
+)
+from repro.programs.analysis.coverage import counted_sites
+from repro.programs.analysis.diagnostics import (
+    Diagnostic,
     Suppression,
     apply_suppressions,
-    certify_slice,
-    counted_sites,
     max_severity,
 )
 from repro.programs.expr import Compare, Const, Var

@@ -16,7 +16,7 @@ import math
 
 from hypothesis import given
 
-from repro.programs.analysis import certify_slice
+from repro.programs.analysis.certify import certify_slice
 from repro.programs.instrument import Instrumenter
 from repro.programs.slicer import Slicer
 

@@ -10,7 +10,7 @@ is a regression.
 import pytest
 
 from repro.pipeline.offline import profiled_input_ranges
-from repro.programs.analysis import certify_slice
+from repro.programs.analysis.certify import certify_slice
 from repro.programs.instrument import Instrumenter
 from repro.programs.interpreter import Interpreter
 from repro.programs.slicer import Slicer

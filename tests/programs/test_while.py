@@ -165,11 +165,13 @@ class TestWhileThroughPipeline:
         """A While-based app through the full offline flow and a run."""
         import random
 
-        from repro.pipeline import PipelineConfig, build_controller
-        from repro.platform import Board
+        from repro.pipeline.config import PipelineConfig
+        from repro.pipeline.offline import build_controller
+        from repro.platform.board import Board
         from repro.platform.opp import default_xu3_a7_table
         from repro.platform.switching import SwitchLatencyModel
-        from repro.runtime import Task, TaskLoopRunner
+        from repro.runtime.executor import TaskLoopRunner
+        from repro.runtime.task import Task
         from repro.workloads.base import InteractiveApp, JobTimeStats
 
         opps = default_xu3_a7_table()

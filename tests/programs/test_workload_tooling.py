@@ -27,19 +27,19 @@ import functools
 import pytest
 
 from repro.pipeline.offline import profiled_input_ranges
-from repro.programs.analysis import (
+from repro.programs.analysis.coverage import (
     counted_sites,
     coverage_diagnostics,
-    cost_bound,
-    effect_report,
-    hazard_diagnostics,
-    live_variables,
-    reaching_definitions,
 )
+from repro.programs.analysis.effects import effect_report
+from repro.programs.analysis.hazards import hazard_diagnostics
+from repro.programs.analysis.intervals import cost_bound
 from repro.programs.analysis.reaching import (
     GLOBAL_DEF,
     INPUT_DEF,
     LOOP_VAR_DEF,
+    live_variables,
+    reaching_definitions,
 )
 from repro.programs.instrument import Instrumenter
 from repro.programs.interpreter import Interpreter

@@ -41,7 +41,7 @@ from repro.analysis.harness import Lab, seeded_board
 from repro.governors.adaptive import AdaptiveConfig, AdaptiveGovernor
 from repro.runtime.executor import TaskLoopRunner
 from repro.runtime.placement import PredictorPlacement
-from repro.telemetry import Telemetry
+from repro.telemetry.events import Telemetry
 from repro.workloads.registry import app_names
 
 N_JOBS = 24

@@ -243,7 +243,8 @@ def reference_states(program, job_inputs):
 
 @pytest.fixture(scope="module")
 def uzbl_controller():
-    from repro.pipeline import PipelineConfig, build_controller
+    from repro.pipeline.config import PipelineConfig
+    from repro.pipeline.offline import build_controller
     from repro.platform.switching import SwitchLatencyModel
     from repro.workloads.registry import get_app
 
@@ -433,7 +434,7 @@ class TestTimers:
     def test_timer_fires_during_idle(self):
         """Near-idle samples taken between jobs retarget the clock to
         fmin before the next release boosts it again."""
-        from repro.telemetry import Telemetry
+        from repro.telemetry.events import Telemetry
 
         telemetry = Telemetry()
         result, board = run_task(
@@ -544,7 +545,7 @@ class TestMidJobRetargeting:
         assert board.current_opp == OPPS.fmax
 
     def test_work_is_conserved_across_the_retarget(self):
-        from repro.telemetry import Telemetry
+        from repro.telemetry.events import Telemetry
 
         telemetry = Telemetry()
         self.run_retargeted(telemetry=telemetry)
@@ -563,7 +564,7 @@ class TestMidJobRetargeting:
         assert counters["executor.timer_retargets"] == 1
 
     def test_retarget_emits_instant_event(self):
-        from repro.telemetry import Telemetry
+        from repro.telemetry.events import Telemetry
 
         telemetry = Telemetry()
         self.run_retargeted(telemetry=telemetry)

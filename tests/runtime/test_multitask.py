@@ -160,7 +160,8 @@ class TestScheduling:
 
 class TestPredictiveStreams:
     def test_two_predictive_controllers_coexist(self, tmp_path):
-        from repro.pipeline import PipelineConfig, build_controller
+        from repro.pipeline.config import PipelineConfig
+        from repro.pipeline.offline import build_controller
         from repro.platform.switching import SwitchLatencyModel
         from repro.workloads.registry import get_app
 

@@ -7,7 +7,6 @@ from repro.platform.board import Board
 from repro.platform.opp import default_xu3_a7_table
 from repro.runtime.executor import TaskLoopRunner
 from repro.runtime.placement import PredictorPlacement
-from repro.runtime.task import Task
 from repro.workloads.registry import get_app
 
 OPPS = default_xu3_a7_table()
@@ -15,7 +14,8 @@ OPPS = default_xu3_a7_table()
 
 @pytest.fixture(scope="module")
 def stack():
-    from repro.pipeline import PipelineConfig, build_controller
+    from repro.pipeline.config import PipelineConfig
+    from repro.pipeline.offline import build_controller
     from repro.platform.switching import SwitchLatencyModel
 
     app = get_app("ldecode")

@@ -63,7 +63,8 @@ def _governed_run(app_name, governor=None, n_jobs=10, placement=None):
 @pytest.fixture(scope="module")
 def controller():
     """A small trained sha controller for the placement tests."""
-    from repro.pipeline import PipelineConfig, build_controller
+    from repro.pipeline.config import PipelineConfig
+    from repro.pipeline.offline import build_controller
     from repro.platform.switching import SwitchLatencyModel
 
     return build_controller(

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.telemetry import (
-    NO_TELEMETRY,
+from repro.telemetry.audit import DecisionRecord
+from repro.telemetry.events import (
     CallbackSink,
-    DecisionRecord,
     ListSink,
+    NO_TELEMETRY,
     NullTelemetry,
     Telemetry,
 )

@@ -2,9 +2,9 @@
 
 import json
 
-from repro.telemetry import (
-    DecisionRecord,
-    Telemetry,
+from repro.telemetry.audit import DecisionRecord
+from repro.telemetry.events import Telemetry
+from repro.telemetry.exporters import (
     TraceSession,
     chrome_trace,
     decisions_jsonl,
@@ -124,7 +124,7 @@ class TestNullTelemetryExports:
     """Disabled pipelines still export valid, *empty* artifacts."""
 
     def test_write_run_on_null_telemetry(self, tmp_path):
-        from repro.telemetry import NO_TELEMETRY
+        from repro.telemetry.events import NO_TELEMETRY
 
         written = write_run(NO_TELEMETRY, tmp_path)
         assert {p.name for p in written} == {
@@ -147,7 +147,7 @@ class TestNullTelemetryExports:
         ).read_text()
 
     def test_null_export_shortcuts_are_empty_but_valid(self):
-        from repro.telemetry import NO_TELEMETRY
+        from repro.telemetry.events import NO_TELEMETRY
 
         assert NO_TELEMETRY.events_jsonl() == ""
         assert NO_TELEMETRY.chrome_trace()["traceEvents"] is not None

@@ -20,7 +20,8 @@ from repro.platform.opp import default_xu3_a7_table
 from repro.programs.ir import Block, Program
 from repro.runtime.executor import TaskLoopRunner
 from repro.runtime.task import Task
-from repro.telemetry import Telemetry, TraceSession
+from repro.telemetry.events import Telemetry
+from repro.telemetry.exporters import TraceSession
 
 OPPS = default_xu3_a7_table()
 

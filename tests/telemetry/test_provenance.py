@@ -30,7 +30,7 @@ import repro
 from repro.analysis.experiments import drift_adaptation
 from repro.analysis.harness import Lab
 from repro.pipeline.persist import load_controller, save_controller
-from repro.telemetry import TraceSession
+from repro.telemetry.exporters import TraceSession
 from repro.telemetry.audit import (
     SCHEMA_VERSION,
     AnchorSnapshot,
@@ -666,7 +666,7 @@ class TestCli:
         assert main(["replay", str(directory), str(path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("saved controller: ") and field in err
+        assert err.startswith(f"{path}: saved controller: ") and field in err
 
     @pytest.mark.parametrize("bad", ["ten", math.nan], ids=repr)
     def test_replay_rejects_bad_slice_cost_exit_2(

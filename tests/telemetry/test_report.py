@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.telemetry import (
-    DecisionRecord,
-    Telemetry,
-    TraceSession,
+from repro.telemetry.audit import DecisionRecord
+from repro.telemetry.events import Telemetry
+from repro.telemetry.exporters import TraceSession
+from repro.telemetry.report import (
     diff_directories,
     render_report,
     summarize_directory,
@@ -390,7 +390,7 @@ class TestMetricsGate:
 
 class TestEmptyDataRendering:
     def test_empty_histogram_renders_na(self):
-        from repro.telemetry import Telemetry
+        from repro.telemetry.events import Telemetry
 
         tel = Telemetry(name="hollow")
         tel.metrics.histogram("executor.slack_s")  # registered, no data
@@ -398,7 +398,7 @@ class TestEmptyDataRendering:
         assert "n/a" in text
 
     def test_summarize_zero_job_run_shows_na(self, tmp_path):
-        from repro.telemetry import TraceSession
+        from repro.telemetry.exporters import TraceSession
 
         directory = tmp_path / "empty"
         session = TraceSession(directory)

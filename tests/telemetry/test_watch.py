@@ -6,9 +6,8 @@ import pytest
 
 from tests.online.conftest import make_predictive, toy_stack
 
-from repro.telemetry import NO_TELEMETRY, Telemetry
 from repro.telemetry.audit import DecisionRecord
-from repro.telemetry.events import ListSink
+from repro.telemetry.events import NO_TELEMETRY, ListSink, Telemetry
 from repro.telemetry.slo import BurnWindow, SloSpec
 from repro.telemetry.watch import (
     MAD_MIN_SAMPLES,

@@ -15,7 +15,7 @@ from repro.programs.instrument import Instrumenter
 from repro.programs.interpreter import Interpreter
 from repro.programs.slicer import Slicer
 from repro.programs.validate import free_variables, validate_program
-from repro.workloads.registry import all_apps, app_names, get_app
+from repro.workloads.registry import app_names, get_app
 
 OPPS = default_xu3_a7_table()
 INTERP = Interpreter()
