@@ -81,10 +81,6 @@ class Scenario:
                 f"drift_at_frac must be in [0, 1], got {self.drift_at_frac}"
             )
 
-    @property
-    def drifts(self) -> bool:
-        return self.drift_factor != 1.0
-
 
 #: The grid the acceptance evidence was tuned on: a nominal cell, a
 #: heavy-jitter cell (where margins and asymmetry earn their keep), and

@@ -83,11 +83,6 @@ class Component:
     adaptive_off: tuple[tuple[str, object], ...] = ()
     adaptive_post: Callable[[AdaptiveConfig], AdaptiveConfig] | None = None
 
-    @property
-    def retrains_controller(self) -> bool:
-        """Whether disabling this component needs its own offline build."""
-        return bool(self.pipeline_off)
-
 
 #: Every registered mechanism, in report order.  The off-state semantics
 #: live here and nowhere else.

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 from repro.analysis.harness import Lab, seeded_board
 from repro.analysis.render import format_table
-from repro.online.inject import scale_inputs
 from repro.runtime.executor import TaskLoopRunner
 from repro.runtime.records import JobRecord
 
@@ -75,7 +74,11 @@ class DriftRow:
 
 @dataclass(frozen=True)
 class DriftAdaptationResult:
-    """Windowed miss/energy comparison under an injected mid-run shift."""
+    """Windowed miss/energy comparison under an injected mid-run shift.
+
+    ``input_scale`` is always 1.0: the shift slows execution, never the
+    job inputs.  It stays a field so saved results keep their keys.
+    """
 
     app: str
     n_jobs: int
@@ -106,7 +109,6 @@ def run(
     n_jobs: int = 240,
     slowdown: float = 1.35,
     shift_fraction: float = 0.5,
-    input_scale: float = 1.0,
     window: int | None = None,
     governors: tuple[str, ...] = DRIFT_GOVERNORS,
     seed_offset: int = 11,
@@ -119,8 +121,6 @@ def run(
         n_jobs: Jobs in the run.
         slowdown: Multiplicative execution-time factor from the shift on.
         shift_fraction: Where the shift lands, as a fraction of the run.
-        input_scale: Optional input-distribution drift applied from the
-            shift as well (1.0 disables it).
         window: Jobs per miss-rate window; defaults to a third of the
             shorter run segment, capped at 40.
         governors: Governor names to compare.
@@ -135,8 +135,6 @@ def run(
 
     app = lab.app(app_name)
     inputs = app.inputs(n_jobs, seed=lab.seed + seed_offset)
-    if input_scale != 1.0:
-        inputs = scale_inputs(inputs, shift_job, input_scale)
 
     results = {}
     for name in governors:
@@ -203,7 +201,7 @@ def run(
         n_jobs=n_jobs,
         shift_job=shift_job,
         slowdown=slowdown,
-        input_scale=input_scale,
+        input_scale=1.0,
         window=window,
         rows=tuple(rows),
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, replace
 from functools import cached_property
+from importlib import import_module
 from typing import TYPE_CHECKING
 
 from repro.governors.base import Governor
@@ -54,6 +55,27 @@ GOVERNOR_NAMES = (
 
 _BATCH_PREFIX = "prediction-batch"
 
+#: Baseline governor name -> (its ``repro.governors`` module, its class).
+#: Each class is built from the Lab's OPP table alone.
+_BASELINE_GOVERNORS: dict[str, tuple[str, str]] = {
+    "performance": ("performance", "PerformanceGovernor"),
+    "powersave": ("powersave", "PowersaveGovernor"),
+    "ondemand": ("ondemand", "OndemandGovernor"),
+    "conservative": ("conservative", "ConservativeGovernor"),
+    "interactive": ("interactive", "InteractiveGovernor"),
+    "pid": ("pid", "PidGovernor"),
+    "oracle": ("oracle", "OracleGovernor"),
+}
+
+#: Baseline governor classes by name, each imported on first use: a
+#: fleet builds a governor per session, and an import statement per
+#: call would cost more than the lookup.
+_BASELINE_CLASSES: dict[str, type[Governor]] = {}
+
+#: :class:`~repro.online.inject.StepDriftJitter`, bound by the first
+#: drifting :func:`seeded_board`: a run without drift never loads it.
+StepDriftJitter = None
+
 #: Trained controllers of every Lab in the process, keyed by everything a
 #: build reads: app, pipeline config, OPP table, and the seed and sample
 #: count of the switch-time microbenchmark.  Forked workers inherit them.
@@ -72,6 +94,16 @@ def check_governor(name: str) -> None:
     )
 
 
+def _baseline_class(name: str) -> type[Governor]:
+    """The class of baseline governor ``name``, imported on first use."""
+    cls = _BASELINE_CLASSES.get(name)
+    if cls is None:
+        module, class_name = _BASELINE_GOVERNORS[name]
+        cls = getattr(import_module(f"repro.governors.{module}"), class_name)
+        _BASELINE_CLASSES[name] = cls
+    return cls
+
+
 def seeded_board(
     opps: OppTable,
     power: PowerModel | None,
@@ -88,6 +120,7 @@ def seeded_board(
     is time-triggered, so it lands on the same job for every governor
     however many noise samples each one draws.
     """
+    global StepDriftJitter
     jitter = (
         LogNormalJitter(jitter_sigma, seed=jitter_seed)
         if jitter_sigma > 0
@@ -100,8 +133,10 @@ def seeded_board(
         jitter=jitter,
     )
     if drift is not None and drift[0] != 1.0:
-        from repro.online.inject import StepDriftJitter
+        if StepDriftJitter is None:
+            from repro.online.inject import StepDriftJitter as step
 
+            StepDriftJitter = step
         factor, shift_at_s = drift
         board.cpu.jitter = StepDriftJitter(
             jitter, factor, shift_at_s=shift_at_s, clock=lambda: board.now
@@ -225,41 +260,12 @@ class Lab:
     ) -> Governor:
         """Instantiate a governor by name (trained on demand).
 
-        Each governor's module is imported by its own branch, so a run
-        loads only the policy it uses.
+        Each governor's module is imported when the first governor of its
+        kind is built, so a run loads only the policy it uses.
         """
+        if name in _BASELINE_GOVERNORS:
+            return _baseline_class(name)(self.opps)
         check_governor(name)
-        # ``import ... as`` rather than ``from ... import``: a fleet builds
-        # a governor per session, and on Python 3.11 a ``from`` import
-        # probes the module for ``__path__`` on every call (~1 us more).
-        if name == "performance":
-            import repro.governors.performance as performance
-
-            return performance.PerformanceGovernor(self.opps)
-        if name == "powersave":
-            import repro.governors.powersave as powersave
-
-            return powersave.PowersaveGovernor(self.opps)
-        if name == "ondemand":
-            import repro.governors.ondemand as ondemand
-
-            return ondemand.OndemandGovernor(self.opps)
-        if name == "conservative":
-            import repro.governors.conservative as conservative
-
-            return conservative.ConservativeGovernor(self.opps)
-        if name == "interactive":
-            import repro.governors.interactive as interactive
-
-            return interactive.InteractiveGovernor(self.opps)
-        if name == "pid":
-            import repro.governors.pid as pid
-
-            return pid.PidGovernor(self.opps)
-        if name == "oracle":
-            import repro.governors.oracle as oracle
-
-            return oracle.OracleGovernor(self.opps)
         if name == "prediction":
             return self.controller(app_name, pipeline_config).governor(
                 self.interpreter

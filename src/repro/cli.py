@@ -47,26 +47,8 @@ import sys
 import time
 import warnings
 import zlib
-from typing import Callable
+from importlib import import_module
 
-from repro.analysis.experiments import (
-    cross_platform,
-    drift_adaptation,
-    energy_breakdown,
-    fig02_trace,
-    fig03_pid_lag,
-    fig09_linearity,
-    fig11_switching,
-    fig15_energy_misses,
-    fig16_budget_sweep,
-    fig17_overheads,
-    fig18_limit_study,
-    fig19_prediction_error,
-    fig20_alpha_sweep,
-    fig21_idling,
-    robustness,
-    table2_job_stats,
-)
 from repro.analysis.harness import Lab, check_governor, seeded_board
 from repro.telemetry.exporters import TraceSession
 from repro.telemetry.report import summarize_directory
@@ -74,25 +56,28 @@ from repro.workloads.registry import app_names
 
 __all__ = ["main"]
 
-_EXPERIMENTS: dict[str, tuple[str, Callable]] = {
-    "table2": ("Job-time statistics at fmax", table2_job_stats),
-    "fig2": ("ldecode per-job time trace", fig02_trace),
-    "fig3": ("PID expected-vs-actual lag", fig03_pid_lag),
-    "fig9": ("Execution time vs 1/frequency", fig09_linearity),
-    "fig11": ("DVFS switch-time matrix", fig11_switching),
-    "fig15": ("Energy and misses, 4 governors x 8 apps", fig15_energy_misses),
-    "fig16": ("Budget sweep", fig16_budget_sweep),
-    "fig17": ("Predictor and switch overheads", fig17_overheads),
-    "fig18": ("Limit study (overheads removed, oracle)", fig18_limit_study),
-    "fig19": ("Prediction-error box plots", fig19_prediction_error),
-    "fig20": ("Under-predict penalty sweep", fig20_alpha_sweep),
-    "fig21": ("Idling between jobs", fig21_idling),
-    "breakdown": ("Energy by activity (extra)", energy_breakdown),
+#: Experiment name -> (description, the ``repro.analysis.experiments``
+#: module whose ``run`` and ``render`` reproduce it).  A module is
+#: imported only to run it.
+_EXPERIMENTS: dict[str, tuple[str, str]] = {
+    "table2": ("Job-time statistics at fmax", "table2_job_stats"),
+    "fig2": ("ldecode per-job time trace", "fig02_trace"),
+    "fig3": ("PID expected-vs-actual lag", "fig03_pid_lag"),
+    "fig9": ("Execution time vs 1/frequency", "fig09_linearity"),
+    "fig11": ("DVFS switch-time matrix", "fig11_switching"),
+    "fig15": ("Energy and misses, 4 governors x 8 apps", "fig15_energy_misses"),
+    "fig16": ("Budget sweep", "fig16_budget_sweep"),
+    "fig17": ("Predictor and switch overheads", "fig17_overheads"),
+    "fig18": ("Limit study (overheads removed, oracle)", "fig18_limit_study"),
+    "fig19": ("Prediction-error box plots", "fig19_prediction_error"),
+    "fig20": ("Under-predict penalty sweep", "fig20_alpha_sweep"),
+    "fig21": ("Idling between jobs", "fig21_idling"),
+    "breakdown": ("Energy by activity (extra)", "energy_breakdown"),
     "drift": ("Mid-run drift: adaptation vs frozen (extra)",
-              drift_adaptation),
-    "robustness": ("Headline across seeds (extra)", robustness),
+              "drift_adaptation"),
+    "robustness": ("Headline across seeds (extra)", "robustness"),
     "crossplatform": ("Feature stability across platforms (§4.2)",
-                      cross_platform),
+                      "cross_platform"),
 }
 
 _ALIASES = {f"fig0{n}": f"fig{n}" for n in (2, 3, 9)}
@@ -240,7 +225,9 @@ def main(argv: list[str] | None = None) -> int:
         jitter_sigma=args.jitter, seed=args.seed, trace_session=trace_session
     )
     for name in requested:
-        _, module = _EXPERIMENTS[name]
+        module = import_module(
+            f"repro.analysis.experiments.{_EXPERIMENTS[name][1]}"
+        )
         kwargs = {}
         if (
             args.jobs is not None
@@ -851,6 +838,13 @@ def _replay_command(argv: list[str]) -> int:
                     json.loads(pathlib.Path(path).read_text())
                 ),
             )
+            width = len(controller.predictor.model_fmax.coef_)
+            if len(beta["model_fmax"].coef) != width:
+                raise ValueError(
+                    f"{args.beta}: its models have "
+                    f"{len(beta['model_fmax'].coef)} coefficients, "
+                    f"{args.controller}'s have {width}"
+                )
     except (FileNotFoundError, ValueError) as error:
         print(str(error), file=sys.stderr)
         return 2

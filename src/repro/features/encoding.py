@@ -59,10 +59,6 @@ class FeatureEncoder:
         self._plan: tuple[tuple[str, int | None, bool], ...] | None = None
 
     @property
-    def is_fitted(self) -> bool:
-        return self._columns is not None
-
-    @property
     def columns(self) -> tuple[FeatureColumn, ...]:
         self._require_fitted()
         assert self._columns is not None

@@ -3,15 +3,12 @@
 One :class:`ProfileSample` records what one profiled job did (its raw
 features) and how long it took at the two anchor frequencies the DVFS
 model needs (paper §3.4 predicts ``t_fmin`` and ``t_fmax``).  A
-:class:`ProfileTrace` is an ordered collection with (de)serialization so
-trained models can ship with an application.
+:class:`ProfileTrace` is an ordered collection of them.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -70,46 +67,3 @@ class ProfileTrace:
         if anchor == "fmin":
             return np.array([s.time_fmin_s for s in self._samples])
         raise ValueError(f"anchor must be 'fmax' or 'fmin', got {anchor!r}")
-
-    # -- persistence ---------------------------------------------------------
-    def to_json(self) -> str:
-        """Serialize the trace (features and times) to a JSON string."""
-        payload = [
-            {
-                "counters": s.features.counters,
-                "calls": {k: list(v) for k, v in s.features.call_addresses.items()},
-                "t_fmax": s.time_fmax_s,
-                "t_fmin": s.time_fmin_s,
-            }
-            for s in self._samples
-        ]
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProfileTrace":
-        """Inverse of :meth:`to_json`."""
-        records = json.loads(text)
-        samples = []
-        for record in records:
-            features = RawFeatures(
-                counters={k: float(v) for k, v in record["counters"].items()},
-                call_addresses={
-                    k: [int(a) for a in v] for k, v in record["calls"].items()
-                },
-            )
-            samples.append(
-                ProfileSample(
-                    features=features,
-                    time_fmax_s=float(record["t_fmax"]),
-                    time_fmin_s=float(record["t_fmin"]),
-                )
-            )
-        return cls(samples)
-
-    def save(self, path: str | Path) -> None:
-        """Write the trace to ``path`` as JSON."""
-        Path(path).write_text(self.to_json())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ProfileTrace":
-        return cls.from_json(Path(path).read_text())

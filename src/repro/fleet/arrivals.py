@@ -9,9 +9,9 @@ non-decreasing arrival schedule the executor consumes via its
 ``arrivals`` parameter; deadlines stay ``arrival + budget``, so a
 burst genuinely queues work against the deadline clock.
 
-Processes are frozen declarations that round-trip through JSON (the
-``kind`` key selects the class), so a fleet spec file fully determines
-every tenant's traffic shape.
+Processes are frozen declarations read from JSON (the ``kind`` key
+selects the class), so a fleet spec file fully determines every
+tenant's traffic shape.
 """
 
 from __future__ import annotations
@@ -50,16 +50,6 @@ class ArrivalProcess(ABC):
         task budget by convention) so one tenant spec produces
         comparable load across apps with different budgets.
         """
-
-    def as_dict(self) -> dict:
-        data = {"kind": self.kind}
-        data.update(
-            {
-                field: getattr(self, field)
-                for field in getattr(self, "__dataclass_fields__", ())
-            }
-        )
-        return data
 
     def _check(self, n_jobs: int, period_s: float) -> None:
         if n_jobs < 1:
@@ -212,7 +202,8 @@ ARRIVAL_KINDS: dict[str, type[ArrivalProcess]] = {
 
 
 def arrival_from_dict(data: dict) -> ArrivalProcess:
-    """Rebuild a process from its :meth:`ArrivalProcess.as_dict` form.
+    """Read a process from its JSON object: ``kind`` and the fields of
+    its class.
 
     Raises ``ValueError`` for anything but an object with a known
     ``kind`` whose other fields are the process's own, each a finite

@@ -93,10 +93,6 @@ class FleetOutcome:
     shard_results: tuple[ShardResult, ...] = field(repr=False)
     host_profile: ProfileState | None = None
 
-    @property
-    def sessions(self) -> int:
-        return sum(len(s.sessions) for s in self.shard_results)
-
 
 def _prewarm(spec: FleetSpec) -> None:
     """Train every needed controller once, in this process."""

@@ -2,10 +2,10 @@
 
 A tenant is a population of identical sessions — same workload, same
 governor, same deadline budget, same traffic shape, same objective.
-The spec is a frozen declaration that round-trips through JSON, so a
-committed fleet file fully determines a simulation (together with the
-root seed); everything runtime-ish (boards, governors, trackers) is
-built per session from the spec by :mod:`repro.fleet.session`.
+The spec is a frozen declaration read from JSON, so a committed fleet
+file fully determines a simulation (together with the root seed);
+everything runtime-ish (boards, governors, trackers) is built per
+session from the spec by :mod:`repro.fleet.session`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.fleet.arrivals import (
 )
 from repro.workloads.registry import app_names
 
-__all__ = ["TenantSpec", "tenants_to_json", "tenants_from_json"]
+__all__ = ["TenantSpec", "tenants_from_json"]
 
 #: The spec's real-valued fields (``drift_factor`` may also be None).
 _REALS = (
@@ -123,24 +123,11 @@ class TenantSpec:
                 f"got {self.drift_at_frac}"
             )
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "app": self.app,
-            "governor": self.governor,
-            "sessions": self.sessions,
-            "jobs_per_session": self.jobs_per_session,
-            "budget_scale": self.budget_scale,
-            "arrival": self.arrival.as_dict(),
-            "miss_objective": self.miss_objective,
-            "jitter_sigma": self.jitter_sigma,
-            "drift_factor": self.drift_factor,
-            "drift_at_frac": self.drift_at_frac,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "TenantSpec":
-        """Rebuild a spec from :meth:`as_dict` output.
+        """Read a tenant from its JSON object: the dataclass fields, with
+        ``arrival`` an object whose ``kind`` names the process
+        (:func:`~repro.fleet.arrivals.arrival_from_dict`).
 
         Raises ``ValueError`` naming the tenant and the field for a
         missing name or app, an unknown field, a count that is not an
@@ -175,13 +162,9 @@ class TenantSpec:
         return cls(**fields, **reals, arrival=arrival)
 
 
-def tenants_to_json(tenants: tuple[TenantSpec, ...] | list[TenantSpec]) -> str:
-    """Serialize a tenant roster (the ``fleet run --spec FILE`` format)."""
-    return json.dumps([t.as_dict() for t in tenants], indent=2)
-
-
 def tenants_from_json(text: str) -> tuple[TenantSpec, ...]:
-    """Parse a roster written by :func:`tenants_to_json`."""
+    """Parse a roster (the ``fleet run --spec FILE`` format): a non-empty
+    JSON array of tenant objects with unique names."""
     data = json.loads(text)
     if not isinstance(data, list) or not data:
         raise ValueError("fleet spec must be a non-empty JSON array of tenants")

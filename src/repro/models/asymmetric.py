@@ -98,35 +98,6 @@ class AsymmetricLassoModel:
         model.intercept_ = float(check_number(owner, "intercept", intercept))
         return model
 
-    def fit(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        gamma_weights: np.ndarray | None = None,
-    ) -> "AsymmetricLassoModel":
-        """Fit coefficients to profiled (features, time) pairs.
-
-        Columns are standardized internally; a zero-variance column can
-        never earn a coefficient (it is indistinguishable from the
-        intercept), which also keeps the solver well-conditioned.
-
-        Args:
-            X: (n_samples, n_features) feature matrix.
-            y: (n_samples,) profiled times.
-            gamma_weights: Optional per-feature L1 multipliers (cost-aware
-                selection, paper §3.5): a feature with weight w needs w
-                times the explanatory power to survive.
-        """
-        fit_models((self,), X, (y,), gamma_weights)
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted times for rows of ``X``."""
-        if self.coef_ is None:
-            raise RuntimeError("AsymmetricLassoModel used before fit()")
-        X = np.asarray(X, dtype=float)
-        return X @ self.coef_ + self.intercept_
-
     def predict_one(self, x: np.ndarray) -> float:
         """Predicted time for a single feature vector."""
         if self.coef_ is None:
@@ -143,10 +114,6 @@ class AsymmetricLassoModel:
             raise RuntimeError("AsymmetricLassoModel used before fit()")
         return np.abs(self.coef_) > threshold
 
-    @property
-    def n_selected(self) -> int:
-        return int(self.selected_mask().sum())
-
 
 def fit_models(
     models: Sequence[AsymmetricLassoModel],
@@ -158,9 +125,15 @@ def fit_models(
 
     ``X`` is standardized once and every target is fit in one stacked
     solve (:func:`~repro.models.solver.solve_asymmetric_lasso_stack`), so
-    each model ends up as its own :meth:`AsymmetricLassoModel.fit` would
-    leave it, bit for bit.  The models must share ``alpha``, ``gamma``
-    and ``max_iter``.
+    each model ends up as a fit of its own would leave it, bit for bit.
+    The models must share ``alpha``, ``gamma`` and ``max_iter``.
+
+    Columns are standardized internally; a zero-variance column can
+    never earn a coefficient (it is indistinguishable from the
+    intercept), which also keeps the solver well-conditioned.
+    ``gamma_weights`` are optional per-feature L1 multipliers (cost-aware
+    selection, paper §3.5): a feature with weight w needs w times the
+    explanatory power to survive.
     """
     X = np.asarray(X, dtype=float)
     ys = [np.asarray(y, dtype=float) for y in targets]

@@ -34,10 +34,6 @@ class ErrorSummary:
     under_rate: float
     n: int
 
-    @property
-    def iqr(self) -> float:
-        return self.q3 - self.q1
-
 
 def signed_errors(predicted, actual) -> np.ndarray:
     """Signed errors, positive = over-prediction."""

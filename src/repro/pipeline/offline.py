@@ -173,7 +173,9 @@ def build_controller(
                 raise CertificationError(certificate)
             warnings.warn(
                 f"slice for {app.name!r} failed certification: "
-                + "; ".join(d.format() for d in certificate.blocking),
+                + "; ".join(
+                    d.format() for d in certificate.diagnostics if d.blocking
+                ),
                 stacklevel=2,
             )
 

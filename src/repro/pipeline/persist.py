@@ -7,10 +7,12 @@ module is that distribution format: everything a
 time — the prediction slice, encoder vocabulary, model coefficients,
 margin, operating points, and the switch-time table — in one JSON file.
 
-The profiling trace is optional (it is training data, not a run-time
-artifact); the instrumented program ships so a user can re-profile on a
-new platform, which §4.2 also calls for ("profiling can be done by the
-user during application installation").
+The profiling trace is not saved (it is training data, not a run-time
+artifact): the ``"trace"`` key is always null, and a loaded controller
+has an empty trace whatever the key holds.  The instrumented program
+ships so a user can re-profile on a new platform, which §4.2 also calls
+for ("profiling can be done by the user during application
+installation").
 """
 
 from __future__ import annotations
@@ -177,7 +179,6 @@ def controller_fingerprint(controller: TrainedController) -> str:
 def save_controller(
     controller: TrainedController,
     path: str | Path,
-    include_trace: bool = False,
 ) -> None:
     """Write a trained controller to a JSON file."""
     opps = controller.dvfs.opps
@@ -235,7 +236,7 @@ def save_controller(
             if controller.certificate is not None
             else None
         ),
-        "trace": controller.trace.to_json() if include_trace else None,
+        "trace": None,
     }
     Path(path).write_text(json.dumps(payload))
 
@@ -349,12 +350,6 @@ def controller_from_payload(payload: Any) -> TrainedController:
             },
         ),
     )
-    trace = field(
-        "trace",
-        lambda data: (
-            ProfileTrace([]) if data is None else ProfileTrace.from_json(data)
-        ),
-    )
     certificate_data = payload.get("certificate")
     certificate = (
         None
@@ -364,7 +359,7 @@ def controller_from_payload(payload: Any) -> TrainedController:
     return TrainedController(
         app_name=field("app_name"),
         instrumented=instrumented,
-        trace=trace,
+        trace=ProfileTrace([]),
         encoder=encoder,
         predictor=predictor,
         slice=slice_,

@@ -2,18 +2,19 @@
 
 A :class:`Board` owns a virtual clock, a current operating point, a power
 timeline, and models for execution time, power, and DVFS switching.  The
-runtime executor drives it with four primitives:
+runtime executor times a job's Work with :attr:`cpu` and drives the board
+with three primitives:
 
-- :meth:`execute` — run Work at the current operating point;
+- :meth:`busy_run` — run fully active for a fixed duration (a job's work,
+  a prediction slice);
 - :meth:`set_frequency` — perform a DVFS switch (costs time and energy);
-- :meth:`idle_until` — clock-gated wait until an absolute time;
-- :meth:`busy_run` — run for a fixed duration (used for prediction slices).
+- :meth:`idle_until` — clock-gated wait until an absolute time.
 """
 
 from __future__ import annotations
 
 from repro.platform.clock import VirtualClock
-from repro.platform.cpu import SimulatedCpu, Work
+from repro.platform.cpu import SimulatedCpu
 from repro.platform.jitter import JitterModel, NoJitter
 from repro.platform.opp import OperatingPoint, OppTable, default_xu3_a7_table
 from repro.platform.power import PowerModel, default_a7_power_model
@@ -92,13 +93,6 @@ class Board:
         self.timeline.append(segment)
         if self._observer is not None:
             self._observer(segment, self._opp.index)
-
-    def execute(self, work: Work, tag: str = "job") -> float:
-        """Run ``work`` to completion at the current OPP; returns seconds."""
-        duration = self.cpu.execution_time(work, self._opp)
-        if duration > 0:
-            self._record(duration, activity=1.0, tag=tag)
-        return duration
 
     def busy_run(self, duration_s: float, tag: str) -> float:
         """Run fully active for a fixed duration (e.g. a prediction slice)."""

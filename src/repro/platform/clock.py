@@ -16,7 +16,7 @@ class VirtualClock:
     Attributes:
         now: Current simulated time in seconds.  A plain attribute, since
             the platform reads it several times per job; only
-            :meth:`advance` and :meth:`advance_to` move it.
+            :meth:`advance` moves it.
     """
 
     def __init__(self, start_s: float = 0.0):
@@ -34,12 +34,6 @@ class VirtualClock:
         if duration_s < 0:
             raise ValueError(f"cannot advance by negative time {duration_s}")
         self.now += duration_s
-        return self.now
-
-    def advance_to(self, time_s: float) -> float:
-        """Jump forward to an absolute time (no-op if already past it)."""
-        if time_s > self.now:
-            self.now = time_s
         return self.now
 
     def __repr__(self) -> str:

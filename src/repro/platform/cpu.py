@@ -43,19 +43,6 @@ class Work:
                 f"mem_time_s must be non-negative, got {self.mem_time_s}"
             )
 
-    def __add__(self, other: "Work") -> "Work":
-        return Work(self.cycles + other.cycles, self.mem_time_s + other.mem_time_s)
-
-    def scaled(self, factor: float) -> "Work":
-        """Both components multiplied by ``factor`` (used for calibration)."""
-        if factor < 0:
-            raise ValueError(f"scale factor must be non-negative, got {factor}")
-        return Work(self.cycles * factor, self.mem_time_s * factor)
-
-    @staticmethod
-    def zero() -> "Work":
-        return Work(0.0, 0.0)
-
 
 class SimulatedCpu:
     """Computes elapsed time for Work at an operating point.
@@ -76,7 +63,3 @@ class SimulatedCpu:
     def execution_time(self, work: Work, opp: OperatingPoint) -> float:
         """One noisy realization of the execution time, in seconds."""
         return self.ideal_time(work, opp) * self.jitter.sample()
-
-    def min_feasible_time(self, work: Work, fmax: OperatingPoint) -> float:
-        """Fastest possible (jitter-free) completion — at max frequency."""
-        return self.ideal_time(work, fmax)

@@ -105,11 +105,6 @@ class OppTable:
         """The highest-frequency operating point."""
         return self._points[-1]
 
-    @property
-    def frequencies_hz(self) -> tuple[float, ...]:
-        """All frequencies, ascending, in hertz."""
-        return tuple(p.freq_hz for p in self._points)
-
     def lowest_at_or_above(self, freq_hz: float) -> OperatingPoint:
         """Smallest available frequency >= ``freq_hz``.
 
@@ -122,13 +117,6 @@ class OppTable:
             if point.freq_hz >= freq_hz:
                 return point
         return self.fmax
-
-    def highest_at_or_below(self, freq_hz: float) -> OperatingPoint:
-        """Largest available frequency <= ``freq_hz`` (saturates at fmin)."""
-        for point in reversed(self._points):
-            if point.freq_hz <= freq_hz:
-                return point
-        return self.fmin
 
     def nearest(self, freq_hz: float) -> OperatingPoint:
         """The operating point whose frequency is closest to ``freq_hz``."""

@@ -60,16 +60,6 @@ class PowerModel:
         """Total power in watts at ``opp`` with the given activity factor."""
         return self.dynamic_power(opp, activity) + self.leakage_power(opp)
 
-    def idle_power(self, opp: OperatingPoint) -> float:
-        """Power while idling (clock-gated busy-wait) at ``opp``."""
-        return self.power(opp, self.idle_activity)
-
-    def energy(self, opp: OperatingPoint, activity: float, duration_s: float) -> float:
-        """Energy in joules consumed over ``duration_s`` seconds."""
-        if duration_s < 0:
-            raise ValueError(f"duration must be non-negative, got {duration_s}")
-        return self.power(opp, activity) * duration_s
-
 
 def default_a7_power_model() -> PowerModel:
     """Constants calibrated to a Cortex-A7 quad cluster.

@@ -59,17 +59,9 @@ class SwitchTimeTable:
         self._opps = opps
         self._times = dict(times_s)
 
-    @property
-    def opps(self) -> OppTable:
-        return self._opps
-
     def time_s(self, start: OperatingPoint, end: OperatingPoint) -> float:
         """Conservative (95th-pct) switch time from ``start`` to ``end``."""
         return self._times[(start.index, end.index)]
-
-    def worst_case_s(self) -> float:
-        """The largest entry in the table."""
-        return max(self._times.values())
 
     def as_matrix(self) -> list[list[float]]:
         """Row-major matrix ``[start][end]`` of times in seconds (Fig. 11)."""

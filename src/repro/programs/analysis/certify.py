@@ -40,7 +40,7 @@ from repro.programs.analysis.hazards import (
 from repro.programs.analysis.intervals import cost_bound
 from repro.programs.instrument import InstrumentedProgram
 from repro.programs.slicer import PredictionSlice
-from repro.programs.validate import free_variables, validate_program
+from repro.programs.validate import validate_program
 
 __all__ = ["ANALYSIS_PASSES", "SliceCertificate", "CertificationError",
            "certify_slice"]
@@ -91,10 +91,6 @@ class SliceCertificate:
         """No unsuppressed error-severity findings remain."""
         return not any(d.blocking for d in self.diagnostics)
 
-    @property
-    def blocking(self) -> tuple[Diagnostic, ...]:
-        return tuple(d for d in self.diagnostics if d.blocking)
-
     def as_dict(self) -> dict[str, Any]:
         """JSON-safe dict; non-finite bounds serialize as ``None``."""
         instr = self.cost_bound_instructions
@@ -138,7 +134,9 @@ class CertificationError(RuntimeError):
 
     def __init__(self, certificate: SliceCertificate):
         self.certificate = certificate
-        findings = "; ".join(d.format() for d in certificate.blocking)
+        findings = "; ".join(
+            d.format() for d in certificate.diagnostics if d.blocking
+        )
         super().__init__(
             f"slice {certificate.program_name!r} failed certification: "
             f"{findings}"
@@ -150,7 +148,7 @@ def certify_slice(
     slice_: PredictionSlice,
     needed_sites: frozenset[str] | None = None,
     *,
-    input_names: frozenset[str] | None = None,
+    input_names: frozenset[str],
     input_ranges: Mapping[str, tuple[float, float]] | None = None,
     waivers: Sequence[Suppression] = (),
 ) -> SliceCertificate:
@@ -164,9 +162,7 @@ def certify_slice(
             (non-zero β).  Defaults to every site the slice kept — i.e.
             coverage trivially passes when no model is involved yet.
         input_names: The program's declared input names (for the unbound
-            vs dropped-definition distinction).  Defaults to the original
-            program's free variables — everything it reads but never
-            assigns is presumptively an input.
+            vs dropped-definition distinction).
         input_ranges: Per-input (lo, hi) value ranges, e.g. from the
             profiling sample, for the interval cost bound.
         waivers: Reviewed suppressions (typically the workload's
@@ -174,8 +170,6 @@ def certify_slice(
     """
     program = slice_.program
     name = program.name
-    if input_names is None:
-        input_names = free_variables(instrumented.program)
     diagnostics: list[Diagnostic] = []
 
     try:

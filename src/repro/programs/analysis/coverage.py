@@ -12,11 +12,11 @@ gap an error-severity finding, unlike the advisory "extra site" case
 from __future__ import annotations
 
 from repro.programs.analysis.diagnostics import Diagnostic
-from repro.programs.ir import Hint, If, IndirectCall, Loop, Stmt, While, walk
+from repro.programs.ir import Hint, If, IndirectCall, Loop, Stmt, walk
 
 __all__ = ["counted_sites", "coverage_diagnostics"]
 
-_COUNTED_NODES = (If, Loop, While, IndirectCall, Hint)
+_COUNTED_NODES = (If, Loop, IndirectCall, Hint)
 
 
 def counted_sites(root: Stmt) -> frozenset[str]:

@@ -27,7 +27,6 @@ from repro.programs.ir import (
     Loop,
     Seq,
     Stmt,
-    While,
 )
 
 __all__ = ["DataflowPass", "DataflowEngine", "FixpointDiverged"]
@@ -88,8 +87,8 @@ class DataflowPass(ABC, Generic[S]):
         return state
 
     # -- control-node hooks ------------------------------------------------
-    def transfer_branch(self, stmt: If | While, state: S) -> S:
-        """Effect of evaluating a branch/while condition (reads only)."""
+    def transfer_branch(self, stmt: If, state: S) -> S:
+        """Effect of evaluating a branch condition (reads only)."""
         return state
 
     def transfer_loop_header(self, stmt: Loop, state: S) -> S:
@@ -173,12 +172,6 @@ class DataflowEngine(Generic[S]):
                 entry,
                 lambda s: self._fwd(stmt.body, p.bind_loop_var(stmt, s)),
             )
-        if isinstance(stmt, While):
-            entry = p.transfer_branch(stmt, state)
-            return self._loop_fixpoint(
-                entry,
-                lambda s: p.transfer_branch(stmt, self._fwd(stmt.body, s)),
-            )
         if isinstance(stmt, IndirectCall):
             entry = p.transfer_call_header(stmt, state)
             outs = [self._fwd(callee, entry) for callee in stmt.table.values()]
@@ -246,12 +239,6 @@ class DataflowEngine(Generic[S]):
                 lambda s: p.bind_loop_var(stmt, self._bwd(stmt.body, s)),
             )
             return p.transfer_loop_header(stmt, exit_)
-        if isinstance(stmt, While):
-            exit_ = self._loop_fixpoint(
-                state,
-                lambda s: self._bwd(stmt.body, p.transfer_branch(stmt, s)),
-            )
-            return p.transfer_branch(stmt, exit_)
         if isinstance(stmt, IndirectCall):
             outs = [self._bwd(callee, state) for callee in stmt.table.values()]
             outs.append(

@@ -22,14 +22,11 @@ __all__ = [
     "Diagnostic",
     "Suppression",
     "apply_suppressions",
-    "max_severity",
 ]
 
 #: Recognised severities, mildest first.  ``error`` blocks certification;
 #: ``warning`` asks for review (and can be waived); ``info`` is advisory.
 SEVERITIES = ("info", "warning", "error")
-
-_RANK = {name: rank for rank, name in enumerate(SEVERITIES)}
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,7 @@ class Diagnostic:
     suppressed_reason: str = ""
 
     def __post_init__(self) -> None:
-        if self.severity not in _RANK:
+        if self.severity not in SEVERITIES:
             raise ValueError(
                 f"unknown severity {self.severity!r}; expected one of "
                 f"{SEVERITIES}"
@@ -135,21 +132,6 @@ class Suppression:
             return False
         return not self.site or self.site == diagnostic.site
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "pass": self.pass_name,
-            "site": self.site,
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Suppression":
-        return cls(
-            pass_name=data["pass"],
-            site=data.get("site", ""),
-            reason=data.get("reason", ""),
-        )
-
 
 def apply_suppressions(
     diagnostics: Iterable[Diagnostic], waivers: Sequence[Suppression]
@@ -168,15 +150,3 @@ def apply_suppressions(
         out.append(diagnostic)
     return out
 
-
-def max_severity(
-    diagnostics: Iterable[Diagnostic], include_suppressed: bool = False
-) -> str | None:
-    """The worst severity present, or None for a clean (or all-waived) set."""
-    worst: str | None = None
-    for diagnostic in diagnostics:
-        if diagnostic.suppressed and not include_suppressed:
-            continue
-        if worst is None or _RANK[diagnostic.severity] > _RANK[worst]:
-            worst = diagnostic.severity
-    return worst

@@ -58,7 +58,6 @@ from repro.programs.ir import (
     Program,
     Seq,
     Stmt,
-    While,
 )
 
 __all__ = [
@@ -410,9 +409,9 @@ class CostBound:
         instructions: Upper bound on instructions executed.
         mem_refs: Upper bound on off-core memory references.
         tight: False when some loop bound came from the ``max_trips``
-            safety clamp (or an unbounded While) rather than from the
-            interval analysis — the bound is still sound but too loose
-            to spend scheduling headroom on.
+            safety clamp rather than from the interval analysis — the
+            bound is still sound but too loose to spend scheduling
+            headroom on.
     """
 
     instructions: float
@@ -483,20 +482,6 @@ class CostBoundAnalyzer:
                 trips * body.mem_refs,
                 body.tight and not clamped,
             )
-        if isinstance(stmt, While):
-            # Trip counts of condition-controlled loops are not derivable
-            # from entry-state intervals; only max_trips bounds them.
-            counter = COUNTER_COST if stmt.counted else 0.0
-            self._warn_clamp(stmt.site, stmt.max_trips, while_loop=True)
-            body = self.bound(stmt.body)
-            trips = float(stmt.max_trips)
-            return CostBound(
-                counter
-                + (trips + 1) * BRANCH_COST
-                + trips * (LOOP_ITER_COST + body.instructions),
-                trips * body.mem_refs,
-                False,
-            )
         if isinstance(stmt, IndirectCall):
             counter = COUNTER_COST if stmt.counted else 0.0
             callees = [self.bound(callee) for callee in stmt.table.values()]
@@ -514,17 +499,14 @@ class CostBoundAnalyzer:
             )
         raise TypeError(f"unknown statement type {type(stmt).__name__}")
 
-    def _warn_clamp(
-        self, site: str, max_trips: int, while_loop: bool = False
-    ) -> None:
-        kind = "while loop" if while_loop else "loop"
+    def _warn_clamp(self, site: str, max_trips: int) -> None:
         self.diagnostics.append(
             Diagnostic(
                 pass_name="intervals",
                 severity="warning",
                 site=site,
                 message=(
-                    f"trip count of {kind} {site!r} is only bounded by its "
+                    f"trip count of loop {site!r} is only bounded by its "
                     f"max_trips clamp ({max_trips}); the static cost bound "
                     "is sound but too loose to schedule against"
                 ),

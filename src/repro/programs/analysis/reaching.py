@@ -20,7 +20,6 @@ from repro.programs.ir import (
     Loop,
     Program,
     Stmt,
-    While,
     walk,
 )
 
@@ -59,7 +58,7 @@ def read_variables(stmt: Stmt) -> frozenset[str]:
     """Variables a single node reads directly (not its children)."""
     if isinstance(stmt, Assign):
         return stmt.expr.variables()
-    if isinstance(stmt, (If, While)):
+    if isinstance(stmt, If):
         return stmt.cond.variables()
     if isinstance(stmt, Loop):
         return stmt.count.variables()
@@ -84,9 +83,6 @@ class ReachingDefinitions(DataflowPass[ReachingState]):
     def __init__(self, root: Stmt):
         # Stable statement labels: pre-order position in the tree.
         self._labels = {id(node): i for i, node in enumerate(walk(root))}
-
-    def label(self, stmt: Stmt) -> int:
-        return self._labels[id(stmt)]
 
     def boundary(
         self, program: Program, input_names: frozenset[str] | None = None
@@ -149,7 +145,7 @@ class LiveVariables(DataflowPass[frozenset]):
     def transfer_hint(self, stmt: Hint, live: frozenset) -> frozenset:
         return live | stmt.expr.variables()
 
-    def transfer_branch(self, stmt: If | While, live: frozenset) -> frozenset:
+    def transfer_branch(self, stmt: If, live: frozenset) -> frozenset:
         return live | stmt.cond.variables()
 
     def transfer_loop_header(self, stmt: Loop, live: frozenset) -> frozenset:

@@ -21,20 +21,10 @@ from repro.programs.ir import (
     Program,
     Seq,
     Stmt,
-    While,
     walk,
 )
 
 __all__ = ["FeatureSite", "InstrumentedProgram", "Instrumenter"]
-
-_KIND_BY_TYPE = {
-    If: "branch",
-    Loop: "loop",
-    While: "loop",
-    IndirectCall: "call",
-    Hint: "hint",
-}
-
 
 @dataclass(frozen=True)
 class FeatureSite:
@@ -63,13 +53,6 @@ class InstrumentedProgram:
     @property
     def site_labels(self) -> tuple[str, ...]:
         return tuple(s.site for s in self.sites)
-
-    def site_kind(self, site: str) -> str:
-        """The kind ("branch"/"loop"/"call"/"hint") of a site label."""
-        for s in self.sites:
-            if s.site == site:
-                return s.kind
-        raise KeyError(f"unknown site {site!r}")
 
 
 class Instrumenter:
@@ -123,7 +106,7 @@ class Instrumenter:
                     else self._rewrite(stmt.orelse, sites)
                 ),
             )
-        if isinstance(stmt, (Loop, While)):
+        if isinstance(stmt, Loop):
             sites.append(FeatureSite(stmt.site, "loop"))
             return replace(
                 stmt, counted=True, body=self._rewrite(stmt.body, sites)

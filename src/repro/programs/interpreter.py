@@ -26,8 +26,7 @@ node-by-node evaluation of the statement semantics below, bit for bit:
   or ``float`` (those of never-taken branches too).  It is then a Python
   int.  The constant costs of a straight-line suite are added once, at
   its head.  The per-trip constant of a loop body, ``LOOP_ITER_COST``
-  included, is added once as ``K * trips``: before a ``Loop`` runs,
-  after a ``While`` (whose condition checks still add in place).  This
+  included, is added once as ``K * trips``, before the loop runs.  This
   is exact: every partial sum, in either order, is an integer no larger
   than the job's total, and every integer up to ``2**53`` is a float.
   So when the total is at most ``2**53``, each float addition of the
@@ -59,11 +58,10 @@ node-by-node evaluation of the statement semantics below, bit for bit:
   low bits of ``mem``) or reaches ``2**53``.  Fractional ``c`` (e.g.
   ``320000 / 1500``) is always added per trip.
 - A variable read or written in the body of a loop that runs its body
-  (a ``Loop`` not elided, or a ``While``) or in a ``While`` condition,
-  and the variable of every such ``Loop``, is *held*: the function reads
-  it from the flat dict once, at entry, into a Python local and uses
-  that local for the rest of the run.  So is the count of every site
-  that a counted ``If``, ``Loop`` or ``While`` in such a body bumps, in
+  (one not elided), and the variable of every such loop, is *held*: the
+  function reads it from the flat dict once, at entry, into a Python
+  local and uses that local for the rest of the run.  So is the count of
+  every site that a counted ``If`` or ``Loop`` in such a body bumps, in
   a local accumulator.  Which names and sites are held depends on the
   program alone.  This is exact: the run reads and writes the same
   values in the same order, and only where they live meanwhile differs.
@@ -92,9 +90,6 @@ Statement semantics (costs in instructions, from :mod:`repro.programs.ir`):
   counted, add ``COUNTER_COST`` and bump the site by trips; unless the
   body is elided, each trip adds ``LOOP_ITER_COST``, binds the loop
   variable (if any) and runs the body.
-- ``While``: each check adds ``BRANCH_COST``; each trip adds
-  ``LOOP_ITER_COST`` and runs the body; when counted, afterwards add
-  ``COUNTER_COST`` and bump the site by the trips taken.
 - ``Hint``: add ``cost``; when counted, add ``COUNTER_COST`` and set the
   site to ``float(expr)``.
 - ``IndirectCall``: add ``CALL_DISPATCH_COST``; address = ``int(target)``;
@@ -146,7 +141,6 @@ from repro.programs.ir import (
     Program,
     Seq,
     Stmt,
-    While,
     walk,
 )
 
@@ -385,11 +379,10 @@ def _held_state(body: Stmt):
     """The variables and counter sites a compiled program holds in locals.
 
     A variable is held when it is read or written in the body of a loop
-    that runs it (a ``Loop`` whose body is not elided, or a ``While``) or
-    in a ``While`` condition, or is the variable of such a ``Loop``.  A
-    site is held when a counted ``If``, ``Loop`` or ``While`` in such a
-    body bumps it.  Returns the held names, the held sites, and the held
-    names that the program writes somewhere, each sorted.
+    whose body is not elided, or is the variable of such a loop.  A site
+    is held when a counted ``If`` or ``Loop`` in such a body bumps it.
+    Returns the held names, the held sites, and the held names that the
+    program writes somewhere, each sorted.
     """
     names: set[str] = set()
     sites: set[str] = set()
@@ -404,7 +397,7 @@ def _held_state(body: Stmt):
             reads = node.expr.variables()
         elif isinstance(node, Hint) and node.counted:
             reads = node.expr.variables()
-        elif isinstance(node, (If, While)):
+        elif isinstance(node, If):
             reads = node.cond.variables()
         elif isinstance(node, Loop):
             reads = node.count.variables()
@@ -412,13 +405,9 @@ def _held_state(body: Stmt):
             reads = node.target.variables()
         if looped:
             names.update(reads)
-            if isinstance(node, (If, Loop, While)) and node.counted:
+            if isinstance(node, (If, Loop)) and node.counted:
                 sites.add(node.site)
-        if isinstance(node, While):
-            # Its condition is checked once per trip.
-            names.update(reads)
-            visit(node.body, True)
-        elif isinstance(node, Loop):
+        if isinstance(node, Loop):
             if node.elide_body:
                 return
             if node.loop_var is not None:
@@ -612,7 +601,7 @@ class _CodeGen:
                     emit(self._enter(pad, node.site))
                     emit(f"{pad}{local} = {value}")
             return constant
-        if not isinstance(node, (If, Loop, While, IndirectCall)):
+        if not isinstance(node, (If, Loop, IndirectCall)):
             raise TypeError(f"unknown statement type {type(node).__name__}")
         if indent >= _MAX_INDENT or loops >= _MAX_LOOPS:
             helper = self._fresh("part")
@@ -636,8 +625,6 @@ class _CodeGen:
             return self._if(lines, node, indent, loops)
         if isinstance(node, Loop):
             return self._loop(lines, node, indent, loops)
-        if isinstance(node, While):
-            return self._while(lines, node, indent, loops)
         return self._call(lines, node, indent, loops)
 
     def _bump(self, lines, pad, site, amount) -> int:
@@ -722,26 +709,6 @@ class _CodeGen:
         lines.append(header)
         lines.extend(body)
         return constant
-
-    def _while(self, lines, node: While, indent, loops) -> int:
-        pad, inner = "    " * indent, "    " * (indent + 1)
-        trips = self._fresh("w")
-        lines.append(f"{pad}{trips} = 0")
-        lines.append(f"{pad}while {trips} < {self.literal(node.max_trips)}:")
-        # The check runs once more than the body unless max_trips stops
-        # the loop, so its cost stays in place.
-        lines.append(f"{inner}ins += {BRANCH_COST}")
-        lines.append(f"{inner}if not {self.expr(node.cond, 0)}: break")
-        before = set(self.bound)
-        per_trip = self.cost(lines, inner, LOOP_ITER_COST)
-        per_trip += self.stmt(lines, node.body, indent + 1, loops + 1)
-        self.bound = before
-        lines.append(f"{inner}{trips} += 1")
-        if per_trip:
-            lines.append(f"{pad}ins += {per_trip} * {trips}")
-        if node.counted:
-            return self._bump(lines, pad, node.site, trips)
-        return 0
 
     def _call(self, lines, node: IndirectCall, indent, loops) -> int:
         pad = "    " * indent

@@ -33,12 +33,10 @@ __all__ = [
     "Seq",
     "If",
     "Loop",
-    "While",
     "IndirectCall",
     "Hint",
     "Program",
     "walk",
-    "control_sites",
 ]
 
 # Bookkeeping costs, in instructions, of the control skeleton itself.  These
@@ -197,40 +195,6 @@ class Loop(Stmt):
 
 
 @dataclass(frozen=True)
-class While(Stmt):
-    """Condition-controlled loop: ``while (cond) body``.
-
-    Unlike :class:`Loop`, the trip count is not known at entry — the
-    condition re-evaluates before every iteration and the body is
-    expected to change the state it reads (the paper's Fig. 7 example is
-    a linked-list walk, ``while (n = n->next)``).  The iteration count is
-    the feature.  A While can never be body-elided by the slicer: the
-    count only exists by running the loop.
-
-    Attributes:
-        site: Feature-site label (iteration count).
-        cond: Loop condition, re-evaluated each iteration.
-        body: Loop body (its Assigns drive the condition).
-        max_trips: Safety clamp — a slice of a buggy loop must terminate.
-        counted: Whether instrumentation counts iterations here.
-    """
-
-    site: str
-    cond: Expr
-    body: Stmt
-    max_trips: int = 1_000_000
-    counted: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.site:
-            raise ValueError("While requires a non-empty site label")
-        _check_max_trips(self.max_trips, f"while loop {self.site!r}")
-
-    def children(self) -> tuple[Stmt, ...]:
-        return (self.body,)
-
-
-@dataclass(frozen=True)
 class IndirectCall(Stmt):
     """Call through a function pointer.
 
@@ -328,11 +292,3 @@ def walk(stmt: Stmt) -> Iterator[Stmt]:
     for child in stmt.children():
         yield from walk(child)
 
-
-def control_sites(stmt: Stmt) -> list[Stmt]:
-    """All control-flow nodes (If/Loop/While/IndirectCall) in pre-order."""
-    return [
-        node
-        for node in walk(stmt)
-        if isinstance(node, (If, Loop, While, IndirectCall))
-    ]

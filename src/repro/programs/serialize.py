@@ -10,7 +10,6 @@ library: every node is ``{"t": "<TypeName>", ...fields}``.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.programs.expr import (
@@ -33,7 +32,6 @@ from repro.programs.ir import (
     Program,
     Seq,
     Stmt,
-    While,
 )
 
 __all__ = [
@@ -43,8 +41,6 @@ __all__ = [
     "stmt_from_dict",
     "program_to_dict",
     "program_from_dict",
-    "program_to_json",
-    "program_from_json",
 ]
 
 
@@ -158,15 +154,6 @@ def stmt_to_dict(stmt: Stmt) -> dict[str, Any]:
             "counted": stmt.counted,
             "elide_body": stmt.elide_body,
         }
-    if isinstance(stmt, While):
-        return {
-            "t": "While",
-            "site": stmt.site,
-            "cond": expr_to_dict(stmt.cond),
-            "body": stmt_to_dict(stmt.body),
-            "max_trips": stmt.max_trips,
-            "counted": stmt.counted,
-        }
     if isinstance(stmt, IndirectCall):
         return {
             "t": "IndirectCall",
@@ -227,14 +214,6 @@ def stmt_from_dict(data: dict[str, Any]) -> Stmt:
             counted=data["counted"],
             elide_body=data["elide_body"],
         )
-    if tag == "While":
-        return While(
-            site=data["site"],
-            cond=expr_from_dict(data["cond"]),
-            body=stmt_from_dict(data["body"]),
-            max_trips=data["max_trips"],
-            counted=data["counted"],
-        )
     if tag == "IndirectCall":
         return IndirectCall(
             site=data["site"],
@@ -278,12 +257,3 @@ def program_from_dict(data: dict[str, Any]) -> Program:
         globals_init=dict(data["globals_init"]),
     )
 
-
-def program_to_json(program: Program) -> str:
-    """JSON string for a whole program."""
-    return json.dumps(program_to_dict(program))
-
-
-def program_from_json(text: str) -> Program:
-    """Inverse of :func:`program_to_json`."""
-    return program_from_dict(json.loads(text))

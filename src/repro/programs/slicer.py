@@ -34,7 +34,6 @@ from repro.programs.ir import (
     Program,
     Seq,
     Stmt,
-    While,
     walk,
 )
 
@@ -159,7 +158,7 @@ class Slicer:
                     continue
                 if isinstance(node, Assign) and node.target in relevant:
                     grown |= node.expr.variables()
-                if isinstance(node, (If, Loop, While, IndirectCall, Hint)):
+                if isinstance(node, (If, Loop, IndirectCall, Hint)):
                     grown |= self._control_vars(node)
             if grown == relevant:
                 return relevant
@@ -171,8 +170,6 @@ class Slicer:
             return set(node.cond.variables())
         if isinstance(node, Loop):
             return set(node.count.variables())
-        if isinstance(node, While):
-            return set(node.cond.variables())
         if isinstance(node, IndirectCall):
             return set(node.target.variables())
         if isinstance(node, Hint):
@@ -259,15 +256,6 @@ class Slicer:
                 loop_var=loop_var,
                 elide_body=False,
             )
-        if isinstance(stmt, While):
-            # A While can never be elided: the trip count is only
-            # discoverable by running the loop, and its body's Assigns
-            # (which drive the condition) are relevant by construction.
-            body = self._slice_stmt(stmt.body, needed, relevant)
-            is_needed = stmt.site in needed
-            if not is_needed and _is_empty(body):
-                return _EMPTY
-            return replace(stmt, counted=is_needed, body=body)
         if isinstance(stmt, IndirectCall):
             is_needed = stmt.site in needed
             table = {}

@@ -20,10 +20,9 @@ from repro.programs.ir import (
     Program,
     Seq,
     Stmt,
-    While,
 )
 
-__all__ = ["validate_program", "free_variables", "static_instruction_bound"]
+__all__ = ["validate_program", "static_instruction_bound"]
 
 
 def validate_program(
@@ -67,8 +66,6 @@ def validate_program(
             read.update(stmt.count.variables())
             if stmt.loop_var is not None:
                 assigned.add(stmt.loop_var)
-        elif isinstance(stmt, While):
-            read.update(stmt.cond.variables())
         elif isinstance(stmt, IndirectCall):
             read.update(stmt.target.variables())
         elif isinstance(stmt, Hint):
@@ -90,38 +87,6 @@ def validate_program(
                 f"{unbound}: neither declared inputs, globals, loop "
                 "variables, nor assigned anywhere"
             )
-
-
-def free_variables(program: Program) -> frozenset[str]:
-    """Variables the program reads but never assigns — its required inputs.
-
-    Globals initialised in ``globals_init`` are excluded: they are bound
-    at run time by the task's persistent state.
-    """
-    assigned: set[str] = set(program.globals_init)
-    read: set[str] = set()
-
-    def visit(stmt: Stmt) -> None:
-        if isinstance(stmt, Assign):
-            read.update(stmt.expr.variables())
-            assigned.add(stmt.target)
-        elif isinstance(stmt, If):
-            read.update(stmt.cond.variables())
-        elif isinstance(stmt, Loop):
-            read.update(stmt.count.variables())
-            if stmt.loop_var is not None:
-                assigned.add(stmt.loop_var)
-        elif isinstance(stmt, While):
-            read.update(stmt.cond.variables())
-        elif isinstance(stmt, IndirectCall):
-            read.update(stmt.target.variables())
-        elif isinstance(stmt, Hint):
-            read.update(stmt.expr.variables())
-        for child in stmt.children():
-            visit(child)
-
-    visit(program.body)
-    return frozenset(read - assigned)
 
 
 def static_instruction_bound(stmt: Stmt, loop_bound: int = 1) -> float:
@@ -153,10 +118,6 @@ def static_instruction_bound(stmt: Stmt, loop_bound: int = 1) -> float:
         if stmt.default is not None:
             costs.append(static_instruction_bound(stmt.default, loop_bound))
         return 4.0 + (max(costs) if costs else 0.0)
-    if isinstance(stmt, While):
-        return 2.0 + loop_bound * (
-            1.0 + static_instruction_bound(stmt.body, loop_bound)
-        )
     if isinstance(stmt, Hint):
         return stmt.cost
     raise TypeError(f"unknown statement type {type(stmt).__name__}")

@@ -7,10 +7,6 @@ switch overheads, and per-job traces (Figs. 2 and 3).
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-import math
 from dataclasses import dataclass, field
 
 from repro.telemetry.metrics import percentile
@@ -60,11 +56,6 @@ class JobRecord:
     def slack_s(self) -> float:
         """Time to spare (negative when the deadline was missed)."""
         return self.deadline_s - self.end_s
-
-    @property
-    def response_time_s(self) -> float:
-        """Arrival-to-completion latency."""
-        return self.end_s - self.arrival_s
 
 
 @dataclass
@@ -154,114 +145,3 @@ class RunResult:
         if reference.energy_j <= 0:
             raise ValueError("reference run consumed no energy")
         return self.energy_j / reference.energy_j
-
-    # -- export -----------------------------------------------------------------
-    def jobs_as_dicts(self) -> list[dict]:
-        """Per-job records as plain dicts (for dataframes/plotting)."""
-        return [
-            {
-                "index": j.index,
-                "arrival_s": j.arrival_s,
-                "start_s": j.start_s,
-                "end_s": j.end_s,
-                "deadline_s": j.deadline_s,
-                "opp_mhz": j.opp_mhz,
-                "exec_time_s": j.exec_time_s,
-                "predictor_time_s": j.predictor_time_s,
-                "switch_time_s": j.switch_time_s,
-                "predicted_time_s": j.predicted_time_s,
-                "adaptation_time_s": j.adaptation_time_s,
-                "missed": j.missed,
-            }
-            for j in self.jobs
-        ]
-
-    def to_json(self) -> str:
-        """Whole-run summary plus per-job records as JSON."""
-        return json.dumps(
-            {
-                "governor": self.governor,
-                "app": self.app,
-                "budget_s": self.budget_s,
-                "energy_j": self.energy_j,
-                "energy_by_tag": self.energy_by_tag,
-                "switch_count": self.switch_count,
-                "miss_rate": self.miss_rate,
-                "jobs": [
-                    {
-                        k: (None if isinstance(v, float) and math.isnan(v) else v)
-                        for k, v in job.items()
-                    }
-                    for job in self.jobs_as_dicts()
-                ],
-            }
-        )
-
-    def jobs_as_csv(self) -> str:
-        """Per-job records as CSV text (header + one row per job)."""
-        rows = self.jobs_as_dicts()
-        buffer = io.StringIO()
-        fields = [
-            "index", "arrival_s", "start_s", "end_s", "deadline_s",
-            "opp_mhz", "exec_time_s", "predictor_time_s", "switch_time_s",
-            "predicted_time_s", "adaptation_time_s", "missed",
-        ]
-        writer = csv.DictWriter(buffer, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-        return buffer.getvalue()
-
-    # -- import -----------------------------------------------------------------
-    @staticmethod
-    def _job_from_dict(data: dict) -> JobRecord:
-        predicted = data.get("predicted_time_s")
-        return JobRecord(
-            index=int(data["index"]),
-            arrival_s=float(data["arrival_s"]),
-            start_s=float(data["start_s"]),
-            end_s=float(data["end_s"]),
-            deadline_s=float(data["deadline_s"]),
-            opp_mhz=float(data["opp_mhz"]),
-            exec_time_s=float(data["exec_time_s"]),
-            predictor_time_s=float(data.get("predictor_time_s", 0.0)),
-            switch_time_s=float(data.get("switch_time_s", 0.0)),
-            predicted_time_s=(
-                float("nan") if predicted is None else float(predicted)
-            ),
-            adaptation_time_s=float(data.get("adaptation_time_s", 0.0)),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunResult":
-        """Rebuild a result from :meth:`to_json` output.
-
-        ``missed`` is a derived property and is ignored on input;
-        ``predicted_time_s: null`` maps back to NaN.
-        """
-        payload = json.loads(text)
-        return cls(
-            governor=payload["governor"],
-            app=payload["app"],
-            budget_s=float(payload["budget_s"]),
-            jobs=[cls._job_from_dict(job) for job in payload["jobs"]],
-            energy_j=float(payload["energy_j"]),
-            energy_by_tag={
-                tag: float(value)
-                for tag, value in payload["energy_by_tag"].items()
-            },
-            switch_count=int(payload["switch_count"]),
-        )
-
-    @staticmethod
-    def jobs_from_csv(text: str) -> list[JobRecord]:
-        """Parse :meth:`jobs_as_csv` output back into records.
-
-        An empty ``predicted_time_s`` cell (CSV has no null) maps to NaN.
-        """
-        records = []
-        for row in csv.DictReader(io.StringIO(text)):
-            data: dict = dict(row)
-            if data.get("predicted_time_s") in ("", None, "nan"):
-                data["predicted_time_s"] = None
-            records.append(RunResult._job_from_dict(data))
-        return records

@@ -422,11 +422,15 @@ class DecisionRecord:
 
         Version-1 records (no ``version`` key) load with provenance
         fields at their defaults; unknown keys are ignored so records
-        written by a *newer* minor revision still parse.  A field of the
-        wrong type is a ``ValueError`` naming it.
+        written by a *newer* minor revision still parse.  Every version
+        writes ``job_index``, so an object without one is not a decision
+        record.  A missing ``job_index`` or a field of the wrong type is
+        a ``ValueError`` naming it.
         """
         owner = "decision record"
         payload = _object(owner, payload, "record")
+        if "job_index" not in payload:
+            raise ValueError(f"{owner}: no 'job_index' field")
         features = _object(owner, payload.get("features", {}), "features")
         attribution = payload.get("attribution")
         ladder = payload.get("ladder", [])

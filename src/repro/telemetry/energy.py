@@ -340,19 +340,6 @@ class EnergyLedger:
 
     # -- invariants and views --------------------------------------------------
     @property
-    def total_j(self) -> float:
-        """Attributed energy so far, predictor overlap included."""
-        return self._total_j
-
-    @property
-    def overlap_j(self) -> float:
-        return self._overlap_j
-
-    @property
-    def counterfactual_j(self) -> float:
-        return self._counterfactual_j
-
-    @property
     def savings_frac(self) -> float:
         if self._counterfactual_j <= 0.0:
             return float("nan")

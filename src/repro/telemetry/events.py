@@ -15,14 +15,13 @@ read per site and nothing else (the perf bench asserts <2% wall time).
 
 Events flow into a *sink*.  The default :class:`ListSink` accumulates
 in memory for later export (Chrome trace JSON, JSONL, text report — see
-:mod:`repro.telemetry.exporters`); :class:`CallbackSink` adapts any
-callable, e.g. for streaming to an open file.
+:mod:`repro.telemetry.exporters`).
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -36,7 +35,6 @@ __all__ = [
     "TraceEvent",
     "TelemetrySink",
     "ListSink",
-    "CallbackSink",
     "Telemetry",
     "NullTelemetry",
     "NO_TELEMETRY",
@@ -89,16 +87,6 @@ class ListSink(TelemetrySink):
 
     def emit(self, event: TraceEvent) -> None:
         self.events.append(event)
-
-
-class CallbackSink(TelemetrySink):
-    """Adapts a callable into a sink (streaming, tee-ing, filtering)."""
-
-    def __init__(self, callback: Callable[[TraceEvent], None]):
-        self.callback = callback
-
-    def emit(self, event: TraceEvent) -> None:
-        self.callback(event)
 
 
 class Telemetry:

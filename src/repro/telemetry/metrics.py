@@ -87,9 +87,6 @@ class Counter:
             raise ValueError(f"counters only go up, got {amount}")
         self.value += amount
 
-    def as_dict(self) -> dict:
-        return {"value": self.value}
-
 
 class Gauge:
     """A last-write-wins instantaneous value (margin, mode, queue depth)."""
@@ -101,9 +98,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def as_dict(self) -> dict:
-        return {"value": self.value}
 
 
 class Histogram:
@@ -213,18 +207,6 @@ class MetricsRegistry:
         if metric is None:
             metric = self._histograms[name] = Histogram(bounds)
         return metric
-
-    @property
-    def counters(self) -> dict[str, Counter]:
-        return dict(self._counters)
-
-    @property
-    def gauges(self) -> dict[str, Gauge]:
-        return dict(self._gauges)
-
-    @property
-    def histograms(self) -> dict[str, Histogram]:
-        return dict(self._histograms)
 
     def as_dict(self) -> dict:
         """JSON-ready dump (NaN-free: unset gauges report None)."""

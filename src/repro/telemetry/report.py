@@ -33,7 +33,6 @@ from repro.checks import check_number
 __all__ = [
     "render_report",
     "summarize_directory",
-    "diff_directories",
     "compare_directories",
     "metric_direction",
     "MetricDelta",
@@ -323,12 +322,6 @@ class MetricDelta:
     b: float | None
     regressed: bool
 
-    @property
-    def delta(self) -> float | None:
-        if self.a is None or self.b is None:
-            return None
-        return self.b - self.a
-
 
 @dataclass(frozen=True)
 class DirectoryDiff:
@@ -450,15 +443,6 @@ def compare_directories(
         regressions=regressions,
         shared_runs=tuple(shared),
     )
-
-
-def diff_directories(
-    a: pathlib.Path | str,
-    b: pathlib.Path | str,
-    runs: str | None = None,
-) -> str:
-    """Metric-by-metric diff of two trace directories, as text."""
-    return compare_directories(a, b, runs=runs).text
 
 
 # -- the CI metrics regression gate --------------------------------------------

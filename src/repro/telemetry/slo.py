@@ -40,7 +40,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, NamedTuple
+from typing import Any, NamedTuple
 
 from repro.checks import check_number
 
@@ -55,7 +55,6 @@ __all__ = [
     "SloTrackerState",
     "merge_states",
     "default_slos",
-    "specs_to_json",
     "specs_from_json",
 ]
 
@@ -115,12 +114,9 @@ class BurnWindow:
                 f"got {self.max_burn_rate}"
             )
 
-    def as_dict(self) -> dict:
-        return {"jobs": self.jobs, "max_burn_rate": self.max_burn_rate}
-
     @classmethod
     def from_dict(cls, data: dict) -> "BurnWindow":
-        """Rebuild a window from :meth:`as_dict` output.
+        """Read a window from its JSON object.
 
         Raises ``ValueError`` naming the field for anything but an
         object holding an int ``jobs`` and a finite ``max_burn_rate``.
@@ -198,20 +194,10 @@ class SloSpec:
             return None
         return obs.residual_rel > self.threshold
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "signal": self.signal,
-            "objective": self.objective,
-            "threshold": self.threshold,
-            "windows": [w.as_dict() for w in self.windows],
-            "severity": self.severity,
-            "description": self.description,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "SloSpec":
-        """Rebuild a spec from :meth:`as_dict` output.
+        """Read a spec from its JSON object (the dataclass fields, with
+        ``windows`` a list of burn-window objects).
 
         Raises ``ValueError`` naming the spec and the field for a
         missing name, signal, objective or windows, an unknown field, a
@@ -469,10 +455,6 @@ class SloTracker:
             return 0.0
         return self.bad / (self.spec.objective * self.jobs)
 
-    @property
-    def firing(self) -> bool:
-        return self._firing
-
     def observe(self, obs: JobObservation) -> SloAlert | None:
         """Fold one job in; returns a newly-fired alert, if any."""
         spec = self.spec
@@ -614,13 +596,10 @@ def default_slos(
     return tuple(specs)
 
 
-def specs_to_json(specs: Iterable[SloSpec]) -> str:
-    """Serialize a spec suite (the ``repro watch --slo FILE`` format)."""
-    return json.dumps([spec.as_dict() for spec in specs], indent=2)
-
-
 def specs_from_json(text: str) -> tuple[SloSpec, ...]:
-    """Parse a spec suite written by :func:`specs_to_json`.
+    """Parse a spec suite (the ``repro watch --slo FILE`` format): a JSON
+    array of objects holding the :class:`SloSpec` fields, each window an
+    object of ``jobs`` and ``max_burn_rate``.
 
     Raises ``ValueError`` for text that is not JSON, a top level that is
     not an array, or a spec that :meth:`SloSpec.from_dict` rejects.

@@ -10,7 +10,7 @@ from importlib import import_module
 
 from repro.workloads.base import InteractiveApp
 
-__all__ = ["APP_MODULES", "app_names", "get_app", "all_apps"]
+__all__ = ["APP_MODULES", "app_names", "get_app"]
 
 #: App name -> the ``repro.workloads`` module whose ``make_app`` builds it.
 APP_MODULES: dict[str, str] = {
@@ -43,8 +43,3 @@ def get_app(name: str) -> InteractiveApp:
             f"unknown app {name!r}; available: {', '.join(APP_MODULES)}"
         ) from None
     return import_module(f"repro.workloads.{module}").make_app()
-
-
-def all_apps() -> list[InteractiveApp]:
-    """All eight benchmarks, freshly constructed."""
-    return [get_app(name) for name in APP_MODULES]

@@ -177,5 +177,5 @@ class TestValidation:
     def test_default_grid_covers_the_three_stressors(self):
         names = [s.name for s in DEFAULT_SCENARIOS]
         assert names == ["nominal", "jitter", "drift"]
-        assert DEFAULT_SCENARIOS[2].drifts
-        assert not DEFAULT_SCENARIOS[0].drifts
+        assert DEFAULT_SCENARIOS[2].drift_factor != 1.0
+        assert DEFAULT_SCENARIOS[0].drift_factor == 1.0

@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -67,7 +68,9 @@ class TestCliRuns:
 
         for name, run in (("fig9", counted), ("fig11", uncounted)):
             module = SimpleNamespace(run=run, render=repr)
-            monkeypatch.setitem(cli._EXPERIMENTS, name, ("", module))
+            path = f"repro.analysis.experiments.stub_{name}"
+            monkeypatch.setitem(sys.modules, path, module)
+            monkeypatch.setitem(cli._EXPERIMENTS, name, ("", f"stub_{name}"))
         assert main(["fig9", "fig11", "--jobs", "7"]) == 0
         assert calls == {"fig9": 7, "fig11": None}
         assert "[fig11 took" in capsys.readouterr().out
@@ -93,31 +96,6 @@ class TestCliOutputDir:
         ) == 0
         capsys.readouterr()
         assert (nested / "fig11.json").exists()
-
-
-class TestRunResultExport:
-    @pytest.fixture(scope="class")
-    def result(self):
-        from repro.analysis.harness import Lab
-
-        return Lab(switch_samples=20).run("xpilot", "performance", n_jobs=10)
-
-    def test_to_json_roundtrips(self, result):
-        payload = json.loads(result.to_json())
-        assert payload["app"] == "xpilot"
-        assert payload["governor"] == "performance"
-        assert len(payload["jobs"]) == 10
-        assert payload["jobs"][0]["predicted_time_s"] is None  # NaN -> null
-
-    def test_csv_has_header_and_rows(self, result):
-        text = result.jobs_as_csv()
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("index,arrival_s")
-        assert len(lines) == 11
-
-    def test_jobs_as_dicts_flags_misses(self, result):
-        rows = result.jobs_as_dicts()
-        assert all(row["missed"] is False for row in rows)
 
 
 class TestResultJsonHardening:
@@ -302,17 +280,19 @@ class TestCliWatch:
         assert "unknown workload" in capsys.readouterr().err
 
     def test_custom_slo_file(self, tmp_path, capsys):
-        from repro.telemetry.slo import SloSpec, specs_to_json
-
         slo_file = tmp_path / "slos.json"
         slo_file.write_text(
-            specs_to_json(
+            json.dumps(
                 [
-                    SloSpec(
-                        name="custom-miss",
-                        signal="deadline_miss",
-                        objective=0.5,
-                    )
+                    {
+                        "name": "custom-miss",
+                        "signal": "deadline_miss",
+                        "objective": 0.5,
+                        "windows": [
+                            {"jobs": 40, "max_burn_rate": 2.0},
+                            {"jobs": 10, "max_burn_rate": 5.0},
+                        ],
+                    }
                 ]
             )
         )
@@ -642,6 +622,22 @@ class TestReplayUnreadableFiles:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"{bad}: ")
+
+    def test_beta_of_another_width(self, traced, tmp_path, capsys):
+        """A ``--beta`` controller whose models read another feature
+        vector (another app's) is refused, not a matmul traceback."""
+        from repro.analysis.harness import Lab
+        from repro.pipeline.persist import save_controller
+
+        directory, controller = traced
+        other = tmp_path / "ctrl-2048.json"
+        save_controller(Lab(switch_samples=10).controller("2048"), other)
+        capsys.readouterr()
+        argv = ["replay", str(directory), str(controller), "--beta", str(other)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"{other}: ")
+        assert "coefficients" in err
 
 
 def _slo_spec(objective="0.1", threshold="0.0", jobs="5", rate="2.0"):

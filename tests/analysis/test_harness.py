@@ -10,6 +10,7 @@ from repro.analysis.harness import (
 )
 from repro.platform.cpu import Work
 from repro.platform.opp import default_xu3_a7_table
+from tests.platform.test_sensor_board import run_work
 
 OPPS = default_xu3_a7_table()
 
@@ -59,20 +60,20 @@ class TestSeededBoard:
     def test_unit_drift_is_no_drift(self):
         plain = seeded_board(OPPS, None, 0.05, 3, 4)
         unit = seeded_board(OPPS, None, 0.05, 3, 4, drift=(1.0, 0.0))
-        assert [plain.execute(self.WORK) for _ in range(5)] == [
-            unit.execute(self.WORK) for _ in range(5)
+        assert [run_work(plain, self.WORK) for _ in range(5)] == [
+            run_work(unit, self.WORK) for _ in range(5)
         ]
 
     def test_drift_engages_at_its_simulated_time(self):
         t = self.WORK.cycles / (OPPS.fmax.freq_mhz * 1e6)
         board = seeded_board(OPPS, None, 0.0, 3, 4, drift=(2.0, 2.5 * t))
-        times = [board.execute(self.WORK) for _ in range(4)]
+        times = [run_work(board, self.WORK) for _ in range(4)]
         assert times == pytest.approx([t, t, t, 2 * t])
 
     def test_jitter_and_switch_streams_have_their_own_seeds(self):
         a = seeded_board(OPPS, None, 0.05, 3, 4)
         b = seeded_board(OPPS, None, 0.05, 3, 5)
-        assert a.execute(self.WORK) == b.execute(self.WORK)
+        assert run_work(a, self.WORK) == run_work(b, self.WORK)
         assert a.set_frequency(OPPS.fmin) != b.set_frequency(OPPS.fmin)
 
 

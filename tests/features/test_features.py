@@ -165,20 +165,6 @@ class TestProfileTrace:
         with pytest.raises(ValueError):
             ProfileTrace().times_s("f50")
 
-    def test_json_roundtrip(self):
-        trace = ProfileTrace([self.sample(), self.sample(0.02, 0.14)])
-        restored = ProfileTrace.from_json(trace.to_json())
-        assert len(restored) == 2
-        assert restored[0].features.counters == {"loop_b": 5.0}
-        assert restored[0].features.call_addresses == {"call_c": [10]}
-        assert restored[1].time_fmin_s == 0.14
-
-    def test_save_load(self, tmp_path):
-        trace = ProfileTrace([self.sample()])
-        path = tmp_path / "trace.json"
-        trace.save(path)
-        assert len(ProfileTrace.load(path)) == 1
-
 
 class TestProfiler:
     def make_program(self):

@@ -1,5 +1,6 @@
 """Arrival processes: schedule shape, determinism, JSON round-trip."""
 
+import dataclasses
 import random
 
 import pytest
@@ -86,7 +87,9 @@ class TestSerialization:
         "process", ALL_PROCESSES, ids=lambda p: p.kind
     )
     def test_round_trip(self, process):
-        restored = arrival_from_dict(process.as_dict())
+        restored = arrival_from_dict(
+            {"kind": process.kind, **dataclasses.asdict(process)}
+        )
         assert restored == process
         assert restored.arrivals(20, 0.05, random.Random(5)) == (
             process.arrivals(20, 0.05, random.Random(5))

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.fleet.tenant import TenantSpec, tenants_to_json
 
 FAST = [
     "--sessions", "6", "--jobs", "5",
@@ -40,12 +39,12 @@ class TestFleetRun:
     def test_spec_file(self, tmp_path, capsys):
         spec = tmp_path / "fleet.json"
         spec.write_text(
-            tenants_to_json(
+            json.dumps(
                 [
-                    TenantSpec(
-                        name="solo", app="sha", governor="interactive",
-                        sessions=2, jobs_per_session=4,
-                    )
+                    {
+                        "name": "solo", "app": "sha", "governor": "interactive",
+                        "sessions": 2, "jobs_per_session": 4,
+                    }
                 ]
             )
         )

@@ -63,14 +63,14 @@ class TestOutcome:
         report = outcome.report
         assert report.sessions == 13
         assert report.jobs == 6 * 6 + 5 * 5 + 2 * 8
-        assert outcome.sessions == 13
+        assert sum(len(s.sessions) for s in outcome.shard_results) == 13
         assert [t.name for t in report.tenants] == ["alpha", "beta", "gamma"]
         assert sum(s.jobs_run for s in outcome.shard_results) == report.jobs
 
     def test_workers_capped_at_shard_count(self):
         # 8 workers over 2 shards must not deadlock or misbehave.
         outcome = run_fleet(_spec(shards=2), workers=8)
-        assert outcome.sessions == 13
+        assert outcome.report.sessions == 13
 
 
 class TestHostProfile:

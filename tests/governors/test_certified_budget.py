@@ -201,4 +201,4 @@ class TestCertifierTelemetry:
         governor = make_governor(trained_stack, None)
         telemetry = Telemetry()
         governor.bind_telemetry(telemetry)
-        assert "certifier.certified" not in telemetry.metrics.gauges
+        assert "certifier.certified" not in telemetry.metrics.as_dict()["gauges"]

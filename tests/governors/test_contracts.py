@@ -101,6 +101,8 @@ class TestExecutorWithTimersAndIdling:
         from repro.runtime.task import Task
 
         board = Board(opps=OPPS)
+        segments = []
+        board.set_segment_observer(lambda segment, _: segments.append(segment))
         runner = TaskLoopRunner(
             board,
             Task("t", Program("t", Block(8e6)), 0.050),
@@ -110,6 +112,6 @@ class TestExecutorWithTimersAndIdling:
         )
         result = runner.run()
         assert result.n_jobs == 25
-        segments = board.timeline.segments
+        assert segments
         for a, b in zip(segments, segments[1:]):
             assert b.start_s == pytest.approx(a.end_s)

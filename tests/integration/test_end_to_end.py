@@ -63,6 +63,8 @@ class TestEnergyAccounting:
         """Every simulated second is attributed to some activity."""
         app = get_app("sha")
         board = Board(opps=OPPS)
+        segments = []
+        board.set_segment_observer(lambda segment, _: segments.append(segment))
         runner = TaskLoopRunner(
             board=board,
             task=app.task,
@@ -70,7 +72,7 @@ class TestEnergyAccounting:
             inputs=app.inputs(40, seed=5),
         )
         runner.run()
-        covered = board.timeline.total_time_s()
+        covered = sum(segment.duration_s for segment in segments)
         assert covered == pytest.approx(board.now, rel=1e-9)
 
     def test_all_governors_consume_less_than_performance(self, lab):

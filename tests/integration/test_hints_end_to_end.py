@@ -78,7 +78,8 @@ def controller():
 
 class TestHintedPipeline:
     def test_hint_site_registered(self, controller):
-        assert controller.instrumented.site_kind("hdr_megapixels") == "hint"
+        kinds = {s.site: s.kind for s in controller.instrumented.sites}
+        assert kinds["hdr_megapixels"] == "hint"
 
     def test_deployment_meets_deadlines_and_saves(self, controller):
         app = make_hinted_app()

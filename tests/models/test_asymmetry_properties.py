@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.models.asymmetric import AsymmetricLassoModel
+from tests.models.lasso_fit import fit, n_selected, predict
 
 fast = settings(
     max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -25,7 +26,7 @@ def data(seed, n=150, p=5, noise=2.0):
 
 
 def under_rate(model, X, y):
-    return float(np.mean(model.predict(X) < y))
+    return float(np.mean(predict(model, X) < y))
 
 
 class TestAlphaMonotonicity:
@@ -37,7 +38,7 @@ class TestAlphaMonotonicity:
         X, y = data(seed)
         rates = []
         for alpha in (1.0, 10.0, 100.0, 1000.0):
-            model = AsymmetricLassoModel(alpha=alpha).fit(X, y)
+            model = fit(AsymmetricLassoModel(alpha=alpha), X, y)
             rates.append(under_rate(model, X, y))
         # Weak monotonicity with a one-sample tolerance: FISTA converges
         # to tolerance, not exactly, so adjacent rungs may tie "wrong"
@@ -52,7 +53,7 @@ class TestAlphaMonotonicity:
     @given(seed=st.integers(0, 10_000), alpha=st.floats(50.0, 1000.0))
     def test_large_alpha_overpredicts_most_samples(self, seed, alpha):
         X, y = data(seed)
-        model = AsymmetricLassoModel(alpha=alpha).fit(X, y)
+        model = fit(AsymmetricLassoModel(alpha=alpha), X, y)
         assert under_rate(model, X, y) < 0.25
 
 
@@ -63,7 +64,7 @@ class TestGammaSparsity:
         """More L1 never selects more features (ladder spans none-to-all)."""
         X, y = data(seed)
         counts = [
-            AsymmetricLassoModel(alpha=10.0, gamma=g).fit(X, y).n_selected
+            n_selected(fit(AsymmetricLassoModel(alpha=10.0, gamma=g), X, y))
             for g in (0.0, 1e2, 1e4, 1e6)
         ]
         for lo, hi in zip(counts[1:], counts):
@@ -75,8 +76,8 @@ class TestGammaSparsity:
     def test_huge_gamma_kills_every_coefficient(self, seed):
         """In the limit the model degrades to its (unpenalized) intercept."""
         X, y = data(seed)
-        model = AsymmetricLassoModel(alpha=10.0, gamma=1e9).fit(X, y)
-        assert model.n_selected == 0
+        model = fit(AsymmetricLassoModel(alpha=10.0, gamma=1e9), X, y)
+        assert n_selected(model) == 0
         # The intercept still over-predicts per the asymmetry: with
         # alpha = 10 the optimal constant sits above the median.
         assert under_rate(model, X, y) <= 0.5

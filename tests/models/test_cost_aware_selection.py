@@ -5,6 +5,7 @@ import pytest
 
 from repro.models.asymmetric import AsymmetricLassoModel
 from repro.models.solver import solve_asymmetric_lasso
+from tests.models.lasso_fit import fit, predict
 
 
 def redundant_features(seed=0, n=300):
@@ -60,8 +61,12 @@ class TestSolverWeights:
 class TestModelCostAwareFit:
     def test_gamma_weights_forwarded(self):
         X, y = redundant_features()
-        model = AsymmetricLassoModel(alpha=1.0, gamma=2000.0)
-        model.fit(X, y, gamma_weights=np.array([1.0, 100.0, 1.0]))
+        model = fit(
+            AsymmetricLassoModel(alpha=1.0, gamma=2000.0),
+            X,
+            y,
+            gamma_weights=np.array([1.0, 100.0, 1.0]),
+        )
         mask = model.selected_mask()
         assert not mask[1]
         assert mask[0]
@@ -70,10 +75,14 @@ class TestModelCostAwareFit:
         """A small base gamma with a large cost multiplier kills the
         expensive twin without over-shrinking the survivor."""
         X, y = redundant_features()
-        cost_aware = AsymmetricLassoModel(alpha=1.0, gamma=100.0)
-        cost_aware.fit(X, y, gamma_weights=np.array([1.0, 2000.0, 1.0]))
+        cost_aware = fit(
+            AsymmetricLassoModel(alpha=1.0, gamma=100.0),
+            X,
+            y,
+            gamma_weights=np.array([1.0, 2000.0, 1.0]),
+        )
         assert not cost_aware.selected_mask()[1]
-        err = np.abs(cost_aware.predict(X) - y).mean()
+        err = np.abs(predict(cost_aware, X) - y).mean()
         assert err < 0.5  # the cheap twin suffices
 
 

@@ -1,4 +1,4 @@
-"""Tests for the model wrappers: asymmetric Lasso, OLS, DVFS, metrics."""
+"""Tests for the model wrappers: asymmetric Lasso, DVFS, metrics."""
 
 import math
 
@@ -7,9 +7,9 @@ import pytest
 
 from repro.models.asymmetric import AsymmetricLassoModel
 from repro.models.dvfs import DvfsComponents, DvfsModel
-from repro.models.linear import OlsModel
 from repro.models.metrics import signed_errors, summarize_errors
 from repro.platform.opp import OperatingPoint, OppTable, default_xu3_a7_table
+from tests.models.lasso_fit import fit, predict
 
 OPPS = default_xu3_a7_table()
 
@@ -19,39 +19,6 @@ def toy_data(seed=0, n=300):
     X = rng.uniform(0, 50, (n, 4))
     y = 0.5 * X[:, 0] + 2.0 * X[:, 2] + 10.0 + rng.normal(0, 1.0, n)
     return X, y
-
-
-class TestOlsModel:
-    def test_recovers_linear_relationship(self):
-        X, y = toy_data()
-        model = OlsModel().fit(X, y)
-        assert model.coef_[0] == pytest.approx(0.5, abs=0.05)
-        assert model.coef_[2] == pytest.approx(2.0, abs=0.05)
-        assert model.intercept_ == pytest.approx(10.0, abs=1.0)
-
-    def test_predict_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            OlsModel().predict(np.zeros((1, 2)))
-
-    def test_predict_one(self):
-        X, y = toy_data()
-        model = OlsModel().fit(X, y)
-        row = X[0]
-        assert model.predict_one(row) == pytest.approx(model.predict(X)[0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            OlsModel().fit(np.zeros((0, 2)), np.zeros(0))
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            OlsModel().fit(np.zeros((5, 2)), np.zeros(6))
-
-    def test_errors_roughly_balanced(self):
-        X, y = toy_data()
-        model = OlsModel().fit(X, y)
-        errors = model.predict(X) - y
-        assert abs(np.mean(errors > 0) - 0.5) < 0.1
 
 
 class TestAsymmetricLassoModel:
@@ -106,28 +73,34 @@ class TestAsymmetricLassoModel:
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
-            AsymmetricLassoModel().predict(np.zeros((1, 2)))
+            AsymmetricLassoModel().predict_one(np.zeros(2))
         with pytest.raises(RuntimeError):
             AsymmetricLassoModel().selected_mask()
 
     def test_alpha_one_close_to_ols(self):
         X, y = toy_data()
-        lasso = AsymmetricLassoModel(alpha=1.0, gamma=0.0).fit(X, y)
-        ols = OlsModel().fit(X, y)
-        assert np.allclose(lasso.coef_, ols.coef_, atol=0.02)
-        assert lasso.intercept_ == pytest.approx(ols.intercept_, abs=0.5)
+        lasso = fit(AsymmetricLassoModel(alpha=1.0, gamma=0.0), X, y)
+        design = np.hstack([X, np.ones((X.shape[0], 1))])
+        ols, *_ = np.linalg.lstsq(design, y, rcond=None)
+        assert np.allclose(lasso.coef_, ols[:-1], atol=0.02)
+        assert lasso.intercept_ == pytest.approx(ols[-1], abs=0.5)
+
+    def test_predict_one_matches_matrix_product(self):
+        X, y = toy_data()
+        model = fit(AsymmetricLassoModel(alpha=1.0), X, y)
+        assert model.predict_one(X[0]) == pytest.approx(predict(model, X)[0])
 
     def test_high_alpha_over_predicts(self):
         X, y = toy_data()
-        model = AsymmetricLassoModel(alpha=1000.0).fit(X, y)
-        under_rate = np.mean(model.predict(X) < y)
+        model = fit(AsymmetricLassoModel(alpha=1000.0), X, y)
+        under_rate = np.mean(predict(model, X) < y)
         assert under_rate < 0.05
 
     def test_feature_selection_exact_zeros(self):
         rng = np.random.default_rng(5)
         X = rng.uniform(0, 10, (400, 6))
         y = 4.0 * X[:, 1] + rng.normal(0, 0.5, 400)
-        model = AsymmetricLassoModel(alpha=1.0, gamma=800.0).fit(X, y)
+        model = fit(AsymmetricLassoModel(alpha=1.0, gamma=800.0), X, y)
         mask = model.selected_mask()
         assert mask[1]
         assert mask.sum() <= 2
@@ -136,7 +109,7 @@ class TestAsymmetricLassoModel:
         X, y = toy_data()
         X = X.copy()
         X[:, 3] = 7.0  # constant
-        model = AsymmetricLassoModel(alpha=1.0).fit(X, y)
+        model = fit(AsymmetricLassoModel(alpha=1.0), X, y)
         assert model.coef_[3] == 0.0
 
     def test_standardization_invisible_to_user(self):
@@ -144,13 +117,8 @@ class TestAsymmetricLassoModel:
         X, y = toy_data()
         scaled = X.copy()
         scaled[:, 0] *= 1000.0
-        model = AsymmetricLassoModel(alpha=1.0).fit(scaled, y)
+        model = fit(AsymmetricLassoModel(alpha=1.0), scaled, y)
         assert model.coef_[0] == pytest.approx(0.5 / 1000.0, rel=0.1)
-
-    def test_n_selected(self):
-        X, y = toy_data()
-        model = AsymmetricLassoModel(alpha=1.0).fit(X, y)
-        assert model.n_selected == int(model.selected_mask().sum())
 
 
 class TestDvfsComponents:
@@ -262,7 +230,6 @@ class TestMetrics:
         assert s.q1 == pytest.approx(25.0)
         assert s.q3 == pytest.approx(75.0)
         assert s.n == 101
-        assert s.iqr == pytest.approx(50.0)
 
     def test_summary_outliers(self):
         errors = np.concatenate([np.zeros(99), [1000.0]])

@@ -85,16 +85,17 @@ class TestEndToEndQuadraticRecovery:
         """A genuinely quadratic cost (nested loops over n) defeats the
         linear model but not the expanded one."""
         from repro.models.asymmetric import AsymmetricLassoModel
+        from tests.models.lasso_fit import fit, predict
 
         rng = np.random.default_rng(0)
         n = rng.uniform(1, 30, 300).reshape(-1, 1)
         y = 3.0 * (n[:, 0] ** 2) + 5.0 * n[:, 0] + rng.normal(0, 1.0, 300)
 
-        linear = AsymmetricLassoModel(alpha=1.0).fit(n, y)
-        linear_err = np.abs(linear.predict(n) - y).mean()
+        linear = fit(AsymmetricLassoModel(alpha=1.0), n, y)
+        linear_err = np.abs(predict(linear, n) - y).mean()
 
         exp = PolynomialExpansion(degree=2).fit(1)
-        quad = AsymmetricLassoModel(alpha=1.0).fit(exp.transform(n), y)
-        quad_err = np.abs(quad.predict(exp.transform(n)) - y).mean()
+        quad = fit(AsymmetricLassoModel(alpha=1.0), exp.transform(n), y)
+        quad_err = np.abs(predict(quad, exp.transform(n)) - y).mean()
 
         assert quad_err < linear_err / 5

@@ -4,7 +4,11 @@ import pytest
 
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.offline import build_controller
-from repro.pipeline.persist import load_controller, save_controller
+from repro.pipeline.persist import (
+    controller_fingerprint,
+    load_controller,
+    save_controller,
+)
 from repro.platform.biglittle import build_biglittle_platform
 from repro.platform.board import Board
 from repro.platform.opp import default_xu3_a7_table
@@ -85,15 +89,30 @@ class TestRoundtrip:
                     start, end
                 ) == pytest.approx(controller.switch_table.time_s(start, end))
 
-    def test_trace_excluded_by_default(self, controller, tmp_path):
+    def test_trace_is_not_saved(self, controller, tmp_path):
         path = tmp_path / "c.json"
         save_controller(controller, path)
+        assert '"trace": null' in path.read_text()
         assert len(load_controller(path).trace) == 0
 
-    def test_trace_included_on_request(self, controller, tmp_path):
+    def test_saved_trace_is_ignored_on_load(self, controller, tmp_path):
+        """A file whose ``trace`` key holds profiled samples (as older
+        versions wrote on request) loads, with an empty trace."""
+        import json
+
         path = tmp_path / "c.json"
-        save_controller(controller, path, include_trace=True)
-        assert len(load_controller(path).trace) == len(controller.trace)
+        save_controller(controller, path)
+        payload = json.loads(path.read_text())
+        payload["trace"] = json.dumps(
+            [{"counters": {"x": 1.0}, "calls": {}, "t_fmax": 0.01,
+              "t_fmin": 0.07}]
+        )
+        path.write_text(json.dumps(payload))
+        restored = load_controller(path)
+        assert len(restored.trace) == 0
+        assert controller_fingerprint(restored) == controller_fingerprint(
+            controller
+        )
 
     def test_version_check(self, controller, tmp_path):
         import json

@@ -55,7 +55,7 @@ class TestBuildController:
         tc = ldecode_controller
         assert tc.app_name == "ldecode"
         assert len(tc.trace) == 120
-        assert tc.encoder.is_fitted
+        assert tc.encoder.n_columns > 0
         assert tc.predictor.needed_sites
         assert tc.slice.program.name == "ldecode_slice"
 

@@ -12,6 +12,7 @@ from repro.platform.biglittle import (
 from repro.platform.board import Board
 from repro.platform.cpu import SimulatedCpu, Work
 from repro.platform.opp import OperatingPoint
+from tests.platform.test_sensor_board import run_work
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +135,7 @@ class TestBoardIntegration:
     def test_board_accepts_heterogeneous_platform(self, platform):
         table, power, switcher = platform
         board = Board(opps=table, power=power, switcher=switcher)
-        duration = board.execute(Work(cycles=3.8e9))  # 1 s at eff 3.8 GHz
+        duration = run_work(board, Work(cycles=3.8e9))  # 1 s at eff 3.8 GHz
         assert duration == pytest.approx(1.0)
         little = table.fmin
         board.set_frequency(little)

@@ -19,24 +19,6 @@ class TestWork:
         with pytest.raises(ValueError):
             Work(cycles=1.0, mem_time_s=-0.1)
 
-    def test_addition(self):
-        total = Work(10, 0.5) + Work(5, 0.25)
-        assert total.cycles == 15
-        assert total.mem_time_s == 0.75
-
-    def test_scaled(self):
-        w = Work(10, 0.5).scaled(2.0)
-        assert w.cycles == 20
-        assert w.mem_time_s == 1.0
-
-    def test_scaled_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Work(10, 0.5).scaled(-1.0)
-
-    def test_zero(self):
-        assert Work.zero().cycles == 0
-        assert Work.zero().mem_time_s == 0
-
 
 class TestSimulatedCpu:
     def test_ideal_time_formula(self):
@@ -58,11 +40,6 @@ class TestSimulatedCpu:
         cpu = SimulatedCpu(NoJitter())
         work = Work(cycles=2e8, mem_time_s=0.01)
         assert cpu.execution_time(work, HIGH) == cpu.ideal_time(work, HIGH)
-
-    def test_min_feasible_time_at_fmax(self):
-        cpu = SimulatedCpu()
-        work = Work(cycles=2e8)
-        assert cpu.min_feasible_time(work, HIGH) == cpu.ideal_time(work, HIGH)
 
     @given(
         cycles=st.floats(min_value=0, max_value=1e12),
@@ -102,16 +79,6 @@ class TestVirtualClock:
     def test_advance_negative_rejected(self):
         with pytest.raises(ValueError):
             VirtualClock().advance(-0.1)
-
-    def test_advance_to_future(self):
-        clock = VirtualClock()
-        clock.advance_to(3.0)
-        assert clock.now == 3.0
-
-    def test_advance_to_past_is_noop(self):
-        clock = VirtualClock(5.0)
-        clock.advance_to(3.0)
-        assert clock.now == 5.0
 
 
 class TestJitter:

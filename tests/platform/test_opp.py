@@ -103,12 +103,6 @@ class TestOppTableQueries:
         table = make_table([200, 600, 1400])
         assert table.lowest_at_or_above(5e9).freq_mhz == 1400
 
-    def test_highest_at_or_below(self):
-        table = make_table([200, 600, 1400])
-        assert table.highest_at_or_below(599e6).freq_mhz == 200
-        assert table.highest_at_or_below(600e6).freq_mhz == 600
-        assert table.highest_at_or_below(1e6).freq_mhz == 200
-
     def test_nearest(self):
         table = make_table([200, 600, 1400])
         assert table.nearest(350e6).freq_mhz == 200
@@ -116,7 +110,7 @@ class TestOppTableQueries:
 
     def test_frequencies_ascending(self):
         table = default_xu3_a7_table()
-        freqs = table.frequencies_hz
+        freqs = [p.freq_hz for p in table]
         assert list(freqs) == sorted(freqs)
 
     def test_equality_and_hash(self):

@@ -29,11 +29,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             model.dynamic_power(HIGH, activity=-0.1)
 
-    def test_rejects_negative_duration(self):
-        model = default_a7_power_model()
-        with pytest.raises(ValueError):
-            model.energy(HIGH, 1.0, -1.0)
-
 
 class TestPhysics:
     def test_dynamic_power_scales_with_v_squared_f(self):
@@ -58,19 +53,9 @@ class TestPhysics:
         model = default_a7_power_model()
         assert (
             model.leakage_power(HIGH)
-            < model.idle_power(HIGH)
+            < model.power(HIGH, model.idle_activity)
             < model.power(HIGH, 1.0)
         )
-
-    def test_energy_is_power_times_time(self):
-        model = default_a7_power_model()
-        assert model.energy(HIGH, 1.0, 2.0) == pytest.approx(
-            2.0 * model.power(HIGH, 1.0)
-        )
-
-    def test_energy_zero_duration(self):
-        model = default_a7_power_model()
-        assert model.energy(HIGH, 1.0, 0.0) == 0.0
 
     def test_race_to_idle_is_not_free(self):
         """Running fast then idling costs more energy than running slow.
@@ -81,11 +66,11 @@ class TestPhysics:
         model = default_a7_power_model()
         cycles = 1e7
         budget_s = cycles / LOW.freq_hz  # just fits at the low OPP
-        slow_energy = model.energy(LOW, 1.0, budget_s)
+        slow_energy = model.power(LOW, 1.0) * budget_s
         sprint_s = cycles / HIGH.freq_hz
-        sprint_energy = model.energy(HIGH, 1.0, sprint_s) + model.energy(
-            HIGH, model.idle_activity, budget_s - sprint_s
-        )
+        sprint_energy = model.power(HIGH, 1.0) * sprint_s + model.power(
+            HIGH, model.idle_activity
+        ) * (budget_s - sprint_s)
         assert slow_energy < sprint_energy
 
 

@@ -1,11 +1,11 @@
-"""Tests for the power timeline, sampled sensor, and the Board facade."""
+"""Tests for the power timeline and the Board facade."""
 
 import pytest
 
 from repro.platform.board import Board
 from repro.platform.cpu import Work
 from repro.platform.jitter import LogNormalJitter
-from repro.platform.sensor import PowerSegment, PowerSensor, Timeline
+from repro.platform.sensor import PowerSegment, Timeline
 
 
 class TestPowerSegment:
@@ -41,12 +41,6 @@ class TestTimeline:
         assert tl.total_energy_j("job") == pytest.approx(1.0)
         assert tl.total_energy_j("idle") == pytest.approx(0.5)
 
-    def test_time_filtered_by_tag(self):
-        tl = Timeline()
-        tl.append(PowerSegment(0.0, 1.5, 1.0, "job"))
-        tl.append(PowerSegment(1.5, 2.0, 0.5, "idle"))
-        assert tl.total_time_s("job") == pytest.approx(1.5)
-
     def test_overlap_rejected(self):
         tl = Timeline()
         tl.append(PowerSegment(0.0, 1.0, 1.0))
@@ -57,47 +51,21 @@ class TestTimeline:
         tl = Timeline()
         tl.append(PowerSegment(0.0, 1.0, 1.0))
         tl.append(PowerSegment(2.0, 3.0, 1.0))
-        assert tl.end_s == 3.0
-
-    def test_power_at(self):
-        tl = Timeline()
-        tl.append(PowerSegment(0.0, 1.0, 1.0))
-        tl.append(PowerSegment(1.0, 2.0, 0.25))
-        assert tl.power_at(0.5) == 1.0
-        assert tl.power_at(1.0) == 0.25  # half-open intervals
-        assert tl.power_at(5.0) == 0.0
+        assert tl.total_energy_j() == 2.0
+        with pytest.raises(ValueError, match="overlap"):
+            tl.append(PowerSegment(2.5, 4.0, 1.0))
 
     def test_empty_timeline(self):
         tl = Timeline()
-        assert tl.end_s == 0.0
         assert tl.total_energy_j() == 0.0
 
 
-class TestPowerSensor:
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            PowerSensor(0.0)
-
-    def test_constant_power_measured_exactly(self):
-        tl = Timeline()
-        tl.append(PowerSegment(0.0, 1.0, 0.8))
-        sensor = PowerSensor(sample_hz=1000.0)
-        assert sensor.measure_energy_j(tl) == pytest.approx(0.8, rel=1e-3)
-
-    def test_error_shrinks_with_sample_rate(self):
-        tl = Timeline()
-        for i in range(50):
-            tl.append(PowerSegment(i * 0.01, (i + 1) * 0.01, 0.1 + (i % 5) * 0.2))
-        exact = tl.total_energy_j()
-        coarse = abs(PowerSensor(213.0).measure_energy_j(tl) - exact)
-        fine = abs(PowerSensor(21300.0).measure_energy_j(tl) - exact)
-        assert fine <= coarse
-
-    def test_sample_count_matches_rate(self):
-        tl = Timeline()
-        tl.append(PowerSegment(0.0, 1.0, 0.5))
-        samples = PowerSensor(213.0).sample_powers(tl)
-        assert len(samples) == 213
+def run_work(board, work):
+    """Run ``work`` at the board's level as the task runner does: one busy
+    segment as long as the CPU model's time for it; returns that time."""
+    return board.busy_run(
+        board.cpu.execution_time(work, board.current_opp), "job"
+    )
 
 
 class TestBoard:
@@ -105,10 +73,10 @@ class TestBoard:
         board = Board()
         assert board.current_opp == board.opps.fmax
 
-    def test_execute_advances_clock_and_records_energy(self):
+    def test_work_advances_clock_and_records_energy(self):
         board = Board()
         work = Work(cycles=1.4e9)  # exactly 1 s at 1400 MHz
-        duration = board.execute(work)
+        duration = run_work(board, work)
         assert duration == pytest.approx(1.0)
         assert board.now == pytest.approx(1.0)
         assert board.energy_j("job") > 0
@@ -128,7 +96,7 @@ class TestBoard:
 
     def test_idle_until_past_is_noop(self):
         board = Board()
-        board.execute(Work(cycles=1.4e9))
+        run_work(board, Work(cycles=1.4e9))
         assert board.idle_until(0.5) == 0.0
 
     def test_idle_until_future_records_idle_energy(self):
@@ -153,25 +121,27 @@ class TestBoard:
     def test_job_at_low_frequency_takes_longer_but_less_energy(self):
         work = Work(cycles=1.4e9)
         fast = Board()
-        t_fast = fast.execute(work)
+        t_fast = run_work(fast, work)
         slow = Board()
         slow.set_frequency(slow.opps.fmin)
-        t_slow = slow.execute(work)
+        t_slow = run_work(slow, work)
         assert t_slow > t_fast
         assert slow.energy_j("job") < fast.energy_j("job")
 
     def test_jitter_injection(self):
         board = Board(jitter=LogNormalJitter(0.1, seed=7))
         work = Work(cycles=1.4e9)
-        times = {board.execute(work) for _ in range(5)}
+        times = {run_work(board, work) for _ in range(5)}
         assert len(times) > 1  # jitter produces varying times
 
     def test_timeline_is_contiguous_record(self):
         board = Board()
-        board.execute(Work(cycles=1e8))
+        segments = []
+        board.set_segment_observer(lambda segment, _: segments.append(segment))
+        run_work(board, Work(cycles=1e8))
         board.set_frequency(board.opps.fmin)
-        board.execute(Work(cycles=1e8))
+        run_work(board, Work(cycles=1e8))
         board.idle_until(board.now + 0.01)
-        segments = board.timeline.segments
+        assert len(segments) == 4
         for a, b in zip(segments, segments[1:]):
             assert b.start_s == pytest.approx(a.end_s)

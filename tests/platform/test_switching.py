@@ -102,7 +102,7 @@ class TestMicrobenchmark:
     def test_worst_case_near_corner_transition(self):
         """The table corners (full-swing switches) dominate, up to noise."""
         table = SwitchLatencyModel(OPPS, seed=4).microbenchmark(50)
-        worst = table.worst_case_s()
+        worst = max(max(row) for row in table.as_matrix())
         corner = max(
             table.time_s(OPPS[0], OPPS[12]), table.time_s(OPPS[12], OPPS[0])
         )
@@ -131,7 +131,7 @@ class TestMicrobenchmark:
     )
     def test_non_finite_or_non_numeric_time_rejected(self, bad):
         """Only finite, non-negative seconds: a NaN would silently drop
-        out of worst_case_s(), and a string or null from a hand-edited
+        out of any maximum over the table, and a string or null from a hand-edited
         controller file must be a ValueError naming the pair, not a
         TypeError."""
         times = {

@@ -1,4 +1,4 @@
-"""Property tests for the Timeline's running energy/time accumulators.
+"""Property tests for the Timeline's running energy accumulators.
 
 The energy-attribution ledger leans on one identity: the per-tag
 marginals the Timeline maintains must tile the total exactly — every
@@ -29,42 +29,33 @@ segment_specs = st.lists(
 
 
 def _build(specs):
-    """A contiguous timeline from (duration, power, tag) triples."""
+    """A contiguous timeline from (duration, power, tag) triples, and the
+    segments appended to it."""
     timeline = Timeline()
+    segments = []
     t = 0.0
     for duration, power, tag in specs:
-        timeline.append(
-            PowerSegment(
-                start_s=t, end_s=t + duration, power_w=power, tag=tag
-            )
+        segments.append(
+            PowerSegment(start_s=t, end_s=t + duration, power_w=power, tag=tag)
         )
+        timeline.append(segments[-1])
         t += duration
-    return timeline
+    return timeline, segments
 
 
 @settings(max_examples=200, deadline=None)
 @given(segment_specs)
 def test_tag_energies_tile_the_total(specs):
-    """Summing total_energy_j(tag) over tags() recovers total_energy_j().
+    """Summing total_energy_j(tag) over the tags recovers total_energy_j().
 
     The per-tag and grand-total accumulators fold the same segment
     energies in different association orders, so equality is up to
     float reassociation — pinned tight, not approximately.
     """
-    timeline = _build(specs)
-    by_tag = sum(timeline.total_energy_j(tag) for tag in timeline.tags())
+    timeline, _ = _build(specs)
+    by_tag = sum(timeline.total_energy_j(tag) for tag in TAGS)
     assert math.isclose(
         by_tag, timeline.total_energy_j(), rel_tol=1e-12, abs_tol=1e-12
-    )
-
-
-@settings(max_examples=200, deadline=None)
-@given(segment_specs)
-def test_tag_times_tile_the_total(specs):
-    timeline = _build(specs)
-    by_tag = sum(timeline.total_time_s(tag) for tag in timeline.tags())
-    assert math.isclose(
-        by_tag, timeline.total_time_s(), rel_tol=1e-12, abs_tol=1e-12
     )
 
 
@@ -76,49 +67,28 @@ def test_accumulators_match_recomputation(specs):
     Both sides add the same energies left to right from 0.0, so this
     is exact equality, not closeness.
     """
-    timeline = _build(specs)
-    segments = timeline.segments
-    assert timeline.total_energy_j() == sum(
-        s.energy_j for s in segments
-    )
-    for tag in timeline.tags():
+    timeline, segments = _build(specs)
+    assert timeline.total_energy_j() == sum(s.energy_j for s in segments)
+    for tag in TAGS:
         assert timeline.total_energy_j(tag) == sum(
             s.energy_j for s in segments if s.tag == tag
         )
-        assert timeline.total_time_s(tag) == sum(
-            s.duration_s for s in segments if s.tag == tag
-        )
-
-
-@settings(max_examples=100, deadline=None)
-@given(segment_specs)
-def test_energy_by_tag_view_is_consistent(specs):
-    timeline = _build(specs)
-    view = timeline.energy_by_tag()
-    assert set(view) == set(timeline.tags())
-    for tag, energy in view.items():
-        assert energy == timeline.total_energy_j(tag)
 
 
 def test_empty_timeline_is_all_zero():
     timeline = Timeline()
     assert timeline.total_energy_j() == 0.0
-    assert timeline.total_time_s() == 0.0
-    assert timeline.tags() == ()
-    assert timeline.energy_by_tag() == {}
     assert timeline.total_energy_j("job") == 0.0
 
 
-def test_zero_duration_segments_register_their_tag():
-    """Instantaneous segments carry no energy but do name their tag."""
+def test_zero_duration_segments_carry_no_energy():
+    """Instantaneous segments carry no energy, whatever their power."""
     timeline = Timeline()
     timeline.append(PowerSegment(0.0, 0.0, power_w=3.0, tag="switch"))
     timeline.append(PowerSegment(0.0, 1.0, power_w=2.0, tag="job"))
     timeline.append(PowerSegment(1.0, 1.0, power_w=5.0, tag="switch"))
-    assert timeline.tags() == ("switch", "job")
     assert timeline.total_energy_j("switch") == 0.0
-    assert timeline.total_time_s("switch") == 0.0
     assert timeline.total_energy_j() == 2.0
     assert sum(
-        timeline.total_energy_j(tag) for tag in timeline.tags()
+        timeline.total_energy_j(tag) for tag in ("switch", "job")
     ) == timeline.total_energy_j()

@@ -31,7 +31,6 @@ from repro.programs.ir import (
     Program,
     Seq,
     Stmt,
-    While,
 )
 
 __all__ = ["TreeWalkingInterpreter"]
@@ -69,7 +68,6 @@ class TreeWalkingInterpreter:
             Seq: self._run_seq,
             If: self._run_if,
             Loop: self._run_loop,
-            While: self._run_while,
             Hint: self._run_hint,
             IndirectCall: self._run_call,
         }
@@ -196,24 +194,6 @@ class TreeWalkingInterpreter:
                 state.instructions += LOOP_ITER_COST
                 env.write(loop_var, i)
                 handler(body, env, features, state)
-
-    def _run_while(self, stmt, env, features, state) -> None:
-        body = stmt.body
-        handler = self._dispatch.get(body.__class__) or self._resolve(
-            body.__class__
-        )
-        cond = stmt.cond
-        trips = 0
-        while trips < stmt.max_trips:
-            state.instructions += BRANCH_COST  # the condition check
-            if not cond.evaluate(env):
-                break
-            state.instructions += LOOP_ITER_COST
-            handler(body, env, features, state)
-            trips += 1
-        if stmt.counted:
-            state.instructions += COUNTER_COST
-            features.bump(stmt.site, trips)
 
     def _run_hint(self, stmt, env, features, state) -> None:
         state.instructions += stmt.cost

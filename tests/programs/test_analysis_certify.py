@@ -15,7 +15,6 @@ from repro.programs.analysis.diagnostics import (
     Diagnostic,
     Suppression,
     apply_suppressions,
-    max_severity,
 )
 from repro.programs.expr import Compare, Const, Var
 from repro.programs.instrument import Instrumenter
@@ -42,9 +41,26 @@ def toy_program(globals_init=None):
     )
 
 
+#: The toy program's inputs.
+TOY_INPUTS = frozenset({"in_a", "in_b", "in_c"})
+
+
 def toy_slice():
     inst = Instrumenter().instrument(toy_program())
     return inst, Slicer().slice(inst)
+
+
+def blocking(cert):
+    """The findings that stop ``cert`` from certifying."""
+    return [d for d in cert.diagnostics if d.blocking]
+
+
+def worst_unwaived(cert):
+    """The worst severity of ``cert``'s unwaived findings, or None."""
+    found = {d.severity for d in cert.diagnostics if not d.suppressed}
+    return next(
+        (s for s in ("error", "warning", "info") if s in found), None
+    )
 
 
 class TestDiagnostic:
@@ -115,23 +131,11 @@ class TestSuppression:
         assert len(out) == 2
         assert out[0].suppressed and not out[1].suppressed
 
-    def test_max_severity(self):
-        diags = apply_suppressions(
-            [
-                Diagnostic(pass_name="a", severity="error", site="", message="m"),
-                Diagnostic(pass_name="b", severity="info", site="", message="m"),
-            ],
-            (Suppression("a", reason="r"),),
-        )
-        assert max_severity(diags) == "info"
-        assert max_severity(diags, include_suppressed=True) == "error"
-        assert max_severity([]) is None
-
 
 class TestCertifySlice:
     def test_clean_slice_certifies(self):
         inst, sl = toy_slice()
-        cert = certify_slice(inst, sl)
+        cert = certify_slice(inst, sl, input_names=TOY_INPUTS)
         assert cert.certified
         assert cert.passes == ANALYSIS_PASSES
         assert cert.side_effect_free and cert.writes_globals == ()
@@ -155,12 +159,12 @@ class TestCertifySlice:
             needed_sites=frozenset({"iters"}),
             relevant_vars=frozenset({"n"}),
         )
-        cert = certify_slice(inst, broken)
+        cert = certify_slice(inst, broken, input_names=TOY_INPUTS)
         assert not cert.certified
-        blocking = cert.blocking
-        assert [d.pass_name for d in blocking] == ["hazards"]
-        assert blocking[0].site == "n"
-        assert "dropped" in blocking[0].message
+        found = blocking(cert)
+        assert [d.pass_name for d in found] == ["hazards"]
+        assert found[0].site == "n"
+        assert "dropped" in found[0].message
 
     def test_unbound_read_classified_as_typo(self):
         inst, _ = toy_slice()
@@ -172,25 +176,30 @@ class TestCertifySlice:
             needed_sites=frozenset({"iters"}),
             relevant_vars=frozenset(),
         )
-        cert = certify_slice(inst, broken)
+        cert = certify_slice(inst, broken, input_names=TOY_INPUTS)
         assert not cert.certified
-        assert "neither an input" in cert.blocking[0].message
+        assert "neither an input" in blocking(cert)[0].message
 
     def test_missing_model_site_blocks(self):
         inst, sl = toy_slice()
         cert = certify_slice(
-            inst, sl, needed_sites=frozenset({"branch", "ghost_site"})
+            inst,
+            sl,
+            needed_sites=frozenset({"branch", "ghost_site"}),
+            input_names=TOY_INPUTS,
         )
         assert not cert.certified and not cert.coverage_ok
         assert any(
             d.pass_name == "coverage" and d.site == "ghost_site"
-            for d in cert.blocking
+            for d in blocking(cert)
         )
         assert "branch" in cert.covered_sites
 
     def test_extra_sites_are_advisory_only(self):
         inst, sl = toy_slice()
-        cert = certify_slice(inst, sl, needed_sites=frozenset({"branch"}))
+        cert = certify_slice(
+            inst, sl, frozenset({"branch"}), input_names=TOY_INPUTS
+        )
         assert cert.certified and cert.coverage_ok
         infos = [d for d in cert.diagnostics if d.pass_name == "coverage"]
         assert infos and all(d.severity == "info" for d in infos)
@@ -209,20 +218,23 @@ class TestCertifySlice:
         inst = Instrumenter().instrument(program)
         sl = Slicer().slice(inst)
         ranges = {"in_a": (0, 10)}
-        cert = certify_slice(inst, sl, input_ranges=ranges)
+        cert = certify_slice(
+            inst, sl, input_names=frozenset({"in_a"}), input_ranges=ranges
+        )
         assert not cert.side_effect_free
         assert cert.writes_globals == ("g_s",)
         assert cert.certified  # warnings never block on their own
-        assert max_severity(cert.diagnostics) == "warning"
+        assert worst_unwaived(cert) == "warning"
         waived = certify_slice(
             inst,
             sl,
+            input_names=frozenset({"in_a"}),
             input_ranges=ranges,
             waivers=(
                 Suppression("effects", site="g_s", reason="feature dependence"),
             ),
         )
-        assert max_severity(waived.diagnostics) in (None, "info")
+        assert worst_unwaived(waived) in (None, "info")
         assert any(d.suppressed for d in waived.diagnostics)
 
     def test_dead_store_reported_as_info(self):
@@ -245,7 +257,7 @@ class TestCertifySlice:
             needed_sites=frozenset({"branch"}),
             relevant_vars=frozenset(),
         )
-        cert = certify_slice(inst, wasteful)
+        cert = certify_slice(inst, wasteful, input_names=TOY_INPUTS)
         assert cert.certified
         assert any(
             d.pass_name == "liveness" and d.site == "unused"
@@ -257,6 +269,7 @@ class TestCertifySlice:
         cert = certify_slice(
             inst,
             sl,
+            input_names=TOY_INPUTS,
             input_ranges={"in_a": (0, 5), "in_b": (0, 5), "in_c": (0, 1)},
             waivers=(Suppression("coverage", reason="r"),),
         )
@@ -264,7 +277,7 @@ class TestCertifySlice:
 
     def test_round_trip_preserves_unbounded_cost(self):
         inst, sl = toy_slice()
-        cert = certify_slice(inst, sl)  # no ranges: loose (finite) bound
+        cert = certify_slice(inst, sl, input_names=TOY_INPUTS)  # no ranges: loose (finite) bound
         unbounded = SliceCertificate(
             **{
                 **cert.__dict__,
@@ -288,7 +301,7 @@ class TestCertifySlice:
             needed_sites=frozenset({"iters"}),
             relevant_vars=frozenset({"n"}),
         )
-        cert = certify_slice(inst, broken)
+        cert = certify_slice(inst, broken, input_names=TOY_INPUTS)
         err = CertificationError(cert)
         assert err.certificate is cert
         assert "toy_slice" in str(err) and "hazards" in str(err)

@@ -25,7 +25,6 @@ from repro.programs.ir import (
     Loop,
     Program,
     Seq,
-    While,
 )
 
 
@@ -152,13 +151,12 @@ class TestLiveness:
         body = Block(10)
         program = Program(
             "p",
-            Seq([While("w", Compare(">", Var("n"), Const(0)), body)]),
+            Seq([If("b", Compare(">", Var("n"), Const(0)), body)]),
         )
         result = live_variables(program)
-        # The condition re-evaluates after every iteration, so ``n`` is
-        # live at the body and at program entry.
+        # The branch reads ``n`` before its arm runs, and nothing after.
         assert "n" in result.live_at_entry
-        assert "n" in result.live_after(body)
+        assert "n" not in result.live_after(body)
 
     def test_rhs_reads_count_even_for_dead_targets(self):
         # The interpreter evaluates every RHS (no dead-store elimination),

@@ -41,7 +41,6 @@ from repro.programs.ir import (
     Loop,
     Program,
     Seq,
-    While,
 )
 
 INTERP = Interpreter()
@@ -269,28 +268,6 @@ class TestCostBound:
         assert bound.instructions == COUNTER_COST
         assert bound.tight
         assert diags == []
-
-    def test_while_bound_is_loose_with_warning(self):
-        program = Program(
-            "p",
-            Seq(
-                [
-                    Assign("n", Const(3)),
-                    While(
-                        "w",
-                        Compare(">", Var("n"), Const(0)),
-                        Seq([Block(10), Assign("n", Var("n") - Const(1))]),
-                        max_trips=50,
-                    ),
-                ]
-            ),
-        )
-        bound, diags = cost_bound(program)
-        assert not bound.tight
-        assert [d.severity for d in diags] == ["warning"]
-        assert "max_trips" in diags[0].message
-        actual = INTERP.execute(program, {}, {})
-        assert actual.work.cycles <= bound.instructions
 
     def test_unconstrained_loop_count_clamps_and_warns(self):
         program = Program(

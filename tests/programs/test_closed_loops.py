@@ -31,7 +31,6 @@ from repro.programs.ir import (
     Loop,
     Program,
     Seq,
-    While,
 )
 from repro.workloads.registry import app_names
 from tests.programs.test_compiled_differential import (
@@ -279,7 +278,7 @@ def _with_mem_refs(node, costs):
         return dataclasses.replace(node, mem_refs=next(costs))
     if isinstance(node, Seq):
         return Seq([_with_mem_refs(child, costs) for child in node.stmts])
-    if isinstance(node, (Loop, While)):
+    if isinstance(node, Loop):
         return dataclasses.replace(node, body=_with_mem_refs(node.body, costs))
     if isinstance(node, If):
         orelse = node.orelse

@@ -32,7 +32,6 @@ from repro.programs.ir import (
     Loop,
     Program,
     Seq,
-    While,
 )
 from repro.programs.slicer import Slicer
 from repro.workloads.registry import app_names
@@ -163,9 +162,9 @@ class TestEdgeCases:
             # Locals keep each value's exact type (0 vs 0.0, True vs 1).
             + [Assign(f"v{i}", e) for i, e in enumerate(exprs)]
             + [
-                While(
+                Loop(
                     "w",
-                    Compare(">", Var("g"), Const(0)),
+                    Var("g"),
                     Seq([Block(3, 0.25), Assign("g", Var("g") - Const(1))]),
                     max_trips=4,
                     counted=True,

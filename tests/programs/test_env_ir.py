@@ -16,8 +16,6 @@ from repro.programs.ir import (
     Loop,
     Program,
     Seq,
-    While,
-    control_sites,
     walk,
 )
 
@@ -158,10 +156,6 @@ _TRIP_FIELDS = {
         lambda v: Loop("l", Const(1), Block(1), max_trips=v),
         "'l'",
     ),
-    "While.max_trips": (
-        lambda v: While("w", Const(0), Block(1), max_trips=v),
-        "'w'",
-    ),
 }
 
 
@@ -224,20 +218,6 @@ class TestTreeStructure:
         assert nodes[0] is root
         assert inner in nodes
         assert loop in nodes
-
-    def test_control_sites_finds_all_kinds(self):
-        body = Seq(
-            [
-                If("i", Const(True), Block(1)),
-                Loop("l", Const(1), Block(1)),
-                IndirectCall("c", Const(1), {1: Block(1)}),
-            ]
-        )
-        assert [getattr(n, "site") for n in control_sites(body)] == [
-            "i",
-            "l",
-            "c",
-        ]
 
     def test_program_fresh_globals_is_a_copy(self):
         prog = Program("p", Block(1), globals_init={"s": 0})

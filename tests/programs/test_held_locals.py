@@ -1,8 +1,7 @@
 """Variables and counters held in Python locals, against the reference.
 
 A compiled program holds in Python locals, for the whole run, every
-variable read or written in a loop body or a ``While`` condition (and
-every loop variable), and every counter site bumped in a loop body.  A
+variable read or written in a loop body (and every loop variable), and every counter site bumped in a loop body.  A
 read of a held name that may be unbound checks a sentinel and raises the
 reference's ``KeyError``; the written held names and the held sites are
 stored back in a ``finally``.  The compiled function lists them in its
@@ -31,7 +30,6 @@ from repro.programs.ir import (
     Loop,
     Program,
     Seq,
-    While,
 )
 from repro.workloads.registry import app_names
 from tests.programs.reference_interpreter import TreeWalkingInterpreter
@@ -74,8 +72,8 @@ def _finals_after_error(program, inputs, error):
 
 class TestRule:
     def test_what_is_held(self):
-        """Accesses in a loop body or a While condition, loop variables
-        and sites bumped in a loop body; not an elided body, a loop's own
+        """Accesses in a loop body, loop variables and sites bumped in a
+        loop body; not an elided body, a loop's own
         count or site, or a Hint's site."""
         program = Program(
             "rule",
@@ -106,22 +104,15 @@ class TestRule:
                         counted=True,
                         elide_body=True,
                     ),
-                    While(
-                        "w",
-                        Compare("<", Var("w_n"), Const(2)),
-                        Assign("w_n", Var("w_n") + Const(1)),
-                        counted=True,
-                    ),
                     IndirectCall(
                         "call", Var("top"), {0: Block(1)}, counted=True
                     ),
                 ]
             ),
-            globals_init={"w_n": 0},
         )
         inputs = dict(a=0, b=1, c=True, d=2.5, e=3, f=4, g=5, n=2)
         assert _held(program, inputs) == (
-            ("b", "body", "c", "d", "e", "i", "w_n"),
+            ("b", "body", "c", "d", "e", "i"),
             ("branch", "inner"),
         )
         assert_same_stream(program, [inputs, dict(inputs, n=0)])
@@ -314,7 +305,7 @@ class TestCounters:
         )
 
     def test_site_written_in_and_out_of_loops(self):
-        """One held site bumped outside and inside a loop, by a While in a
+        """One held site bumped outside and inside a loop, by a loop in a
         loop and set by a Hint (duplicate sites the interpreter still
         runs), beside an indirect call's addresses."""
         shared = _counted("shared", Compare(">", Var("x"), Const(0)))
@@ -330,9 +321,9 @@ class TestCounters:
                             [
                                 shared,
                                 Assign("k", Const(0)),
-                                While(
+                                Loop(
                                     "w",
-                                    Compare("<", Var("k"), Var("i")),
+                                    Var("i"),
                                     Assign("k", Var("k") + Const(1)),
                                     counted=True,
                                 ),

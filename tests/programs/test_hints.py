@@ -8,7 +8,7 @@ from repro.programs.instrument import Instrumenter
 from repro.programs.interpreter import Interpreter
 from repro.programs.ir import Assign, Block, Hint, Loop, Program, Seq
 from repro.programs.slicer import Slicer
-from repro.programs.validate import free_variables, validate_program
+from repro.programs.validate import validate_program
 
 INTERP = Interpreter()
 
@@ -42,8 +42,9 @@ class TestHintNode:
     def test_validates_in_program(self):
         validate_program(hinted_program())
 
-    def test_free_variables_include_hint_reads(self):
-        assert "file_kb" in free_variables(hinted_program())
+    def test_hint_reads_are_reads(self):
+        with pytest.raises(ValueError, match="file_kb"):
+            validate_program(hinted_program(), inputs=[])
 
 
 class TestHintExecution:
@@ -83,7 +84,7 @@ class TestHintExecution:
 class TestHintInstrumentationAndSlicing:
     def test_instrumenter_registers_hint_site(self):
         inst = Instrumenter().instrument(hinted_program())
-        assert inst.site_kind("meta_size") == "hint"
+        assert {s.site: s.kind for s in inst.sites}["meta_size"] == "hint"
 
     def test_slice_keeps_needed_hint(self):
         inst = Instrumenter().instrument(hinted_program())

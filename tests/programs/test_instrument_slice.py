@@ -18,7 +18,6 @@ from repro.programs.ir import (
 )
 from repro.programs.slicer import Slicer
 from repro.programs.validate import (
-    free_variables,
     static_instruction_bound,
     validate_program,
 )
@@ -78,14 +77,10 @@ class TestInstrumenter:
 
     def test_site_kinds(self):
         inst = Instrumenter().instrument(video_decoder_like())
-        assert inst.site_kind("is_key") == "branch"
-        assert inst.site_kind("mb_loop") == "loop"
-        assert inst.site_kind("post") == "call"
-
-    def test_unknown_site_kind_raises(self):
-        inst = Instrumenter().instrument(video_decoder_like())
-        with pytest.raises(KeyError):
-            inst.site_kind("nope")
+        kinds = {s.site: s.kind for s in inst.sites}
+        assert kinds["is_key"] == "branch"
+        assert kinds["mb_loop"] == "loop"
+        assert kinds["post"] == "call"
 
     def test_original_program_untouched(self):
         prog = video_decoder_like()
@@ -354,18 +349,6 @@ class TestValidate:
         )
         with pytest.raises(ValueError, match="duplicate"):
             validate_program(prog)
-
-    def test_free_variables_excludes_globals_and_assigned(self):
-        free = free_variables(video_decoder_like())
-        assert "width" in free
-        assert "last_key" not in free  # a global
-        assert "n_mb" not in free  # assigned before use
-
-    def test_free_variables_includes_loop_var_exclusion(self):
-        prog = Program(
-            "p", Loop("l", Var("n"), Assign("s", Var("i")), loop_var="i")
-        )
-        assert free_variables(prog) == frozenset({"n"})
 
     def test_static_bound_slice_smaller_than_original(self):
         prog = video_decoder_like()

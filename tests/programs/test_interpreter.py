@@ -273,14 +273,23 @@ class TestCompiledForm:
         assert len(compiled) == 2 and compiled[1] is twin
 
     def test_invisible_to_equality_repr_serialization_and_pickle(self):
+        import json
         import pickle
 
-        from repro.programs.serialize import program_to_json
+        from repro.programs.serialize import program_to_dict
 
         prog = self.program()
-        before = (repr(prog), pickle.dumps(prog), program_to_json(prog))
+
+        def seen():
+            return (
+                repr(prog),
+                pickle.dumps(prog),
+                json.dumps(program_to_dict(prog)),
+            )
+
+        before = seen()
         result = Interpreter().execute(prog, {"n": 4})
-        assert (repr(prog), pickle.dumps(prog), program_to_json(prog)) == before
+        assert seen() == before
         assert prog == self.program()
         restored = pickle.loads(pickle.dumps(prog))
         assert restored == prog

@@ -1,5 +1,7 @@
 """Tests for program (de)serialization."""
 
+import json
+
 import pytest
 
 from repro.programs.expr import (
@@ -25,8 +27,8 @@ from repro.programs.ir import (
 from repro.programs.serialize import (
     expr_from_dict,
     expr_to_dict,
-    program_from_json,
-    program_to_json,
+    program_from_dict,
+    program_to_dict,
     stmt_from_dict,
     stmt_to_dict,
 )
@@ -136,7 +138,9 @@ class TestProgramRoundtrip:
             ),
             globals_init={"state": 1},
         )
-        restored = program_from_json(program_to_json(program))
+        restored = program_from_dict(
+            json.loads(json.dumps(program_to_dict(program)))
+        )
         assert restored.name == "demo"
         assert restored.globals_init == {"state": 1}
         for a in (1, 5):
@@ -147,11 +151,13 @@ class TestProgramRoundtrip:
 
     def test_workload_programs_roundtrip(self):
         """Every shipped benchmark survives serialization bit-for-bit."""
-        from repro.workloads.registry import all_apps
+        from repro.workloads.registry import app_names, get_app
 
-        for app in all_apps():
+        for app in map(get_app, app_names()):
             program = app.task.program
-            restored = program_from_json(program_to_json(program))
+            restored = program_from_dict(
+            json.loads(json.dumps(program_to_dict(program)))
+        )
             inputs = app.inputs(5, seed=3)
             g1 = program.fresh_globals()
             g2 = restored.fresh_globals()

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.programs.expr import Compare, Const, Var
-from repro.programs.ir import Assign, Block, If, Loop, Program, Seq, While
-from repro.programs.validate import free_variables, validate_program
+from repro.programs.ir import Assign, Block, If, Loop, Program, Seq
+from repro.programs.validate import validate_program
 
 
 def make(body):
@@ -36,7 +36,7 @@ class TestValidateInputs:
                 [
                     Assign("n", Var("in_a") + Var("g")),
                     Loop("l", Var("n"), Assign("y", Var("i")), loop_var="i"),
-                    While(
+                    If(
                         "w",
                         Compare(">", Var("y"), Const(0)),
                         Assign("y", Var("y") - Const(1)),
@@ -51,16 +51,3 @@ class TestValidateInputs:
         validate_program(program)  # lenient
         with pytest.raises(ValueError, match="in_a"):
             validate_program(program, inputs=[])
-
-    def test_free_variables_agree_with_strict_validation(self):
-        program = make(
-            Seq(
-                [
-                    Assign("n", Var("in_a") * Var("in_b")),
-                    Loop("l", Var("n"), Block(10)),
-                ]
-            )
-        )
-        inputs = free_variables(program)
-        assert inputs == {"in_a", "in_b"}
-        validate_program(program, inputs=inputs)

@@ -30,10 +30,6 @@ class TestJobRecord:
         assert record(end_s=0.03).slack_s == pytest.approx(0.02)
         assert record(end_s=0.07).slack_s == pytest.approx(-0.02)
 
-    def test_response_time(self):
-        r = record(end_s=0.04, arrival_s=0.0)
-        assert r.response_time_s == pytest.approx(0.04)
-
     def test_default_predicted_time_is_nan(self):
         assert math.isnan(record().predicted_time_s)
 

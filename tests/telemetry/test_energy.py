@@ -202,12 +202,12 @@ class TestLedgerMechanics:
         expected = duration * (
             busy_frac * busy_w + (1.0 - busy_frac) * idle_w
         )
-        assert ledger.counterfactual_j == pytest.approx(expected, rel=1e-12)
+        assert ledger.state().counterfactual_j == pytest.approx(expected, rel=1e-12)
         # Non-execute segments price as fmax idle wall-clock.
         ledger.observe(
             self._segment(duration, 1.0, 5.0, "switch"), opp.index
         )
-        assert ledger.counterfactual_j == pytest.approx(
+        assert ledger.state().counterfactual_j == pytest.approx(
             expected + idle_w, rel=1e-12
         )
 
@@ -216,9 +216,9 @@ class TestLedgerMechanics:
         ledger = EnergyLedger(board.power, board.opps)
         ledger.begin_job(3)
         ledger.add_overlap(0.25)
-        assert ledger.total_j == 0.25
-        assert ledger.overlap_j == 0.25
-        assert ledger.counterfactual_j == 0.0
+        assert ledger.state().total_j == 0.25
+        assert ledger.state().overlap_j == 0.25
+        assert ledger.state().counterfactual_j == 0.0
         assert ledger.conservation_error_j(0.0) == 0.0
         assert ledger.job_energy_j(3) == 0.25
 

@@ -4,11 +4,11 @@ import pytest
 
 from repro.telemetry.audit import DecisionRecord
 from repro.telemetry.events import (
-    CallbackSink,
     ListSink,
     NO_TELEMETRY,
     NullTelemetry,
     Telemetry,
+    TelemetrySink,
 )
 
 
@@ -41,9 +41,14 @@ class TestEmission:
             tel.instant(f"e{i}", float(i))
         assert [e.name for e in tel.events] == [f"e{i}" for i in range(5)]
 
-    def test_callback_sink_streams(self):
+    def test_streaming_sink_retains_nothing(self):
         seen = []
-        tel = Telemetry(sink=CallbackSink(seen.append))
+
+        class StreamingSink(TelemetrySink):
+            def emit(self, event):
+                seen.append(event)
+
+        tel = Telemetry(sink=StreamingSink())
         tel.instant("x", 0.0)
         assert len(seen) == 1
         with pytest.raises(TypeError, match="not retained"):

@@ -144,9 +144,9 @@ class TestTelemetryIsPassive:
     def test_run_result_byte_identical_with_and_without_telemetry(self):
         baseline = self.run_once(telemetry=None)
         traced = self.run_once(telemetry=Telemetry())
-        assert traced.to_json() == baseline.to_json()
-        assert traced.jobs_as_csv() == baseline.jobs_as_csv()
-        assert traced.energy_j == baseline.energy_j
+        # repr spells every float exactly (NaN as nan), so equal reprs
+        # are equal records, energies and switch counts.
+        assert repr(traced) == repr(baseline)
 
     def test_enabled_run_actually_recorded(self):
         tel = Telemetry()

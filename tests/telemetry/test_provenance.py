@@ -27,9 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.analysis.experiments import drift_adaptation
 from repro.analysis.harness import Lab
 from repro.pipeline.persist import load_controller, save_controller
+from repro.runtime.executor import TaskLoopRunner
 from repro.telemetry.exporters import TraceSession
 from repro.telemetry.audit import (
     SCHEMA_VERSION,
@@ -492,21 +492,35 @@ class TestDiffClassification:
 class TestDiffInjectedDrift:
     @pytest.fixture(scope="class")
     def drift_pair(self, tmp_path_factory):
-        """Two traced prediction runs: baseline vs injected input drift."""
+        """Two traced prediction runs of sha on the same seeds: baseline,
+        and inputs drifted from job 20 on (each count input above 1 made
+        1.6 times larger)."""
         dirs = []
         for scale in (1.0, 1.6):
             directory = tmp_path_factory.mktemp(f"drift-{scale}")
-            lab = Lab(switch_samples=30, trace_session=TraceSession(directory))
-            drift_adaptation.run(
-                lab,
-                app_name="sha",
-                n_jobs=40,
-                window=10,
-                slowdown=1.0,
-                input_scale=scale,
-                governors=("prediction",),
-            )
-            lab.trace_session.flush()
+            session = TraceSession(directory)
+            lab = Lab(switch_samples=30)
+            app = lab.app("sha")
+            inputs = [
+                job
+                if index < 20
+                else {
+                    key: round(value * scale)
+                    if type(value) is int and value > 1
+                    else value
+                    for key, value in job.items()
+                }
+                for index, job in enumerate(app.inputs(40, seed=lab.seed + 11))
+            ]
+            TaskLoopRunner(
+                board=lab.make_board(7),
+                task=app.task,
+                governor=lab.make_governor("prediction", "sha"),
+                inputs=inputs,
+                interpreter=lab.interpreter,
+                telemetry=session.telemetry_for("drift.sha.prediction"),
+            ).run()
+            session.flush()
             dirs.append(directory)
         return dirs
 
@@ -690,6 +704,34 @@ class TestCli:
         assert err.count("\n") == 1
         assert repr(block["name"]) in err and "instructions" in err
 
+    def test_replay_rejects_a_while_node_exit_2(
+        self, traced_lab, tmp_path, capsys
+    ):
+        """The IR has no ``While`` node: a controller whose slice holds
+        one is refused with one line naming the tag."""
+        from repro.cli import main
+
+        directory, lab = traced_lab
+        path = tmp_path / "ctrl.json"
+        save_controller(lab.controller("rijndael"), path)
+        payload = json.loads(path.read_text())
+        program = payload["slice"]["program"]
+        walk = {
+            "t": "While",
+            "site": "walk",
+            "cond": {"t": "Var", "name": "node"},
+            "body": {"t": "Seq", "stmts": []},
+            "max_trips": 100,
+            "counted": True,
+        }
+        program["body"] = {"t": "Seq", "stmts": [program["body"], walk]}
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["replay", str(directory), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"{path}: ") and "'While'" in err
+
 
 def _first_block(node):
     """The first serialized ``Block`` in a program dict, depth first."""
@@ -724,9 +766,12 @@ class TestUnreadableReplayedLines:
 
     Five records of the rijndael prediction run, the second one edited.
     A wrong type makes the line unreadable (``float()``, ``int()`` and
-    ``bool()`` coercion used to let these through): replay exits 2 with
-    one line naming the file and the line instead of verifying the
-    other four, while ``explain`` and ``diff-decisions`` warn and skip.
+    ``bool()`` coercion used to let these through), and so does an
+    object without a ``job_index``, which every record version writes
+    (such a line used to load as a record at its defaults): replay exits
+    2 with one line naming the file and the line instead of verifying
+    the other four, while ``explain`` and ``diff-decisions`` warn and
+    skip.
     """
 
     EDITS = {
@@ -736,6 +781,8 @@ class TestUnreadableReplayedLines:
         "job_index 1.5": lambda record: record.update(job_index=1.5),
         "job_index true": lambda record: record.update(job_index=True),
         "rung fits 'false'": _set_fits("false"),
+        "no job_index": lambda record: record.pop("job_index"),
+        "not a decision": lambda record: (record.clear(), record.update(a=1)),
     }
 
     @pytest.fixture()
@@ -866,6 +913,13 @@ class TestTypedRecordFields:
     def test_valid_records_read_back_equal(self, rijndael_records):
         for record in rijndael_records:
             assert DecisionRecord.from_dict(record.as_dict()) == record
+
+    @pytest.mark.parametrize(
+        "payload", [{"a": 1}, {}, {"t_s": 0.5, "opp_mhz": 200}], ids=repr
+    )
+    def test_an_object_without_job_index_is_not_a_record(self, payload):
+        with pytest.raises(ValueError, match="no 'job_index' field"):
+            DecisionRecord.from_dict(payload)
 
     def test_missing_fields_take_their_defaults(self):
         attribution = DecisionAttribution.from_dict({})

@@ -6,7 +6,7 @@ from repro.telemetry.audit import DecisionRecord
 from repro.telemetry.events import Telemetry
 from repro.telemetry.exporters import TraceSession
 from repro.telemetry.report import (
-    diff_directories,
+    compare_directories,
     render_report,
     summarize_directory,
 )
@@ -74,14 +74,14 @@ class TestDirectoryTools:
     def test_diff_reports_changed_metrics(self, tmp_path):
         a = write_session(tmp_path, "a", jobs=3, misses=1)
         b = write_session(tmp_path, "b", jobs=5, misses=0)
-        text = diff_directories(a, b)
+        text = compare_directories(a, b).text
         assert "executor.jobs" in text
         assert "+2" in text
 
     def test_diff_identical_runs(self, tmp_path):
         a = write_session(tmp_path, "a")
         b = write_session(tmp_path, "b")
-        assert "identical" in diff_directories(a, b)
+        assert "identical" in compare_directories(a, b).text
 
     def test_diff_disjoint_run_names(self, tmp_path):
         a = tmp_path / "a"
@@ -92,7 +92,7 @@ class TestDirectoryTools:
         sb = TraceSession(b)
         sb.telemetry_for("only-in-b")
         sb.flush()
-        assert "no run names shared" in diff_directories(a, b)
+        assert "no run names shared" in compare_directories(a, b).text
 
 
 def write_two_runs(tmp_path, sub):
@@ -135,8 +135,8 @@ class TestRunsFilter:
         ).set(1800.0)
         session.flush()
         # Unfiltered diff sees both runs; host-filtered sees only one.
-        assert "executor.jobs" in diff_directories(a, b)
-        filtered = diff_directories(a, b, runs="host.")
+        assert "executor.jobs" in compare_directories(a, b).text
+        filtered = compare_directories(a, b, runs="host.").text
         assert "host.jobs_per_sec" in filtered
         assert "executor.jobs" not in filtered
 

@@ -34,7 +34,6 @@ UNUSED_BY_A_PREDICTION_RUN = (
     "repro.governors.oracle",
     "repro.governors.pid",
     "repro.governors.powersave",
-    "repro.models.linear",
     "repro.models.metrics",
     "repro.online",
     "repro.online.drift",
@@ -113,14 +112,67 @@ print(json.dumps(report))
 """
 
 
-@pytest.fixture(scope="module")
-def fresh_run():
+#: Runs a warm-up fleet, then counts the ``repro`` import statements a
+#: second fleet runs while it builds and runs its sessions: 18 four-job
+#: ``sha`` sessions under ``interactive``, ``pid``, and ``pid`` with a
+#: drifting board.
+_FLEET_SCRIPT = """
+import builtins, json
+from repro.fleet.coordinator import FleetSpec, run_fleet
+from repro.fleet.tenant import TenantSpec
+
+spec = FleetSpec(
+    tenants=(
+        TenantSpec("a", "sha", "interactive", sessions=6, jobs_per_session=4),
+        TenantSpec("b", "sha", "pid", sessions=6, jobs_per_session=4),
+        TenantSpec(
+            "c", "sha", "pid", sessions=6, jobs_per_session=4,
+            drift_factor=1.5,
+        ),
+    ),
+    seed=7,
+)
+run_fleet(spec)
+counted = []
+real_import = builtins.__import__
+
+def counting_import(name, *args, **kwargs):
+    if name.startswith("repro"):
+        counted.append(name)
+    return real_import(name, *args, **kwargs)
+
+builtins.__import__ = counting_import
+try:
+    run_fleet(spec)
+finally:
+    builtins.__import__ = real_import
+print(json.dumps(counted))
+"""
+
+#: Every module path that :data:`UNUSED_BY_A_PREDICTION_RUN` and the
+#: checks below name.
+_NAMED_MODULES = UNUSED_BY_A_PREDICTION_RUN + (
+    "repro.analysis.experiments",
+    "repro.governors.predictive",
+    "repro.telemetry.audit",
+    "repro.telemetry.provenance",
+    "repro.workloads.pocketsphinx",
+)
+
+
+def _fresh(script: str) -> str:
+    """The last line ``script`` prints in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
     proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT], capture_output=True, text=True, env=env
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return proc.stdout.strip().splitlines()[-1]
+
+
+@pytest.fixture(scope="module")
+def fresh_run():
+    return json.loads(_fresh(_SCRIPT))
 
 
 def test_package_inits_hold_no_import_statement():
@@ -153,3 +205,25 @@ def test_traced_run_binds_audit_and_provenance_at_start(fresh_run):
 @pytest.mark.parametrize("telemetry", ["off", "on"])
 def test_no_import_statement_runs_per_job(fresh_run, telemetry):
     assert fresh_run[telemetry] == []
+
+
+def test_no_import_statement_runs_per_fleet_session():
+    assert json.loads(_fresh(_FLEET_SCRIPT)) == []
+
+
+def test_cli_loads_no_experiment_module():
+    """``repro`` imports an experiment module only to run it."""
+    loaded = json.loads(
+        _fresh(
+            "import json, sys, repro.cli\n"
+            "print(json.dumps(sorted(sys.modules)))"
+        )
+    )
+    assert [m for m in loaded if m.startswith("repro.analysis.experiments")] == []
+
+
+@pytest.mark.parametrize("module", _NAMED_MODULES)
+def test_named_module_exists(module):
+    """A row naming a module that does not exist could never fail."""
+    path = SRC_DIR.joinpath(*module.split("."))
+    assert path.with_suffix(".py").is_file() or (path / "__init__.py").is_file()
