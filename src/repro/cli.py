@@ -50,6 +50,8 @@ import zlib
 from importlib import import_module
 
 from repro.analysis.harness import Lab, check_governor, seeded_board
+from repro.platform.cpu import Work
+from repro.runtime.records import JobRecord
 from repro.telemetry.exporters import TraceSession
 from repro.telemetry.report import summarize_directory
 from repro.workloads.registry import app_names
@@ -1549,6 +1551,9 @@ def _jsonable(value):
             f.name: _jsonable(getattr(value, f.name))
             for f in dataclasses.fields(value)
         }
+    if isinstance(value, (JobRecord, Work)):
+        # Records are named tuples: an object keyed by field, not a list.
+        return {name: _jsonable(v) for name, v in zip(value._fields, value)}
     if isinstance(value, enum.Enum):
         return _jsonable(value.value)
     if isinstance(value, dict):

@@ -41,7 +41,7 @@ __all__ = ["JobContext", "Decision", "Governor"]
 DecisionRecord = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Decision:
     """A governor's choice for one job.
 
@@ -55,7 +55,7 @@ class Decision:
     predicted_time_s: float = float("nan")
 
 
-@dataclass
+@dataclass(slots=True)
 class JobContext:
     """Everything a governor may inspect before a job runs.
 

@@ -41,7 +41,7 @@ __all__ = ["SliceOutcome", "PredictiveGovernor"]
 build_provenance = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SliceOutcome:
     """Result of running the prediction slice for one job.
 
@@ -138,9 +138,7 @@ class PredictiveGovernor(Governor):
         if hp.enabled:
             hp.add("predict", hp.clock() - t0)
         return SliceOutcome(
-            slice_work=slice_result.work,
-            prediction=prediction,
-            raw=slice_result.features,
+            slice_result.work, prediction, slice_result.features
         )
 
     def switch_estimate_s(self, ctx: JobContext) -> float:
@@ -170,7 +168,7 @@ class PredictiveGovernor(Governor):
             prediction.t_fmin_s, prediction.t_fmax_s
         )
         opp = self.dvfs.opp_for_budget(components, effective_budget_s)
-        decision = Decision(opp, predicted_time_s=components.time_at(opp.freq_hz))
+        decision = Decision(opp, components.time_at(opp.freq_hz))
         if hp.enabled:
             hp.add("ladder", hp.clock() - t0)
         return decision
@@ -278,7 +276,8 @@ class PredictiveGovernor(Governor):
         if not ctx.charge_overheads:
             return outcome, 0.0
         board = ctx.board
-        slice_from = board.now
+        if self.telemetry.enabled:
+            slice_from = board.now
         slice_time = board.cpu.execution_time(
             outcome.slice_work, board.current_opp
         )

@@ -22,18 +22,21 @@ __all__ = ["AsymmetricLassoModel", "fit_models", "lasso_time"]
 FIT_TOL = 1e-9
 
 
-def lasso_time(x: np.ndarray, coef: np.ndarray, intercept: float) -> float:
-    """``x @ coef + intercept`` for one float feature vector ``x``.
+def lasso_time(row: np.ndarray, coef: np.ndarray, intercept: float) -> float:
+    """``row @ coef + intercept`` for one float feature vector, passed as
+    a ``(1, n)`` row (``x.reshape(1, -1)``).
 
     The product is evaluated as a ``(1, n) @ (n,)`` matrix product, which
     need not equal a 1-D dot product in the last bit; the intercept is
     then one float64 addition, the same whether numpy or Python does it.
     This is the only copy of the expression:
-    :meth:`AsymmetricLassoModel.predict_one` and decision replay
-    (:func:`repro.telemetry.provenance.predict_anchor`) both call it, so
+    :meth:`AsymmetricLassoModel.predict_one`, the two anchors of
+    :meth:`~repro.models.timing.ExecutionTimePredictor.predict` (one row
+    for both) and decision replay
+    (:func:`repro.telemetry.provenance.predict_anchor`) all call it, so
     a replayed prediction matches the live one bit for bit.
     """
-    return float((x.reshape(1, -1) @ coef)[0]) + intercept
+    return float((row @ coef)[0]) + intercept
 
 
 class AsymmetricLassoModel:
@@ -102,7 +105,8 @@ class AsymmetricLassoModel:
         """Predicted time for a single feature vector."""
         if self.coef_ is None:
             raise RuntimeError("AsymmetricLassoModel used before fit()")
-        return lasso_time(np.asarray(x, dtype=float), self.coef_, self.intercept_)
+        row = np.asarray(x, dtype=float).reshape(1, -1)
+        return lasso_time(row, self.coef_, self.intercept_)
 
     def selected_mask(self, threshold: float = 1e-12) -> np.ndarray:
         """Boolean mask of features with non-zero coefficients.

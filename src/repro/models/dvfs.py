@@ -27,7 +27,7 @@ from repro.platform.opp import OperatingPoint, OppTable
 __all__ = ["DvfsComponents", "DvfsModel"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DvfsComponents:
     """Per-job decomposition of predicted time into model components.
 
@@ -72,13 +72,11 @@ class DvfsModel:
         tmem = (fmax * t_fmax_s - fmin * t_fmin_s) / span
         if ndep < 0.0:
             # Predicted *faster* at low frequency: treat all time as memory.
-            return DvfsComponents(tmem_s=max(t_fmax_s, 0.0), ndep_cycles=0.0)
+            return DvfsComponents(max(t_fmax_s, 0.0), 0.0)
         if tmem < 0.0:
             # All time scales with frequency.
-            return DvfsComponents(
-                tmem_s=0.0, ndep_cycles=max(t_fmax_s, 0.0) * fmax
-            )
-        return DvfsComponents(tmem_s=tmem, ndep_cycles=ndep)
+            return DvfsComponents(0.0, max(t_fmax_s, 0.0) * fmax)
+        return DvfsComponents(tmem, ndep)
 
     def freq_for_budget(
         self, components: DvfsComponents, budget_s: float

@@ -19,14 +19,18 @@ import numpy as np
 
 from repro.features.encoding import FeatureEncoder
 from repro.features.trace import ProfileTrace
-from repro.models.asymmetric import AsymmetricLassoModel, fit_models
+from repro.models.asymmetric import (
+    AsymmetricLassoModel,
+    fit_models,
+    lasso_time,
+)
 from repro.models.poly import PolynomialExpansion
 from repro.programs.interpreter import RawFeatures
 
 __all__ = ["TimePrediction", "ExecutionTimePredictor"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TimePrediction:
     """Margin-inflated anchor-time predictions for one job."""
 
@@ -136,11 +140,12 @@ class ExecutionTimePredictor:
         on unusual features can go below zero, which is physically
         meaningless and would confuse the DVFS model.
         """
-        x = self._encode(raw)
+        row = self._encode(raw).reshape(1, -1)
+        fmax, fmin = self.model_fmax, self.model_fmin
         factor = 1.0 + self.margin
         return TimePrediction(
-            t_fmax_s=max(self.model_fmax.predict_one(x), 0.0) * factor,
-            t_fmin_s=max(self.model_fmin.predict_one(x), 0.0) * factor,
+            max(lasso_time(row, fmax.coef_, fmax.intercept_), 0.0) * factor,
+            max(lasso_time(row, fmin.coef_, fmin.intercept_), 0.0) * factor,
         )
 
     def predict_raw(self, raw: RawFeatures) -> TimePrediction:

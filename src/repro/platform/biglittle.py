@@ -19,6 +19,7 @@ migration cost (cache warm-up and task hand-off).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.platform.opp import OperatingPoint, OppTable
@@ -155,8 +156,11 @@ class MigrationAwareSwitchModel(SwitchLatencyModel):
 
     def __init__(self, *args, migration_s: float = 2.0e-3, **kwargs):
         super().__init__(*args, **kwargs)
-        if migration_s < 0:
-            raise ValueError("migration_s must be non-negative")
+        if not 0.0 <= migration_s < math.inf:
+            raise ValueError(
+                "MigrationAwareSwitchModel: migration_s must be a finite "
+                f"number >= 0, got {migration_s!r}"
+            )
         self.migration_s = migration_s
 
     def nominal_s(self, start: OperatingPoint, end: OperatingPoint) -> float:

@@ -1,27 +1,65 @@
 """The Board: a stateful facade over the platform substrate.
 
-A :class:`Board` owns a virtual clock, a current operating point, a power
-timeline, and models for execution time, power, and DVFS switching.  The
-runtime executor times a job's Work with :attr:`cpu` and drives the board
-with three primitives:
+A :class:`Board` owns a virtual clock, a current operating point, an
+energy meter, and models for execution time, power, and DVFS switching.
+The runtime executor times a job's Work with :attr:`cpu` and drives the
+board with three primitives:
 
 - :meth:`busy_run` — run fully active for a fixed duration (a job's work,
   a prediction slice);
 - :meth:`set_frequency` — perform a DVFS switch (costs time and energy);
 - :meth:`idle_until` — clock-gated wait until an absolute time.
+
+Each primitive draws constant power over one interval of simulated time,
+a *segment*.  Energy is the exact integral of power over the segments,
+folded as they happen; it stands in for the ODROID-XU3's INA231 sensors,
+which sample at ~213 Hz and integrate over time (paper §5.1).
 """
 
 from __future__ import annotations
+
+from math import inf
+from typing import NamedTuple
 
 from repro.platform.clock import VirtualClock
 from repro.platform.cpu import SimulatedCpu
 from repro.platform.jitter import JitterModel, NoJitter
 from repro.platform.opp import OperatingPoint, OppTable, default_xu3_a7_table
 from repro.platform.power import PowerModel, default_a7_power_model
-from repro.platform.sensor import PowerSegment, Timeline
 from repro.platform.switching import SwitchLatencyModel
 
 __all__ = ["Board"]
+
+#: Activity factor of the cluster while its regulator settles.
+SWITCH_ACTIVITY = 0.3
+
+
+class LevelWatts(NamedTuple):
+    """A power model's watts at each level of an OPP table, by index."""
+
+    busy: tuple[float, ...]
+    idle: tuple[float, ...]
+    switch: tuple[float, ...]
+
+
+#: (power model, OPP table) -> their LevelWatts.  Both are immutable, so
+#: a pair is priced once per process, not once per board.
+_LEVEL_WATTS: dict[tuple[PowerModel, OppTable], LevelWatts] = {}
+
+
+def level_watts(power: PowerModel, opps: OppTable) -> LevelWatts:
+    """The watts :class:`Board` charges at each level: fully active, idle
+    (``power.idle_activity``) and switching (:data:`SWITCH_ACTIVITY`)."""
+    key = (power, opps)
+    table = _LEVEL_WATTS.get(key)
+    if table is None:
+        table = _LEVEL_WATTS[key] = LevelWatts(
+            *(
+                tuple(power.power(opp, activity) for opp in opps)
+                for activity in (1.0, power.idle_activity, SWITCH_ACTIVITY)
+            )
+        )
+    return table
 
 
 class Board:
@@ -30,9 +68,9 @@ class Board:
     Attributes:
         opps: Available DVFS operating points.
         cpu: Execution-time model (with jitter).
-        power: Power model.
+        power: Power model (read-only: the board prices its segments
+            from it once, at construction).
         switcher: DVFS switch latency model.
-        timeline: Power history; energy accounting reads from here.
     """
 
     def __init__(
@@ -44,35 +82,44 @@ class Board:
         initial_opp: OperatingPoint | None = None,
     ):
         self.opps = opps if opps is not None else default_xu3_a7_table()
-        self.power = power if power is not None else default_a7_power_model()
+        self._power = power if power is not None else default_a7_power_model()
         self.switcher = (
             switcher
             if switcher is not None
             else SwitchLatencyModel(self.opps)
         )
-        if self.switcher.opps is not self.opps and len(self.switcher.opps) != len(
-            self.opps
-        ):
-            raise ValueError("switch model built for a different OPP table")
+        if self.switcher.opps != self.opps:
+            raise ValueError(
+                "Board: switcher was built for a different OPP table"
+            )
         self.cpu = SimulatedCpu(jitter if jitter is not None else NoJitter())
         self.clock = VirtualClock()
-        self.timeline = Timeline()
+        self._watts = level_watts(self._power, self.opps)
+        self._energy_j = 0.0
+        self._energy_by_tag: dict[str, float] = {}
         self._opp = initial_opp if initial_opp is not None else self.opps.fmax
         self.switch_count = 0
         self._observer = None
 
     def set_segment_observer(self, observer) -> None:
-        """Attach a callback invoked for every appended power segment.
+        """Attach a callback invoked for every power segment.
 
-        The observer is called as ``observer(segment, opp_index)`` right
-        after the segment lands on the timeline, where ``opp_index`` is
-        the operating point the energy attributes to — the level the
-        segment ran at, or, for a DVFS switch (whose power is the mean
-        across the transition), the *destination* level.  This is the
-        attribution hook the energy ledger subscribes to; it must not
-        mutate the board.  Pass ``None`` to detach.
+        The observer is called as
+        ``observer(start_s, end_s, power_w, tag, opp_index)`` right after
+        the segment's energy, ``power_w * (end_s - start_s)``, is folded
+        into the board's totals.  ``opp_index`` is the operating point
+        the energy attributes to — the level the segment ran at, or, for
+        a DVFS switch (whose power is the mean across the transition),
+        the *destination* level.  This is the attribution hook the energy
+        ledger subscribes to; it must not mutate the board.  Pass
+        ``None`` to detach.
         """
         self._observer = observer
+
+    @property
+    def power(self) -> PowerModel:
+        """The power model the board's segments are priced with."""
+        return self._power
 
     @property
     def now(self) -> float:
@@ -84,22 +131,30 @@ class Board:
         """The operating point the cluster is currently running at."""
         return self._opp
 
-    def _record(self, duration_s: float, activity: float, tag: str) -> None:
-        start = self.clock.now
-        end = self.clock.advance(duration_s)
-        segment = PowerSegment(
-            start, end, self.power.power(self._opp, activity), tag
-        )
-        self.timeline.append(segment)
+    def _record(
+        self, duration_s: float, power_w: float, tag: str, opp_index: int
+    ) -> None:
+        """Advance the clock over one segment and fold in its energy."""
+        clock = self.clock
+        start = clock.now
+        end = clock.advance(duration_s)
+        energy = power_w * (end - start)
+        by_tag = self._energy_by_tag
+        by_tag[tag] = by_tag.get(tag, 0.0) + energy
+        self._energy_j += energy
         if self._observer is not None:
-            self._observer(segment, self._opp.index)
+            self._observer(start, end, power_w, tag, opp_index)
 
     def busy_run(self, duration_s: float, tag: str) -> float:
         """Run fully active for a fixed duration (e.g. a prediction slice)."""
-        if duration_s < 0:
-            raise ValueError(f"duration must be non-negative, got {duration_s}")
+        if not 0.0 <= duration_s < inf:
+            raise ValueError(
+                "Board.busy_run: duration_s must be a finite number >= 0, "
+                f"got {duration_s!r}"
+            )
         if duration_s > 0:
-            self._record(duration_s, activity=1.0, tag=tag)
+            index = self._opp.index
+            self._record(duration_s, self._watts.busy[index], tag, index)
         return duration_s
 
     def set_frequency(self, target: OperatingPoint, tag: str = "switch") -> float:
@@ -112,18 +167,15 @@ class Board:
         if target.index == self._opp.index:
             return 0.0
         latency = self.switcher.sample_s(self._opp, target)
-        start_power = self.power.power(self._opp, activity=0.3)
-        end_power = self.power.power(target, activity=0.3)
-        start = self.clock.now
-        end = self.clock.advance(latency)
-        segment = PowerSegment(
-            start, end, (start_power + end_power) / 2.0, tag
+        watts = self._watts.switch
+        # A switch spans two levels; it is attributed to the destination
+        # (the level the energy was spent getting to).
+        self._record(
+            latency,
+            (watts[self._opp.index] + watts[target.index]) / 2.0,
+            tag,
+            target.index,
         )
-        self.timeline.append(segment)
-        if self._observer is not None:
-            # A switch spans two levels; attribute it to the destination
-            # (the level the energy was spent getting to).
-            self._observer(segment, target.index)
         self._opp = target
         self.switch_count += 1
         return latency
@@ -142,12 +194,25 @@ class Board:
 
         No-op (returns 0) if ``time_s`` is already in the past.
         """
-        if time_s <= self.clock.now:
+        if not -inf < time_s < inf:
+            raise ValueError(
+                "Board.idle_until: time_s must be a finite number, "
+                f"got {time_s!r}"
+            )
+        now = self.clock.now
+        if time_s <= now:
             return 0.0
-        duration = time_s - self.clock.now
-        self._record(duration, activity=self.power.idle_activity, tag=tag)
+        duration = time_s - now
+        index = self._opp.index
+        self._record(duration, self._watts.idle[index], tag, index)
         return duration
 
     def energy_j(self, tag: str | None = None) -> float:
-        """Exact energy consumed so far (optionally for a single tag)."""
-        return self.timeline.total_energy_j(tag)
+        """Exact energy consumed so far (optionally for a single tag).
+
+        The totals fold segment energies in the order the segments ran,
+        starting from 0.0: the fold ``sum()`` over them performs.
+        """
+        if tag is None:
+            return self._energy_j
+        return self._energy_by_tag.get(tag, 0.0)

@@ -7,6 +7,8 @@ lets a multi-minute interactive session simulate in milliseconds.
 
 from __future__ import annotations
 
+from math import inf
+
 __all__ = ["VirtualClock"]
 
 
@@ -20,8 +22,11 @@ class VirtualClock:
     """
 
     def __init__(self, start_s: float = 0.0):
-        if start_s < 0:
-            raise ValueError(f"start time must be non-negative, got {start_s}")
+        if not 0.0 <= start_s < inf:
+            raise ValueError(
+                "VirtualClock: start_s must be a finite number >= 0, "
+                f"got {start_s!r}"
+            )
         self.now = start_s
 
     def advance(self, duration_s: float) -> float:
@@ -29,10 +34,13 @@ class VirtualClock:
 
         Raises:
             ValueError: If ``duration_s`` is negative — simulated time never
-                runs backwards.
+                runs backwards — or not finite.
         """
-        if duration_s < 0:
-            raise ValueError(f"cannot advance by negative time {duration_s}")
+        if not 0.0 <= duration_s < inf:
+            raise ValueError(
+                "VirtualClock.advance: duration_s must be a finite number "
+                f">= 0, got {duration_s!r}"
+            )
         self.now += duration_s
         return self.now
 

@@ -14,7 +14,8 @@ point, with optional multiplicative jitter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import inf
+from typing import NamedTuple
 
 from repro.platform.jitter import JitterModel, NoJitter
 from repro.platform.opp import OperatingPoint
@@ -22,9 +23,16 @@ from repro.platform.opp import OperatingPoint
 __all__ = ["Work", "SimulatedCpu"]
 
 
-@dataclass(frozen=True)
-class Work:
+class _WorkFields(NamedTuple):
+    cycles: float
+    mem_time_s: float = 0.0
+
+
+class Work(_WorkFields):
     """The cost of one job, independent of the frequency it runs at.
+
+    Immutable (a named tuple): a job's Work outlives the job, in its
+    record and the profiler's trace.
 
     Attributes:
         cycles: CPU cycles that scale with frequency (``N_dep``).
@@ -32,16 +40,19 @@ class Work:
             scale with the core clock.
     """
 
-    cycles: float
-    mem_time_s: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.cycles < 0:
-            raise ValueError(f"cycles must be non-negative, got {self.cycles}")
-        if self.mem_time_s < 0:
+    def __new__(cls, cycles: float, mem_time_s: float = 0.0) -> "Work":
+        if not 0.0 <= cycles < inf:
             raise ValueError(
-                f"mem_time_s must be non-negative, got {self.mem_time_s}"
+                f"Work: cycles must be a finite number >= 0, got {cycles!r}"
             )
+        if not 0.0 <= mem_time_s < inf:
+            raise ValueError(
+                "Work: mem_time_s must be a finite number >= 0, "
+                f"got {mem_time_s!r}"
+            )
+        return tuple.__new__(cls, (cycles, mem_time_s))
 
 
 class SimulatedCpu:

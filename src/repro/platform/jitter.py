@@ -47,10 +47,16 @@ class LogNormalJitter(JitterModel):
     """
 
     def __init__(self, sigma: float, seed: int = 0, max_factor: float = 1.5):
-        if sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {sigma}")
-        if max_factor < 1.0:
-            raise ValueError(f"max_factor must be >= 1, got {max_factor}")
+        if not 0.0 <= sigma < math.inf:
+            raise ValueError(
+                "LogNormalJitter: sigma must be a finite number >= 0, "
+                f"got {sigma!r}"
+            )
+        if not 1.0 <= max_factor < math.inf:
+            raise ValueError(
+                "LogNormalJitter: max_factor must be a finite number >= 1, "
+                f"got {max_factor!r}"
+            )
         self.sigma = sigma
         self.max_factor = max_factor
         self._seed = seed

@@ -7,6 +7,7 @@ predictive controller computes an ideal continuous frequency and then rounds
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -59,6 +60,15 @@ class OppTable:
     ):
         if not points:
             raise ValueError("OppTable requires at least one operating point")
+        for point in points:
+            # Before sorting: a NaN frequency has no place in the order.
+            for field in ("freq_hz", "voltage_v"):
+                value = getattr(point, field)
+                if not 0.0 < value < math.inf:
+                    raise ValueError(
+                        f"OppTable: point {point.index} {field} must be a "
+                        f"finite number > 0, got {value!r}"
+                    )
         ordered = sorted(points, key=lambda p: p.freq_hz)
         for i, point in enumerate(ordered):
             if point.index != i:
@@ -66,10 +76,6 @@ class OppTable:
                     f"operating point {point} has index {point.index}, "
                     f"expected {i} (indices must match frequency order)"
                 )
-            if point.freq_hz <= 0:
-                raise ValueError(f"non-positive frequency in {point}")
-            if point.voltage_v <= 0:
-                raise ValueError(f"non-positive voltage in {point}")
         for low, high in zip(ordered, ordered[1:]):
             if high.freq_hz == low.freq_hz:
                 raise ValueError(f"duplicate frequency {low.freq_hz} Hz")
@@ -79,6 +85,8 @@ class OppTable:
                     f"{low} -> {high}"
                 )
         self._points = tuple(ordered)
+        # Boards look their power table up by (power model, table).
+        self._hash = hash(self._points)
 
     def __len__(self) -> int:
         return len(self._points)
@@ -93,7 +101,7 @@ class OppTable:
         return isinstance(other, OppTable) and self._points == other._points
 
     def __hash__(self) -> int:
-        return hash(self._points)
+        return self._hash
 
     @property
     def fmin(self) -> OperatingPoint:

@@ -13,6 +13,7 @@ numbers land in the realistic range for a Cortex-A7 cluster (~0.1–0.8 W).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.platform.opp import OperatingPoint
@@ -39,12 +40,21 @@ class PowerModel:
     idle_activity: float = 0.30
 
     def __post_init__(self) -> None:
-        if self.c_eff_farads <= 0:
-            raise ValueError("c_eff_farads must be positive")
-        if self.i_leak_amps < 0:
-            raise ValueError("i_leak_amps must be non-negative")
-        if not 0 <= self.idle_activity <= 1:
-            raise ValueError("idle_activity must be in [0, 1]")
+        if not 0.0 < self.c_eff_farads < math.inf:
+            raise ValueError(
+                "PowerModel: c_eff_farads must be a finite number > 0, "
+                f"got {self.c_eff_farads!r}"
+            )
+        if not 0.0 <= self.i_leak_amps < math.inf:
+            raise ValueError(
+                "PowerModel: i_leak_amps must be a finite number >= 0, "
+                f"got {self.i_leak_amps!r}"
+            )
+        if not 0.0 <= self.idle_activity <= 1.0:
+            raise ValueError(
+                "PowerModel: idle_activity must be in [0, 1], "
+                f"got {self.idle_activity!r}"
+            )
 
     def dynamic_power(self, opp: OperatingPoint, activity: float = 1.0) -> float:
         """Switching power ``C_eff * V^2 * f * a`` in watts."""

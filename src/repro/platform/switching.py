@@ -88,8 +88,16 @@ class SwitchLatencyModel:
         noise_sigma: float = 0.35,
         seed: int = 0,
     ):
-        if kernel_overhead_s < 0 or settle_s_per_volt < 0 or noise_sigma < 0:
-            raise ValueError("switch latency parameters must be non-negative")
+        for field, value in (
+            ("kernel_overhead_s", kernel_overhead_s),
+            ("settle_s_per_volt", settle_s_per_volt),
+            ("noise_sigma", noise_sigma),
+        ):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"SwitchLatencyModel: {field} must be a finite number "
+                    f">= 0, got {value!r}"
+                )
         self.opps = opps
         self.kernel_overhead_s = kernel_overhead_s
         self.settle_s_per_volt = settle_s_per_volt

@@ -115,7 +115,6 @@ from itertools import repeat
 from typing import Mapping
 
 from repro.platform.cpu import Work
-from repro.programs.env import Environment
 from repro.programs.expr import (
     BinOp,
     BoolOp,
@@ -185,17 +184,17 @@ class RawFeatures:
         return self.counters.get(site, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExecutionResult:
     """Everything one execution of a program produced.
 
-    ``env`` holds the job's inputs and the final globals; the run's
-    locals are scratch and are not kept.
+    ``globals`` holds the final globals; the run's inputs are the
+    caller's and its locals are scratch, so neither is kept.
     """
 
     work: Work
     features: RawFeatures
-    env: Environment
+    globals: dict[str, Value]
 
 
 class Interpreter:
@@ -235,8 +234,8 @@ class Interpreter:
                 default each call gets fresh globals.
 
         Returns:
-            The work performed, features counted, and the inputs and
-            final globals.
+            The work performed, features counted, and the final globals
+            (``globals_`` itself).
         """
         if globals_ is None:
             globals_ = program.fresh_globals()
@@ -252,7 +251,7 @@ class Interpreter:
 
         This is how prediction slices execute (paper §3.2): the slice reads
         live program state but cannot corrupt it.  The result's
-        ``env.globals`` holds the globals the run left behind.
+        ``globals`` is a new dict of the globals the run left behind.
         """
         return self._execute(program, inputs, globals_, {})
 
@@ -272,11 +271,10 @@ class Interpreter:
             object.__setattr__(program, _COMPILED_ATTR, compiled)
         namespace = dict(inputs)
         namespace.update(globals_)
-        features = RawFeatures()
+        counters: dict[str, float] = {}
+        calls: dict[str, list[int]] = {}
         try:
-            instructions, mem_refs = compiled(
-                namespace, features.counters, features.call_addresses
-            )
+            instructions, mem_refs = compiled(namespace, counters, calls)
             if instructions is None:
                 # The folded tally passed 2**53: run the job again, from
                 # its untouched inputs and globals, adding in order.
@@ -285,24 +283,21 @@ class Interpreter:
                     sequential = compiled.sequential = _build(program, False)
                 namespace = dict(inputs)
                 namespace.update(globals_)
-                features = RawFeatures()
-                instructions, mem_refs = sequential(
-                    namespace, features.counters, features.call_addresses
-                )
+                counters, calls = {}, {}
+                instructions, mem_refs = sequential(namespace, counters, calls)
         except KeyError as exc:
             raise KeyError(f"undefined variable {exc.args[0]!r}") from None
         finally:
             # On an error too: the globals written before it stay written.
             for name in globals_:
                 final[name] = namespace[name]
-        work = Work(
-            cycles=instructions * self.cycles_per_instruction,
-            mem_time_s=mem_refs * self.mem_seconds_per_ref,
-        )
         return ExecutionResult(
-            work=work,
-            features=features,
-            env=Environment(inputs, final),
+            Work(
+                instructions * self.cycles_per_instruction,
+                mem_refs * self.mem_seconds_per_ref,
+            ),
+            RawFeatures(counters, calls),
+            final,
         )
 
 

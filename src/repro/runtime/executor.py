@@ -22,7 +22,6 @@ mid-job frequency change re-times it.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Mapping, Sequence
 
@@ -254,17 +253,19 @@ class TaskLoopRunner:
         :class:`~repro.runtime.multitask.MultiTaskRunner` interleaves
         several runners on one board by stepping whichever releases next.
         """
-        self.start()
-        if self._next_index >= len(self.inputs):
-            return None
+        if not self._started:
+            self.start()
         index = self._next_index
-        self._next_index += 1
+        if index >= len(self.inputs):
+            return None
+        self._next_index = index + 1
         arrival = self.arrival_s(index)
         if self.energy.enabled:
             # The release wait belongs to the job being waited for.
             self.energy.begin_job(index)
         telemetry = self.telemetry
-        wait_from = self.board.now
+        if telemetry.enabled:
+            wait_from = self.board.now
         self._wait_for_arrival(arrival)
         if telemetry.enabled and self.board.now > wait_from:
             telemetry.span(
@@ -274,7 +275,6 @@ class TaskLoopRunner:
                 category="idle",
                 args={"job": index},
             )
-        assert self._task_globals is not None
         record = self._run_one_job(
             index, arrival, self.inputs[index], self._task_globals
         )
@@ -321,7 +321,8 @@ class TaskLoopRunner:
         task_globals: dict,
     ) -> JobRecord:
         board = self.board
-        deadline = arrival + self.task.budget_s
+        budget = self.task.budget_s
+        deadline = arrival + budget
         start = board.now
         hp = self.hostprof
 
@@ -338,19 +339,21 @@ class TaskLoopRunner:
             hp.add("interp", hp.clock() - t0)
         jitter = board.cpu.jitter.sample()
 
+        governor = self.governor
         ctx = JobContext(
-            index=index,
-            inputs=job_inputs,
-            task_globals=task_globals,
-            budget_s=self.task.budget_s,
-            deadline_s=deadline,
-            board=board,
-            charge_overheads=self.charge_predictor,
-            oracle_work=work if self.governor.reads_oracle_work else None,
+            index,
+            job_inputs,
+            task_globals,
+            budget,
+            deadline,
+            board,
+            self.charge_predictor,
+            work if governor.reads_oracle_work else None,
         )
 
         telemetry = self.telemetry
-        decide_from = board.now
+        if telemetry.enabled:
+            decide_from = board.now
         if hp.enabled:
             t0 = hp.clock()
         predictor_time, decision, partial_exec, remaining = self._decide(
@@ -369,7 +372,7 @@ class TaskLoopRunner:
             # estimate - certified reservation), so attribution needs no
             # side-channel.  The effective budget is the one the governor
             # audited for this job, when its record carries one.
-            switch_estimate = self.governor.switch_estimate_s(ctx)
+            switch_estimate = governor.switch_estimate_s(ctx)
             if not math.isnan(switch_estimate):
                 effective_budget = deadline - now - switch_estimate
                 if self_audited:
@@ -377,12 +380,12 @@ class TaskLoopRunner:
                     if not math.isnan(audited):
                         effective_budget = audited
                 span_args.update(
-                    budget_s=self.task.budget_s,
+                    budget_s=budget,
                     slice_time_s=predictor_time,
                     switch_estimate_s=switch_estimate,
                     effective_budget_s=effective_budget,
                 )
-                margin = self.governor.margin_value()
+                margin = governor.margin_value()
                 if not math.isnan(margin):
                     span_args["margin"] = margin
             telemetry.span(
@@ -399,7 +402,7 @@ class TaskLoopRunner:
                     DecisionRecord.bare(
                         job_index=index,
                         t_s=now,
-                        governor=self.governor.name,
+                        governor=governor.name,
                         opp_mhz=(
                             decision.opp.freq_mhz
                             if decision is not None
@@ -430,7 +433,8 @@ class TaskLoopRunner:
                 )
 
         opp_mhz = board.current_opp.freq_mhz
-        exec_from = board.now
+        if telemetry.enabled:
+            exec_from = board.now
         exec_time, mid_switch, _ = self._execute_work(
             work, jitter, remaining=remaining
         )
@@ -446,26 +450,24 @@ class TaskLoopRunner:
 
         # Commit the job's state change: globals are scalars and a run
         # never adds keys, so this equals re-running against live state.
-        task_globals.update(run.env.globals)
+        task_globals.update(run.globals)
         if hp.enabled:
             t0 = hp.clock()
 
         record = JobRecord(
-            index=index,
-            arrival_s=arrival,
-            start_s=start,
-            end_s=end,
-            deadline_s=deadline,
-            opp_mhz=opp_mhz,
-            exec_time_s=exec_time + partial_exec,
-            predictor_time_s=predictor_time,
-            switch_time_s=switch_time + mid_switch,
-            predicted_time_s=(
-                decision.predicted_time_s if decision is not None else math.nan
-            ),
+            index,
+            arrival,
+            start,
+            end,
+            deadline,
+            opp_mhz,
+            exec_time + partial_exec,
+            predictor_time,
+            switch_time + mid_switch,
+            decision.predicted_time_s if decision is not None else math.nan,
         )
-        report_from = board.now
-        feedback_work = self.governor.on_job_end(record, ctx)
+        report_from = end
+        feedback_work = governor.on_job_end(record, ctx)
         if feedback_work is not None and self.charge_predictor:
             # Adaptation runs in the slack after the job completes; it
             # cannot un-miss this job but can delay the next one.
@@ -480,9 +482,7 @@ class TaskLoopRunner:
                 self.energy.end_feedback()
             else:
                 board.busy_run(adaptation_time, tag="predictor")
-            record = dataclasses.replace(
-                record, adaptation_time_s=adaptation_time
-            )
+            record = record._replace(adaptation_time_s=adaptation_time)
         if telemetry.enabled:
             now = board.now
             if now > report_from:
@@ -570,7 +570,8 @@ class TaskLoopRunner:
         if not predictive or self.placement is PredictorPlacement.SEQUENTIAL:
             before = board.now
             decision = self.governor.decide(ctx)
-            self._fire_due_timers()
+            if self._next_timer is not None:
+                self._fire_due_timers()
             return board.now - before, decision, 0.0, 1.0
 
         # Pipelined or parallel: the governor's own prediction step, with
@@ -631,11 +632,11 @@ class TaskLoopRunner:
             self._restore_opp = board.current_opp
             self._switch(board.opps.fmin)
         while board.now < arrival - _EPS:
-            chunk_end = arrival
-            if self._next_timer is not None:
-                chunk_end = min(chunk_end, self._next_timer)
-            board.idle_until(chunk_end)
-            self._fire_due_timers()
+            if self._next_timer is None:
+                board.idle_until(arrival)
+            else:
+                board.idle_until(min(arrival, self._next_timer))
+                self._fire_due_timers()
 
     def _execute_work(
         self,
@@ -688,15 +689,18 @@ class TaskLoopRunner:
             self._window_busy_s += chunk
             spent += chunk
             remaining -= chunk / total
-            switch_spent += self._fire_due_timers()
+            if self._next_timer is not None:
+                switch_spent += self._fire_due_timers()
             if max_duration is not None and spent >= max_duration - _EPS:
                 break
         return spent, switch_spent, max(remaining, 0.0)
 
     def _fire_due_timers(self) -> float:
-        """Deliver any due utilization samples; returns switch time spent."""
-        if self._next_timer is None or self._timer_period is None:
-            return 0.0
+        """Deliver any due utilization samples; returns switch time spent.
+
+        Called only when the governor samples on a timer
+        (``_next_timer`` is set).
+        """
         switch_time = 0.0
         while self.board.now >= self._next_timer - _EPS:
             utilization = min(1.0, self._window_busy_s / self._timer_period)

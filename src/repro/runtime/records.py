@@ -7,16 +7,20 @@ switch overheads, and per-job traces (Figs. 2 and 3).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.telemetry.metrics import percentile
 
 __all__ = ["JobRecord", "RunResult"]
 
 
-@dataclass(frozen=True)
-class JobRecord:
+class JobRecord(NamedTuple):
     """What happened to one job.
+
+    Immutable (a named tuple): a record outlives its job, in the run's
+    result and the governors' histories.
 
     Attributes:
         index: Job number, 0-based.
@@ -44,7 +48,7 @@ class JobRecord:
     exec_time_s: float
     predictor_time_s: float = 0.0
     switch_time_s: float = 0.0
-    predicted_time_s: float = float("nan")
+    predicted_time_s: float = math.nan
     adaptation_time_s: float = 0.0
 
     @property

@@ -302,17 +302,24 @@ class EnergyLedger:
         # no wall-clock of their own.
 
     # -- the board hook --------------------------------------------------------
-    def observe(self, segment, opp_index: int) -> None:
+    def observe(
+        self,
+        start_s: float,
+        end_s: float,
+        power_w: float,
+        tag: str,
+        opp_index: int,
+    ) -> None:
         """Attribute one power segment (the board's observer callback)."""
-        tag = segment.tag
         phase = _TAG_PHASES.get(tag)
         if phase is None:
             if tag == "predictor":
                 phase = "feedback" if self._feedback else "predict"
             else:
                 phase = tag or "untagged"
-        energy = segment.energy_j
-        duration = segment.duration_s
+        duration = end_s - start_s
+        # The board's own fold prices a segment the same way.
+        energy = power_w * duration
         cell = self._cell(self._job, phase, opp_index)
         cell[0] += energy
         cell[1] += duration
@@ -442,7 +449,14 @@ class NullEnergyLedger:
     def add_overlap(self, energy_j: float) -> None:
         pass
 
-    def observe(self, segment, opp_index: int) -> None:
+    def observe(
+        self,
+        start_s: float,
+        end_s: float,
+        power_w: float,
+        tag: str,
+        opp_index: int,
+    ) -> None:
         pass
 
     def conservation_error_j(self, board_energy_j: float) -> float:

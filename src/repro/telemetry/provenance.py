@@ -128,7 +128,7 @@ def predict_anchor(snapshot: AnchorSnapshot, x: Sequence[float]) -> float:
         return recalibrated_time(x, scales, coef)
     if snapshot.kind == "online-pre":
         return warm_start_time(x, coef, snapshot.intercept)
-    return lasso_time(x, coef, snapshot.intercept)
+    return lasso_time(x.reshape(1, -1), coef, snapshot.intercept)
 
 
 def _anchor_terms(

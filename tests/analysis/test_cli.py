@@ -150,6 +150,31 @@ class TestResultJsonHardening:
         assert json.loads(text) == {"nan": None, "inf": None, "ok": 1.0}
         assert "NaN" not in text and "Infinity" not in text
 
+    def test_records_and_work_render_as_objects(self):
+        """Named tuples now, dataclasses before: the same JSON objects."""
+        from repro.cli import _result_json
+        from repro.platform.cpu import Work
+        from repro.runtime.records import JobRecord
+
+        record = JobRecord(0, 0.0, 0.0, 0.04, 0.05, 1400.0, 0.04)
+        data = json.loads(_result_json({"jobs": [record], "work": Work(2.0)}))
+        assert data["jobs"] == [
+            {
+                "index": 0,
+                "arrival_s": 0.0,
+                "start_s": 0.0,
+                "end_s": 0.04,
+                "deadline_s": 0.05,
+                "opp_mhz": 1400.0,
+                "exec_time_s": 0.04,
+                "predictor_time_s": 0.0,
+                "switch_time_s": 0.0,
+                "predicted_time_s": None,
+                "adaptation_time_s": 0.0,
+            }
+        ]
+        assert data["work"] == {"cycles": 2.0, "mem_time_s": 0.0}
+
     def test_enum_and_set_and_fallback(self):
         import enum
 

@@ -18,6 +18,7 @@ from repro.governors.powersave import PowersaveGovernor
 from repro.platform.board import Board
 from repro.platform.cpu import Work
 from repro.platform.opp import default_xu3_a7_table
+from tests.platform.segments import record_segments
 
 OPPS = default_xu3_a7_table()
 
@@ -101,8 +102,7 @@ class TestExecutorWithTimersAndIdling:
         from repro.runtime.task import Task
 
         board = Board(opps=OPPS)
-        segments = []
-        board.set_segment_observer(lambda segment, _: segments.append(segment))
+        segments = record_segments(board)
         runner = TaskLoopRunner(
             board,
             Task("t", Program("t", Block(8e6)), 0.050),

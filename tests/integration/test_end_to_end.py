@@ -17,6 +17,7 @@ from repro.platform.opp import default_xu3_a7_table
 from repro.runtime.executor import TaskLoopRunner
 from repro.runtime.placement import PredictorPlacement
 from repro.workloads.registry import get_app
+from tests.platform.segments import record_segments
 
 OPPS = default_xu3_a7_table()
 
@@ -63,8 +64,7 @@ class TestEnergyAccounting:
         """Every simulated second is attributed to some activity."""
         app = get_app("sha")
         board = Board(opps=OPPS)
-        segments = []
-        board.set_segment_observer(lambda segment, _: segments.append(segment))
+        segments = record_segments(board)
         runner = TaskLoopRunner(
             board=board,
             task=app.task,

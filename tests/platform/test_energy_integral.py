@@ -12,6 +12,7 @@ import pytest
 
 from repro.analysis.harness import GOVERNOR_NAMES, Lab
 from repro.runtime.executor import TaskLoopRunner
+from tests.platform.segments import record_segments
 
 GOVERNORS = (*GOVERNOR_NAMES, "prediction-batch8")
 TAGS = ("job", "predictor", "switch", "idle")
@@ -28,10 +29,7 @@ def governed_run():
         if governor_name not in runs:
             app = lab.app("sha")
             board = lab.make_board(run_seed=5)
-            segments = []
-            board.set_segment_observer(
-                lambda segment, _: segments.append(segment)
-            )
+            segments = record_segments(board)
             result = TaskLoopRunner(
                 board,
                 app.task,

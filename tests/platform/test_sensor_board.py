@@ -1,63 +1,84 @@
-"""Tests for the power timeline and the Board facade."""
+"""Tests for the Board facade and its exact energy meter."""
 
 import pytest
 
-from repro.platform.board import Board
+from repro.platform.board import Board, level_watts
 from repro.platform.cpu import Work
 from repro.platform.jitter import LogNormalJitter
-from repro.platform.sensor import PowerSegment, Timeline
+from repro.platform.opp import default_xu3_a7_table
+from repro.platform.power import PowerModel
+from repro.platform.switching import SwitchLatencyModel
+from tests.platform.segments import record_segments
 
 
-class TestPowerSegment:
-    def test_duration_and_energy(self):
-        s = PowerSegment(1.0, 3.0, 0.5, "job")
-        assert s.duration_s == 2.0
-        assert s.energy_j == 1.0
-
-    def test_rejects_reversed_interval(self):
-        with pytest.raises(ValueError):
-            PowerSegment(2.0, 1.0, 0.5)
-
-    def test_rejects_negative_power(self):
-        with pytest.raises(ValueError):
-            PowerSegment(0.0, 1.0, -0.5)
-
-    def test_zero_length_allowed(self):
-        s = PowerSegment(1.0, 1.0, 0.5)
-        assert s.energy_j == 0.0
-
-
-class TestTimeline:
+class TestBoardEnergy:
     def test_energy_sums_segments(self):
-        tl = Timeline()
-        tl.append(PowerSegment(0.0, 1.0, 1.0, "job"))
-        tl.append(PowerSegment(1.0, 2.0, 0.5, "idle"))
-        assert tl.total_energy_j() == pytest.approx(1.5)
+        board = Board()
+        segments = record_segments(board)
+        board.busy_run(1.0, "job")
+        board.idle_until(2.0)
+        assert board.energy_j() == segments[0].energy_j + segments[1].energy_j
+        fmax = board.opps.fmax
+        assert board.energy_j() == pytest.approx(
+            board.power.power(fmax, 1.0)
+            + board.power.power(fmax, board.power.idle_activity)
+        )
 
     def test_energy_filtered_by_tag(self):
-        tl = Timeline()
-        tl.append(PowerSegment(0.0, 1.0, 1.0, "job"))
-        tl.append(PowerSegment(1.0, 2.0, 0.5, "idle"))
-        assert tl.total_energy_j("job") == pytest.approx(1.0)
-        assert tl.total_energy_j("idle") == pytest.approx(0.5)
+        board = Board()
+        segments = record_segments(board)
+        board.busy_run(1.0, "job")
+        board.idle_until(2.0)
+        assert board.energy_j("job") == segments[0].energy_j
+        assert board.energy_j("idle") == segments[1].energy_j
+        assert board.energy_j("switch") == 0.0
 
-    def test_overlap_rejected(self):
-        tl = Timeline()
-        tl.append(PowerSegment(0.0, 1.0, 1.0))
-        with pytest.raises(ValueError, match="overlap"):
-            tl.append(PowerSegment(0.5, 2.0, 1.0))
+    def test_new_board_has_no_energy(self):
+        board = Board()
+        assert board.energy_j() == 0.0
+        assert board.energy_j("job") == 0.0
 
-    def test_gap_allowed(self):
-        tl = Timeline()
-        tl.append(PowerSegment(0.0, 1.0, 1.0))
-        tl.append(PowerSegment(2.0, 3.0, 1.0))
-        assert tl.total_energy_j() == 2.0
-        with pytest.raises(ValueError, match="overlap"):
-            tl.append(PowerSegment(2.5, 4.0, 1.0))
+    def test_segments_are_priced_by_the_power_model(self):
+        """Busy at activity 1, idle at the model's idle activity, and a
+        switch at the mean of both levels' power at activity 0.3."""
+        board = Board()
+        power, fmin, fmax = board.power, board.opps.fmin, board.opps.fmax
+        segments = record_segments(board)
+        board.busy_run(0.5, "job")
+        board.set_frequency(fmin)
+        board.idle_until(board.now + 0.5)
+        busy, switch, idle = segments
+        assert busy == (0.0, 0.5, power.power(fmax, 1.0), "job", fmax.index)
+        assert switch.power_w == (
+            power.power(fmax, 0.3) + power.power(fmin, 0.3)
+        ) / 2.0
+        assert (switch.tag, switch.opp_index) == ("switch", fmin.index)
+        assert idle.power_w == power.power(fmin, power.idle_activity)
+        assert idle.opp_index == fmin.index
 
-    def test_empty_timeline(self):
-        tl = Timeline()
-        assert tl.total_energy_j() == 0.0
+    def test_zero_length_switch_carries_no_energy(self):
+        opps = default_xu3_a7_table()
+        free = SwitchLatencyModel(opps, kernel_overhead_s=0.0,
+                                  settle_s_per_volt=0.0)
+        board = Board(opps=opps, switcher=free)
+        segments = record_segments(board)
+        assert board.set_frequency(opps.fmin) == 0.0
+        assert board.switch_count == 1
+        assert segments[0].duration_s == 0.0
+        assert board.energy_j("switch") == 0.0
+
+    def test_power_is_read_only(self):
+        board = Board()
+        with pytest.raises(AttributeError):
+            board.power = PowerModel(c_eff_farads=1e-9, i_leak_amps=0.1)
+
+    def test_one_power_table_per_model_and_table(self):
+        """Boards of one (power model, OPP table) pair share its table;
+        an equal pair finds it too, another model gets its own."""
+        a, b = Board(), Board()
+        assert level_watts(a.power, a.opps) is level_watts(b.power, b.opps)
+        other = PowerModel(c_eff_farads=1e-9, i_leak_amps=0.1)
+        assert level_watts(other, a.opps) != level_watts(a.power, a.opps)
 
 
 def run_work(board, work):
@@ -136,8 +157,7 @@ class TestBoard:
 
     def test_timeline_is_contiguous_record(self):
         board = Board()
-        segments = []
-        board.set_segment_observer(lambda segment, _: segments.append(segment))
+        segments = record_segments(board)
         run_work(board, Work(cycles=1e8))
         board.set_frequency(board.opps.fmin)
         run_work(board, Work(cycles=1e8))

@@ -88,7 +88,7 @@ class TreeWalkingInterpreter:
                 default each call gets fresh globals.
 
         Returns:
-            The work performed, features counted, and the final environment.
+            The work performed, features counted, and the final globals.
         """
         if globals_ is None:
             globals_ = program.fresh_globals()
@@ -100,7 +100,9 @@ class TreeWalkingInterpreter:
             cycles=state.instructions * self.cycles_per_instruction,
             mem_time_s=state.mem_refs * self.mem_seconds_per_ref,
         )
-        return ExecutionResult(work=work, features=features, env=env)
+        return ExecutionResult(
+            work=work, features=features, globals=env.globals
+        )
 
     def execute_isolated(
         self,
@@ -121,7 +123,9 @@ class TreeWalkingInterpreter:
             cycles=state.instructions * self.cycles_per_instruction,
             mem_time_s=state.mem_refs * self.mem_seconds_per_ref,
         )
-        return ExecutionResult(work=work, features=features, env=env)
+        return ExecutionResult(
+            work=work, features=features, globals=env.globals
+        )
 
     # -- dispatch -----------------------------------------------------------
     def _resolve(self, cls: type):

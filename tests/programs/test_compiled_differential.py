@@ -82,7 +82,7 @@ def assert_same_result(new, ref):
     assert _exact(new.features.call_addresses) == _exact(
         ref.features.call_addresses
     )
-    assert _exact(new.env.globals) == _exact(ref.env.globals)
+    assert _exact(new.globals) == _exact(ref.globals)
 
 
 def _versions(program):

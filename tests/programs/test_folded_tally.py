@@ -105,7 +105,7 @@ class TestExactnessLimit:
         program = _huge_program(2**53)
         globals_ = program.fresh_globals()
         result = getattr(Interpreter(), method)(program, {"n": 5}, globals_)
-        assert result.env.globals == {"g": 1}
+        assert result.globals == {"g": 1}
         assert globals_ == {"g": 1 if method == "execute" else 0}
         assert compiled_form(program).sequential is not None
 

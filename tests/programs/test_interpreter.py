@@ -203,7 +203,7 @@ class TestStatePersistence:
         g = prog.fresh_globals()
         result = interp.execute_isolated(prog, {}, g)
         assert g["turn"] == 0
-        assert result.env["turn"] == 1
+        assert result.globals["turn"] == 1
 
     def test_default_globals_are_fresh_per_call(self):
         prog = Program(
@@ -214,8 +214,8 @@ class TestStatePersistence:
         interp = Interpreter()
         r1 = interp.execute(prog, {})
         r2 = interp.execute(prog, {})
-        assert r1.env["turn"] == 1
-        assert r2.env["turn"] == 1
+        assert r1.globals["turn"] == 1
+        assert r2.globals["turn"] == 1
 
 
 class TestDeterminism:

@@ -130,7 +130,7 @@ class TestSlices:
             before = dict(globals_)
             result = INTERP.execute_isolated(sl.program, job, globals_)
             assert _exact(globals_) == _exact(before)
-            assert _changed(before, result.env.globals) <= may_write
+            assert _changed(before, result.globals) <= may_write
             INTERP.execute(app.task.program, job, globals_)
 
     def test_subset_slice_counts_exactly_the_needed_sites(self, name):
@@ -183,7 +183,7 @@ class TestSlices:
             assert _exact(sliced.features.counters) == _exact(
                 full.features.counters
             )
-            assert _exact(sliced.env.globals) == _exact(globals_)
+            assert _exact(sliced.globals) == _exact(globals_)
 
 
 @pytest.mark.parametrize("name", app_names())
@@ -279,4 +279,4 @@ def test_isolated_run_is_execute_without_the_commit(name):
         assert _exact(isolated.features.counters) == _exact(
             committed.features.counters
         )
-        assert _exact(isolated.env.globals) == _exact(globals_)
+        assert _exact(isolated.globals) == _exact(globals_)

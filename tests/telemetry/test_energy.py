@@ -16,7 +16,6 @@ import pytest
 
 from repro.platform.board import Board
 from repro.platform.opp import default_xu3_a7_table
-from repro.platform.sensor import PowerSegment
 from repro.runtime.executor import TaskLoopRunner
 from repro.runtime.placement import PredictorPlacement
 from repro.telemetry.energy import (
@@ -160,20 +159,19 @@ class TestOverlapRegression:
 
 class TestLedgerMechanics:
     def _segment(self, start, duration, power, tag):
-        return PowerSegment(
-            start_s=start, end_s=start + duration, power_w=power, tag=tag
-        )
+        """The observer's first four arguments for one segment."""
+        return start, start + duration, power, tag
 
     def test_tag_to_phase_mapping(self):
         board = Board(opps=OPPS)
         ledger = EnergyLedger(board.power, board.opps)
         ledger.begin_job(0)
-        ledger.observe(self._segment(0.0, 1.0, 2.0, "job"), 0)
-        ledger.observe(self._segment(1.0, 1.0, 1.0, "switch"), 0)
-        ledger.observe(self._segment(2.0, 1.0, 0.5, "idle"), 0)
-        ledger.observe(self._segment(3.0, 1.0, 1.5, "predictor"), 0)
+        ledger.observe(*self._segment(0.0, 1.0, 2.0, "job"), 0)
+        ledger.observe(*self._segment(1.0, 1.0, 1.0, "switch"), 0)
+        ledger.observe(*self._segment(2.0, 1.0, 0.5, "idle"), 0)
+        ledger.observe(*self._segment(3.0, 1.0, 1.5, "predictor"), 0)
         ledger.begin_feedback()
-        ledger.observe(self._segment(4.0, 1.0, 1.5, "predictor"), 0)
+        ledger.observe(*self._segment(4.0, 1.0, 1.5, "predictor"), 0)
         ledger.end_feedback()
         state = ledger.state()
         assert state.phase_j("execute") == 2.0
@@ -191,7 +189,7 @@ class TestLedgerMechanics:
         opp = board.opps.fmin
         duration = 2.0
         ledger.observe(
-            self._segment(0.0, duration, power.power(opp, 1.0), "job"),
+            *self._segment(0.0, duration, power.power(opp, 1.0), "job"),
             opp.index,
         )
         busy_frac = opp.freq_hz / board.opps.fmax.freq_hz
@@ -205,7 +203,7 @@ class TestLedgerMechanics:
         assert ledger.state().counterfactual_j == pytest.approx(expected, rel=1e-12)
         # Non-execute segments price as fmax idle wall-clock.
         ledger.observe(
-            self._segment(duration, 1.0, 5.0, "switch"), opp.index
+            *self._segment(duration, 1.0, 5.0, "switch"), opp.index
         )
         assert ledger.state().counterfactual_j == pytest.approx(
             expected + idle_w, rel=1e-12
@@ -228,7 +226,7 @@ class TestLedgerMechanics:
         for job, power_w in ((0, 1.0), (1, 3.0), (2, 2.0)):
             ledger.begin_job(job)
             ledger.observe(
-                self._segment(float(job), 1.0, power_w, "job"), 0
+                *self._segment(float(job), 1.0, power_w, "job"), 0
             )
         assert ledger.top_jobs(2) == [(1, 3.0), (2, 2.0)]
         assert ledger.state().jobs == 3
@@ -237,7 +235,7 @@ class TestLedgerMechanics:
         assert NO_ENERGY_LEDGER.enabled is False
         NO_ENERGY_LEDGER.begin_job(0)
         NO_ENERGY_LEDGER.add_overlap(1.0)
-        NO_ENERGY_LEDGER.observe(None, 0)
+        NO_ENERGY_LEDGER.observe(0.0, 1.0, 1.0, "job", 0)
         assert NO_ENERGY_LEDGER.conservation_error_j(123.0) == 0.0
         state = NO_ENERGY_LEDGER.state()
         assert state.jobs == 0 and state.total_j == 0.0
