@@ -19,8 +19,8 @@ run appends one row holding:
   summary line;
 - ``repro all``'s wall time, writing into a temporary directory.
 
-A run takes about 6 minutes on a 2-vCPU host: six perfbench runs of
-about 40 s each, tier-1 and ``repro all``.  Rows are only ever
+A run takes about 4 minutes on a 2-vCPU host: six perfbench runs of
+about 30 s each, tier-1 (about a minute) and ``repro all``.  Rows are only ever
 appended by this tool, never edited by hand; a row measured wrong is
 superseded by a new run, not corrected.
 """
