@@ -67,10 +67,19 @@ _BASELINE_GOVERNORS: dict[str, tuple[str, str]] = {
     "oracle": ("oracle", "OracleGovernor"),
 }
 
-#: Baseline governor classes by name, each imported on first use: a
-#: fleet builds a governor per session, and an import statement per
-#: call would cost more than the lookup.
-_BASELINE_CLASSES: dict[str, type[Governor]] = {}
+#: Every governor module a ``prediction`` run does not load, by the
+#: name :meth:`Lab.make_governor` looks its class up under (the batch
+#: governor under its prefix).
+_GOVERNOR_MODULES: dict[str, tuple[str, str]] = {
+    **_BASELINE_GOVERNORS,
+    "adaptive": ("adaptive", "AdaptiveGovernor"),
+    _BATCH_PREFIX: ("batch", "BatchPredictiveGovernor"),
+}
+
+#: Those governor classes by name, each imported on first use: a fleet
+#: builds a governor per session, and an import statement per call
+#: would cost more than the lookup.
+_GOVERNOR_CLASSES: dict[str, type[Governor]] = {}
 
 #: :class:`~repro.online.inject.StepDriftJitter`, bound by the first
 #: drifting :func:`seeded_board`: a run without drift never loads it.
@@ -94,13 +103,13 @@ def check_governor(name: str) -> None:
     )
 
 
-def _baseline_class(name: str) -> type[Governor]:
-    """The class of baseline governor ``name``, imported on first use."""
-    cls = _BASELINE_CLASSES.get(name)
+def _governor_class(name: str) -> type[Governor]:
+    """The class of governor ``name``, imported on first use."""
+    cls = _GOVERNOR_CLASSES.get(name)
     if cls is None:
-        module, class_name = _BASELINE_GOVERNORS[name]
+        module, class_name = _GOVERNOR_MODULES[name]
         cls = getattr(import_module(f"repro.governors.{module}"), class_name)
-        _BASELINE_CLASSES[name] = cls
+        _GOVERNOR_CLASSES[name] = cls
     return cls
 
 
@@ -264,24 +273,20 @@ class Lab:
         kind is built, so a run loads only the policy it uses.
         """
         if name in _BASELINE_GOVERNORS:
-            return _baseline_class(name)(self.opps)
+            return _governor_class(name)(self.opps)
         check_governor(name)
         if name == "prediction":
             return self.controller(app_name, pipeline_config).governor(
                 self.interpreter
             )
         if name == "adaptive":
-            import repro.governors.adaptive as adaptive
-
-            return adaptive.AdaptiveGovernor.from_controller(
+            return _governor_class(name).from_controller(
                 self.controller(app_name, pipeline_config),
                 interpreter=self.interpreter,
             )
         # §7 future-work controller: "prediction-batch8" -> batch of 8.
-        import repro.governors.batch as batch
-
         controller = self.controller(app_name, pipeline_config)
-        return batch.BatchPredictiveGovernor(
+        return _governor_class(_BATCH_PREFIX)(
             slice=controller.slice,
             predictor=controller.predictor,
             dvfs=controller.dvfs,

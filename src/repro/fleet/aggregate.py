@@ -23,13 +23,13 @@ determinism witness: byte-equal across partitionings.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from functools import reduce
 
 from repro.fleet.session import SessionResult
 from repro.fleet.tenant import TenantSpec
 from repro.telemetry.energy import EnergyState, merge_energy
-from repro.telemetry.metrics import percentile
+from repro.telemetry.metrics import percentiles
 from repro.telemetry.slo import SloTrackerState, merge_states
 
 __all__ = [
@@ -441,6 +441,13 @@ class FleetReport:
         return "\n".join(parts)
 
 
+def _slack_percentiles(slacks: list[float]) -> tuple[float, ...]:
+    """p50 and p95 of the slacks (NaN for none)."""
+    if not slacks:
+        return math.nan, math.nan
+    return percentiles(slacks, 50, 95)
+
+
 def _merge_tenant(
     tenant: TenantSpec, results: list[SessionResult]
 ) -> TenantRollup:
@@ -449,17 +456,19 @@ def _merge_tenant(
         raise ValueError(f"tenant {tenant.name!r} produced no sessions")
     n_specs = len(results[0].slo_states)
     merged_states = [
-        reduce(merge_states, (r.slo_states[i] for r in results))
+        merge_states(*(r.slo_states[i] for r in results))
         for i in range(n_specs)
     ]
-    slacks = [s for r in results for s in r.slacks_s]
+    slack_p50_s, slack_p95_s = _slack_percentiles(
+        [s for r in results for s in r.slacks_s]
+    )
     jobs = sum(r.jobs for r in results)
     misses = sum(r.misses for r in results)
     energy = None
     if all(r.energy_state is not None for r in results):
         # Canonical (session index) fold order keeps the float sums
         # bit-identical for every shard partitioning.
-        energy = reduce(merge_energy, (r.energy_state for r in results))
+        energy = merge_energy(*(r.energy_state for r in results))
     return TenantRollup(
         name=tenant.name,
         app=tenant.app,
@@ -470,8 +479,8 @@ def _merge_tenant(
         energy_j=sum(r.energy_j for r in results),
         switches=sum(r.switches for r in results),
         miss_rate=misses / jobs if jobs else 0.0,
-        slack_p50_s=percentile(slacks, 50) if slacks else float("nan"),
-        slack_p95_s=percentile(slacks, 95) if slacks else float("nan"),
+        slack_p50_s=slack_p50_s,
+        slack_p95_s=slack_p95_s,
         slo=tuple(
             SloRollup.from_state(state, alerts=len(state.alerts))
             for state in merged_states
@@ -500,14 +509,16 @@ def aggregate_fleet(
         raise ValueError(f"results reference unknown tenants {sorted(unknown)}")
     canonical = sorted(results, key=lambda r: (order[r.tenant], r.index))
 
-    rollups = []
-    for tenant in tenants:
-        mine = [r for r in canonical if r.tenant == tenant.name]
-        rollups.append(_merge_tenant(tenant, mine))
+    by_tenant: dict[str, list[SessionResult]] = {t.name: [] for t in tenants}
+    for result in canonical:
+        by_tenant[result.tenant].append(result)
+    rollups = [_merge_tenant(t, by_tenant[t.name]) for t in tenants]
 
     jobs = sum(t.jobs for t in rollups)
     misses = sum(t.misses for t in rollups)
-    slacks = [s for r in canonical for s in r.slacks_s]
+    slack_p50_s, slack_p95_s = _slack_percentiles(
+        [s for r in canonical for s in r.slacks_s]
+    )
 
     # Fleet error budget: each tenant's allowance is objective_i * jobs_i
     # bad jobs; the fleet-wide budget is the sum of allowances, spent by
@@ -547,7 +558,7 @@ def aggregate_fleet(
     if all(t.energy is not None for t in rollups):
         # Roster-order fold mirrors the per-tenant session fold, so the
         # fleet state is the same bytes however the fleet was sharded.
-        fleet_energy = reduce(merge_energy, (t.energy for t in rollups))
+        fleet_energy = merge_energy(*(t.energy for t in rollups))
         hungry = sorted(
             rollups, key=lambda t: (-t.energy.total_j, t.name)
         )
@@ -561,8 +572,8 @@ def aggregate_fleet(
         energy_j=sum(t.energy_j for t in rollups),
         switches=sum(t.switches for t in rollups),
         miss_rate=misses / jobs if jobs else 0.0,
-        slack_p50_s=percentile(slacks, 50) if slacks else float("nan"),
-        slack_p95_s=percentile(slacks, 95) if slacks else float("nan"),
+        slack_p50_s=slack_p50_s,
+        slack_p95_s=slack_p95_s,
         budget_consumed=page_bad / allowance if allowance else 0.0,
         burn_rates=burn_rates,
         page_alerts=sum(t.page_alerts for t in rollups),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import zlib
 
-__all__ = ["derive_seed", "session_seed"]
+__all__ = ["derive_seed", "session_seed", "session_seeds"]
 
 
 def derive_seed(root: int, *path: object) -> int:
@@ -42,3 +42,17 @@ def session_seed(root: int, tenant: str, index: int, purpose: str) -> int:
     schedule), ``"switch"`` (the board's switch-latency draws).
     """
     return derive_seed(root, "fleet", tenant, index, purpose)
+
+
+def session_seeds(
+    root: int, tenant: str, index: int, *purposes: str
+) -> tuple[int, ...]:
+    """:func:`session_seed` of each of ``purposes``, in order.
+
+    The path the streams share is rendered and checksummed once: a crc32
+    continued from the checksum of a prefix is the checksum of the
+    whole, so each seed is the one :func:`session_seed` derives.
+    """
+    rendered = "|".join(map(str, (root, "fleet", tenant, index, "")))
+    shared = zlib.crc32(rendered.encode())
+    return tuple(zlib.crc32(str(p).encode(), shared) for p in purposes)

@@ -3,8 +3,9 @@
 A session is the fleet's unit of work: one
 :class:`~repro.runtime.executor.TaskLoopRunner` over one job stream,
 plus the :class:`~repro.telemetry.slo.JobObservation` of every job it
-completes, which :meth:`Session.result` folds through one
-:class:`~repro.telemetry.slo.SloTracker` per spec.  Sessions are built
+completes, which :meth:`Session.result` folds once per spec with
+:func:`~repro.telemetry.slo.fold_state` (the state a
+:class:`~repro.telemetry.slo.SloTracker` would hold).  Sessions are built
 entirely from ``(tenant spec, session index, root seed)`` — every random
 stream is named by :func:`repro.fleet.seeding.session_seed` — so the
 same session computes identically on any shard of any worker.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.analysis.harness import Lab, seeded_board
 from repro.fleet.arrivals import PeriodicArrivals
-from repro.fleet.seeding import derive_seed, session_seed
+from repro.fleet.seeding import derive_seed, session_seeds
 from repro.fleet.tenant import TenantSpec
 from repro.pipeline.config import PipelineConfig
 from repro.runtime.executor import TaskLoopRunner
@@ -33,10 +34,9 @@ from repro.telemetry.events import NO_TELEMETRY
 from repro.telemetry.hostprof import HostProfiler
 from repro.telemetry.slo import (
     JobObservation,
-    SloSpec,
-    SloTracker,
     SloTrackerState,
     default_slos,
+    fold_state,
 )
 
 __all__ = ["FleetBuild", "SessionResult", "Session", "run_session", "lab_for"]
@@ -146,16 +146,22 @@ class Session:
         app = lab.app(tenant.app)
         budget = app.task.budget_s * tenant.budget_scale
         n_jobs = tenant.jobs_per_session
-        root = build.root_seed
+        arrivals_seed, jitter_seed, switch_seed, inputs_seed = session_seeds(
+            build.root_seed,
+            tenant.name,
+            index,
+            "arrivals",
+            "jitter",
+            "switch",
+            "inputs",
+        )
 
         # Periodic releases draw nothing, so they skip seeding a
         # generator (~8 us a session).
         arrival_rng = (
             None
             if isinstance(tenant.arrival, PeriodicArrivals)
-            else random.Random(
-                session_seed(root, tenant.name, index, "arrivals")
-            )
+            else random.Random(arrivals_seed)
         )
         arrivals = tenant.arrival.arrivals(n_jobs, budget, arrival_rng)
 
@@ -163,8 +169,8 @@ class Session:
             lab.opps,
             lab.power,
             tenant.jitter_sigma,
-            session_seed(root, tenant.name, index, "jitter"),
-            session_seed(root, tenant.name, index, "switch"),
+            jitter_seed,
+            switch_seed,
             drift=(
                 None
                 if tenant.drift_factor is None
@@ -179,9 +185,7 @@ class Session:
             board=board,
             task=app.task.with_budget(budget),
             governor=lab.make_governor(tenant.governor, tenant.app),
-            inputs=app.inputs(
-                n_jobs, seed=session_seed(root, tenant.name, index, "inputs")
-            ),
+            inputs=app.inputs(n_jobs, seed=inputs_seed),
             arrivals=arrivals,
             interpreter=lab.interpreter,
             telemetry=NO_TELEMETRY,
@@ -207,12 +211,12 @@ class Session:
             residual = (record.exec_time_s - predicted) / predicted
         self._observations.append(
             JobObservation(
-                index=record.index,
-                t_s=record.end_s,
-                missed=record.missed,
-                slack_s=record.slack_s,
-                energy_j=energy - self._energy_mark,
-                residual_rel=residual,
+                record.index,
+                record.end_s,
+                record.missed,
+                record.slack_s,
+                energy - self._energy_mark,
+                residual,
             )
         )
         self._energy_mark = energy
@@ -220,34 +224,30 @@ class Session:
         return True
 
     def result(self) -> SessionResult:
-        run = self.runner.result()
+        runner = self.runner
+        observations = self._observations
         energy_state = None
         if self.energy_ledger is not None:
             # The invariant is cheap to enforce on every session, so a
             # leaking attribution path can never reach the roll-up.
-            self.energy_ledger.check_conservation(self.runner.board)
+            self.energy_ledger.check_conservation(runner.board)
             energy_state = self.energy_ledger.state()
+        # Nothing reads SLO state before the result, so each job's step
+        # is one append and the specs fold the observations here.
         return SessionResult(
             tenant=self.tenant.name,
             index=self.index,
-            jobs=run.n_jobs,
-            misses=run.n_missed,
-            energy_j=run.energy_j,
-            switches=run.switch_count,
+            jobs=len(observations),
+            misses=sum(obs.missed for obs in observations),
+            energy_j=runner.energy_j(),
+            switches=runner.switch_count,
             makespan_s=self._finished_at,
-            slacks_s=tuple(job.slack_s for job in run.jobs),
-            slo_states=tuple(map(self._slo_state, self._slos)),
+            slacks_s=tuple(obs.slack_s for obs in observations),
+            slo_states=tuple(
+                fold_state(spec, observations) for spec in self._slos
+            ),
             energy_state=energy_state,
         )
-
-    def _slo_state(self, spec: SloSpec) -> SloTrackerState:
-        # Trackers live only here: nothing reads SLO state before the
-        # result, so folding the observations once, at the end, keeps
-        # each job's step to one append.
-        tracker = SloTracker(spec)
-        for observation in self._observations:
-            tracker.observe(observation)
-        return tracker.state()
 
 
 def run_session(

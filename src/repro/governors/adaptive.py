@@ -120,6 +120,9 @@ class AdaptiveConfig:
     bound_skip: bool = False
 
 
+_DEFAULT_CONFIG = AdaptiveConfig()
+
+
 class AdaptiveGovernor(Governor):
     """Predictive governor + drift detection + recalibration + fallback.
 
@@ -149,10 +152,28 @@ class AdaptiveGovernor(Governor):
         predictive: PredictiveGovernor,
         config: AdaptiveConfig | None = None,
     ):
-        self.config = config if config is not None else AdaptiveConfig()
+        self._wire(predictive, predictive.interpreter, config)
+
+    @classmethod
+    def from_controller(
+        cls,
+        controller,
+        config: AdaptiveConfig | None = None,
+        interpreter=None,
+    ) -> "AdaptiveGovernor":
+        """Build from a trained offline controller (the common path)."""
+        governor = cls.__new__(cls)
+        governor._wire(controller, interpreter, config)
+        return governor
+
+    def _wire(self, artifacts, interpreter, config: AdaptiveConfig | None):
+        """Build the governor around ``artifacts``: a predictive governor
+        or a trained controller, which both hold the slice, predictor,
+        DVFS model, switch table and certificate."""
+        self.config = config if config is not None else _DEFAULT_CONFIG
         cfg = self.config
         self.predictor = OnlineTimePredictor(
-            predictive.predictor,
+            artifacts.predictor,
             margin=AdaptiveMargin(
                 initial=cfg.margin_initial,
                 floor=cfg.margin_floor,
@@ -163,14 +184,14 @@ class AdaptiveGovernor(Governor):
             under_weight=cfg.under_weight,
         )
         self.inner = PredictiveGovernor(
-            slice=predictive.slice,
+            slice=artifacts.slice,
             predictor=self.predictor,
-            dvfs=predictive.dvfs,
-            switch_table=predictive.switch_table,
-            interpreter=predictive.interpreter,
-            certificate=predictive.certificate,
+            dvfs=artifacts.dvfs,
+            switch_table=artifacts.switch_table,
+            interpreter=interpreter,
+            certificate=artifacts.certificate,
         )
-        self.fallback = PerformanceGovernor(predictive.dvfs.opps)
+        self.fallback = PerformanceGovernor(artifacts.dvfs.opps)
         self.abs_residual = Ewma(ABS_RESIDUAL_ALPHA)
         self.detector = PageHinkleyDetector(
             delta=PH_DELTA, threshold=PH_THRESHOLD, min_samples=WARMUP_JOBS
@@ -179,16 +200,14 @@ class AdaptiveGovernor(Governor):
         self.jobs_in_mode = 0
         self.drift_events = 0
         self._pending: tuple[Any, Any] | None = None
-
-    @classmethod
-    def from_controller(
-        cls,
-        controller,
-        config: AdaptiveConfig | None = None,
-        interpreter=None,
-    ) -> "AdaptiveGovernor":
-        """Build from a trained offline controller (the common path)."""
-        return cls(predictive=controller.governor(interpreter), config=config)
+        # The feedback's bill is the same every job.
+        n = self.predictor.n_features
+        rls_cycles = (
+            UPDATE_CYCLES_PER_FEATURE_SQ * float(n * n)
+            if cfg.recalibrate
+            else 0.0
+        )
+        self._bill = Work(cycles=UPDATE_BASE_CYCLES + rls_cycles)
 
     @property
     def name(self) -> str:
@@ -347,13 +366,7 @@ class AdaptiveGovernor(Governor):
                         "adaptive.transitions[fallback->predict]"
                     ).inc()
 
-        n = self.predictor.n_features
-        rls_cycles = (
-            UPDATE_CYCLES_PER_FEATURE_SQ * float(n * n)
-            if self.config.recalibrate
-            else 0.0
-        )
-        return Work(cycles=UPDATE_BASE_CYCLES + rls_cycles)
+        return self._bill
 
     def arm_fallback(self, reason: str = "external", t_s: float = 0.0) -> bool:
         """Force the deadline-safe fallback mode from outside the loop.

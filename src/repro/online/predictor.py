@@ -10,7 +10,10 @@ the slice computes the same features either way.
 
 The predictor also remembers the last encoded feature vector and raw
 prediction: the adaptive governor reads both after the job completes to
-close the feedback loop without re-running the slice.
+close the feedback loop without re-running the slice.  Both anchors
+freeze their feature scales from the same vector (the first
+:meth:`OnlineTimePredictor.observe`), so one design row per job serves
+both anchors' predictions and both updates.
 """
 
 from __future__ import annotations
@@ -64,6 +67,8 @@ class OnlineTimePredictor:
         )
         self.last_x: np.ndarray | None = None
         self.last_raw: TimePrediction | None = None
+        # last_x's design row (None before the first update).
+        self._last_row: np.ndarray | None = None
 
     @staticmethod
     def _coef(coef: np.ndarray | None) -> np.ndarray:
@@ -98,21 +103,20 @@ class OnlineTimePredictor:
         """Margin-inflated anchor predictions (non-negative), remembering
         the encoded features for the post-job feedback step."""
         x = self._encode(raw)
-        prediction = TimePrediction(
-            t_fmax_s=max(self.model_fmax.predict_one(x), 0.0),
-            t_fmin_s=max(self.model_fmin.predict_one(x), 0.0),
-        )
+        fmax = self.model_fmax
+        row = fmax.design(x)
+        t_fmax = max(fmax.predict_one(x, row), 0.0)
+        t_fmin = max(self.model_fmin.predict_one(x, row), 0.0)
         self.last_x = x
-        self.last_raw = prediction
+        self._last_row = row
+        self.last_raw = TimePrediction(t_fmax, t_fmin)
         factor = 1.0 + self.margin.value
-        return TimePrediction(
-            t_fmax_s=prediction.t_fmax_s * factor,
-            t_fmin_s=prediction.t_fmin_s * factor,
-        )
+        return TimePrediction(t_fmax * factor, t_fmin * factor)
 
     def observe(
         self, x: np.ndarray, t_fmax_s: float, t_fmin_s: float
     ) -> None:
         """Fold one job's anchor-projected observed times into both models."""
-        self.model_fmax.update(x, t_fmax_s)
-        self.model_fmin.update(x, t_fmin_s)
+        row = self._last_row if x is self.last_x else self.model_fmax.design(x)
+        self.model_fmax.update(x, t_fmax_s, row)
+        self.model_fmin.update(x, t_fmin_s, row)

@@ -37,6 +37,7 @@ __all__ = [
     "AdaptiveMargin",
     "warm_start_time",
     "recalibrated_time",
+    "design_row",
 ]
 
 #: Smoothed miss rate the margin loop aims for; below it the margin may
@@ -59,16 +60,19 @@ def warm_start_time(x: np.ndarray, coef: np.ndarray, intercept: float) -> float:
     return float(x @ coef + intercept)
 
 
-def recalibrated_time(
-    x: np.ndarray, scales: np.ndarray, theta: np.ndarray
-) -> float:
-    """Anchor time once RLS is live: ``theta`` over the design row."""
-    return float(_design_row(x, scales) @ theta)
+def recalibrated_time(row: np.ndarray, theta: np.ndarray) -> float:
+    """Anchor time once RLS is live: ``theta`` over the design row
+    (:func:`design_row`)."""
+    return float(row @ theta)
 
 
-def _design_row(x: np.ndarray, scales: np.ndarray) -> np.ndarray:
+def design_row(x: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """Scaled features with the intercept column appended."""
-    return np.append(x / scales, 1.0)
+    n = scales.shape[0]
+    row = np.empty(n + 1)
+    np.divide(x, scales, out=row[:n])
+    row[n] = 1.0
+    return row
 
 
 class RecursiveLeastSquares:
@@ -99,24 +103,32 @@ class RecursiveLeastSquares:
         self.n_updates = 0
 
     def predict(self, x: np.ndarray) -> float:
-        return float(np.asarray(x, dtype=float) @ self.theta)
+        return float(x @ self.theta)
 
     def update(self, x: np.ndarray, y: float, weight: float = 1.0) -> float:
         """Fold one (x, y) sample in; returns the pre-update residual."""
+        error = float(y) - float(x @ self.theta)
+        self.fold(x, error, weight)
+        return error
+
+    def fold(self, x: np.ndarray, error: float, weight: float = 1.0) -> None:
+        """Fold in one sample whose pre-update residual ``y - x @ theta``
+        is ``error`` (what :meth:`update` computes)."""
         if weight <= 0:
             raise ValueError(f"weight must be positive, got {weight}")
-        x = np.asarray(x, dtype=float)
-        error = float(y) - float(x @ self.theta)
-        px = self._P @ x
+        P = self._P
+        px = P @ x
         denom = self.lam / weight + float(x @ px)
         gain = px / denom
         self.theta = self.theta + gain * error
-        self._P = (self._P - np.outer(gain, px)) / self.lam
+        # gain[:, None] * px is np.outer(gain, px), product for product.
+        P = (P - gain[:, None] * px) / self.lam
         # Symmetrize: the recursion is symmetric in exact arithmetic but
         # floating point slowly breaks it, which can turn P indefinite.
-        self._P = 0.5 * (self._P + self._P.T)
+        P = P + P.T
+        P *= 0.5
+        self._P = P
         self.n_updates += 1
-        return error
 
 
 class OnlineAnchorModel:
@@ -169,19 +181,20 @@ class OnlineAnchorModel:
     def n_updates(self) -> int:
         return 0 if self._rls is None else self._rls.n_updates
 
-    def _design(self, x: np.ndarray) -> np.ndarray:
-        assert self._scales is not None
-        return _design_row(np.asarray(x, dtype=float), self._scales)
-
     def _ensure_initialized(self, x: np.ndarray) -> None:
         if self._rls is not None:
             return
-        x = np.asarray(x, dtype=float)
         self._scales = np.maximum(np.abs(x), 1.0)
         theta0 = np.append(
             self.offline_coef * self._scales, self.offline_intercept
         )
         self._rls = RecursiveLeastSquares(theta0, lam=self.lam, p0=self.p0)
+
+    def design(self, x: np.ndarray) -> np.ndarray | None:
+        """``x``'s design row under the frozen scales (:func:`design_row`);
+        None before the first update, when no scales are frozen."""
+        scales = self._scales
+        return None if scales is None else design_row(x, scales)
 
     def snapshot(self) -> dict[str, Any]:
         """The exact coefficients :meth:`predict_one` would use now, as
@@ -206,29 +219,42 @@ class OnlineAnchorModel:
             "scales": self._scales.tolist(),
         }
 
-    def predict_one(self, x: np.ndarray) -> float:
-        """Predicted time for one feature vector (seconds, unmargined)."""
-        x = np.asarray(x, dtype=float)
+    def predict_one(
+        self, x: np.ndarray, row: np.ndarray | None = None
+    ) -> float:
+        """Predicted time for one feature vector (seconds, unmargined).
+
+        ``row`` is :meth:`design` of ``x``, when the caller built it.
+        """
         if self._rls is None:
             return warm_start_time(
                 x, self.offline_coef, self.offline_intercept
             )
         assert self._scales is not None
-        return recalibrated_time(x, self._scales, self._rls.theta)
+        if row is None:
+            row = design_row(x, self._scales)
+        return recalibrated_time(row, self._rls.theta)
 
-    def update(self, x: np.ndarray, observed_s: float) -> float:
+    def update(
+        self, x: np.ndarray, observed_s: float, row: np.ndarray | None = None
+    ) -> float:
         """Fold one observed (features, time) pair in.
 
         The asymmetric weighting is decided against the *current* model:
         if it under-predicted this job, the sample gets ``under_weight``.
-        Returns the pre-update residual (observed - predicted).
+        ``row`` is :meth:`design` of ``x``, when the caller built it
+        after the first update.  Returns the pre-update residual
+        (observed - predicted).
         """
-        self._ensure_initialized(x)
-        assert self._rls is not None
-        design = self._design(x)
-        residual = float(observed_s) - self._rls.predict(design)
-        weight = self.under_weight if residual > 0 else 1.0
-        self._rls.update(design, float(observed_s), weight=weight)
+        if self._rls is None:
+            self._ensure_initialized(x)
+            row = None  # built before the scales were frozen
+        rls = self._rls
+        assert rls is not None and self._scales is not None
+        if row is None:
+            row = design_row(x, self._scales)
+        residual = float(observed_s) - float(row @ rls.theta)
+        rls.fold(row, residual, self.under_weight if residual > 0 else 1.0)
         return residual
 
 

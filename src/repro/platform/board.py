@@ -35,11 +35,20 @@ SWITCH_ACTIVITY = 0.3
 
 
 class LevelWatts(NamedTuple):
-    """A power model's watts at each level of an OPP table, by index."""
+    """A power model's watts at each level of an OPP table, by index.
+
+    ``counterfactual`` is what the energy ledger's performance-governor
+    counterfactual charges per second of execution at a level: the same
+    cycles run fully active at fmax for ``f / fmax`` of the second, and
+    idle at fmax for the rest.  ``mhz`` is each level's frequency, the
+    key the ledger files the level's joules under.
+    """
 
     busy: tuple[float, ...]
     idle: tuple[float, ...]
     switch: tuple[float, ...]
+    counterfactual: tuple[float, ...]
+    mhz: tuple[float, ...]
 
 
 #: (power model, OPP table) -> their LevelWatts.  Both are immutable, so
@@ -53,11 +62,22 @@ def level_watts(power: PowerModel, opps: OppTable) -> LevelWatts:
     key = (power, opps)
     table = _LEVEL_WATTS.get(key)
     if table is None:
+        busy, idle, switch = (
+            tuple(power.power(opp, activity) for opp in opps)
+            for activity in (1.0, power.idle_activity, SWITCH_ACTIVITY)
+        )
+        fmax = opps.fmax
+        busy_w, idle_w = busy[fmax.index], idle[fmax.index]
+        counterfactual = tuple(
+            busy_frac * busy_w + (1.0 - busy_frac) * idle_w
+            for busy_frac in (opp.freq_hz / fmax.freq_hz for opp in opps)
+        )
         table = _LEVEL_WATTS[key] = LevelWatts(
-            *(
-                tuple(power.power(opp, activity) for opp in opps)
-                for activity in (1.0, power.idle_activity, SWITCH_ACTIVITY)
-            )
+            busy,
+            idle,
+            switch,
+            counterfactual,
+            tuple(opp.freq_mhz for opp in opps),
         )
     return table
 

@@ -283,6 +283,16 @@ class TaskLoopRunner:
             self.hostprof.job_done()
         return record
 
+    @property
+    def switch_count(self) -> int:
+        """DVFS transitions performed so far."""
+        return self._switches
+
+    def energy_j(self) -> float:
+        """Energy consumed so far: the board's integral plus predictor
+        energy that overlapped job execution."""
+        return self.board.energy_j() + self._overlap_energy_j
+
     def result(self) -> RunResult:
         """Aggregate the jobs run so far into a :class:`RunResult`."""
         energy_by_tag = {
@@ -300,7 +310,7 @@ class TaskLoopRunner:
             app=self.task.name,
             budget_s=self.task.budget_s,
             jobs=list(self._records),
-            energy_j=self.board.energy_j() + self._overlap_energy_j,
+            energy_j=self.energy_j(),
             energy_by_tag=energy_by_tag,
             switch_count=self._switches,
         )

@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.checks import check_number
+from repro.platform.board import level_watts
 
 __all__ = [
     "ENERGY_PHASES",
@@ -208,31 +209,43 @@ class EnergyState:
         )
 
 
-def _merge_maps(first: Mapping, second: Mapping) -> dict:
-    merged = dict(first)
-    for key, value in second.items():
-        merged[key] = merged.get(key, 0.0) + value
-    return merged
-
-
-def merge_energy(first: EnergyState, second: EnergyState) -> EnergyState:
-    """Fold two energy states with concatenation semantics.
+def merge_energy(first: EnergyState, *rest: EnergyState) -> EnergyState:
+    """Fold energy states with concatenation semantics, in one pass.
 
     Every field is additive, so the result equals the state one ledger
-    would hold after attributing ``first``'s run and then ``second``'s.
+    would hold after attributing each state's run in turn.  Each sum
+    folds left to right, as folding the states two at a time does, and
+    a map key first met in a later state goes after the keys before it.
     The fleet coordinator folds session states in canonical (roster
     order, session index) order, which keeps the float sums — and
     therefore the rendered report — bit-identical across shard and
     worker partitionings.
     """
+    jobs, total_j = first.jobs, first.total_j
+    overlap_j, counterfactual_j = first.overlap_j, first.counterfactual_j
+    by_phase = dict(first.by_phase)
+    time_by_phase = dict(first.time_by_phase)
+    by_opp_mhz = dict(first.by_opp_mhz)
+    for state in rest:
+        jobs += state.jobs
+        total_j += state.total_j
+        overlap_j += state.overlap_j
+        counterfactual_j += state.counterfactual_j
+        for merged, mapping in (
+            (by_phase, state.by_phase),
+            (time_by_phase, state.time_by_phase),
+            (by_opp_mhz, state.by_opp_mhz),
+        ):
+            for key, value in mapping.items():
+                merged[key] = merged.get(key, 0.0) + value
     return EnergyState(
-        jobs=first.jobs + second.jobs,
-        total_j=first.total_j + second.total_j,
-        overlap_j=first.overlap_j + second.overlap_j,
-        counterfactual_j=first.counterfactual_j + second.counterfactual_j,
-        by_phase=_merge_maps(first.by_phase, second.by_phase),
-        time_by_phase=_merge_maps(first.time_by_phase, second.time_by_phase),
-        by_opp_mhz=_merge_maps(first.by_opp_mhz, second.by_opp_mhz),
+        jobs=jobs,
+        total_j=total_j,
+        overlap_j=overlap_j,
+        counterfactual_j=counterfactual_j,
+        by_phase=by_phase,
+        time_by_phase=time_by_phase,
+        by_opp_mhz=by_opp_mhz,
     )
 
 
@@ -264,11 +277,12 @@ class EnergyLedger:
     def __init__(self, power, opps):
         self.power = power
         self.opps = opps
-        fmax = opps.fmax
-        self._fmax_hz = fmax.freq_hz
-        self._fmax_busy_w = power.power(fmax, activity=1.0)
-        self._fmax_idle_w = power.power(fmax, activity=power.idle_activity)
-        self._mhz = tuple(p.freq_mhz for p in opps)
+        watts = level_watts(power, opps)
+        # Counterfactual watts per second of a segment: by level for an
+        # execute segment, fmax idle for any other.
+        self._execute_cf_w = watts.counterfactual
+        self._idle_cf_w = watts.idle[opps.fmax.index]
+        self._mhz = watts.mhz
         # (job, phase, opp_index) -> [energy_j, duration_s]
         self._cells: dict[tuple[int, str, int], list[float]] = {}
         self._job = -1
@@ -296,8 +310,8 @@ class EnergyLedger:
         """Account predictor-slice energy that overlapped job execution."""
         self._overlap_j += energy_j
         self._total_j += energy_j
-        cell = self._cell(self._job, OVERLAP_PHASE, self.opps.fmax.index)
-        cell[0] += energy_j
+        key = (self._job, OVERLAP_PHASE, self.opps.fmax.index)
+        self._cells.setdefault(key, [0.0, 0.0])[0] += energy_j
         # Overlapped cycles cost the counterfactual nothing: they occupy
         # no wall-clock of their own.
 
@@ -320,30 +334,21 @@ class EnergyLedger:
         duration = end_s - start_s
         # The board's own fold prices a segment the same way.
         energy = power_w * duration
-        cell = self._cell(self._job, phase, opp_index)
+        key = (self._job, phase, opp_index)
+        cell = self._cells.get(key)
+        if cell is None:
+            cell = self._cells[key] = [0.0, 0.0]
         cell[0] += energy
         cell[1] += duration
         self._total_j += energy
         if phase == "execute":
             # Cycle-preserving re-timing: the counterfactual runs the
             # same cycles at fmax, busy for d*f/fmax, idle the rest.
-            busy_frac = self.opps[opp_index].freq_hz / self._fmax_hz
-            self._counterfactual_j += duration * (
-                busy_frac * self._fmax_busy_w
-                + (1.0 - busy_frac) * self._fmax_idle_w
-            )
+            self._counterfactual_j += duration * self._execute_cf_w[opp_index]
         else:
             # The performance governor runs no predictor, never
             # switches, and spends this wall-clock idling at fmax.
-            self._counterfactual_j += duration * self._fmax_idle_w
-        return None
-
-    def _cell(self, job: int, phase: str, opp_index: int) -> list[float]:
-        key = (job, phase, opp_index)
-        cell = self._cells.get(key)
-        if cell is None:
-            cell = self._cells[key] = [0.0, 0.0]
-        return cell
+            self._counterfactual_j += duration * self._idle_cf_w
 
     # -- invariants and views --------------------------------------------------
     @property
@@ -406,15 +411,18 @@ class EnergyLedger:
         by_phase: dict[str, float] = {}
         time_by_phase: dict[str, float] = {}
         by_opp: dict[float, float] = {}
-        for (_, phase, opp_index), (energy, duration) in sorted(
-            self._cells.items()
-        ):
+        cells, mhz_of = self._cells, self._mhz
+        # Marginals fold their cells in ascending (job, phase, opp) order;
+        # sorting the keys alone skips comparing the tuples around them.
+        for key in sorted(cells):
+            _, phase, opp_index = key
+            energy, duration = cells[key]
             by_phase[phase] = by_phase.get(phase, 0.0) + energy
             if phase != OVERLAP_PHASE:
                 time_by_phase[phase] = (
                     time_by_phase.get(phase, 0.0) + duration
                 )
-            mhz = self._mhz[opp_index]
+            mhz = mhz_of[opp_index]
             by_opp[mhz] = by_opp.get(mhz, 0.0) + energy
         return EnergyState(
             jobs=self._jobs,

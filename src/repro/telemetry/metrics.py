@@ -20,6 +20,7 @@ import math
 
 __all__ = [
     "percentile",
+    "percentiles",
     "geometric_buckets",
     "Counter",
     "Gauge",
@@ -37,18 +38,28 @@ def percentile(values, pct: float) -> float:
     Raises:
         ValueError: On an empty input or a ``pct`` outside [0, 100].
     """
-    if not 0.0 <= pct <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {pct}")
-    ordered = sorted(float(v) for v in values)
+    return percentiles(values, pct)[0]
+
+
+def percentiles(values, *pcts: float) -> tuple[float, ...]:
+    """:func:`percentile` of ``values`` at each of ``pcts``, sorting once."""
+    for pct in pcts:
+        if not 0.0 <= pct <= 100.0:
+            raise ValueError(f"percentile must be in [0, 100], got {pct}")
+    ordered = sorted(map(float, values))
     if not ordered:
         raise ValueError("cannot take a percentile of no values")
     if len(ordered) == 1:
-        return ordered[0]
-    rank = (pct / 100.0) * (len(ordered) - 1)
-    low = math.floor(rank)
-    high = min(low + 1, len(ordered) - 1)
-    frac = rank - low
-    return ordered[low] * (1.0 - frac) + ordered[high] * frac
+        return (ordered[0],) * len(pcts)
+    last = len(ordered) - 1
+    out = []
+    for pct in pcts:
+        rank = (pct / 100.0) * last
+        low = math.floor(rank)
+        high = min(low + 1, last)
+        frac = rank - low
+        out.append(ordered[low] * (1.0 - frac) + ordered[high] * frac)
+    return tuple(out)
 
 
 def geometric_buckets(

@@ -49,7 +49,11 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.models.asymmetric import lasso_time
-from repro.online.recalibrate import recalibrated_time, warm_start_time
+from repro.online.recalibrate import (
+    design_row,
+    recalibrated_time,
+    warm_start_time,
+)
 from repro.telemetry.audit import (
     AnchorSnapshot,
     DecisionAttribution,
@@ -125,7 +129,7 @@ def predict_anchor(snapshot: AnchorSnapshot, x: Sequence[float]) -> float:
     coef = np.asarray(snapshot.coef, dtype=float)
     if snapshot.kind == "online":
         scales = np.asarray(snapshot.scales, dtype=float)
-        return recalibrated_time(x, scales, coef)
+        return recalibrated_time(design_row(x, scales), coef)
     if snapshot.kind == "online-pre":
         return warm_start_time(x, coef, snapshot.intercept)
     return lasso_time(x.reshape(1, -1), coef, snapshot.intercept)

@@ -40,7 +40,8 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple
+from itertools import accumulate, chain
+from typing import Any, NamedTuple, Sequence
 
 from repro.checks import check_number
 
@@ -54,6 +55,7 @@ __all__ = [
     "SloTracker",
     "SloTrackerState",
     "merge_states",
+    "fold_state",
     "default_slos",
     "specs_from_json",
 ]
@@ -173,6 +175,14 @@ class SloSpec:
             )
         if not self.windows:
             raise ValueError(f"{owner}: a spec needs at least one burn window")
+        # Burn rates are keyed by window length ("w<jobs>").
+        lengths = [window.jobs for window in self.windows]
+        for jobs in lengths:
+            if lengths.count(jobs) > 1:
+                raise ValueError(
+                    f"{owner}: two burn windows of {jobs} jobs; each "
+                    "window needs its own length"
+                )
         if self.severity not in ("page", "ticket"):
             raise ValueError(
                 f"{owner}: severity must be 'page' or 'ticket', "
@@ -373,32 +383,51 @@ class SloTrackerState:
 
 
 def merge_states(
-    first: SloTrackerState, second: SloTrackerState
+    first: SloTrackerState, *rest: SloTrackerState
 ) -> SloTrackerState:
-    """Fold two tracker states with concatenation semantics.
+    """Fold tracker states with concatenation semantics, in one pass.
 
-    The result equals the state of one tracker that observed ``first``'s
-    stream and then ``second``'s (exactly, for jobs/bad/rings — see
-    :class:`SloTrackerState`).  Both states must track the same spec.
+    The result equals the state of one tracker that observed each
+    state's stream in turn (exactly, for jobs/bad/rings — see
+    :class:`SloTrackerState`), which is what folding them two at a time
+    gives: each window's tail is a suffix of the concatenated rings.
+    Every state must track the same spec.
     """
-    if first.spec != second.spec:
-        raise ValueError(
-            f"cannot merge states of different specs "
-            f"({first.spec.name!r} vs {second.spec.name!r})"
-        )
-    rings = tuple(
-        tuple((ring_a + ring_b)[-window.jobs:])
-        for window, ring_a, ring_b in zip(
-            first.spec.windows, first.rings, second.rings
-        )
-    )
+    spec = first.spec
+    for state in rest:
+        if state.spec is not spec and state.spec != spec:
+            raise ValueError(
+                f"cannot merge states of different specs "
+                f"({spec.name!r} vs {state.spec.name!r})"
+            )
+    states = (first, *rest)
+    jobs = bad = 0
+    for state in states:
+        jobs += state.jobs
+        bad += state.bad
     return SloTrackerState(
-        spec=first.spec,
-        jobs=first.jobs + second.jobs,
-        bad=first.bad + second.bad,
-        rings=rings,
-        alerts=first.alerts + second.alerts,
+        spec=spec,
+        jobs=jobs,
+        bad=bad,
+        rings=tuple(
+            _tail([state.rings[i] for state in states], window.jobs)
+            for i, window in enumerate(spec.windows)
+        ),
+        alerts=tuple(alert for state in states for alert in state.alerts),
     )
+
+
+def _tail(rings: list[tuple[bool, ...]], size: int) -> tuple[bool, ...]:
+    """The last ``size`` entries of the rings, concatenated in order."""
+    parts = []
+    held = 0
+    for ring in reversed(rings):
+        parts.append(ring)
+        held += len(ring)
+        if held >= size:
+            break
+    parts.reverse()
+    return tuple(chain.from_iterable(parts))[-size:]
 
 
 class SloTracker:
@@ -484,21 +513,7 @@ class SloTracker:
         if self._firing:
             return None  # still the same sustained violation
         self._firing = True
-        rates = self.burn_rates()
-        worst = max(rates.values())
-        alert = SloAlert(
-            spec_name=self.spec.name,
-            severity=self.spec.severity,
-            t_s=obs.t_s,
-            job_index=obs.index,
-            burn_rates=rates,
-            budget_consumed=self.budget_consumed,
-            message=(
-                f"{self.spec.name}: burning error budget {worst:.1f}x too "
-                f"fast ({self.bad}/{self.jobs} bad jobs, "
-                f"{100 * self.budget_consumed:.0f}% of budget spent)"
-            ),
-        )
+        alert = _alert(spec, obs, self.burn_rates(), self.bad, self.jobs)
         self.alerts.append(alert)
         return alert
 
@@ -522,6 +537,92 @@ class SloTracker:
             firing=self._firing,
             alerts=len(self.alerts),
         )
+
+
+def _alert(
+    spec: SloSpec,
+    obs: JobObservation,
+    rates: dict[str, float],
+    bad: int,
+    jobs: int,
+) -> SloAlert:
+    """The alert ``obs`` fires, after ``bad`` of ``jobs`` classified jobs
+    (``jobs`` >= 1) and at burn ``rates``."""
+    budget_consumed = bad / (spec.objective * jobs)
+    worst = max(rates.values())
+    return SloAlert(
+        spec_name=spec.name,
+        severity=spec.severity,
+        t_s=obs.t_s,
+        job_index=obs.index,
+        burn_rates=rates,
+        budget_consumed=budget_consumed,
+        message=(
+            f"{spec.name}: burning error budget {worst:.1f}x too "
+            f"fast ({bad}/{jobs} bad jobs, "
+            f"{100 * budget_consumed:.0f}% of budget spent)"
+        ),
+    )
+
+
+def fold_state(
+    spec: SloSpec, observations: Sequence[JobObservation]
+) -> SloTrackerState:
+    """The state a fresh :class:`SloTracker` holds after observing
+    ``observations`` in order, without a tracker.
+
+    The fleet rolls each finished session up through here.  The stream
+    is classified once; the bad count in a window after the ``j``-th
+    classified job is a difference of prefix counts, so each job's alert
+    test (the tracker's rising edge of "every window over its trigger,
+    and at least the shortest window's jobs classified") costs one
+    subtraction per window.
+    """
+    flags = list(map(spec.is_bad, observations))
+    if None in flags:
+        # The tracker skips an unobservable job.
+        observations = [
+            obs for obs, flag in zip(observations, flags) if flag is not None
+        ]
+        flags = [flag for flag in flags if flag is not None]
+    jobs = len(flags)
+    # prefix[j]: bad jobs among the first j classified.
+    prefix = list(accumulate(map(int, flags), initial=0))
+    windows = spec.windows
+    alerts = []
+    min_jobs = min(window.jobs for window in windows)
+    if jobs >= min_jobs:
+        objective = spec.objective
+        firing = False
+        for j in range(min_jobs, jobs + 1):
+            bad_now = prefix[j]
+            for window in windows:
+                n = min(window.jobs, j)
+                if not (
+                    ((bad_now - prefix[j - n]) / n) / objective
+                    > window.max_burn_rate
+                ):
+                    firing = False
+                    break
+            else:
+                if not firing:
+                    firing = True
+                    rates = {}
+                    for window in windows:
+                        n = min(window.jobs, j)
+                        rates[f"w{window.jobs}"] = (
+                            (bad_now - prefix[j - n]) / n
+                        ) / objective
+                    alerts.append(
+                        _alert(spec, observations[j - 1], rates, bad_now, j)
+                    )
+    return SloTrackerState(
+        spec=spec,
+        jobs=jobs,
+        bad=prefix[-1],
+        rings=tuple(tuple(flags[-window.jobs:]) for window in windows),
+        alerts=tuple(alerts),
+    )
 
 
 @functools.lru_cache(maxsize=64)

@@ -681,6 +681,11 @@ BAD_SLO_FILES = {
     "nan_threshold.json": _slo_spec(threshold="NaN"),
     "fractional_jobs.json": _slo_spec(jobs="1.5"),
     "bool_jobs.json": _slo_spec(jobs="true"),
+    "repeated_window.json": (
+        '[{"name": "x", "signal": "deadline_miss", "objective": 0.1, '
+        '"windows": [{"jobs": 10, "max_burn_rate": 2.0}, '
+        '{"jobs": 10, "max_burn_rate": 9.0}]}]'
+    ),
 }
 
 

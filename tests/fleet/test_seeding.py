@@ -1,6 +1,6 @@
 """Seed derivation: stability, path sensitivity, shard independence."""
 
-from repro.fleet.seeding import derive_seed, session_seed
+from repro.fleet.seeding import derive_seed, session_seed, session_seeds
 
 
 class TestDeriveSeed:
@@ -30,3 +30,17 @@ class TestDeriveSeed:
 
         expected = zlib.crc32(b"7|fleet|video|3|inputs")
         assert session_seed(7, "video", 3, "inputs") == expected
+
+    def test_session_seeds_are_each_purposes_session_seed(self):
+        # The shared prefix is checksummed once; every seed must still
+        # be the one session_seed derives (component boundaries too).
+        purposes = ("arrivals", "jitter", "switch", "inputs", "a|b", "")
+        for root, tenant, index in (
+            (7, "video", 3),
+            (0, "", 0),
+            (2**40, "x|y", 31),
+            (1009, "adaptive-rijndael", 11),
+        ):
+            assert session_seeds(root, tenant, index, *purposes) == tuple(
+                session_seed(root, tenant, index, p) for p in purposes
+            )

@@ -11,8 +11,11 @@ surfaces the CLI and gate consume.
 
 import math
 import pickle
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.platform.board import Board
 from repro.platform.opp import default_xu3_a7_table
@@ -260,6 +263,36 @@ class TestEnergyState:
         assert merged.counterfactual_j == pytest.approx(6.0)
         assert merged.by_phase["execute"] == pytest.approx(3.6)
         assert merged.by_opp_mhz[200.0] == pytest.approx(1.5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                EnergyState,
+                jobs=st.integers(0, 20),
+                total_j=st.floats(0.0, 2.0),
+                overlap_j=st.floats(0.0, 0.1),
+                counterfactual_j=st.floats(0.0, 3.0),
+                by_phase=st.dictionaries(
+                    st.sampled_from(ENERGY_PHASES), st.floats(0.0, 1.0)
+                ),
+                time_by_phase=st.dictionaries(
+                    st.sampled_from(ENERGY_PHASES), st.floats(0.0, 1.0)
+                ),
+                by_opp_mhz=st.dictionaries(
+                    st.sampled_from([200.0, 800.0, 1400.0]),
+                    st.floats(0.0, 1.0),
+                ),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_one_pass_merge_is_the_pairwise_fold(self, states):
+        """Bit for bit, map key order included."""
+        assert repr(merge_energy(*states)) == repr(
+            reduce(merge_energy, states)
+        )
 
     def test_merge_with_empty_is_identity(self):
         state = self._state()

@@ -61,6 +61,22 @@ class TestSpecValidation:
                 severity="warn",
             )
 
+    def test_repeated_window_length_rejected(self):
+        # Burn rates are keyed by window length: two windows of one
+        # length would report one rate, and an alert would lose one.
+        with pytest.raises(
+            ValueError, match="SLO spec 'x': two burn windows of 10 jobs"
+        ):
+            SloSpec(
+                name="x",
+                signal="deadline_miss",
+                objective=0.1,
+                windows=(
+                    BurnWindow(jobs=10, max_burn_rate=2.0),
+                    BurnWindow(jobs=10, max_burn_rate=9.0),
+                ),
+            )
+
     def test_window_validation(self):
         with pytest.raises(ValueError, match=">= 1 job"):
             BurnWindow(jobs=0, max_burn_rate=1.0)
@@ -244,6 +260,15 @@ class TestJsonRoundTrips:
             (
                 {"windows": [{"jobs": True, "max_burn_rate": 2.0}]},
                 "SLO spec 'x': burn window: jobs must be an int, got True",
+            ),
+            (
+                {
+                    "windows": [
+                        {"jobs": 10, "max_burn_rate": 2.0},
+                        {"jobs": 10, "max_burn_rate": 9.0},
+                    ]
+                },
+                "SLO spec 'x': two burn windows of 10 jobs",
             ),
         ],
         ids=repr,

@@ -8,6 +8,8 @@ error budget, and every windowed burn rate; the unit tests cover the
 state checks and the resume path.
 """
 
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +60,8 @@ specs = st.builds(
         ),
         min_size=1,
         max_size=3,
+        # A spec refuses two windows of one length.
+        unique_by=lambda window: window[0],
     ).map(tuple),
 )
 
@@ -91,6 +95,24 @@ class TestMergeEqualsConcatenation:
         assert left.jobs == right.jobs
         assert left.bad == right.bad
         assert left.rings == right.rings
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=specs, parts=st.lists(streams, min_size=1, max_size=6))
+    def test_one_pass_merge_equals_pairwise_and_concatenation(
+        self, spec, parts
+    ):
+        states, start = [], 0
+        for part in parts:
+            states.append(_observe_stream(spec, part, start).state())
+            start += len(part)
+        merged = merge_states(*states)
+        assert merged == reduce(merge_states, states)
+        concatenated = _observe_stream(
+            spec, [flag for part in parts for flag in part]
+        ).state()
+        assert merged.jobs == concatenated.jobs
+        assert merged.bad == concatenated.bad
+        assert merged.rings == concatenated.rings
 
     @settings(max_examples=50, deadline=None)
     @given(spec=specs, a=streams)

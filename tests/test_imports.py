@@ -129,6 +129,10 @@ spec = FleetSpec(
             "c", "sha", "pid", sessions=6, jobs_per_session=4,
             drift_factor=1.5,
         ),
+        TenantSpec("d", "sha", "adaptive", sessions=6, jobs_per_session=4),
+        TenantSpec(
+            "e", "sha", "prediction-batch4", sessions=6, jobs_per_session=4
+        ),
     ),
     seed=7,
 )

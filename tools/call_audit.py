@@ -241,7 +241,22 @@ def command_surfaces() -> list[list[str]]:
                "--shards", "1", "--seed", "7", "--energy", "--name", "smoke",
                "--trace", "fleet-check", "--output", "fleet-check/report.txt"),
         _repro("report", "fleet-trace", "--gate", bench("slo"), "--runs",
-               "fleet.", "--output", "fleet-gate-diff.txt"),
+               "fleet.smoke", "--output", "fleet-gate-diff.txt"),
+        _repro("fleet", "run", "--sessions", "200", "--jobs", "10",
+               "--shards", "4", "--workers", "1", "--seed", "7", "--energy",
+               "--governor", "adaptive", "--drift-tenant", "rijndael",
+               "--arrival", "bursty", "--name", "adaptive", "--trace",
+               "fleet-adaptive-trace", "--output",
+               "fleet-adaptive-trace/report.txt"),
+        _repro("fleet", "run", "--sessions", "200", "--jobs", "10",
+               "--shards", "1", "--seed", "7", "--energy", "--governor",
+               "adaptive", "--drift-tenant", "rijndael", "--arrival",
+               "bursty", "--name", "adaptive", "--trace",
+               "fleet-adaptive-check", "--output",
+               "fleet-adaptive-check/report.txt"),
+        _repro("report", "fleet-adaptive-trace", "--gate", bench("slo"),
+               "--runs", "fleet.adaptive", "--output",
+               "fleet-adaptive-gate-diff.txt"),
         # energy
         _repro("energy", "rijndael", "--jobs", "120", "--trace",
                "energy-trace"),
